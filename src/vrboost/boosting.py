@@ -232,14 +232,24 @@ class LstmWeakLearner:
     """LSTM classifier adapted to the boosting interface.
 
     Feature vectors pass through the tabular-to-sequence adapter; prediction
-    thresholds the head probability at 0.5 (>= 0.5 maps to +1).
+    thresholds the head probability at 0.5 (>= 0.5 maps to +1). Setting
+    `params` packs them once into the learner's PackedLstm, which every
+    predict() runs; reading it returns views of that packed vector.
     """
 
     def __init__(self, cfg: TrainConfig, sequence_mode: str = "single"):
         self.cfg = cfg
         self.sequence_mode = sequence_mode
-        self.params = None
+        self._kernel = None
         self.loss_curve = None
+
+    @property
+    def params(self):
+        return None if self._kernel is None else self._kernel.params
+
+    @params.setter
+    def params(self, params) -> None:
+        self._kernel = lstm_mod.PackedLstm.from_params(params)
 
     def fit(self, xs, signed_labels, weights) -> "LstmWeakLearner":
         examples = [(lstm_mod.to_sequence(x, self.sequence_mode), (int(y) + 1) // 2)
@@ -249,8 +259,7 @@ class LstmWeakLearner:
         return self
 
     def predict(self, x) -> int:
-        prob, _ = lstm_mod.forward_sequence(
-            self.params, lstm_mod.to_sequence(x, self.sequence_mode))
+        prob, _, _ = self._kernel.forward(lstm_mod.to_sequence(x, self.sequence_mode))
         return 1 if prob >= 0.5 else -1
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 failed gradient check, 2 usage, 3 data/schema,
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -21,7 +22,8 @@ from . import data as data_mod
 from .boosting import (BoostConfig, BoostRound, Ensemble, boost_train,
                        ensemble_predict, lstm_factory, LstmWeakLearner)
 from .errors import DataError, TrainingError
-from .lstm import GATES, LstmParams, TrainConfig, grad_check, init_params, param_keys
+from .lstm import (GATES, LstmParams, TrainConfig, grad_check, init_params, param_keys,
+                   to_sequence)
 from .metrics import confusion, correct_incorrect, scores
 from .numerics import Rng
 
@@ -92,7 +94,14 @@ def save_model(bundle: ModelBundle, path: str) -> None:
 
 
 def load_model(path: str) -> ModelBundle:
-    """Inverse of save_model. Any malformed content raises DataError."""
+    """Inverse of save_model. Any malformed content raises DataError.
+
+    Everything scoring relies on is checked here, so that a model which does
+    not fit its data fails before any row is scored: each learner's input
+    dimension must be the step length of its sequence mode, and every alpha,
+    weight, mean and std finite, with std > 0 unless the column is flagged
+    constant.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -105,30 +114,39 @@ def load_model(path: str) -> ModelBundle:
                                      threshold=int(doc["target"]["threshold"]))
         std_doc = doc["standardizer"]
         standardizer = data_mod.Standardizer(
-            indices=tuple(std_doc["indices"]),
+            indices=tuple(int(i) for i in std_doc["indices"]),
             means=np.array([float(v) for v in std_doc["means"]]),
             stds=np.array([float(v) for v in std_doc["stds"]]),
             constant=tuple(bool(v) for v in std_doc["constant"]),
         )
+        _validate_standardizer(standardizer)
         sequence_mode = doc["sequence_mode"]
+        step_dim = _step_dim(sequence_mode)
         rounds = []
-        for entry in doc["rounds"]:
+        for number, entry in enumerate(doc["rounds"], start=1):
             learner_doc = entry["learner"]
             if learner_doc["type"] != "lstm":
                 raise DataError(f"unsupported learner type {learner_doc['type']!r}")
             input_dim = int(learner_doc["input_dim"])
             hidden_dim = int(learner_doc["hidden_dim"])
+            if input_dim != step_dim:
+                raise DataError(f"round {number}: input_dim {input_dim} does not fit "
+                                f"sequence_mode {sequence_mode!r}, whose steps have "
+                                f"{step_dim} features")
             arrays = {}
             for key in param_keys():
                 raw = learner_doc["arrays"][key]
                 arr = np.array([[float(v) for v in row] for row in raw]) \
                     if raw and isinstance(raw[0], list) else np.array([float(v) for v in raw])
+                if not np.all(np.isfinite(arr)):
+                    raise DataError(f"round {number}: array {key} is not finite")
                 arrays[key] = arr
-            params = LstmParams(input_dim, hidden_dim, arrays)
-            _validate_param_shapes(params)
+            alpha = float(entry["alpha"])
+            if not math.isfinite(alpha):
+                raise DataError(f"round {number}: alpha {alpha!r} is not finite")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
-            learner.params = params
-            rounds.append(BoostRound(alpha=float(entry["alpha"]), learner=learner))
+            learner.params = LstmParams(input_dim, hidden_dim, arrays)  # checks shapes
+            rounds.append(BoostRound(alpha=alpha, learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
         convention = doc["label_convention"]
@@ -140,19 +158,23 @@ def load_model(path: str) -> ModelBundle:
                        sequence_mode=sequence_mode)
 
 
-def _validate_param_shapes(params: LstmParams) -> None:
-    d, h = params.input_dim, params.hidden_dim
-    expected = {}
-    for gate in GATES:
-        expected[f"W_{gate}"] = (h, d)
-        expected[f"U_{gate}"] = (h, h)
-        expected[f"b_{gate}"] = (h,)
-    expected["w_head"] = (h,)
-    expected["b_head"] = (1,)
-    for key, shape in expected.items():
-        if params.arrays[key].shape != shape:
-            raise ValueError(f"array {key} has shape {params.arrays[key].shape}, "
-                             f"expected {shape}")
+def _step_dim(sequence_mode: str) -> int:
+    """Features per time step that a learner sees under sequence_mode."""
+    return len(to_sequence(np.zeros(data_mod.N_FEATURES), sequence_mode)[0])
+
+
+def _validate_standardizer(std: data_mod.Standardizer) -> None:
+    n = len(std.indices)
+    if not len(std.means) == len(std.stds) == len(std.constant) == n:
+        raise DataError("standardizer: indices, means, stds and constant differ in length")
+    if any(not 0 <= idx < data_mod.N_FEATURES for idx in std.indices):
+        raise DataError(f"standardizer: indices {list(std.indices)} are not all features")
+    if not (np.all(np.isfinite(std.means)) and np.all(np.isfinite(std.stds))):
+        raise DataError("standardizer: means and stds must be finite")
+    for idx, sd, constant in zip(std.indices, std.stds, std.constant):
+        if not constant and sd <= 0:
+            raise DataError(f"standardizer: std {sd!r} of feature {idx} must be > 0 "
+                            f"unless the column is flagged constant")
 
 
 # --- orchestration --------------------------------------------------------
@@ -271,25 +293,27 @@ def cmd_train(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_compatible(bundle: ModelBundle, data_path: str, need_target: bool):
-    optional = None if need_target else bundle.target.target_column
-    records = data_mod.load_csv(data_path, optional_column=optional)
-    feats = [data_mod.encode_features(r, bundle.target) for r in records]
+def _load_compatible(bundle: ModelBundle, data_path: str, need_target: bool) -> list:
+    """Standardized examples of a CSV whose features fit the model; labels are
+    0 where need_target is False, and the target column may then be absent."""
+    if need_target:
+        examples = data_mod.encode(data_mod.load_csv(data_path), bundle.target)
+    else:
+        records = data_mod.load_csv(data_path, optional_column=bundle.target.target_column)
+        examples = [data_mod.EncodedExample(data_mod.encode_features(r, bundle.target), 0)
+                    for r in records]
+    got = len(to_sequence(examples[0].features, bundle.sequence_mode)[0])
     expected = bundle.ensemble.rounds[0].learner.params.input_dim
-    if bundle.sequence_mode == "single" and len(feats[0]) != expected:
-        raise DataError(f"feature length {len(feats[0])} does not match the "
+    if got != expected:
+        raise DataError(f"feature length {got} does not match the "
                         f"model's input dimension {expected}")
-    dummy = [data_mod.EncodedExample(features=f, label=0) for f in feats]
-    standardized = data_mod.apply_standardizer(bundle.standardizer, dummy)
-    return records, [ex.features for ex in standardized]
+    return data_mod.apply_standardizer(bundle.standardizer, examples)
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_path: str) -> int:
     """Score a labeled CSV with a saved model; write a single-block report."""
     bundle = load_model(model_path)
-    records = data_mod.load_csv(data_path)
-    examples = data_mod.encode(records, bundle.target)
-    standardized = data_mod.apply_standardizer(bundle.standardizer, examples)
+    standardized = _load_compatible(bundle, data_path, need_target=True)
     block = _evaluate_split(bundle, standardized)
     _write_json({"eval": block}, out_path)
     print(f"eval: accuracy {block['accuracy']:.4f}  precision {block['precision']:.4f}  "
@@ -301,14 +325,14 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str) -> int:
 def cmd_predict(model_path: str, data_path: str, out_path: str) -> int:
     """Write (row_index, margin, label) for every row; target column optional."""
     bundle = load_model(model_path)
-    _, features = _load_compatible(bundle, data_path, need_target=False)
+    examples = _load_compatible(bundle, data_path, need_target=False)
     lines = ["row_index,margin,label"]
-    for idx, feat in enumerate(features):
-        label, margin = ensemble_predict(bundle.ensemble, feat)
+    for idx, ex in enumerate(examples):
+        label, margin = ensemble_predict(bundle.ensemble, ex.features)
         lines.append(f"{idx},{margin!r},{label}")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(features)} predictions to {out_path}")
+    print(f"wrote {len(examples)} predictions to {out_path}")
     return EXIT_OK
 
 

@@ -22,6 +22,7 @@ HEADSETS = ("HTC Vive", "Oculus Rift", "PlayStation VR")
 TARGET_COLUMNS = ("MotionSickness", "ImmersionLevel")
 
 NUMERIC_FEATURE_INDICES = (0, 1, 2)  # age, duration, leftover score column
+N_FEATURES = len(NUMERIC_FEATURE_INDICES) + len(GENDERS) + len(HEADSETS)
 
 
 @dataclass
@@ -113,10 +114,11 @@ def load_csv(path, optional_column: str | None = None) -> list:
 
     The header must contain exactly the six schema names, in any order;
     optional_column (a score column) may be absent, in which case that field
-    is None on every record. Raises DataError for schema problems, with the
-    line number for row-level ones.
+    is None on every record. A leading UTF-8 byte-order mark is skipped.
+    Raises DataError for schema problems, with the line number for
+    row-level ones.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

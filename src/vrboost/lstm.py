@@ -6,6 +6,23 @@ hidden state h_t = o*tanh(c_t). A scalar sigmoid head on the final hidden
 state produces the class probability. Training is per-example SGD on
 weighted binary cross-entropy with a step-decay learning-rate schedule and
 per-update L2 gradient clipping.
+
+Two implementations of the cell live here:
+
+- the per-gate reference (forward_step, forward_sequence, backward,
+  grad_check), which works on LstmParams' dict of 14 arrays and is audited
+  against finite differences;
+- PackedLstm, which training and prediction run: one contiguous float64
+  vector holding W (4H, D), U (4H, H) and b (4H) with the gate blocks
+  stacked in GATES order, then w_head (H) and b_head (1), plus a gradient
+  buffer of the same layout, so an update is one clip over the whole vector
+  and one `theta -= lr * grad`.
+
+The packed kernel is bit-identical to the reference: same probabilities,
+gradients and trained parameters to the last bit (tests/test_lstm_kernel.py
+checks this against the dict-based loop in tests/lstm_oracle.py). Matrix
+products stay per gate because BLAS sums a row of a stacked product in an
+order that depends on the row's position.
 """
 
 import math
@@ -291,13 +308,181 @@ def to_sequence(features: np.ndarray, mode: str = "single") -> list:
     raise ValueError(f"to_sequence: unknown mode {mode!r}")
 
 
-def _clip_gradient(grads: dict, max_norm: float) -> None:
-    sq = sum(float(np.sum(v * v)) for v in grads.values())
-    norm = math.sqrt(sq)
-    if norm > max_norm:
-        scale = max_norm / norm
-        for v in grads.values():
-            v *= scale
+def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int) -> tuple:
+    """Views W (4H, D), U (4H, H), b (4H), w_head (H), b_head (1) of a packed vector."""
+    d, h = input_dim, hidden_dim
+    u0 = 4 * h * d
+    b0 = u0 + 4 * h * h
+    head0 = b0 + 4 * h
+    return (buf[:u0].reshape(4 * h, d), buf[u0:b0].reshape(4 * h, h), buf[b0:head0],
+            buf[head0:head0 + h], buf[head0 + h:])
+
+
+def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
+    """The per-key arrays of param_keys() as views of the stacked gate blocks."""
+    h = hidden_dim
+    views = {}
+    for k, gate in enumerate(GATES):
+        rows = slice(k * h, (k + 1) * h)
+        views[f"W_{gate}"], views[f"U_{gate}"], views[f"b_{gate}"] = W[rows], U[rows], b[rows]
+    views["w_head"], views["b_head"] = w_head, b_head
+    return views
+
+
+def _sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
+    """numerics.sigmoid without the masks: exp(-|z|) is exp(-z) where z >= 0
+    and exp(z) elsewhere, so each entry takes the same branch and operations."""
+    e = np.exp(-np.abs(z))
+    np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
+
+
+def _sigmoid_scalar(z: float) -> float:
+    """numerics.sigmoid of one logit, through the same numpy exp."""
+    if z >= 0:
+        return float(1.0 / (1.0 + np.exp(-z)))
+    ex = np.exp(z)
+    return float(ex / (1.0 + ex))
+
+
+class PackedLstm:
+    """The cell's parameters in one float64 vector, with the training step.
+
+    theta holds W (4H, D), U (4H, H) and b (4H), each stacking its gate
+    blocks in GATES order, then w_head (H) and b_head (1); grad has the same
+    layout. `params` is an LstmParams whose arrays are views of theta, so
+    it serializes and feeds the per-gate reference functions unchanged.
+
+    Contract: bit-identical to the per-gate reference. forward() returns the
+    probability forward_sequence() returns, backward() writes the gradient
+    backward() returns, and clip_and_update() clips by the norm of the dict
+    of per-key gradients, summed in param_keys() order. Every entry sees the
+    same floating-point operations in the same order; only the number of
+    numpy calls differs.
+    """
+
+    def __init__(self, input_dim: int, hidden_dim: int):
+        if input_dim < 1 or hidden_dim < 1:
+            raise ValueError("PackedLstm: input_dim and hidden_dim must be >= 1")
+        d, h = input_dim, hidden_dim
+        self.input_dim, self.hidden_dim = d, h
+        size = 4 * h * d + 4 * h * h + 5 * h + 1
+        self.theta, self.grad = np.zeros(size), np.zeros(size)
+        self._work = np.zeros(size)  # squared gradient, then lr * gradient
+        self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h)
+        self.params = LstmParams(d, h, _key_views(self.W, self.U, self.b, self.w_head,
+                                                  self.b_head, h))
+        gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(self.grad, d, h)
+        self._g_gates = (gW, gU, gb)
+        self.grads = _key_views(gW, gU, gb, self._g_w_head, self._g_b_head, h)
+        sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h)
+        # one row per gate, so one reduction gives the four per-key sums
+        self._sq_gates = (sW.reshape(4, -1), sU.reshape(4, -1), sb.reshape(4, -1))
+        # BLAS sums a row of one (4H, .) product in an order that depends on
+        # the row's position, so products are batched over a gate axis:
+        # numpy then makes the reference's per-gate BLAS call for each gate
+        self._W3, self._U3 = self.W.reshape(4, h, d), self.U.reshape(4, h, h)
+        self._UT3 = self._U3.transpose(0, 2, 1)
+
+    @classmethod
+    def from_params(cls, params: LstmParams) -> "PackedLstm":
+        """Pack a copy of params; raises ValueError on any array of the wrong shape."""
+        kernel = cls(params.input_dim, params.hidden_dim)
+        for key, view in kernel.params.arrays.items():
+            arr = np.asarray(params.arrays[key], dtype=float)
+            if arr.shape != view.shape:
+                raise ValueError(f"array {key} has shape {arr.shape}, expected {view.shape}")
+            view[...] = arr
+        return kernel
+
+    def forward(self, seq) -> tuple:
+        """Run the cell from a zero state; sigmoid head on h_T.
+
+        Returns (probability of class 1, h_T, per-step trace for backward).
+        U @ h is skipped at step 0, where h is zero: U @ 0 adds +0.0, which
+        changes no sum whose bias term is not -0.0, and SGD never makes one.
+        """
+        h_dim = self.hidden_dim
+        n_sig = 3 * h_dim
+        W3, U3, b = self._W3, self._U3, self.b
+        h = c = np.zeros(h_dim)
+        trace = []
+        for t, x in enumerate(seq):
+            x = np.asarray(x, dtype=float)
+            z = W3 @ x + U3 @ h if t else W3 @ x
+            z = z.reshape(-1)
+            z += b
+            act = np.empty(4 * h_dim)
+            _sigmoid_into(z[:n_sig], act[:n_sig])
+            np.tanh(z[n_sig:], out=act[n_sig:])
+            f, i, o, g = act[:h_dim], act[h_dim:2 * h_dim], act[2 * h_dim:n_sig], act[n_sig:]
+            c_prev, h_prev = c, h
+            c = f * c_prev + i * g
+            tanh_c = np.tanh(c)
+            h = o * tanh_c
+            trace.append((x, h_prev, c_prev, act, tanh_c))
+        logit = float(self.w_head @ h) + float(self.b_head[0])
+        return _sigmoid_scalar(logit), h, trace
+
+    def backward(self, prob: float, y: int, w: float, h_last: np.ndarray, trace) -> None:
+        """BPTT of weighted_loss into self.grad, accumulated into a zeroed buffer.
+
+        dh_prev is built gate by gate and is not formed at step 0, where it
+        is never used; neither is the U gradient there, whose input is zero.
+        """
+        h_dim = self.hidden_dim
+        n_sig = 3 * h_dim
+        gW, gU, gb = self._g_gates
+        self.grad.fill(0.0)
+        dlogit = w * (prob - y)
+        self._g_w_head += dlogit * h_last
+        self._g_b_head += dlogit
+        dh = dlogit * self.w_head
+        dc = np.zeros(h_dim)
+        for t in range(len(trace) - 1, -1, -1):
+            x, h_prev, c_prev, act, tanh_c = trace[t]
+            f, i, o, g = act[:h_dim], act[h_dim:2 * h_dim], act[2 * h_dim:n_sig], act[n_sig:]
+            dc = dc + dh * o * (1.0 - tanh_c ** 2)
+            dpre = np.empty(4 * h_dim)
+            np.multiply(dc, c_prev, out=dpre[:h_dim])
+            np.multiply(dc, g, out=dpre[h_dim:2 * h_dim])
+            np.multiply(dh, tanh_c, out=dpre[2 * h_dim:n_sig])
+            np.multiply(dc, i, out=dpre[n_sig:])
+            sig = act[:n_sig]
+            dpre[:n_sig] = dpre[:n_sig] * sig * (1.0 - sig)
+            dpre[n_sig:] = dpre[n_sig:] * (1.0 - g ** 2)
+            gW += dpre[:, None] * x  # np.outer's products, without its wrapper
+            gb += dpre
+            if t:
+                gU += dpre[:, None] * h_prev
+                # U_g.T @ d_g per gate, added to zeros in GATES order
+                dh = np.add.reduce((self._UT3 @ dpre.reshape(4, h_dim, 1))[..., 0],
+                                   axis=0, initial=0.0)
+                dc = dc * f
+
+    def clip_and_update(self, lr: float, max_norm: float) -> bool:
+        """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
+
+        Returns whether the gradient was clipped.
+        """
+        sq = self._work
+        np.multiply(self.grad, self.grad, out=sq)
+        # each key's own pairwise sum, added in param_keys() order: W, U, b
+        # per gate, then the head (b_head's sum is its single square)
+        sW, sU, sb = (np.add.reduce(block, axis=1).tolist() for block in self._sq_gates)
+        total = 0.0
+        for k in range(4):
+            total += sW[k]
+            total += sU[k]
+            total += sb[k]
+        total += float(np.add.reduce(self._sq_w_head))
+        total += float(self._sq_b_head[0])
+        norm = math.sqrt(total)
+        clipped = norm > max_norm
+        if clipped:
+            self.grad *= max_norm / norm
+        np.multiply(self.grad, lr, out=sq)
+        self.theta -= sq
+        return clipped
 
 
 def train_weak_learner(examples, weights, cfg: TrainConfig):
@@ -324,7 +509,7 @@ def train_weak_learner(examples, weights, cfg: TrainConfig):
 
     rng = Rng(cfg.seed)
     input_dim = len(np.asarray(examples[0][0][0]))
-    params = init_params(input_dim, cfg.hidden_dim, rng)
+    kernel = PackedLstm.from_params(init_params(input_dim, cfg.hidden_dim, rng))
     curve = LossCurve()
     for epoch in range(1, cfg.max_epochs + 1):
         lr = learning_rate(cfg, epoch)
@@ -333,16 +518,15 @@ def train_weak_learner(examples, weights, cfg: TrainConfig):
         epoch_losses = []
         for idx in order:
             seq, y = examples[idx]
-            prob, cache = forward_sequence(params, seq)
-            loss = weighted_loss(prob, y, norm_w[idx])
+            w = norm_w[idx]
+            prob, h_last, trace = kernel.forward(seq)
+            loss = weighted_loss(prob, y, w)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, example {idx}")
             epoch_losses.append(loss)
-            grads = backward(params, cache, y, norm_w[idx])
-            _clip_gradient(grads, cfg.grad_clip)
-            for key in param_keys():
-                params.arrays[key] -= lr * grads[key]
+            kernel.backward(prob, y, w, h_last, trace)
+            kernel.clip_and_update(lr, cfg.grad_clip)
         curve.losses.append(math.fsum(epoch_losses) / n)
         curve.learning_rates.append(lr)
-    return params, curve
+    return kernel.params, curve

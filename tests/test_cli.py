@@ -8,6 +8,7 @@ import pytest
 from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
 from vrboost.cli import load_model, main, save_model
+from vrboost.errors import DataError
 from vrboost.metrics import f1_score
 
 FAST_TRAIN = ["--synth-n", "120", "--signal", "4.0", "--rounds", "2",
@@ -228,6 +229,103 @@ def test_model_round_trip_identical_predictions(tmp_path, trained):
     for ex in standardized:
         assert ensemble_predict(bundle.ensemble, ex.features) == \
             ensemble_predict(reloaded.ensemble, ex.features)
+
+
+# --- load-time model validation ---------------------------------------------
+
+def _drop_last_input_column(doc):
+    for entry in doc["rounds"]:
+        learner = entry["learner"]
+        learner["input_dim"] -= 1
+        for gate in ("forget", "input", "output", "candidate"):
+            key = f"W_{gate}"
+            learner["arrays"][key] = [row[:-1] for row in learner["arrays"][key]]
+
+
+def _set(path, value):
+    def edit(doc):
+        *parents, last = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node[last] = value
+    return edit
+
+
+INVALID_MODELS = {
+    "input_dim_8_single": _drop_last_input_column,
+    "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
+    "unknown_sequence_mode": _set(["sequence_mode"], "stacked"),
+    "alpha_nan": _set(["rounds", 0, "alpha"], "nan"),
+    "weight_inf": _set(["rounds", 1, "learner", "arrays", "W_input", 2, 3], "inf"),
+    "head_bias_nan": _set(["rounds", 0, "learner", "arrays", "b_head", 0], "nan"),
+    "mean_nan": _set(["standardizer", "means", 0], "nan"),
+    "std_inf": _set(["standardizer", "stds", 1], "-inf"),
+    "std_zero_not_constant": _set(["standardizer", "stds", 2], "0"),
+    "std_negative": _set(["standardizer", "stds", 0], "-1.5"),
+    "standardizer_lengths_differ": _set(["standardizer", "constant"], [False, False]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_MODELS))
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_invalid_model_is_rejected_at_load_with_exit_3(tmp_path, trained, case, command,
+                                                       capsys):
+    _, data_path, out = trained
+    doc = json.loads((out / "model.json").read_text())
+    INVALID_MODELS[case](doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    with pytest.raises(DataError):
+        load_model(model)
+    code = _run([command, "--model", model, "--data", data_path,
+                 "--out", "result", "--out-dir", tmp_path])
+    assert code == 3
+    assert not (tmp_path / "result").exists()
+    assert "usage error" not in capsys.readouterr().err
+
+
+def test_zero_std_on_constant_column_loads(tmp_path, trained):
+    _, data_path, out = trained
+    doc = json.loads((out / "model.json").read_text())
+    doc["standardizer"]["stds"][2] = "0"
+    doc["standardizer"]["constant"][2] = True
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert _run(["predict", "--model", model, "--data", data_path,
+                 "--out", "p.csv", "--out-dir", tmp_path]) == 0
+
+
+# --- unrolled sequences end to end -------------------------------------------
+
+def test_unrolled_train_predict_evaluate_end_to_end(tmp_path):
+    data_path = tmp_path / "data.csv"
+    assert _run(["gen-data", "--n", 150, "--seed", 4, "--signal", 4.0,
+                 "--out", data_path.name, "--out-dir", tmp_path]) == 0
+    out = tmp_path / "run"
+    assert _run(["train", "--data", data_path, "--sequence-mode", "unrolled", "--stratified",
+                 "--rounds", 3, "--epochs", 2, "--hidden-dim", 5, "--seed", 2,
+                 "--out-dir", out]) == 0
+    bundle = load_model(out / "model.json")
+    assert bundle.sequence_mode == "unrolled"
+    assert all(r.learner.params.input_dim == 1 for r in bundle.ensemble.rounds)
+
+    assert _run(["evaluate", "--model", out / "model.json", "--data", out / "test_split.csv",
+                 "--out", "eval.json", "--out-dir", tmp_path]) == 0
+    eval_block = json.loads((tmp_path / "eval.json").read_text())["eval"]
+    assert eval_block == json.loads((out / "report.json").read_text())["test"]
+
+    assert _run(["predict", "--model", out / "model.json", "--data", data_path,
+                 "--out", "preds.csv", "--out-dir", tmp_path]) == 0
+    examples = data_mod.apply_standardizer(
+        bundle.standardizer, data_mod.encode(data_mod.load_csv(data_path), bundle.target))
+    lines = (tmp_path / "preds.csv").read_text().splitlines()
+    assert len(lines) == 1 + len(examples)
+    for line, ex in zip(lines[1:], examples):
+        _, margin, label = line.split(",")
+        want_label, want_margin = ensemble_predict(bundle.ensemble, ex.features)
+        assert float(margin) == want_margin
+        assert int(label) == want_label
 
 
 # --- gradcheck --------------------------------------------------------------

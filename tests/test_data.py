@@ -102,6 +102,14 @@ def test_crlf_line_endings(tmp_path):
     assert load_csv(path)[0].age == 40
 
 
+def test_load_csv_skips_utf8_byte_order_mark(tmp_path):
+    text = HEADER + "\n" + "\n".join(SAMPLE_ROWS) + "\n"
+    plain = _write(tmp_path, text, "plain.csv")
+    bom = _write(tmp_path, "\ufeff" + text, "bom.csv")
+    assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+    assert load_csv(bom) == load_csv(plain)
+
+
 def test_encode_labels_and_layout():
     records = [RawRecord(40, "Male", "HTC Vive", 13.59850823, 8, 5),
                RawRecord(43, "Female", "HTC Vive", 19.95081498, 2, 2)]
