@@ -5,43 +5,52 @@ Run:  python demos/01_lstm_cell.py
 
 import numpy as np
 
-from vrboost.lstm import (LstmState, forward_sequence, forward_step,
-                          grad_check, init_params, param_keys)
+from vrboost.lstm import GATES, PackedLstm, grad_check, init_params
 from vrboost.numerics import Rng
 
-# ---------------------------------------------------------------------------
-# 1. With every weight at zero the cell is perfectly agnostic: the sigmoid
-#    gates all emit 0.5, the candidate vector is 0, and the state stays put.
-params = init_params(input_dim=3, hidden_dim=2, rng=Rng(0))
-for key in param_keys():
-    params.arrays[key] = np.zeros_like(params.arrays[key])
 
-state, record = forward_step(params, np.array([1.0, -2.0, 0.5]),
-                             LstmState(np.zeros(2), np.zeros(2)))
+def gates(act, hidden_dim):
+    """One step's traced activations, stacked in GATES order, keyed by gate."""
+    return {gate: act[k * hidden_dim:(k + 1) * hidden_dim] for k, gate in enumerate(GATES)}
+
+
+# ---------------------------------------------------------------------------
+# 1. A new PackedLstm holds all-zero weights, and with every weight at zero
+#    the cell is perfectly agnostic: the sigmoid gates all emit 0.5, the
+#    candidate vector is 0, and the state stays put. forward() returns the
+#    class-1 probability, the last hidden state and a per-step trace of
+#    (x, h_prev, c_prev, gate activations, tanh(c)).
+kernel = PackedLstm(input_dim=3, hidden_dim=2)
+prob, h_last, trace = kernel.forward([np.array([1.0, -2.0, 0.5])])
 print("zero-weight gates:")
-for gate in ("forget", "input", "output", "candidate"):
-    print(f"  {gate:<10} -> {record.gate[gate]}")
-print("  new cell state  ->", state.c)
+for gate, value in gates(trace[0][3], 2).items():
+    print(f"  {gate:<10} -> {value}")
+print("  new hidden state ->", h_last, f"  probability {prob}")
 
 # ---------------------------------------------------------------------------
-# 2. The forget gate really does decide what survives. Saturate it open
-#    (bias +50) and the cell value passes through untouched; slam the input
-#    gate shut (bias -50) and nothing new gets in.
-params.arrays["b_forget"] = np.full(2, 50.0)
-params.arrays["b_input"] = np.full(2, -50.0)
-keep, _ = forward_step(params, np.array([9.0, 9.0, 9.0]),
-                       LstmState(np.zeros(2), np.array([0.7, -0.3])))
-print("\nsaturated forget-open / input-shut, cell [0.7, -0.3] ->", keep.c)
+# 2. The gates really do decide what the cell keeps. Saturate the forget gate
+#    open (bias +50) and let the candidate follow the input (tanh(x)): with
+#    the input gate open (bias +50) the cell adds tanh(0.5) = 0.46 on every
+#    step; slam it shut (bias -50) and nothing gets in.
+arrays = kernel.params.arrays  # per-gate views of the packed vector
+arrays["b_forget"][...] = 50.0
+arrays["W_candidate"][:, 0] = 1.0
+sequence = [np.full(3, 0.5)] * 4
+print()
+for label, bias in (("open", 50.0), ("shut", -50.0)):
+    arrays["b_input"][...] = bias
+    _, _, trace = kernel.forward(sequence)
+    cells = [step[2][0] for step in trace[1:]]  # c_prev of steps 2..4
+    print(f"input gate {label}: cell after steps 1-3 ->", " ".join(f"{c:.3g}" for c in cells))
 
 # ---------------------------------------------------------------------------
 # 3. A small random cell driving the sigmoid head: probabilities live
-#    strictly inside (0, 1) and the full forward trace is kept for training.
+#    strictly inside (0, 1) and the trace keeps what backward() needs.
 rng = Rng(42)
 params = init_params(input_dim=3, hidden_dim=4, rng=rng)
 sequence = [rng.uniform_array((3,), -1, 1) for _ in range(5)]
-prob, cache = forward_sequence(params, sequence)
-print(f"\n5-step sequence -> class-1 probability {prob:.4f} "
-      f"({len(cache.steps)} steps cached)")
+prob, _, trace = PackedLstm.from_params(params).forward(sequence)
+print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({len(trace)} steps traced)")
 
 # ---------------------------------------------------------------------------
 # 4. The backward pass is exact. Compare every parameter's gradient against

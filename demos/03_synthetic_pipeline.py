@@ -11,7 +11,7 @@ Run:  python demos/03_synthetic_pipeline.py
 from vrboost.boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
 from vrboost.data import (TargetSpec, apply_standardizer, encode,
                           fit_standardizer, gen_synthetic, majority_rate,
-                          split, synthetic_bayes_rate)
+                          split_indices, synthetic_bayes_rate)
 from vrboost.lstm import TrainConfig
 from vrboost.metrics import confusion, scores
 
@@ -25,10 +25,11 @@ print(f"generated {len(records)} records, "
 # 2. Encode (ImmersionLevel >= 4 is the default binary target), split 70/30,
 #    and standardize the numeric features on the training side only.
 examples = encode(records, TargetSpec())
-ds = split(examples, ratio=0.7, seed=0)
-standardizer = fit_standardizer(ds.train)
-train = apply_standardizer(standardizer, ds.train)
-test = apply_standardizer(standardizer, ds.test)
+train_idx, test_idx = split_indices(len(examples), ratio=0.7, seed=0)
+train = [examples[i] for i in train_idx]
+standardizer = fit_standardizer(train)
+train = apply_standardizer(standardizer, train)
+test = apply_standardizer(standardizer, [examples[i] for i in test_idx])
 print(f"split {len(train)}/{len(test)}, "
       f"majority baseline {majority_rate([ex.label for ex in test]):.3f}")
 

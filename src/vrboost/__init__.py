@@ -9,17 +9,16 @@ from .boosting import (BoostConfig, DecisionStump, Ensemble, LstmWeakLearner,
                        alpha, boost_train, ensemble_predict, init_weights,
                        lstm_factory, staged_train_error, stump_factory,
                        update_weights, weighted_error)
-from .data import (EncodedExample, RawRecord, SplitDataset, Standardizer,
-                   TargetSpec, apply_standardizer, encode, encode_features,
+from .data import (EncodedExample, RawRecord, Standardizer, TargetSpec,
+                   apply_standardizer, encode, encode_features,
                    fit_standardizer, gen_synthetic, load_csv, majority_rate,
-                   split, synthetic_bayes_rate, write_csv)
+                   split_indices, synthetic_bayes_rate, write_csv)
 from .errors import DataError, TrainingError, VrboostError
-from .lstm import (LossCurve, LstmParams, LstmState, StepCache, TrainConfig,
-                   backward, forward_sequence, forward_step, grad_check,
+from .lstm import (LossCurve, LstmParams, PackedLstm, TrainConfig, grad_check,
                    init_params, learning_rate, to_sequence, train_weak_learner,
                    weighted_loss)
 from .metrics import (ConfusionMatrix, MetricReport, confusion,
                       correct_incorrect, f1_score, scores)
-from .numerics import Rng, affine, sigmoid, tanh_act
+from .numerics import Rng, sigmoid
 
 __version__ = "0.1.0"

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import data as data_mod
-from .boosting import (BoostConfig, BoostRound, Ensemble, boost_train,
-                       ensemble_predict, lstm_factory, LstmWeakLearner)
+from .boosting import (NEGATIVE, POSITIVE, BoostConfig, BoostRound, Ensemble,
+                       boost_train, ensemble_predict, lstm_factory, LstmWeakLearner)
 from .errors import DataError, TrainingError
 from .lstm import (GATES, LstmParams, TrainConfig, grad_check, init_params, param_keys,
                    to_sequence)
@@ -100,7 +100,7 @@ def load_model(path: str) -> ModelBundle:
     not fit its data fails before any row is scored: each learner's input
     dimension must be the step length of its sequence mode, and every alpha,
     weight, mean and std finite, with std > 0 unless the column is flagged
-    constant.
+    constant, and the label convention the one boost_train writes.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -150,8 +150,11 @@ def load_model(path: str) -> ModelBundle:
         if not rounds:
             raise DataError("model file contains no rounds")
         convention = doc["label_convention"]
-        ensemble = Ensemble(rounds=rounds, positive_label=int(convention["positive"]),
-                            negative_label=int(convention["negative"]))
+        labels = (int(convention["positive"]), int(convention["negative"]))
+        if labels != (POSITIVE, NEGATIVE):
+            raise DataError(f"label_convention positive {labels[0]}, negative {labels[1]}: "
+                            f"expected positive {POSITIVE}, negative {NEGATIVE}")
+        ensemble = Ensemble(rounds=rounds)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise DataError(f"malformed model file {path}: {exc!r}") from None
     return ModelBundle(ensemble=ensemble, target=target, standardizer=standardizer,
@@ -302,11 +305,6 @@ def _load_compatible(bundle: ModelBundle, data_path: str, need_target: bool) -> 
         records = data_mod.load_csv(data_path, optional_column=bundle.target.target_column)
         examples = [data_mod.EncodedExample(data_mod.encode_features(r, bundle.target), 0)
                     for r in records]
-    got = len(to_sequence(examples[0].features, bundle.sequence_mode)[0])
-    expected = bundle.ensemble.rounds[0].learner.params.input_dim
-    if got != expected:
-        raise DataError(f"feature length {got} does not match the "
-                        f"model's input dimension {expected}")
     return data_mod.apply_standardizer(bundle.standardizer, examples)
 
 

@@ -59,18 +59,6 @@ class EncodedExample:
 
 
 @dataclass
-class SplitDataset:
-    """Train/test partition of encoded examples, with the index mapping kept."""
-
-    train: list
-    test: list
-    train_indices: list
-    test_indices: list
-    seed: int
-    ratio: float
-
-
-@dataclass
 class Standardizer:
     """Per-numeric-feature z-score parameters fitted on the training split.
 
@@ -216,13 +204,6 @@ def encode_features(record: RawRecord, spec: TargetSpec) -> np.ndarray:
     return np.array(vec)
 
 
-def feature_names(spec: TargetSpec) -> tuple:
-    other = "MotionSickness" if spec.target_column == "ImmersionLevel" else "ImmersionLevel"
-    return (("Age", "Duration", other)
-            + tuple(f"Gender={g}" for g in GENDERS)
-            + tuple(f"VRHeadset={h}" for h in HEADSETS))
-
-
 def encode(records, spec: TargetSpec) -> list:
     """Encode records to (features, {0,1} label) pairs under the target rule.
 
@@ -251,8 +232,10 @@ def _round_half_up(x: float) -> int:
 
 def split_indices(n: int, ratio: float, seed: int, labels=None,
                   stratified: bool = False):
-    """Seeded Fisher-Yates permutation of range(n); first round(ratio*n) go
-    to train. Stratified mode shuffles and splits each class separately."""
+    """(train, test) indices of a seeded Fisher-Yates permutation of range(n);
+    the first round(ratio*n) go to train. Stratified mode shuffles and splits
+    each class separately. Raises DataError when either side comes out empty.
+    """
     if n < 2:
         raise ValueError("split: need at least 2 examples")
     if not 0 < ratio < 1:
@@ -262,34 +245,25 @@ def split_indices(n: int, ratio: float, seed: int, labels=None,
         order = list(range(n))
         rng.shuffle(order)
         k = _round_half_up(ratio * n)
-        return order[:k], order[k:]
-    if labels is None:
-        raise ValueError("split: stratified mode needs labels")
-    labels = np.asarray(labels)
-    train, test = [], []
-    for cls in (0, 1):
-        cls_idx = [i for i in range(n) if labels[i] == cls]
-        rng.shuffle(cls_idx)
-        k = _round_half_up(ratio * len(cls_idx))
-        train += cls_idx[:k]
-        test += cls_idx[k:]
-    rng.shuffle(train)
-    rng.shuffle(test)
+        train, test = order[:k], order[k:]
+    else:
+        if labels is None:
+            raise ValueError("split: stratified mode needs labels")
+        labels = np.asarray(labels)
+        train, test = [], []
+        for cls in (0, 1):
+            cls_idx = [i for i in range(n) if labels[i] == cls]
+            rng.shuffle(cls_idx)
+            k = _round_half_up(ratio * len(cls_idx))
+            train += cls_idx[:k]
+            test += cls_idx[k:]
+        rng.shuffle(train)
+        rng.shuffle(test)
+    for side, idx in (("train", train), ("test", test)):
+        if not idx:
+            raise DataError(f"split: ratio {ratio} of {n} examples leaves the "
+                            f"{side} side empty")
     return train, test
-
-
-def split(examples, ratio: float, seed: int, stratified: bool = False) -> SplitDataset:
-    """Partition encoded examples into train/test at the given ratio."""
-    labels = [ex.label for ex in examples] if stratified else None
-    train_idx, test_idx = split_indices(len(examples), ratio, seed, labels, stratified)
-    return SplitDataset(
-        train=[examples[i] for i in train_idx],
-        test=[examples[i] for i in test_idx],
-        train_indices=train_idx,
-        test_indices=test_idx,
-        seed=seed,
-        ratio=ratio,
-    )
 
 
 def fit_standardizer(train, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:

@@ -7,22 +7,18 @@ state produces the class probability. Training is per-example SGD on
 weighted binary cross-entropy with a step-decay learning-rate schedule and
 per-update L2 gradient clipping.
 
-Two implementations of the cell live here:
+PackedLstm is the cell: one contiguous float64 vector holding W (4H, D),
+U (4H, H) and b (4H) with the gate blocks stacked in GATES order, then
+w_head (H) and b_head (1), plus a gradient buffer of the same layout, so an
+update is one clip over the whole vector and one `theta -= lr * grad`.
+Training, prediction and grad_check's finite-difference audit all run it;
+LstmParams is its serialized form, a dict of 14 per-key arrays.
 
-- the per-gate reference (forward_step, forward_sequence, backward,
-  grad_check), which works on LstmParams' dict of 14 arrays and is audited
-  against finite differences;
-- PackedLstm, which training and prediction run: one contiguous float64
-  vector holding W (4H, D), U (4H, H) and b (4H) with the gate blocks
-  stacked in GATES order, then w_head (H) and b_head (1), plus a gradient
-  buffer of the same layout, so an update is one clip over the whole vector
-  and one `theta -= lr * grad`.
-
-The packed kernel is bit-identical to the reference: same probabilities,
-gradients and trained parameters to the last bit (tests/test_lstm_kernel.py
-checks this against the dict-based loop in tests/lstm_oracle.py). Matrix
-products stay per gate because BLAS sums a row of a stacked product in an
-order that depends on the row's position.
+The kernel is bit-identical to the per-gate reference cell kept in
+tests/lstm_oracle.py: same probabilities, gradients and trained parameters
+to the last bit (tests/test_lstm_kernel.py checks this). Matrix products
+stay per gate because BLAS sums a row of a stacked product in an order that
+depends on the row's position.
 """
 
 import math
@@ -31,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError
-from .numerics import Rng, affine, sigmoid, tanh_act
+from .numerics import Rng
 
 GATES = ("forget", "input", "output", "candidate")
 
@@ -59,47 +55,8 @@ class LstmParams:
     hidden_dim: int
     arrays: dict
 
-    def copy(self) -> "LstmParams":
-        return LstmParams(self.input_dim, self.hidden_dim,
-                          {k: v.copy() for k, v in self.arrays.items()})
-
     def __getitem__(self, key: str) -> np.ndarray:
         return self.arrays[key]
-
-
-@dataclass
-class LstmState:
-    """Hidden and cell vectors, both length H."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-def zero_state(hidden_dim: int) -> LstmState:
-    return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
-
-
-@dataclass
-class StepRecord:
-    """Forward trace of one time step (inputs, gate pre-activations, activations)."""
-
-    x: np.ndarray
-    h_prev: np.ndarray
-    c_prev: np.ndarray
-    pre: dict        # gate name -> pre-activation vector
-    gate: dict       # gate name -> activation vector
-    c: np.ndarray
-    tanh_c: np.ndarray
-    h: np.ndarray
-
-
-@dataclass
-class StepCache:
-    """Full forward trace of a sequence plus the head outputs."""
-
-    steps: list
-    logit: float
-    prob: float
 
 
 def init_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
@@ -123,43 +80,6 @@ def init_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
     return LstmParams(input_dim, hidden_dim, arrays)
 
 
-def forward_step(params: LstmParams, x_t: np.ndarray, state: LstmState):
-    """One cell update; returns the new state and the step's forward trace."""
-    x_t = np.asarray(x_t, dtype=float)
-    pre = {}
-    for gate in GATES:
-        pre[gate] = affine(params[f"W_{gate}"], x_t, params[f"U_{gate}"], state.h,
-                           params[f"b_{gate}"])
-    f = sigmoid(pre["forget"])
-    i = sigmoid(pre["input"])
-    o = sigmoid(pre["output"])
-    g = tanh_act(pre["candidate"])
-    c = f * state.c + i * g
-    tanh_c = tanh_act(c)
-    h = o * tanh_c
-    record = StepRecord(x=x_t, h_prev=state.h, c_prev=state.c, pre=pre,
-                        gate={"forget": f, "input": i, "output": o, "candidate": g},
-                        c=c, tanh_c=tanh_c, h=h)
-    return LstmState(h=h, c=c), record
-
-
-def forward_sequence(params: LstmParams, seq) -> tuple:
-    """Run the cell over a sequence from a zero state; sigmoid head on h_T.
-
-    Returns (probability of class 1, StepCache with the full trace).
-    """
-    if len(seq) == 0:
-        raise ValueError("forward_sequence: empty sequence")
-    state = zero_state(params.hidden_dim)
-    steps = []
-    for x_t in seq:
-        state, record = forward_step(params, x_t, state)
-        steps.append(record)
-    logit = float(params["w_head"] @ state.h) + float(params["b_head"][0])
-    prob = sigmoid(logit)
-    return prob, StepCache(steps=steps, logit=logit, prob=prob)
-
-
 def weighted_loss(prob: float, y: int, w: float) -> float:
     """Binary cross-entropy scaled by the sample weight w.
 
@@ -167,91 +87,6 @@ def weighted_loss(prob: float, y: int, w: float) -> float:
     """
     p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)
     return w * (-y * math.log(p) - (1 - y) * math.log(1.0 - p))
-
-
-def _zero_grads(params: LstmParams) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
-
-
-def backward(params: LstmParams, cache: StepCache, y: int, w: float,
-             break_gate: str | None = None) -> dict:
-    """Exact gradient of weighted_loss w.r.t. every parameter, via BPTT.
-
-    break_gate is a verification hook: naming a gate zeroes that gate's
-    W/U/b gradients so finite-difference checks can prove they would notice.
-    """
-    grads = _zero_grads(params)
-    # head: d(loss)/d(logit) for sigmoid + cross-entropy
-    dlogit = w * (cache.prob - y)
-    h_last = cache.steps[-1].h
-    grads["w_head"] += dlogit * h_last
-    grads["b_head"] += dlogit
-    dh = dlogit * params["w_head"]
-    dc = np.zeros(params.hidden_dim)
-    for rec in reversed(cache.steps):
-        f = rec.gate["forget"]
-        i = rec.gate["input"]
-        o = rec.gate["output"]
-        g = rec.gate["candidate"]
-        do = dh * rec.tanh_c
-        dc = dc + dh * o * (1.0 - rec.tanh_c ** 2)
-        df = dc * rec.c_prev
-        di = dc * g
-        dg = dc * i
-        dpre = {
-            "forget": df * f * (1.0 - f),
-            "input": di * i * (1.0 - i),
-            "output": do * o * (1.0 - o),
-            "candidate": dg * (1.0 - g ** 2),
-        }
-        dh_prev = np.zeros_like(dh)
-        for gate in GATES:
-            d = dpre[gate]
-            if gate != break_gate:
-                grads[f"W_{gate}"] += np.outer(d, rec.x)
-                grads[f"U_{gate}"] += np.outer(d, rec.h_prev)
-                grads[f"b_{gate}"] += d
-            dh_prev += params[f"U_{gate}"].T @ d
-        dh = dh_prev
-        dc = dc * f
-    return grads
-
-
-def grad_check(params: LstmParams, seq, y: int, w: float, eps: float = 1e-5,
-               break_gate: str | None = None) -> float:
-    """Max relative error between BPTT and central finite differences.
-
-    For each parameter entry compares backward()'s value against
-    (L(theta+eps) - L(theta-eps)) / (2 eps), where L is re-evaluated through
-    the forward pass alone. Relative error is |a - n| / max(|a|, |n|, 1e-8).
-    """
-    if not 0.0 < eps <= 1e-3:
-        raise ValueError("grad_check: eps must be in (0, 1e-3]")
-
-    def loss_at(p: LstmParams) -> float:
-        prob, _ = forward_sequence(p, seq)
-        return weighted_loss(prob, y, w)
-
-    prob, cache = forward_sequence(params, seq)
-    analytic = backward(params, cache, y, w, break_gate=break_gate)
-    worst = 0.0
-    work = params.copy()
-    for key in param_keys():
-        arr = work.arrays[key]
-        flat = arr.reshape(-1)
-        aflat = analytic[key].reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            up = loss_at(work)
-            flat[idx] = orig - eps
-            down = loss_at(work)
-            flat[idx] = orig
-            numeric = (up - down) / (2.0 * eps)
-            a = aflat[idx]
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
 
 
 @dataclass
@@ -350,12 +185,13 @@ class PackedLstm:
     theta holds W (4H, D), U (4H, H) and b (4H), each stacking its gate
     blocks in GATES order, then w_head (H) and b_head (1); grad has the same
     layout. `params` is an LstmParams whose arrays are views of theta, so
-    it serializes and feeds the per-gate reference functions unchanged.
+    it serializes unchanged; `grads` holds the same per-key views of grad.
 
-    Contract: bit-identical to the per-gate reference. forward() returns the
-    probability forward_sequence() returns, backward() writes the gradient
-    backward() returns, and clip_and_update() clips by the norm of the dict
-    of per-key gradients, summed in param_keys() order. Every entry sees the
+    Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
+    forward() returns the probability its forward_sequence() returns,
+    backward() writes the gradient its backward() returns, and
+    clip_and_update() clips by the norm of the dict of per-key gradients,
+    summed in param_keys() order. Every entry sees the
     same floating-point operations in the same order; only the number of
     numpy calls differs.
     """
@@ -483,6 +319,40 @@ class PackedLstm:
         np.multiply(self.grad, lr, out=sq)
         self.theta -= sq
         return clipped
+
+
+def grad_check(params: LstmParams, seq, y: int, w: float, eps: float = 1e-5,
+               break_gate: str | None = None) -> float:
+    """Max relative error between PackedLstm's BPTT and central finite differences.
+
+    For each entry of the packed parameter vector compares backward()'s value
+    against (L(theta+eps) - L(theta-eps)) / (2 eps), where L is re-evaluated
+    through forward() alone. Relative error is |a - n| / max(|a|, |n|, 1e-8).
+    break_gate is a verification hook: naming a gate zeroes that gate's
+    W/U/b gradients so the check can prove it would notice.
+    """
+    if not 0.0 < eps <= 1e-3:
+        raise ValueError("grad_check: eps must be in (0, 1e-3]")
+    kernel = PackedLstm.from_params(params)
+    prob, h_last, trace = kernel.forward(seq)
+    kernel.backward(prob, y, w, h_last, trace)
+    if break_gate is not None:
+        for kind in ("W", "U", "b"):
+            kernel.grads[f"{kind}_{break_gate}"][...] = 0.0
+    theta, analytic = kernel.theta, kernel.grad
+    worst = 0.0
+    for k in range(theta.size):
+        orig = theta[k]
+        theta[k] = orig + eps
+        up = weighted_loss(kernel.forward(seq)[0], y, w)
+        theta[k] = orig - eps
+        down = weighted_loss(kernel.forward(seq)[0], y, w)
+        theta[k] = orig
+        numeric = (up - down) / (2.0 * eps)
+        a = analytic[k]
+        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+        worst = max(worst, err)
+    return worst
 
 
 def train_weak_learner(examples, weights, cfg: TrainConfig):

@@ -1,4 +1,4 @@
-"""Activation functions, a small dense affine map, and a portable seeded RNG.
+"""The logistic sigmoid and a portable seeded RNG.
 
 Everything here is 64-bit float; the RNG is integer arithmetic only, so the
 same seed produces the same stream on every platform and Python build.
@@ -25,37 +25,6 @@ def sigmoid(x):
     ex = np.exp(arr[~pos])
     out[~pos] = ex / (1.0 + ex)
     return float(out) if arr.ndim == 0 else out
-
-
-def tanh_act(x):
-    """Hyperbolic tangent; odd, bounded in (-1, 1), saturates without overflow."""
-    out = np.tanh(np.asarray(x, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
-def affine(W, x, U, h, b):
-    """Return W @ x + U @ h + b, validating that all shapes conform.
-
-    W is (H, D) against input x of length D, U is (H, H) against state h of
-    length H, b has length H. A mismatch raises ValueError naming the operand.
-    """
-    W = np.asarray(W, dtype=float)
-    x = np.asarray(x, dtype=float)
-    U = np.asarray(U, dtype=float)
-    h = np.asarray(h, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if W.ndim != 2:
-        raise ValueError(f"affine: W must be 2-d, got shape {W.shape}")
-    n_out, n_in = W.shape
-    if x.shape != (n_in,):
-        raise ValueError(f"affine: x has shape {x.shape}, expected ({n_in},) to match W")
-    if U.shape != (n_out, n_out):
-        raise ValueError(f"affine: U has shape {U.shape}, expected ({n_out}, {n_out})")
-    if h.shape != (n_out,):
-        raise ValueError(f"affine: h has shape {h.shape}, expected ({n_out},) to match U")
-    if b.shape != (n_out,):
-        raise ValueError(f"affine: b has shape {b.shape}, expected ({n_out},)")
-    return W @ x + U @ h + b
 
 
 class Rng:
@@ -97,13 +66,6 @@ class Rng:
         if lo > hi:
             raise ValueError(f"randint: requires lo <= hi, got lo={lo}, hi={hi}")
         return lo + self.next_u64() % (hi - lo + 1)
-
-    def normal(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """Gaussian draw via Box-Muller; consumes two uniforms, no caching."""
-        u1 = 1.0 - self.uniform(0.0, 1.0)  # in (0, 1], keeps the log finite
-        u2 = self.uniform(0.0, 1.0)
-        r = math.sqrt(-2.0 * math.log(u1))
-        return mu + sigma * r * math.cos(2.0 * math.pi * u2)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""

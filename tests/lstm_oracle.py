@@ -1,19 +1,142 @@
-"""Dict-based per-example SGD loop: the per-gate reference for the packed kernel.
+"""The per-gate LSTM reference cell and its dict-based SGD loop.
 
-Each update runs the reference path of `vrboost.lstm` as it stood before the
-packed kernel: forward_sequence -> backward -> clip over the dict of
+forward_step, forward_sequence and backward work gate by gate on LstmParams'
+dict of 14 arrays, one `W @ x + U @ h + b` per gate. oracle_train runs them
+per example: forward_sequence -> backward -> clip over the dict of
 gradients -> per-key update, with the same weight normalization, RNG draws,
-shuffle and loss curve as train_weak_learner. Training through the kernel
-must reproduce its parameters and loss curve bit for bit.
+shuffle and loss curve as train_weak_learner. The packed kernel in
+`vrboost.lstm` must reproduce its probabilities, gradients, parameters and
+loss curve bit for bit.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from vrboost.lstm import (LossCurve, backward, forward_sequence, init_params,
+from vrboost.lstm import (GATES, LossCurve, LstmParams, init_params,
                           learning_rate, param_keys, weighted_loss)
-from vrboost.numerics import Rng
+from vrboost.numerics import Rng, sigmoid
+
+
+@dataclass
+class LstmState:
+    """Hidden and cell vectors, both length H."""
+
+    h: np.ndarray
+    c: np.ndarray
+
+
+def zero_state(hidden_dim: int) -> LstmState:
+    return LstmState(np.zeros(hidden_dim), np.zeros(hidden_dim))
+
+
+@dataclass
+class StepRecord:
+    """Forward trace of one time step (inputs, gate pre-activations, activations)."""
+
+    x: np.ndarray
+    h_prev: np.ndarray
+    c_prev: np.ndarray
+    pre: dict        # gate name -> pre-activation vector
+    gate: dict       # gate name -> activation vector
+    c: np.ndarray
+    tanh_c: np.ndarray
+    h: np.ndarray
+
+
+@dataclass
+class StepCache:
+    """Full forward trace of a sequence plus the head outputs."""
+
+    steps: list
+    logit: float
+    prob: float
+
+
+def forward_step(params: LstmParams, x_t: np.ndarray, state: LstmState):
+    """One cell update; returns the new state and the step's forward trace."""
+    x_t = np.asarray(x_t, dtype=float)
+    pre = {}
+    for gate in GATES:
+        pre[gate] = (params[f"W_{gate}"] @ x_t + params[f"U_{gate}"] @ state.h
+                     + params[f"b_{gate}"])
+    f = sigmoid(pre["forget"])
+    i = sigmoid(pre["input"])
+    o = sigmoid(pre["output"])
+    g = np.tanh(pre["candidate"])
+    c = f * state.c + i * g
+    tanh_c = np.tanh(c)
+    h = o * tanh_c
+    record = StepRecord(x=x_t, h_prev=state.h, c_prev=state.c, pre=pre,
+                        gate={"forget": f, "input": i, "output": o, "candidate": g},
+                        c=c, tanh_c=tanh_c, h=h)
+    return LstmState(h=h, c=c), record
+
+
+def forward_sequence(params: LstmParams, seq) -> tuple:
+    """Run the cell over a sequence from a zero state; sigmoid head on h_T.
+
+    Returns (probability of class 1, StepCache with the full trace).
+    """
+    if len(seq) == 0:
+        raise ValueError("forward_sequence: empty sequence")
+    state = zero_state(params.hidden_dim)
+    steps = []
+    for x_t in seq:
+        state, record = forward_step(params, x_t, state)
+        steps.append(record)
+    logit = float(params["w_head"] @ state.h) + float(params["b_head"][0])
+    prob = sigmoid(logit)
+    return prob, StepCache(steps=steps, logit=logit, prob=prob)
+
+
+def _zero_grads(params: LstmParams) -> dict:
+    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
+
+
+def backward(params: LstmParams, cache: StepCache, y: int, w: float,
+             break_gate: str | None = None) -> dict:
+    """Exact gradient of weighted_loss w.r.t. every parameter, via BPTT.
+
+    break_gate is a verification hook: naming a gate zeroes that gate's
+    W/U/b gradients so finite-difference checks can prove they would notice.
+    """
+    grads = _zero_grads(params)
+    # head: d(loss)/d(logit) for sigmoid + cross-entropy
+    dlogit = w * (cache.prob - y)
+    h_last = cache.steps[-1].h
+    grads["w_head"] += dlogit * h_last
+    grads["b_head"] += dlogit
+    dh = dlogit * params["w_head"]
+    dc = np.zeros(params.hidden_dim)
+    for rec in reversed(cache.steps):
+        f = rec.gate["forget"]
+        i = rec.gate["input"]
+        o = rec.gate["output"]
+        g = rec.gate["candidate"]
+        do = dh * rec.tanh_c
+        dc = dc + dh * o * (1.0 - rec.tanh_c ** 2)
+        df = dc * rec.c_prev
+        di = dc * g
+        dg = dc * i
+        dpre = {
+            "forget": df * f * (1.0 - f),
+            "input": di * i * (1.0 - i),
+            "output": do * o * (1.0 - o),
+            "candidate": dg * (1.0 - g ** 2),
+        }
+        dh_prev = np.zeros_like(dh)
+        for gate in GATES:
+            d = dpre[gate]
+            if gate != break_gate:
+                grads[f"W_{gate}"] += np.outer(d, rec.x)
+                grads[f"U_{gate}"] += np.outer(d, rec.h_prev)
+                grads[f"b_{gate}"] += d
+            dh_prev += params[f"U_{gate}"].T @ d
+        dh = dh_prev
+        dc = dc * f
+    return grads
 
 
 def clip_gradient(grads: dict, max_norm: float) -> None:

@@ -20,7 +20,7 @@ from vrboost.cli import (ModelBundle, gradcheck_suite, load_model, main,
                          save_model)
 from vrboost.data import (TargetSpec, apply_standardizer, encode,
                           fit_standardizer, gen_synthetic, majority_rate,
-                          split)
+                          split_indices)
 from vrboost.lstm import TrainConfig, learning_rate
 from vrboost.metrics import ConfusionMatrix, correct_incorrect, f1_score
 from vrboost.numerics import Rng
@@ -37,10 +37,11 @@ def _criterion(num, description, ok, detail=""):
 def _prepare(n, seed, signal):
     records = gen_synthetic(n, seed=seed, signal_strength=signal)
     examples = encode(records, TargetSpec())
-    ds = split(examples, 0.7, seed=seed)
-    std = fit_standardizer(ds.train)
-    train = apply_standardizer(std, ds.train)
-    test = apply_standardizer(std, ds.test)
+    train_idx, test_idx = split_indices(len(examples), 0.7, seed=seed)
+    train = [examples[i] for i in train_idx]
+    std = fit_standardizer(train)
+    train = apply_standardizer(std, train)
+    test = apply_standardizer(std, [examples[i] for i in test_idx])
     return ([(ex.features, ex.label) for ex in train],
             [(ex.features, ex.label) for ex in test])
 

@@ -108,6 +108,21 @@ def test_train_single_class_data_is_exit_3(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("extra", [[], ["--stratified"]], ids=["plain", "stratified"])
+def test_train_split_with_empty_test_side_is_exit_3_before_training(tmp_path, monkeypatch,
+                                                                    capsys, extra):
+    def no_training(*args, **kwargs):
+        raise AssertionError("boost_train ran")
+
+    monkeypatch.setattr("vrboost.cli.boost_train", no_training)
+    out = tmp_path / "out"
+    code = _run(["train", "--ratio", 0.999, "--epochs", 1, "--rounds", 1, *extra,
+                 "--out-dir", out])
+    assert code == 3
+    assert "test side empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_unwritable_out_dir_is_exit_5(tmp_path):
     code = _run(["train", *FAST_TRAIN, "--out-dir", "/dev/null/nested"])
     assert code == 5
@@ -264,6 +279,7 @@ INVALID_MODELS = {
     "std_zero_not_constant": _set(["standardizer", "stds", 2], "0"),
     "std_negative": _set(["standardizer", "stds", 0], "-1.5"),
     "standardizer_lengths_differ": _set(["standardizer", "constant"], [False, False]),
+    "label_convention_both_1": _set(["label_convention", "negative"], 1),
 }
 
 

@@ -5,9 +5,9 @@ import pytest
 
 from vrboost.data import (COLUMNS, EncodedExample, RawRecord, TargetSpec,
                           apply_standardizer, encode, encode_features,
-                          feature_names, fit_standardizer, gen_synthetic,
-                          load_csv, majority_rate, signal_score, split,
-                          split_indices, synthetic_bayes_rate, write_csv)
+                          fit_standardizer, gen_synthetic, load_csv,
+                          majority_rate, signal_score, split_indices,
+                          synthetic_bayes_rate, write_csv)
 from vrboost.errors import DataError
 
 HEADER = "Age,Gender,VRHeadset,Duration,MotionSickness,ImmersionLevel"
@@ -123,7 +123,6 @@ def test_encode_labels_and_layout():
     assert np.array_equal(feats[3:6], [1.0, 0.0, 0.0])  # Male one-hot
     assert np.array_equal(feats[6:9], [1.0, 0.0, 0.0])  # HTC Vive one-hot
     assert len({ex.features.shape for ex in examples}) == 1
-    assert feature_names(spec)[2] == "MotionSickness"
 
 
 @pytest.mark.filterwarnings("ignore:all labels identical")
@@ -157,18 +156,11 @@ def test_target_spec_validation():
         TargetSpec("Duration", 4)
 
 
-def _dummy_examples(n):
-    return [EncodedExample(features=np.array([float(i)]), label=i % 2) for i in range(n)]
-
-
 def test_split_sizes_and_determinism():
-    examples = _dummy_examples(10)
-    ds = split(examples, 0.7, seed=3)
-    assert len(ds.train) == 7 and len(ds.test) == 3
-    again = split(examples, 0.7, seed=3)
-    assert ds.train_indices == again.train_indices
-    other = split(examples, 0.7, seed=4)
-    assert ds.train_indices != other.train_indices
+    train_idx, test_idx = split_indices(10, 0.7, seed=3)
+    assert len(train_idx) == 7 and len(test_idx) == 3
+    assert split_indices(10, 0.7, seed=3) == (train_idx, test_idx)
+    assert split_indices(10, 0.7, seed=4)[0] != train_idx
 
 
 def test_split_partition_property_sweep():
@@ -190,6 +182,14 @@ def test_split_validation():
         split_indices(10, 0.0, seed=0)
     with pytest.raises(ValueError):
         split_indices(10, 1.0, seed=0)
+
+
+@pytest.mark.parametrize("ratio,side", [(0.999, "test"), (0.001, "train")])
+@pytest.mark.parametrize("stratified", [False, True])
+def test_split_with_an_empty_side_is_a_data_error(ratio, side, stratified):
+    labels = [1] * 40 + [0] * 20
+    with pytest.raises(DataError, match=f"{side} side empty"):
+        split_indices(60, ratio, seed=0, labels=labels, stratified=stratified)
 
 
 def test_split_stratified_preserves_class_ratios():

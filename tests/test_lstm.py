@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from lstm_oracle import LstmState, forward_sequence, forward_step
 from vrboost.errors import TrainingError
-from vrboost.lstm import (GATES, LstmState, TrainConfig, backward,
-                          forward_sequence, forward_step, grad_check,
+from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
                           init_params, learning_rate, param_keys, to_sequence,
                           train_weak_learner, weighted_loss)
 from vrboost.numerics import Rng
@@ -140,9 +140,9 @@ def test_forced_gates_keep_cell_state():
 def test_sequence_zero_params_gives_half():
     params = _zeroed(4, 3)
     seq = [np.ones(4), -np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])]
-    prob, cache = forward_sequence(params, seq)
+    prob, _, trace = PackedLstm.from_params(params).forward(seq)
     assert prob == 0.5
-    assert len(cache.steps) == 3
+    assert len(trace) == 3
 
 
 def test_sequence_single_step_composition():
@@ -161,7 +161,7 @@ def test_sequence_matches_independent_reimplementation():
     for _ in range(5):
         params = init_params(3, 4, rng)
         seq = [rng.uniform_array((3,), -2, 2) for _ in range(4)]
-        prob, _ = forward_sequence(params, seq)
+        prob, _, _ = PackedLstm.from_params(params).forward(seq)
         assert prob == pytest.approx(_reference_forward(params, seq), abs=1e-12)
 
 
@@ -187,10 +187,11 @@ def test_backward_zero_weight_gives_zero_gradient():
     rng = Rng(8)
     params = init_params(2, 3, rng)
     seq = [rng.uniform_array((2,), -1, 1) for _ in range(3)]
-    _, cache = forward_sequence(params, seq)
-    grads = backward(params, cache, 1, 0.0)
+    kernel = PackedLstm.from_params(params)
+    prob, h_last, trace = kernel.forward(seq)
+    kernel.backward(prob, 1, 0.0, h_last, trace)
     for key in param_keys():
-        assert np.all(grads[key] == 0.0)
+        assert np.all(kernel.grads[key] == 0.0)
 
 
 def test_backward_head_bias_closed_form():
@@ -198,10 +199,11 @@ def test_backward_head_bias_closed_form():
     for y in (0, 1):
         params = init_params(3, 4, rng)
         seq = [rng.uniform_array((3,), -1, 1) for _ in range(2)]
-        prob, cache = forward_sequence(params, seq)
+        kernel = PackedLstm.from_params(params)
+        prob, h_last, trace = kernel.forward(seq)
         w = 1.7
-        grads = backward(params, cache, y, w)
-        assert grads["b_head"][0] == pytest.approx(w * (prob - y), abs=1e-15)
+        kernel.backward(prob, y, w, h_last, trace)
+        assert kernel.grads["b_head"][0] == pytest.approx(w * (prob - y), abs=1e-15)
 
 
 def test_gradients_match_finite_differences():

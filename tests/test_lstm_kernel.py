@@ -7,10 +7,10 @@ steps are compared with forward_sequence() and backward().
 import numpy as np
 import pytest
 
-from lstm_oracle import clip_gradient, oracle_train
+from lstm_oracle import backward, clip_gradient, forward_sequence, oracle_train
 from vrboost.boosting import LstmWeakLearner
-from vrboost.lstm import (GATES, PackedLstm, TrainConfig, backward, forward_sequence,
-                          init_params, param_keys, to_sequence, train_weak_learner)
+from vrboost.lstm import (GATES, PackedLstm, TrainConfig, init_params, param_keys,
+                          to_sequence, train_weak_learner)
 from vrboost.numerics import Rng
 
 
