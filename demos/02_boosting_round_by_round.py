@@ -37,6 +37,6 @@ bound = math.prod(2 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
 print("\nstaged training error:", [f"{e:.2f}" for e in staged])
 print(f"bound {bound:.4f} >= final error {staged[-1]:.4f}")
 
-margins = [ensemble_predict(ensemble, x)[1] for x in xs]
+labels, margins = ensemble_predict(ensemble, np.stack(xs))
 print("margins:", " ".join(f"{m:+.2f}" for m in margins))
-print("labels :", " ".join(f"{ensemble_predict(ensemble, x)[0]:>5d}" for x in xs))
+print("labels :", " ".join(f"{label:>5d}" for label in labels))

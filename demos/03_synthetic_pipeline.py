@@ -8,6 +8,8 @@ protocol (10 rounds, 50 epochs).
 Run:  python demos/03_synthetic_pipeline.py
 """
 
+import numpy as np
+
 from vrboost.boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
 from vrboost.data import (TargetSpec, apply_standardizer, encode,
                           fit_standardizer, gen_synthetic, majority_rate,
@@ -42,7 +44,7 @@ for entry in log:
 
 # 4. Score both splits.
 for name, examples in (("train", train), ("test", test)):
-    preds = [ensemble_predict(ensemble, ex.features)[0] for ex in examples]
+    preds, _ = ensemble_predict(ensemble, np.stack([ex.features for ex in examples]))
     report = scores(confusion(preds, [ex.label for ex in examples]), split=name)
     print(f"{name:<5}: accuracy {report.accuracy:.3f}  precision {report.precision:.3f}  "
           f"recall {report.recall:.3f}  f1 {report.f1:.3f}")

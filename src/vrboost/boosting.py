@@ -116,10 +116,11 @@ def boost_train(examples, cfg: BoostConfig, learner_factory):
 
     examples is a list of (features, label in {0,1}) with both classes
     present. learner_factory(seed) must return an object with
-    fit(xs, signed_labels, weights) and predict(x) -> -1/+1; round t gets
-    seed cfg.seed + t. A round with weighted error >= 0.5 is discarded and
-    the distribution reset to uniform (the attempt still counts); error at
-    or below epsilon_floor is accepted with clamped error and stops early.
+    fit(xs, signed_labels, weights) and predict(X) -> one -1/+1 vote per row
+    of the (N, D) matrix X; round t gets seed cfg.seed + t. A round with
+    weighted error >= 0.5 is discarded and the distribution reset to uniform
+    (the attempt still counts); error at or below epsilon_floor is accepted
+    with clamped error and stops early.
 
     Returns (Ensemble, list of RoundLog).
     """
@@ -127,6 +128,7 @@ def boost_train(examples, cfg: BoostConfig, learner_factory):
     if n == 0:
         raise ValueError("boost_train: empty example list")
     xs = [np.asarray(x, dtype=float) for x, _ in examples]
+    X = np.stack(xs)
     labels = np.array([y for _, y in examples], dtype=int)
     if set(labels.tolist()) != {0, 1}:
         raise DataError("boost_train: training data must contain both classes")
@@ -137,7 +139,7 @@ def boost_train(examples, cfg: BoostConfig, learner_factory):
     for attempt in range(1, cfg.rounds + 1):
         learner = learner_factory(cfg.seed + attempt)
         learner.fit(xs, truths, d)
-        preds = np.array([learner.predict(x) for x in xs], dtype=int)
+        preds = learner.predict(X)
         eps = weighted_error(preds, truths, d)
         if eps >= 0.5:
             d = init_weights(n)  # learner no better than chance; restart the distribution
@@ -155,25 +157,30 @@ def boost_train(examples, cfg: BoostConfig, learner_factory):
     return Ensemble(rounds=rounds), log
 
 
-def ensemble_predict(ensemble: Ensemble, x) -> tuple:
-    """Return (label in {0,1}, margin). Margin is sum(alpha_t * h_t(x));
-    positive margin maps to the positive label, a tie (0) to the negative."""
+def ensemble_predict(ensemble: Ensemble, X) -> tuple:
+    """Return (labels in {0,1}, margins), one of each per row of the (N, D) matrix X.
+
+    A row's margin is math.fsum of alpha_t * h_t(x) over the rounds, so it
+    does not depend on the round order; a positive margin maps to the
+    positive label, a tie (0) to the negative.
+    """
     if not ensemble.rounds:
         raise ValueError("ensemble_predict: empty ensemble")
-    margin = math.fsum(r.alpha * r.learner.predict(x) for r in ensemble.rounds)
-    label = ensemble.positive_label if margin > 0 else ensemble.negative_label
-    return label, margin
+    X = np.asarray(X, dtype=float)
+    votes = np.array([r.alpha * r.learner.predict(X) for r in ensemble.rounds])
+    margins = np.array([math.fsum(row) for row in votes.T.tolist()])
+    labels = np.where(margins > 0, ensemble.positive_label, ensemble.negative_label)
+    return labels, margins
 
 
 def staged_train_error(ensemble: Ensemble, examples) -> list:
     """Unweighted training error of every prefix of the ensemble's rounds."""
     if not ensemble.rounds:
         raise ValueError("staged_train_error: empty ensemble")
-    xs = [x for x, _ in examples]
+    X = np.stack([x for x, _ in examples])
     truths = to_signed([y for _, y in examples])
-    n = len(xs)
-    preds = np.array([[r.learner.predict(x) for x in xs] for r in ensemble.rounds],
-                     dtype=float)
+    n = len(X)
+    preds = np.array([r.learner.predict(X) for r in ensemble.rounds], dtype=float)
     alphas = np.array([r.alpha for r in ensemble.rounds])
     errors = []
     margins = np.zeros(n)
@@ -218,9 +225,10 @@ class DecisionStump:
                         self.feature, self.threshold, self.polarity = f, thr, pol
         return self
 
-    def predict(self, x) -> int:
-        x = np.atleast_1d(x)
-        return self.polarity if x[self.feature] >= self.threshold else -self.polarity
+    def predict(self, X) -> np.ndarray:
+        """One -1/+1 vote per row of the (N, D) matrix X."""
+        column = np.asarray(X)[:, self.feature]
+        return np.where(column >= self.threshold, self.polarity, -self.polarity)
 
 
 def stump_factory(seed: int) -> DecisionStump:
@@ -232,7 +240,8 @@ class LstmWeakLearner:
     """LSTM classifier adapted to the boosting interface.
 
     Feature vectors pass through the tabular-to-sequence adapter; prediction
-    thresholds the head probability at 0.5 (>= 0.5 maps to +1). Setting
+    thresholds the head probability at 0.5 (>= 0.5 maps to +1), not the logit
+    at 0: a logit just below 0 can round to probability 0.5. Setting
     `params` packs them once into the learner's PackedLstm, which every
     predict() runs; reading it returns views of that packed vector.
     """
@@ -258,9 +267,11 @@ class LstmWeakLearner:
             examples, weights, self.cfg)
         return self
 
-    def predict(self, x) -> int:
-        prob, _, _ = self._kernel.forward(lstm_mod.to_sequence(x, self.sequence_mode))
-        return 1 if prob >= 0.5 else -1
+    def predict(self, X) -> np.ndarray:
+        """One -1/+1 vote per row of the (N, D) feature matrix X, in one batched
+        forward (the matrix is to_sequence()'s layout in either mode)."""
+        probs, _ = self._kernel.forward_rows(X)
+        return np.where(probs >= 0.5, 1, -1)
 
 
 def lstm_factory(cfg: TrainConfig, sequence_mode: str = "single"):

@@ -135,9 +135,7 @@ def load_model(path: str) -> ModelBundle:
                                 f"{step_dim} features")
             arrays = {}
             for key in param_keys():
-                raw = learner_doc["arrays"][key]
-                arr = np.array([[float(v) for v in row] for row in raw]) \
-                    if raw and isinstance(raw[0], list) else np.array([float(v) for v in raw])
+                arr = np.array(learner_doc["arrays"][key], dtype=float)
                 if not np.all(np.isfinite(arr)):
                     raise DataError(f"round {number}: array {key} is not finite")
                 arrays[key] = arr
@@ -217,8 +215,12 @@ def _evaluation_block(preds, truths) -> dict:
     }
 
 
+def _feature_matrix(examples) -> np.ndarray:
+    return np.stack([ex.features for ex in examples])
+
+
 def _evaluate_split(bundle: ModelBundle, examples) -> dict:
-    preds = [ensemble_predict(bundle.ensemble, ex.features)[0] for ex in examples]
+    preds, _ = ensemble_predict(bundle.ensemble, _feature_matrix(examples))
     truths = [ex.label for ex in examples]
     return _evaluation_block(preds, truths)
 
@@ -324,10 +326,10 @@ def cmd_predict(model_path: str, data_path: str, out_path: str) -> int:
     """Write (row_index, margin, label) for every row; target column optional."""
     bundle = load_model(model_path)
     examples = _load_compatible(bundle, data_path, need_target=False)
+    labels, margins = ensemble_predict(bundle.ensemble, _feature_matrix(examples))
     lines = ["row_index,margin,label"]
-    for idx, ex in enumerate(examples):
-        label, margin = ensemble_predict(bundle.ensemble, ex.features)
-        lines.append(f"{idx},{margin!r},{label}")
+    lines += [f"{idx},{margin!r},{label}"
+              for idx, (margin, label) in enumerate(zip(margins.tolist(), labels.tolist()))]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(examples)} predictions to {out_path}")

@@ -104,7 +104,7 @@ def test_criterion_3_adaboost_exactness():
         for r, entry in zip(ensemble.rounds, log):
             if entry.epsilon <= 1e-10:
                 continue
-            preds = np.array([r.learner.predict(x) for x, _ in pairs])
+            preds = r.learner.predict(np.stack([x for x, _ in pairs]))
             ok &= abs(weighted_error(preds, truths, entry.weights) - 0.5) < 1e-10
     elapsed = time.time() - started
     _criterion(3, "stump boosting is bit-identical to brute-force enumeration",
@@ -163,7 +163,7 @@ def test_criterion_5_first_learner_loss_drops(signal_run):
 def test_criterion_6_ensemble_beats_majority_and_improves(signal_run):
     ensemble = signal_run["ensemble"]
     test_pairs = signal_run["test"]
-    preds = [ensemble_predict(ensemble, x)[0] for x, _ in test_pairs]
+    preds, _ = ensemble_predict(ensemble, np.stack([x for x, _ in test_pairs]))
     truths = [y for _, y in test_pairs]
     accuracy = float(np.mean(np.array(preds) == np.array(truths)))
     baseline = majority_rate(truths)
@@ -181,7 +181,7 @@ def test_criterion_7_null_signal_stays_near_chance():
     train_pairs, test_pairs = _prepare(1000, seed=1, signal=0.0)
     cfg = BoostConfig(rounds=10, train=TrainConfig(), seed=1)
     ensemble, _ = boost_train(train_pairs, cfg, lstm_factory(cfg.train))
-    preds = [ensemble_predict(ensemble, x)[0] for x, _ in test_pairs]
+    preds, _ = ensemble_predict(ensemble, np.stack([x for x, _ in test_pairs]))
     truths = [y for _, y in test_pairs]
     accuracy = float(np.mean(np.array(preds) == np.array(truths)))
     baseline = majority_rate(truths)
@@ -209,14 +209,14 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
     records = gen_synthetic(100, seed=77, signal_strength=4.0)
     examples = encode(records, TargetSpec())
     std = fit_standardizer(examples)
-    feats = [ex.features for ex in apply_standardizer(std, examples)]
-    in_memory = [ensemble_predict(ensemble, f) for f in feats]
+    feats = np.stack([ex.features for ex in apply_standardizer(std, examples)])
+    in_memory = ensemble_predict(ensemble, feats)
     bundle = ModelBundle(ensemble=ensemble, target=TargetSpec(),
                          standardizer=std, sequence_mode="single")
     save_model(bundle, tmp_path / "model.json")
     reloaded = load_model(tmp_path / "model.json")
-    after = [ensemble_predict(reloaded.ensemble, f) for f in feats]
-    round_trip = in_memory == after
+    after = ensemble_predict(reloaded.ensemble, feats)
+    round_trip = all(np.array_equal(a, b) for a, b in zip(in_memory, after))
     elapsed = time.time() - started
     ok = identical and round_trip and elapsed < 300
     _criterion(8, "byte-identical reruns and exact save/load/predict round-trip",

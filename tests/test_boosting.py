@@ -101,7 +101,7 @@ def test_boost_train_matches_enumeration_oracle(name):
         stump = r.learner
         assert (stump.feature, stump.threshold, stump.polarity) == exp["stump"]
 
-    margins = [ensemble_predict(ensemble, x)[1] for x, _ in pairs]
+    _, margins = ensemble_predict(ensemble, X)
     for got, want in zip(margins, oracle_margins(expected, X)):
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -158,15 +158,15 @@ def _manual_stump(feature, threshold, polarity):
 def test_ensemble_predict_single_round_follows_learner():
     stump = _manual_stump(0, 0.5, 1)
     ensemble = Ensemble(rounds=[BoostRound(alpha=1.0, learner=stump)])
-    assert ensemble_predict(ensemble, np.array([2.0])) == (1, 1.0)
-    assert ensemble_predict(ensemble, np.array([-2.0])) == (0, -1.0)
+    labels, margins = ensemble_predict(ensemble, np.array([[2.0], [-2.0]]))
+    assert labels.tolist() == [1, 0] and margins.tolist() == [1.0, -1.0]
 
 
 def test_ensemble_predict_dominant_vote():
     agree = _manual_stump(0, 0.0, 1)
     disagree = _manual_stump(0, 0.0, -1)
     ensemble = Ensemble(rounds=[BoostRound(2.0, agree), BoostRound(1.0, disagree)])
-    label, margin = ensemble_predict(ensemble, np.array([1.0]))
+    (label,), (margin,) = ensemble_predict(ensemble, np.array([[1.0]]))
     assert label == 1 and margin == pytest.approx(1.0)
 
 
@@ -174,7 +174,7 @@ def test_ensemble_predict_tie_margin_is_negative_label():
     up = _manual_stump(0, 0.0, 1)
     down = _manual_stump(0, 0.0, -1)
     ensemble = Ensemble(rounds=[BoostRound(1.0, up), BoostRound(1.0, down)])
-    label, margin = ensemble_predict(ensemble, np.array([1.0]))
+    (label,), (margin,) = ensemble_predict(ensemble, np.array([[1.0]]))
     assert margin == 0.0 and label == 0
 
 
@@ -186,7 +186,7 @@ def test_staged_error_prefix_consistency_and_bound():
     assert len(staged) == len(ensemble.rounds)
     for k in range(1, len(ensemble.rounds) + 1):
         prefix = Ensemble(rounds=ensemble.rounds[:k])
-        preds = [ensemble_predict(prefix, x)[0] for x, _ in pairs]
+        preds, _ = ensemble_predict(prefix, np.stack([x for x, _ in pairs]))
         manual = np.mean([p != y for p, y in zip(preds, [y for _, y in pairs])])
         assert staged[k - 1] == pytest.approx(manual, abs=1e-15)
     bound = math.prod(2.0 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
@@ -199,9 +199,9 @@ def test_margin_scaling_leaves_labels_unchanged():
     ensemble, _ = boost_train(pairs, BoostConfig(rounds=3, seed=0), stump_factory)
     scaled = Ensemble(rounds=[BoostRound(3.7 * r.alpha, r.learner)
                               for r in ensemble.rounds])
-    for x in np.linspace(-2, 10, 30):
-        point = np.array([x])
-        assert ensemble_predict(ensemble, point)[0] == ensemble_predict(scaled, point)[0]
+    points = np.linspace(-2, 10, 30)[:, None]
+    assert np.array_equal(ensemble_predict(ensemble, points)[0],
+                          ensemble_predict(scaled, points)[0])
 
 
 def test_signed_label_mapping():
@@ -218,7 +218,7 @@ def test_stump_fit_multifeature():
         ys.append(1 if informative > 0.2 else -1)
     stump = DecisionStump().fit(xs, np.array(ys), init_weights(30))
     assert stump.feature == 1
-    preds = [stump.predict(x) for x in xs]
+    preds = stump.predict(np.stack(xs))
     assert weighted_error(preds, np.array(ys), init_weights(30)) == 0.0
 
 
@@ -232,9 +232,9 @@ def test_lstm_weak_learner_integration():
     runs = [boost_train(pairs, cfg, lstm_factory(cfg.train)) for _ in range(2)]
     (ens_a, log_a), (ens_b, log_b) = runs
     assert [e.epsilon for e in log_a] == [e.epsilon for e in log_b]
-    for x, _ in pairs:
-        la, ma = ensemble_predict(ens_a, x)
-        lb, mb = ensemble_predict(ens_b, x)
-        assert la == lb and ma == mb
-        assert la in (0, 1)
+    X = np.stack([x for x, _ in pairs])
+    la, ma = ensemble_predict(ens_a, X)
+    lb, mb = ensemble_predict(ens_b, X)
+    assert np.array_equal(la, lb) and np.array_equal(ma, mb)
+    assert set(la.tolist()) <= {0, 1}
     assert all(isinstance(r.learner, LstmWeakLearner) for r in ens_a.rounds)

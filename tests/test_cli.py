@@ -1,14 +1,17 @@
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+from lstm_oracle import forward_sequence
 from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
 from vrboost.cli import load_model, main, save_model
 from vrboost.errors import DataError
+from vrboost.lstm import to_sequence
 from vrboost.metrics import f1_score
 
 FAST_TRAIN = ["--synth-n", "120", "--signal", "4.0", "--rounds", "2",
@@ -201,9 +204,10 @@ def test_predict_margins_match_library(tmp_path, trained):
     lines = pred_path.read_text().splitlines()
     assert lines[0] == "row_index,margin,label"
     assert len(lines) == len(records) + 1
-    for line, ex in zip(lines[1:], standardized):
+    want_labels, want_margins = ensemble_predict(
+        bundle.ensemble, np.stack([ex.features for ex in standardized]))
+    for line, want_label, want_margin in zip(lines[1:], want_labels, want_margins):
         idx, margin, label = line.split(",")
-        want_label, want_margin = ensemble_predict(bundle.ensemble, ex.features)
         assert float(margin) == want_margin  # repr round-trips exactly
         assert int(label) == want_label
 
@@ -241,9 +245,10 @@ def test_model_round_trip_identical_predictions(tmp_path, trained):
     records = data_mod.load_csv(data_path)
     examples = data_mod.encode(records, bundle.target)
     standardized = data_mod.apply_standardizer(bundle.standardizer, examples)
-    for ex in standardized:
-        assert ensemble_predict(bundle.ensemble, ex.features) == \
-            ensemble_predict(reloaded.ensemble, ex.features)
+    X = np.stack([ex.features for ex in standardized])
+    for got, want in zip(ensemble_predict(bundle.ensemble, X),
+                         ensemble_predict(reloaded.ensemble, X)):
+        assert np.array_equal(got, want)
 
 
 # --- load-time model validation ---------------------------------------------
@@ -267,6 +272,15 @@ def _set(path, value):
     return edit
 
 
+def _drop_last_w_input_entry(doc):
+    doc["rounds"][0]["learner"]["arrays"]["W_input"][0].pop()
+
+
+def _nest_w_head(doc):
+    arrays = doc["rounds"][0]["learner"]["arrays"]
+    arrays["w_head"] = [[v] for v in arrays["w_head"]]
+
+
 INVALID_MODELS = {
     "input_dim_8_single": _drop_last_input_column,
     "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
@@ -280,6 +294,10 @@ INVALID_MODELS = {
     "std_negative": _set(["standardizer", "stds", 0], "-1.5"),
     "standardizer_lengths_differ": _set(["standardizer", "constant"], [False, False]),
     "label_convention_both_1": _set(["label_convention", "negative"], 1),
+    "w_input_ragged_row": _drop_last_w_input_entry,
+    "weight_not_a_number": _set(["rounds", 0, "learner", "arrays", "W_forget", 0, 0], "abc"),
+    "w_head_extra_nesting": _nest_w_head,
+    "b_head_null": _set(["rounds", 0, "learner", "arrays", "b_head", 0], None),
 }
 
 
@@ -312,6 +330,44 @@ def test_zero_std_on_constant_column_loads(tmp_path, trained):
                  "--out", "p.csv", "--out-dir", tmp_path]) == 0
 
 
+# --- predict against the per-gate reference cell -----------------------------
+
+@pytest.mark.parametrize("mode", ["single", "unrolled"])
+def test_predict_matches_per_row_oracle_and_ignores_row_order(tmp_path, mode):
+    # 300 rows span two scoring blocks, and reversing the file moves every
+    # row to another position and most of them to another block
+    data_path = tmp_path / "data.csv"
+    assert _run(["gen-data", "--n", 300, "--seed", 8, "--signal", 4.0,
+                 "--out", data_path.name, "--out-dir", tmp_path]) == 0
+    out = tmp_path / "run"
+    assert _run(["train", "--data", data_path, "--sequence-mode", mode, "--stratified",
+                 "--rounds", 3, "--epochs", 2, "--hidden-dim", 5, "--seed", 2,
+                 "--out-dir", out]) == 0
+    header, *rows = data_path.read_text().splitlines()
+    reversed_path = tmp_path / "reversed.csv"
+    reversed_path.write_text("\n".join([header, *rows[::-1]]) + "\n")
+    for name, path in (("preds.csv", data_path), ("reversed_preds.csv", reversed_path)):
+        assert _run(["predict", "--model", out / "model.json", "--data", path,
+                     "--out", name, "--out-dir", tmp_path]) == 0
+
+    bundle = load_model(out / "model.json")
+    examples = data_mod.apply_standardizer(
+        bundle.standardizer, data_mod.encode(data_mod.load_csv(data_path), bundle.target))
+    lines = (tmp_path / "preds.csv").read_text().splitlines()[1:]
+    assert len(lines) == len(examples) == 300
+    for line, ex in zip(lines, examples):
+        votes = []
+        for r in bundle.ensemble.rounds:
+            prob, _ = forward_sequence(r.learner.params, to_sequence(ex.features, mode))
+            votes.append(r.alpha * (1 if prob >= 0.5 else -1))
+        margin = math.fsum(votes)
+        assert line.split(",")[1:] == [repr(margin), str(1 if margin > 0 else 0)]
+
+    reversed_lines = (tmp_path / "reversed_preds.csv").read_text().splitlines()[1:]
+    assert [line.split(",", 1)[1] for line in reversed_lines[::-1]] == \
+        [line.split(",", 1)[1] for line in lines]
+
+
 # --- unrolled sequences end to end -------------------------------------------
 
 def test_unrolled_train_predict_evaluate_end_to_end(tmp_path):
@@ -337,9 +393,10 @@ def test_unrolled_train_predict_evaluate_end_to_end(tmp_path):
         bundle.standardizer, data_mod.encode(data_mod.load_csv(data_path), bundle.target))
     lines = (tmp_path / "preds.csv").read_text().splitlines()
     assert len(lines) == 1 + len(examples)
-    for line, ex in zip(lines[1:], examples):
+    want_labels, want_margins = ensemble_predict(
+        bundle.ensemble, np.stack([ex.features for ex in examples]))
+    for line, want_label, want_margin in zip(lines[1:], want_labels, want_margins):
         _, margin, label = line.split(",")
-        want_label, want_margin = ensemble_predict(bundle.ensemble, ex.features)
         assert float(margin) == want_margin
         assert int(label) == want_label
 

@@ -1,7 +1,10 @@
 """The packed kernel against the per-gate reference, bit for bit.
 
 Training is compared with the dict-based loop in lstm_oracle.py; single
-steps are compared with forward_sequence() and backward().
+steps are compared with forward_sequence() and backward(). The batched
+forward_rows() is compared with the per-row forward() under the drift policy
+of vrboost.lstm: logits within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|),
+equal votes.
 """
 
 import numpy as np
@@ -9,8 +12,9 @@ import pytest
 
 from lstm_oracle import backward, clip_gradient, forward_sequence, oracle_train
 from vrboost.boosting import LstmWeakLearner
-from vrboost.lstm import (GATES, PackedLstm, TrainConfig, init_params, param_keys,
-                          to_sequence, train_weak_learner)
+from vrboost.lstm import (GATES, ROW_LOGIT_DRIFT, SCORE_BLOCK_ROWS, PackedLstm,
+                          TrainConfig, init_params, param_keys, to_sequence,
+                          train_weak_learner)
 from vrboost.numerics import Rng
 
 
@@ -138,7 +142,38 @@ def test_learner_predict_thresholds_reference_probability():
     rng = Rng(8)
     learner = LstmWeakLearner(TrainConfig(hidden_dim=5), "unrolled")
     learner.params = init_params(1, 5, rng)
-    for _ in range(20):
-        x = rng.uniform_array((9,), -3.0, 3.0)
-        prob, _ = forward_sequence(learner.params, to_sequence(x, "unrolled"))
-        assert learner.predict(x) == (1 if prob >= 0.5 else -1)
+    X = rng.uniform_array((20, 9), -3.0, 3.0)
+    want = [1 if forward_sequence(learner.params, to_sequence(x, "unrolled"))[0] >= 0.5
+            else -1 for x in X]
+    assert learner.predict(X).tolist() == want
+
+
+@pytest.mark.parametrize("mode", ["single", "unrolled"])
+@pytest.mark.parametrize("hidden", [1, 5, 16])
+def test_forward_rows_within_drift_of_per_row_forward(mode, hidden):
+    assert SCORE_BLOCK_ROWS == 256  # the row counts below straddle its edges
+    rng = Rng(40 + hidden)
+    step_dim = 9 if mode == "single" else 1
+    initial = PackedLstm.from_params(init_params(step_dim, hidden, rng))
+    scrambled = PackedLstm(step_dim, hidden)  # every entry live, biases and head bias too
+    scrambled.theta[:] = rng.uniform_array(scrambled.theta.shape, -1.5, 1.5)
+    for kernel in (initial, scrambled):
+        scale = float(np.sum(np.abs(kernel.w_head))) + abs(float(kernel.b_head[0]))
+        for n in (1, 7, 256, 257, 600):
+            X = rng.uniform_array((n, 9), -3.0, 3.0)
+            probs, logits = kernel.forward_rows(X)
+            assert probs.shape == logits.shape == (n,)
+            for x, prob, logit in zip(X, probs.tolist(), logits.tolist()):
+                want_prob, h, _ = kernel.forward(to_sequence(x, mode))
+                want_logit = float(kernel.w_head @ h) + float(kernel.b_head[0])
+                assert abs(logit - want_logit) <= ROW_LOGIT_DRIFT * scale
+                assert (prob >= 0.5) == (want_prob >= 0.5)
+                if logit == want_logit:
+                    assert prob == want_prob  # the same head sigmoid
+
+
+def test_forward_rows_rejects_a_row_width_that_is_not_whole_steps():
+    kernel = PackedLstm(9, 3)
+    for shape in ((4, 8), (4, 0), (9,)):
+        with pytest.raises(ValueError, match="forward_rows"):
+            kernel.forward_rows(np.zeros(shape))
