@@ -20,6 +20,7 @@ COLUMNS = ("Age", "Gender", "VRHeadset", "Duration", "MotionSickness", "Immersio
 GENDERS = ("Male", "Female", "Other")
 HEADSETS = ("HTC Vive", "Oculus Rift", "PlayStation VR")
 TARGET_COLUMNS = ("MotionSickness", "ImmersionLevel")
+SCORE_RANGES = {"MotionSickness": (1, 10), "ImmersionLevel": (1, 5)}  # inclusive
 
 NUMERIC_FEATURE_INDICES = (0, 1, 2)  # age, duration, leftover score column
 N_FEATURES = len(NUMERIC_FEATURE_INDICES) + len(GENDERS) + len(HEADSETS)
@@ -89,6 +90,16 @@ def _parse_float(text: str, column: str, line: int) -> float:
     return value
 
 
+def _parse_score(text: str | None, column: str, line: int) -> int | None:
+    if text is None:
+        return None
+    value = _parse_int(text, column, line)
+    lo, hi = SCORE_RANGES[column]
+    if not lo <= value <= hi:
+        raise DataError(f"line {line}: column {column}: {value} is outside {lo}..{hi}")
+    return value
+
+
 def _parse_enum(text: str, allowed: tuple, column: str, line: int) -> str:
     value = text.strip()
     if value not in allowed:
@@ -103,6 +114,7 @@ def load_csv(path, optional_column: str | None = None) -> list:
     The header must contain exactly the six schema names, in any order;
     optional_column (a score column) may be absent, in which case that field
     is None on every record. A leading UTF-8 byte-order mark is skipped.
+    Scores must lie in SCORE_RANGES: MotionSickness 1..10, ImmersionLevel 1..5.
     Raises DataError for schema problems, with the line number for
     row-level ones.
     """
@@ -143,10 +155,8 @@ def load_csv(path, optional_column: str | None = None) -> list:
             duration = _parse_float(cell("Duration"), "Duration", line_no)
             if duration < 0:
                 raise DataError(f"line {line_no}: column Duration: must be >= 0")
-            motion = (None if cell("MotionSickness") is None
-                      else _parse_int(cell("MotionSickness"), "MotionSickness", line_no))
-            immersion = (None if cell("ImmersionLevel") is None
-                         else _parse_int(cell("ImmersionLevel"), "ImmersionLevel", line_no))
+            motion = _parse_score(cell("MotionSickness"), "MotionSickness", line_no)
+            immersion = _parse_score(cell("ImmersionLevel"), "ImmersionLevel", line_no)
             records.append(RawRecord(
                 age=age,
                 gender=_parse_enum(cell("Gender"), GENDERS, "Gender", line_no),

@@ -1,0 +1,169 @@
+"""The model file: a versioned JSON bundle of the ensemble and its preprocessing.
+
+Every float is written as decimal text at 17 significant digits, which
+round-trips any float64 exactly. load_model checks everything scoring relies
+on, so a model that does not fit its data fails before any row is scored.
+"""
+
+import json
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import data as data_mod
+from .boosting import NEGATIVE, POSITIVE, BoostRound, Ensemble, LstmWeakLearner
+from .errors import DataError
+from .lstm import LstmParams, TrainConfig, param_keys, to_sequence
+
+MODEL_FORMAT_VERSION = 1
+
+
+def write_json(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _fmt(value: float) -> str:
+    # decimal text at 17 significant digits round-trips any float64 exactly
+    return format(float(value), ".17g")
+
+
+def _fmt_array(arr: np.ndarray):
+    if arr.ndim == 1:
+        return [_fmt(v) for v in arr]
+    return [[_fmt(v) for v in row] for row in arr]
+
+
+@dataclass
+class ModelBundle:
+    """Everything needed to score new records: ensemble plus preprocessing."""
+
+    ensemble: Ensemble
+    target: data_mod.TargetSpec
+    standardizer: data_mod.Standardizer
+    sequence_mode: str
+
+
+def save_model(bundle: ModelBundle, path: str) -> None:
+    """Versioned JSON; every float as decimal text with 17 significant digits."""
+    std = bundle.standardizer
+    rounds = []
+    for r in bundle.ensemble.rounds:
+        if not isinstance(r.learner, LstmWeakLearner):
+            raise ValueError("save_model: only LSTM weak learners are serializable")
+        params = r.learner.params
+        rounds.append({
+            "alpha": _fmt(r.alpha),
+            "learner": {
+                "type": "lstm",
+                "input_dim": params.input_dim,
+                "hidden_dim": params.hidden_dim,
+                "arrays": {k: _fmt_array(params.arrays[k]) for k in param_keys()},
+            },
+        })
+    doc = {
+        "format_version": MODEL_FORMAT_VERSION,
+        "label_convention": {"positive": bundle.ensemble.positive_label,
+                             "negative": bundle.ensemble.negative_label},
+        "target": {"column": bundle.target.target_column,
+                   "threshold": bundle.target.threshold},
+        "sequence_mode": bundle.sequence_mode,
+        "standardizer": {
+            "indices": list(std.indices),
+            "means": [_fmt(v) for v in std.means],
+            "stds": [_fmt(v) for v in std.stds],
+            "constant": list(std.constant),
+        },
+        "rounds": rounds,
+    }
+    write_json(doc, path)
+
+
+def load_model(path: str) -> ModelBundle:
+    """Inverse of save_model. Any malformed content raises DataError.
+
+    Everything scoring relies on is checked here, so that a model which does
+    not fit its data fails before any row is scored: each learner's input
+    dimension must be the step length of its sequence mode, and every alpha,
+    weight, mean and std finite, with std > 0 unless the column is flagged
+    constant, no feature standardized twice, and the label convention the
+    one boost_train writes.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"could not parse model file {path}: {exc}") from None
+    try:
+        if doc["format_version"] != MODEL_FORMAT_VERSION:
+            raise DataError(f"unsupported model format version {doc['format_version']}")
+        target = data_mod.TargetSpec(target_column=doc["target"]["column"],
+                                     threshold=int(doc["target"]["threshold"]))
+        std_doc = doc["standardizer"]
+        standardizer = data_mod.Standardizer(
+            indices=tuple(int(i) for i in std_doc["indices"]),
+            means=np.array([float(v) for v in std_doc["means"]]),
+            stds=np.array([float(v) for v in std_doc["stds"]]),
+            constant=tuple(bool(v) for v in std_doc["constant"]),
+        )
+        _validate_standardizer(standardizer)
+        sequence_mode = doc["sequence_mode"]
+        step_dim = _step_dim(sequence_mode)
+        rounds = []
+        for number, entry in enumerate(doc["rounds"], start=1):
+            learner_doc = entry["learner"]
+            if learner_doc["type"] != "lstm":
+                raise DataError(f"unsupported learner type {learner_doc['type']!r}")
+            input_dim = int(learner_doc["input_dim"])
+            hidden_dim = int(learner_doc["hidden_dim"])
+            if input_dim != step_dim:
+                raise DataError(f"round {number}: input_dim {input_dim} does not fit "
+                                f"sequence_mode {sequence_mode!r}, whose steps have "
+                                f"{step_dim} features")
+            arrays = {}
+            for key in param_keys():
+                arr = np.array(learner_doc["arrays"][key], dtype=float)
+                if not np.all(np.isfinite(arr)):
+                    raise DataError(f"round {number}: array {key} is not finite")
+                arrays[key] = arr
+            alpha = float(entry["alpha"])
+            if not math.isfinite(alpha):
+                raise DataError(f"round {number}: alpha {alpha!r} is not finite")
+            learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
+            learner.params = LstmParams(input_dim, hidden_dim, arrays)  # checks shapes
+            rounds.append(BoostRound(alpha=alpha, learner=learner))
+        if not rounds:
+            raise DataError("model file contains no rounds")
+        convention = doc["label_convention"]
+        labels = (int(convention["positive"]), int(convention["negative"]))
+        if labels != (POSITIVE, NEGATIVE):
+            raise DataError(f"label_convention positive {labels[0]}, negative {labels[1]}: "
+                            f"expected positive {POSITIVE}, negative {NEGATIVE}")
+        ensemble = Ensemble(rounds=rounds)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise DataError(f"malformed model file {path}: {exc!r}") from None
+    return ModelBundle(ensemble=ensemble, target=target, standardizer=standardizer,
+                       sequence_mode=sequence_mode)
+
+
+def _step_dim(sequence_mode: str) -> int:
+    """Features per time step that a learner sees under sequence_mode."""
+    return len(to_sequence(np.zeros(data_mod.N_FEATURES), sequence_mode)[0])
+
+
+def _validate_standardizer(std: data_mod.Standardizer) -> None:
+    n = len(std.indices)
+    if not len(std.means) == len(std.stds) == len(std.constant) == n:
+        raise DataError("standardizer: indices, means, stds and constant differ in length")
+    if any(not 0 <= idx < data_mod.N_FEATURES for idx in std.indices):
+        raise DataError(f"standardizer: indices {list(std.indices)} are not all features")
+    if len(set(std.indices)) != n:
+        raise DataError(f"standardizer: indices {list(std.indices)} repeat a feature")
+    if not (np.all(np.isfinite(std.means)) and np.all(np.isfinite(std.stds))):
+        raise DataError("standardizer: means and stds must be finite")
+    for idx, sd, constant in zip(std.indices, std.stds, std.constant):
+        if not constant and sd <= 0:
+            raise DataError(f"standardizer: std {sd!r} of feature {idx} must be > 0 "
+                            f"unless the column is flagged constant")

@@ -16,13 +16,13 @@ from boost_oracle import FIXTURES, oracle_boost
 from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict,
                               lstm_factory, staged_train_error, stump_factory,
                               update_weights, weighted_error)
-from vrboost.cli import (ModelBundle, gradcheck_suite, load_model, main,
-                         save_model)
+from vrboost.cli import gradcheck_suite, main
 from vrboost.data import (TargetSpec, apply_standardizer, encode,
                           fit_standardizer, gen_synthetic, majority_rate,
                           split_indices)
 from vrboost.lstm import TrainConfig, learning_rate
 from vrboost.metrics import ConfusionMatrix, correct_incorrect, f1_score
+from vrboost.model import ModelBundle, load_model, save_model
 from vrboost.numerics import Rng
 
 

@@ -5,14 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lstm_oracle import forward_sequence
 from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
-from vrboost.cli import load_model, main, save_model
+from vrboost.cli import build_parser, main, option_rows, resolve_options
 from vrboost.errors import DataError
 from vrboost.lstm import to_sequence
 from vrboost.metrics import f1_score
+from vrboost.model import load_model, save_model
 
 FAST_TRAIN = ["--synth-n", "120", "--signal", "4.0", "--rounds", "2",
               "--epochs", "4", "--hidden-dim", "6", "--seed", "3"]
@@ -152,6 +155,68 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("momentum = 0.9\n")
     assert _run(["train", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
+
+
+def test_config_value_outside_choices_is_usage_error_before_any_work(tmp_path, capsys):
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("# audit\nbreak_gate = bogus\n")
+    assert _run(["gradcheck", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert f"{cfg}:2: break_gate" in captured.err
+    assert captured.out == ""
+
+
+def test_config_sequence_mode_outside_choices_is_usage_error_before_training(
+        tmp_path, monkeypatch, capsys):
+    def no_training(*args, **kwargs):
+        raise AssertionError("boost_train ran")
+
+    monkeypatch.setattr("vrboost.cli.boost_train", no_training)
+    cfg = tmp_path / "mode.cfg"
+    cfg.write_text("rounds = 1\nsequence-mode = bogus\n")
+    out = tmp_path / "out"
+    assert _run(["train", "--config", cfg, "--out-dir", out]) == 2
+    assert f"{cfg}:2: sequence_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_TRAIN_TABLE = {row[0]: row for row in option_rows("train").values() if row[0] != "config"}
+_TEXT = st.text(alphabet="abcXYZ019._/", min_size=1, max_size=12)
+
+
+def _value_for(row):
+    _, default, _, *choices = row
+    if choices:
+        return st.sampled_from(choices[0])
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(-10**6, 10**6)
+    if isinstance(default, float):
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return _TEXT
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.fixed_dictionaries({}, optional={name: _value_for(row)
+                                           for name, row in _TRAIN_TABLE.items()}))
+def test_config_file_and_flags_resolve_alike(tmp_path_factory, values):
+    cfg = tmp_path_factory.getbasetemp() / "equivalence.cfg"
+    lines, flags = [], []
+    for name, value in values.items():
+        # config keys alternate between the '_' and the '-' spelling
+        lines.append(f"{name.replace('_', '-') if len(lines) % 2 else name} = {value}")
+        if value is True:
+            flags.append(f"--{name.replace('_', '-')}")
+        elif value is not False:
+            flags.append(f"--{name.replace('_', '-')}={value}")
+    cfg.write_text("\n".join(lines) + "\n")
+    parser = build_parser()
+    from_file = resolve_options(parser.parse_args(["train", "--config", str(cfg)]))
+    from_flags = resolve_options(parser.parse_args(["train", *flags]))
+    assert from_file.pop("config") == str(cfg) and from_flags.pop("config") is None
+    assert from_file == from_flags
+    assert from_flags == {**{name: row[1] for name, row in _TRAIN_TABLE.items()}, **values}
 
 
 # --- evaluate / predict -----------------------------------------------------
@@ -298,6 +363,7 @@ INVALID_MODELS = {
     "weight_not_a_number": _set(["rounds", 0, "learner", "arrays", "W_forget", 0, 0], "abc"),
     "w_head_extra_nesting": _nest_w_head,
     "b_head_null": _set(["rounds", 0, "learner", "arrays", "b_head", 0], None),
+    "standardizer_duplicate_index": _set(["standardizer", "indices", 1], 0),
 }
 
 

@@ -76,6 +76,20 @@ def test_load_csv_row_errors_carry_line_numbers(tmp_path):
         load_csv(bad_age)
 
 
+def test_load_csv_rejects_scores_out_of_range(tmp_path):
+    bad = [("40,Male,HTC Vive,13.5,999,5", "MotionSickness"),
+           ("40,Male,HTC Vive,13.5,0,5", "MotionSickness"),
+           ("40,Male,HTC Vive,13.5,8,-7", "ImmersionLevel"),
+           ("40,Male,HTC Vive,13.5,8,6", "ImmersionLevel")]
+    for k, (row, column) in enumerate(bad):
+        path = _write(tmp_path, HEADER + "\n" + SAMPLE_ROWS[0] + "\n" + row + "\n", f"{k}.csv")
+        with pytest.raises(DataError, match=f"line 3: column {column}"):
+            load_csv(path)
+    edges = _write(tmp_path, HEADER + "\n40,Male,HTC Vive,13.5,1,1\n"
+                   "40,Male,HTC Vive,13.5,10,5\n", "edges.csv")
+    assert [(r.motion_sickness, r.immersion_level) for r in load_csv(edges)] == [(1, 1), (10, 5)]
+
+
 def test_load_csv_optional_target_column(tmp_path):
     text = "Age,Gender,VRHeadset,Duration,MotionSickness\n40,Male,HTC Vive,13.5,8\n"
     path = _write(tmp_path, text)
