@@ -17,11 +17,12 @@ def gates(act, hidden_dim):
 # ---------------------------------------------------------------------------
 # 1. A new PackedLstm holds all-zero weights, and with every weight at zero
 #    the cell is perfectly agnostic: the sigmoid gates all emit 0.5, the
-#    candidate vector is 0, and the state stays put. forward() returns the
+#    candidate vector is 0, and the state stays put. forward() takes one flat
+#    row of T steps of input_dim features laid end to end, and returns the
 #    class-1 probability, the last hidden state and a per-step trace of
 #    (x, h_prev, c_prev, gate activations, tanh(c)).
 kernel = PackedLstm(input_dim=3, hidden_dim=2)
-prob, h_last, trace = kernel.forward([np.array([1.0, -2.0, 0.5])])
+prob, h_last, trace = kernel.forward(np.array([1.0, -2.0, 0.5]))
 print("zero-weight gates:")
 for gate, value in gates(trace[0][3], 2).items():
     print(f"  {gate:<10} -> {value}")
@@ -35,7 +36,7 @@ print("  new hidden state ->", h_last, f"  probability {prob}")
 arrays = kernel.params.arrays  # per-gate views of the packed vector
 arrays["b_forget"][...] = 50.0
 arrays["W_candidate"][:, 0] = 1.0
-sequence = [np.full(3, 0.5)] * 4
+sequence = np.full(4 * 3, 0.5)  # 4 steps of 3 features
 print()
 for label, bias in (("open", 50.0), ("shut", -50.0)):
     arrays["b_input"][...] = bias
@@ -48,7 +49,7 @@ for label, bias in (("open", 50.0), ("shut", -50.0)):
 #    strictly inside (0, 1) and the trace keeps what backward() needs.
 rng = Rng(42)
 params = init_params(input_dim=3, hidden_dim=4, rng=rng)
-sequence = [rng.uniform_array((3,), -1, 1) for _ in range(5)]
+sequence = rng.uniform_array((5 * 3,), -1, 1)
 prob, _, trace = PackedLstm.from_params(params).forward(sequence)
 print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({len(trace)} steps traced)")
 

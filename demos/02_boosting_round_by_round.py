@@ -13,14 +13,13 @@ import numpy as np
 from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict,
                               staged_train_error, stump_factory)
 
-xs = [np.array([float(i)]) for i in range(10)]
-labels = [1, 1, 1, 0, 0, 0, 1, 1, 1, 0]
-pairs = list(zip(xs, labels))
+X = np.arange(10.0)[:, None]  # one feature per row
+labels = np.array([1, 1, 1, 0, 0, 0, 1, 1, 1, 0])
 
-print("x      :", " ".join(f"{int(x[0]):>5d}" for x in xs))
+print("x      :", " ".join(f"{int(x):>5d}" for x in X[:, 0]))
 print("label  :", " ".join(f"{y:>5d}" for y in labels))
 
-ensemble, log = boost_train(pairs, BoostConfig(rounds=3, seed=0), stump_factory)
+ensemble, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
 
 # Each round: the best stump on the current weights, its weighted error, its
 # vote, and the reweighted distribution (misclassified points gain mass).
@@ -32,11 +31,11 @@ for entry, r in zip(log, ensemble.rounds):
     print("weights:", " ".join(f"{w:.3f}" for w in entry.weights))
 
 # The exponential-loss bound prod 2*sqrt(eps(1-eps)) caps the training error.
-staged = staged_train_error(ensemble, pairs)
+staged = staged_train_error(ensemble, X, labels)
 bound = math.prod(2 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
 print("\nstaged training error:", [f"{e:.2f}" for e in staged])
 print(f"bound {bound:.4f} >= final error {staged[-1]:.4f}")
 
-labels, margins = ensemble_predict(ensemble, np.stack(xs))
+labels, margins = ensemble_predict(ensemble, X)
 print("margins:", " ".join(f"{m:+.2f}" for m in margins))
 print("labels :", " ".join(f"{label:>5d}" for label in labels))

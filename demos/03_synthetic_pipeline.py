@@ -8,10 +8,8 @@ protocol (10 rounds, 50 epochs).
 Run:  python demos/03_synthetic_pipeline.py
 """
 
-import numpy as np
-
 from vrboost.boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
-from vrboost.data import (TargetSpec, apply_standardizer, encode,
+from vrboost.data import (TargetSpec, apply_standardizer, encode, encode_labels,
                           fit_standardizer, gen_synthetic, majority_rate,
                           split_indices, synthetic_bayes_rate)
 from vrboost.lstm import TrainConfig
@@ -24,27 +22,26 @@ records = gen_synthetic(n=400, seed=0, signal_strength=4.0)
 print(f"generated {len(records)} records, "
       f"oracle accuracy {synthetic_bayes_rate(records, 4.0):.3f}")
 
-# 2. Encode (ImmersionLevel >= 4 is the default binary target), split 70/30,
-#    and standardize the numeric features on the training side only.
-examples = encode(records, TargetSpec())
-train_idx, test_idx = split_indices(len(examples), ratio=0.7, seed=0)
-train = [examples[i] for i in train_idx]
-standardizer = fit_standardizer(train)
-train = apply_standardizer(standardizer, train)
-test = apply_standardizer(standardizer, [examples[i] for i in test_idx])
-print(f"split {len(train)}/{len(test)}, "
-      f"majority baseline {majority_rate([ex.label for ex in test]):.3f}")
+# 2. Encode to a (N, 9) feature matrix and N labels (ImmersionLevel >= 4 is
+#    the default binary target), split 70/30, and standardize the numeric
+#    features on the training side only.
+X, labels = encode(records, TargetSpec()), encode_labels(records, TargetSpec())
+train_idx, test_idx = split_indices(len(X), ratio=0.7, seed=0)
+standardizer = fit_standardizer(X[train_idx])
+train = apply_standardizer(standardizer, X[train_idx]), labels[train_idx]
+test = apply_standardizer(standardizer, X[test_idx]), labels[test_idx]
+print(f"split {len(train_idx)}/{len(test_idx)}, "
+      f"majority baseline {majority_rate(test[1]):.3f}")
 
 # 3. Boost small LSTM weak learners on the evolving sample weights.
 cfg = BoostConfig(rounds=4, train=TrainConfig(max_epochs=10, hidden_dim=8), seed=0)
-pairs = [(ex.features, ex.label) for ex in train]
-ensemble, log = boost_train(pairs, cfg, lstm_factory(cfg.train))
+ensemble, log = boost_train(*train, cfg, lstm_factory(cfg.train))
 for entry in log:
     print(f"round {entry.round}: eps={entry.epsilon:.3f} alpha={entry.alpha:.3f}")
 
 # 4. Score both splits.
-for name, examples in (("train", train), ("test", test)):
-    preds, _ = ensemble_predict(ensemble, np.stack([ex.features for ex in examples]))
-    report = scores(confusion(preds, [ex.label for ex in examples]), split=name)
+for name, (X_split, truths) in (("train", train), ("test", test)):
+    preds, _ = ensemble_predict(ensemble, X_split)
+    report = scores(confusion(preds, truths), split=name)
     print(f"{name:<5}: accuracy {report.accuracy:.3f}  precision {report.precision:.3f}  "
           f"recall {report.recall:.3f}  f1 {report.f1:.3f}")

@@ -9,13 +9,13 @@ from .boosting import (BoostConfig, DecisionStump, Ensemble, LstmWeakLearner,
                        alpha, boost_train, ensemble_predict, init_weights,
                        lstm_factory, staged_train_error, stump_factory,
                        update_weights, weighted_error)
-from .data import (EncodedExample, RawRecord, Standardizer, TargetSpec,
-                   apply_standardizer, encode, encode_features,
-                   fit_standardizer, gen_synthetic, load_csv, majority_rate,
-                   split_indices, synthetic_bayes_rate, write_csv)
+from .data import (RawRecord, Standardizer, TargetSpec, apply_standardizer,
+                   encode, encode_features, encode_labels, fit_standardizer,
+                   gen_synthetic, load_csv, majority_rate, split_indices,
+                   synthetic_bayes_rate, write_csv)
 from .errors import DataError, TrainingError, VrboostError
 from .lstm import (LossCurve, LstmParams, PackedLstm, TrainConfig, grad_check,
-                   init_params, learning_rate, to_sequence, train_weak_learner,
+                   init_params, learning_rate, step_dim, train_weak_learner,
                    weighted_loss)
 from .metrics import (ConfusionMatrix, MetricReport, confusion,
                       correct_incorrect, f1_score, scores)

@@ -111,25 +111,27 @@ class RoundLog:
     weights: np.ndarray
 
 
-def boost_train(examples, cfg: BoostConfig, learner_factory):
+def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     """Train up to cfg.rounds weak learners on the evolving distribution.
 
-    examples is a list of (features, label in {0,1}) with both classes
-    present. learner_factory(seed) must return an object with
-    fit(xs, signed_labels, weights) and predict(X) -> one -1/+1 vote per row
-    of the (N, D) matrix X; round t gets seed cfg.seed + t. A round with
-    weighted error >= 0.5 is discarded and the distribution reset to uniform
-    (the attempt still counts); error at or below epsilon_floor is accepted
-    with clamped error and stops early.
+    X is the (N, D) feature matrix and labels its N labels in {0,1}, with
+    both classes present. learner_factory(seed) must return an object with
+    fit(X, signed_labels, weights) and predict(X) -> one -1/+1 vote per row
+    of X; round t gets seed cfg.seed + t. A round with weighted error >= 0.5
+    is discarded and the distribution reset to uniform (the attempt still
+    counts); error at or below epsilon_floor is accepted with clamped error
+    and stops early.
 
     Returns (Ensemble, list of RoundLog).
     """
-    n = len(examples)
+    X = np.asarray(X, dtype=float)
+    n = len(X)
     if n == 0:
-        raise ValueError("boost_train: empty example list")
-    xs = [np.asarray(x, dtype=float) for x, _ in examples]
-    X = np.stack(xs)
-    labels = np.array([y for _, y in examples], dtype=int)
+        raise ValueError("boost_train: no examples")
+    labels = np.asarray(labels, dtype=int)
+    if X.ndim != 2 or labels.shape != (n,):
+        raise ValueError(f"boost_train: need an (N, D) matrix and N labels, got shapes "
+                         f"{X.shape} and {labels.shape}")
     if set(labels.tolist()) != {0, 1}:
         raise DataError("boost_train: training data must contain both classes")
     truths = to_signed(labels)
@@ -138,7 +140,7 @@ def boost_train(examples, cfg: BoostConfig, learner_factory):
     rounds, log = [], []
     for attempt in range(1, cfg.rounds + 1):
         learner = learner_factory(cfg.seed + attempt)
-        learner.fit(xs, truths, d)
+        learner.fit(X, truths, d)
         preds = learner.predict(X)
         eps = weighted_error(preds, truths, d)
         if eps >= 0.5:
@@ -173,12 +175,13 @@ def ensemble_predict(ensemble: Ensemble, X) -> tuple:
     return labels, margins
 
 
-def staged_train_error(ensemble: Ensemble, examples) -> list:
-    """Unweighted training error of every prefix of the ensemble's rounds."""
+def staged_train_error(ensemble: Ensemble, X, labels) -> list:
+    """Unweighted error on the rows of X, labels in {0,1}, of every prefix of
+    the ensemble's rounds."""
     if not ensemble.rounds:
         raise ValueError("staged_train_error: empty ensemble")
-    X = np.stack([x for x, _ in examples])
-    truths = to_signed([y for _, y in examples])
+    X = np.asarray(X, dtype=float)
+    truths = to_signed(labels)
     n = len(X)
     preds = np.array([r.learner.predict(X) for r in ensemble.rounds], dtype=float)
     alphas = np.array([r.alpha for r in ensemble.rounds])
@@ -206,8 +209,8 @@ class DecisionStump:
         self.threshold = 0.0
         self.polarity = 1
 
-    def fit(self, xs, signed_labels, weights) -> "DecisionStump":
-        X = np.stack([np.atleast_1d(x) for x in xs])
+    def fit(self, X, signed_labels, weights) -> "DecisionStump":
+        X = np.asarray(X, dtype=float)
         y = np.asarray(signed_labels)
         d = np.asarray(weights, dtype=float)
         best = math.inf
@@ -239,9 +242,9 @@ def stump_factory(seed: int) -> DecisionStump:
 class LstmWeakLearner:
     """LSTM classifier adapted to the boosting interface.
 
-    Feature vectors pass through the tabular-to-sequence adapter; prediction
-    thresholds the head probability at 0.5 (>= 0.5 maps to +1), not the logit
-    at 0: a logit just below 0 can round to probability 0.5. Setting
+    A feature row is read as a sequence under sequence_mode (lstm.step_dim);
+    prediction thresholds the head probability at 0.5 (>= 0.5 maps to +1),
+    not the logit at 0: a logit just below 0 can round to probability 0.5. Setting
     `params` packs them once into the learner's PackedLstm, which every
     predict() runs; reading it returns views of that packed vector.
     """
@@ -260,16 +263,17 @@ class LstmWeakLearner:
     def params(self, params) -> None:
         self._kernel = lstm_mod.PackedLstm.from_params(params)
 
-    def fit(self, xs, signed_labels, weights) -> "LstmWeakLearner":
-        examples = [(lstm_mod.to_sequence(x, self.sequence_mode), (int(y) + 1) // 2)
-                    for x, y in zip(xs, signed_labels)]
+    def fit(self, X, signed_labels, weights) -> "LstmWeakLearner":
+        """Train on the rows of the (N, D) feature matrix X."""
+        labels = (np.asarray(signed_labels, dtype=int) + 1) // 2
+        input_dim = lstm_mod.step_dim(self.sequence_mode, X.shape[1])
         self.params, self.loss_curve = lstm_mod.train_weak_learner(
-            examples, weights, self.cfg)
+            X, labels, weights, self.cfg, input_dim)
         return self
 
     def predict(self, X) -> np.ndarray:
         """One -1/+1 vote per row of the (N, D) feature matrix X, in one batched
-        forward (the matrix is to_sequence()'s layout in either mode)."""
+        forward."""
         probs, _ = self._kernel.forward_rows(X)
         return np.where(probs >= 0.5, 1, -1)
 

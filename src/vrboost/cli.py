@@ -53,14 +53,9 @@ def _evaluation_block(preds, truths) -> dict:
     }
 
 
-def _feature_matrix(examples) -> np.ndarray:
-    return np.stack([ex.features for ex in examples])
-
-
-def _evaluate_split(bundle: ModelBundle, examples) -> dict:
-    preds, _ = ensemble_predict(bundle.ensemble, _feature_matrix(examples))
-    truths = [ex.label for ex in examples]
-    return _evaluation_block(preds, truths)
+def _evaluate_split(bundle: ModelBundle, X, labels) -> dict:
+    preds, _ = ensemble_predict(bundle.ensemble, X)
+    return _evaluation_block(preds, labels)
 
 
 def cmd_gen_data(n: int, seed: int, signal: float, out_path: str) -> int:
@@ -92,29 +87,27 @@ def cmd_train(opts: dict) -> int:
         records = data_mod.load_csv(opts["data"])
     else:
         records = data_mod.gen_synthetic(opts["synth_n"], seed, opts["signal"])
-    examples = data_mod.encode(records, target)
-    if len({ex.label for ex in examples}) < 2:
+    X = data_mod.encode(records, target)
+    labels = data_mod.encode_labels(records, target)
+    if len(set(labels.tolist())) < 2:
         raise DataError(
             f"dataset has a single label class under rule "
             f"{target.target_column} >= {target.threshold}")
 
-    labels = [ex.label for ex in examples]
     train_idx, test_idx = data_mod.split_indices(
-        len(examples), opts["ratio"], seed, labels, opts["stratified"])
-    train_examples = [examples[i] for i in train_idx]
-    test_examples = [examples[i] for i in test_idx]
-    standardizer = data_mod.fit_standardizer(train_examples)
-    train_std = data_mod.apply_standardizer(standardizer, train_examples)
-    test_std = data_mod.apply_standardizer(standardizer, test_examples)
+        len(X), opts["ratio"], seed, labels, opts["stratified"])
+    standardizer = data_mod.fit_standardizer(X[train_idx])
+    X_train = data_mod.apply_standardizer(standardizer, X[train_idx])
+    X_test = data_mod.apply_standardizer(standardizer, X[test_idx])
 
-    pairs = [(ex.features, ex.label) for ex in train_std]
-    ensemble, log = boost_train(pairs, boost_cfg, lstm_factory(train_cfg, sequence_mode))
+    ensemble, log = boost_train(X_train, labels[train_idx], boost_cfg,
+                                lstm_factory(train_cfg, sequence_mode))
 
     bundle = ModelBundle(ensemble=ensemble, target=target,
                          standardizer=standardizer, sequence_mode=sequence_mode)
     report = {
-        "train": _evaluate_split(bundle, train_std),
-        "test": _evaluate_split(bundle, test_std),
+        "train": _evaluate_split(bundle, X_train, labels[train_idx]),
+        "test": _evaluate_split(bundle, X_test, labels[test_idx]),
     }
 
     os.makedirs(out_dir, exist_ok=True)
@@ -142,23 +135,18 @@ def cmd_train(opts: dict) -> int:
     return EXIT_OK
 
 
-def _load_compatible(bundle: ModelBundle, data_path: str, need_target: bool) -> list:
-    """Standardized examples of a CSV whose features fit the model; labels are
-    0 where need_target is False, and the target column may then be absent."""
-    if need_target:
-        examples = data_mod.encode(data_mod.load_csv(data_path), bundle.target)
-    else:
-        records = data_mod.load_csv(data_path, optional_column=bundle.target.target_column)
-        examples = [data_mod.EncodedExample(data_mod.encode_features(r, bundle.target), 0)
-                    for r in records]
-    return data_mod.apply_standardizer(bundle.standardizer, examples)
+def _standardized(bundle: ModelBundle, records) -> np.ndarray:
+    """The model's standardized feature matrix of records."""
+    return data_mod.apply_standardizer(bundle.standardizer,
+                                       data_mod.encode(records, bundle.target))
 
 
 def cmd_evaluate(model_path: str, data_path: str, out_path: str) -> int:
     """Score a labeled CSV with a saved model; write a single-block report."""
     bundle = load_model(model_path)
-    standardized = _load_compatible(bundle, data_path, need_target=True)
-    block = _evaluate_split(bundle, standardized)
+    records = data_mod.load_csv(data_path)
+    block = _evaluate_split(bundle, _standardized(bundle, records),
+                            data_mod.encode_labels(records, bundle.target))
     write_json({"eval": block}, out_path)
     print(f"eval: accuracy {block['accuracy']:.4f}  precision {block['precision']:.4f}  "
           f"recall {block['recall']:.4f}  f1 {block['f1']:.4f}")
@@ -169,14 +157,14 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str) -> int:
 def cmd_predict(model_path: str, data_path: str, out_path: str) -> int:
     """Write (row_index, margin, label) for every row; target column optional."""
     bundle = load_model(model_path)
-    examples = _load_compatible(bundle, data_path, need_target=False)
-    labels, margins = ensemble_predict(bundle.ensemble, _feature_matrix(examples))
+    records = data_mod.load_csv(data_path, optional_column=bundle.target.target_column)
+    labels, margins = ensemble_predict(bundle.ensemble, _standardized(bundle, records))
     lines = ["row_index,margin,label"]
     lines += [f"{idx},{margin!r},{label}"
               for idx, (margin, label) in enumerate(zip(margins.tolist(), labels.tolist()))]
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-    print(f"wrote {len(examples)} predictions to {out_path}")
+    print(f"wrote {len(records)} predictions to {out_path}")
     return EXIT_OK
 
 
@@ -197,10 +185,10 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
         hidden_dim = rng.randint(1, 8)
         steps = rng.randint(1, 4)
         params = init_params(input_dim, hidden_dim, rng)
-        seq = [rng.uniform_array((input_dim,), -2.0, 2.0) for _ in range(steps)]
+        x = rng.uniform_array((steps * input_dim,), -2.0, 2.0)
         y = rng.randint(0, 1)
         w = rng.uniform(0.5, 2.0)
-        err = grad_check(params, seq, y, w, eps=1e-5, break_gate=break_gate)
+        err = grad_check(params, x, y, w, eps=1e-5, break_gate=break_gate)
         if verbose:
             print(f"case {case}: D={input_dim} H={hidden_dim} T={steps} "
                   f"max_rel_err={err:.3e}")

@@ -54,12 +54,6 @@ class TargetSpec:
 
 
 @dataclass
-class EncodedExample:
-    features: np.ndarray
-    label: int
-
-
-@dataclass
 class Standardizer:
     """Per-numeric-feature z-score parameters fitted on the training split.
 
@@ -214,26 +208,31 @@ def encode_features(record: RawRecord, spec: TargetSpec) -> np.ndarray:
     return np.array(vec)
 
 
-def encode(records, spec: TargetSpec) -> list:
-    """Encode records to (features, {0,1} label) pairs under the target rule.
+def encode(records, spec: TargetSpec) -> np.ndarray:
+    """The (N, 9) float64 feature matrix of records, one encode_features() row each."""
+    if not records:
+        raise ValueError("encode: no records")
+    return np.stack([encode_features(record, spec) for record in records])
+
+
+def encode_labels(records, spec: TargetSpec) -> np.ndarray:
+    """The (N,) {0,1} labels of records under the target rule.
 
     Warns (UserWarning) when every label comes out identical; downstream
     training will reject such data.
     """
     if not records:
-        raise ValueError("encode: no records")
-    examples = []
+        raise ValueError("encode_labels: no records")
+    labels = []
     for record in records:
         target = _score_value(record, spec.target_column)
         if target is None:
             raise DataError(f"column {spec.target_column} is required to compute labels")
-        label = 1 if target >= spec.threshold else 0
-        examples.append(EncodedExample(features=encode_features(record, spec), label=label))
-    labels = {ex.label for ex in examples}
-    if len(labels) == 1:
-        warnings.warn(f"all labels identical ({labels.pop()}); training cannot proceed "
+        labels.append(1 if target >= spec.threshold else 0)
+    if len(set(labels)) == 1:
+        warnings.warn(f"all labels identical ({labels[0]}); training cannot proceed "
                       f"on single-class data", UserWarning, stacklevel=2)
-    return examples
+    return np.array(labels)
 
 
 def _round_half_up(x: float) -> int:
@@ -276,16 +275,17 @@ def split_indices(n: int, ratio: float, seed: int, labels=None,
     return train, test
 
 
-def fit_standardizer(train, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
-    """Fit per-feature mean and population stddev on the training split only."""
-    if not train:
+def fit_standardizer(X, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
+    """Fit per-column mean and population stddev on the training matrix X only."""
+    X = np.asarray(X, dtype=float)
+    if len(X) == 0:
         raise ValueError("fit_standardizer: empty training set")
-    X = np.stack([ex.features for ex in train])
     means, stds, constant = [], [], []
     for idx in indices:
         col = X[:, idx]
         mu = float(np.mean(col))
-        sd = float(np.sqrt(np.mean((col - mu) ** 2)))
+        # the rounded mean can miss a repeated value by an ulp: that column has std 0
+        sd = float(np.sqrt(np.mean((col - mu) ** 2))) if np.any(col != col[0]) else 0.0
         means.append(mu)
         stds.append(sd)
         constant.append(sd == 0.0)
@@ -293,15 +293,13 @@ def fit_standardizer(train, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
                         stds=np.array(stds), constant=tuple(constant))
 
 
-def apply_standardizer(standardizer: Standardizer, examples) -> list:
-    """Z-score the numeric features; one-hot and constant columns untouched."""
-    out = []
-    for ex in examples:
-        feats = ex.features.copy()
-        for j, idx in enumerate(standardizer.indices):
-            if not standardizer.constant[j]:
-                feats[idx] = (feats[idx] - standardizer.means[j]) / standardizer.stds[j]
-        out.append(EncodedExample(features=feats, label=ex.label))
+def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
+    """A copy of the matrix X with the numeric columns z-scored, column by
+    column; one-hot and constant columns untouched."""
+    out = np.array(X, dtype=float)
+    for j, idx in enumerate(standardizer.indices):
+        if not standardizer.constant[j]:
+            out[:, idx] = (out[:, idx] - standardizer.means[j]) / standardizer.stds[j]
     return out
 
 

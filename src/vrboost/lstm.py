@@ -16,6 +16,11 @@ SGD and grad_check's finite-difference audit run forward(), one example at a
 time; every prediction (each boosting round's in-sample predict, the train
 report, evaluate and predict) runs forward_rows() over a matrix of rows.
 
+Row layout: an example is one flat float64 row of T steps of D features laid
+end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
+of its rows, from data.encode to the kernel; step_dim() gives D for a
+sequence mode.
+
 forward() and backward() are bit-identical to the per-gate reference cell
 kept in tests/lstm_oracle.py: same probabilities, gradients and trained
 parameters to the last bit (tests/test_lstm_kernel.py checks this). Matrix
@@ -43,7 +48,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError
-from .numerics import Rng
+from .numerics import Rng, sigmoid
 
 GATES = ("forget", "input", "output", "candidate")
 
@@ -153,20 +158,17 @@ class LossCurve:
     learning_rates: list = field(default_factory=list)
 
 
-def to_sequence(features: np.ndarray, mode: str = "single") -> list:
-    """Adapt a flat feature vector to an input sequence.
+def step_dim(mode: str, width: int) -> int:
+    """Features per time step D of a width-feature row under a sequence mode.
 
-    "single": one time step carrying the whole vector. "unrolled": one
-    feature per time step (sequence length = feature count, input_dim 1).
-    Both keep the features in order, so a matrix of stacked feature vectors
-    is the (N, T*D) input of PackedLstm.forward_rows() in either mode.
+    "single": one step carrying the whole row (D = width). "unrolled": one
+    feature per step (D = 1, T = width).
     """
-    features = np.asarray(features, dtype=float)
     if mode == "single":
-        return [features]
+        return width
     if mode == "unrolled":
-        return [np.array([v]) for v in features]
-    raise ValueError(f"to_sequence: unknown mode {mode!r}")
+        return 1
+    raise ValueError(f"step_dim: unknown mode {mode!r}")
 
 
 def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int) -> tuple:
@@ -188,21 +190,6 @@ def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
         views[f"W_{gate}"], views[f"U_{gate}"], views[f"b_{gate}"] = W[rows], U[rows], b[rows]
     views["w_head"], views["b_head"] = w_head, b_head
     return views
-
-
-def _sigmoid_into(z: np.ndarray, out: np.ndarray) -> None:
-    """numerics.sigmoid without the masks: exp(-|z|) is exp(-z) where z >= 0
-    and exp(z) elsewhere, so each entry takes the same branch and operations."""
-    e = np.exp(-np.abs(z))
-    np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
-
-
-def _sigmoid_scalar(z: float) -> float:
-    """numerics.sigmoid of one logit, through the same numpy exp."""
-    if z >= 0:
-        return float(1.0 / (1.0 + np.exp(-z)))
-    ex = np.exp(z)
-    return float(ex / (1.0 + ex))
 
 
 class PackedLstm:
@@ -256,41 +243,41 @@ class PackedLstm:
             view[...] = arr
         return kernel
 
-    def forward(self, seq) -> tuple:
-        """Run the cell from a zero state; sigmoid head on h_T.
+    def forward(self, x: np.ndarray) -> tuple:
+        """Run the cell from a zero state over the flat float64 row x of T*D
+        features, step t being x[t*D:(t+1)*D]; sigmoid head on h_T.
 
         Returns (probability of class 1, h_T, per-step trace for backward).
         U @ h is skipped at step 0, where h is zero: U @ 0 adds +0.0, which
         changes no sum whose bias term is not -0.0, and SGD never makes one.
         """
-        h_dim = self.hidden_dim
+        d, h_dim = self.input_dim, self.hidden_dim
         n_sig = 3 * h_dim
         W3, U3, b = self._W3, self._U3, self.b
         h = c = np.zeros(h_dim)
         trace = []
-        for t, x in enumerate(seq):
-            x = np.asarray(x, dtype=float)
-            z = W3 @ x + U3 @ h if t else W3 @ x
+        for t in range(len(x) // d):
+            x_t = x[t * d:(t + 1) * d]
+            z = W3 @ x_t + U3 @ h if t else W3 @ x_t
             z = z.reshape(-1)
             z += b
             act = np.empty(4 * h_dim)
-            _sigmoid_into(z[:n_sig], act[:n_sig])
+            sigmoid(z[:n_sig], act[:n_sig])
             np.tanh(z[n_sig:], out=act[n_sig:])
             f, i, o, g = act[:h_dim], act[h_dim:2 * h_dim], act[2 * h_dim:n_sig], act[n_sig:]
             c_prev, h_prev = c, h
             c = f * c_prev + i * g
             tanh_c = np.tanh(c)
             h = o * tanh_c
-            trace.append((x, h_prev, c_prev, act, tanh_c))
+            trace.append((x_t, h_prev, c_prev, act, tanh_c))
         logit = float(self.w_head @ h) + float(self.b_head[0])
-        return _sigmoid_scalar(logit), h, trace
+        return sigmoid(logit), h, trace
 
     def forward_rows(self, X) -> tuple:
         """Head probabilities and logits of the N rows of X, each run from a zero state.
 
-        X is (N, T*D): row n is example n's sequence of T steps of D features
-        laid end to end, as to_sequence() orders them. Rows go through the cell
-        SCORE_BLOCK_ROWS at a time, so the working set does not grow with N.
+        X is (N, T*D), in the module docstring's row layout. Rows go through
+        the cell SCORE_BLOCK_ROWS at a time, so the working set does not grow with N.
         Within a block the state is held transposed, (H, rows), so that each
         gate's slice is contiguous: the gate products are one (4H, rows) gemm
         per step, with U @ h added from step 1 on, then b, as in forward().
@@ -312,16 +299,14 @@ class PackedLstm:
                 if t:
                     z += self.U @ h
                 z += self.b[:, None]
-                _sigmoid_into(z[:n_sig], z[:n_sig])  # in place: activations overwrite z
+                sigmoid(z[:n_sig], z[:n_sig])  # in place: activations overwrite z
                 np.tanh(z[n_sig:], out=z[n_sig:])
                 f, i, o, g = z[:h_dim], z[h_dim:2 * h_dim], z[2 * h_dim:n_sig], z[n_sig:]
                 c = f * c + i * g
                 h = o * np.tanh(c)
             logits[start:start + rows] = self.w_head @ h
         logits += self.b_head[0]
-        probs = np.empty(n)
-        _sigmoid_into(logits, probs)
-        return probs, logits
+        return sigmoid(logits), logits
 
     def backward(self, prob: float, y: int, w: float, h_last: np.ndarray, trace) -> None:
         """BPTT of weighted_loss into self.grad, accumulated into a zeroed buffer.
@@ -385,9 +370,10 @@ class PackedLstm:
         return clipped
 
 
-def grad_check(params: LstmParams, seq, y: int, w: float, eps: float = 1e-5,
+def grad_check(params: LstmParams, x: np.ndarray, y: int, w: float, eps: float = 1e-5,
                break_gate: str | None = None) -> float:
-    """Max relative error between PackedLstm's BPTT and central finite differences.
+    """Max relative error between PackedLstm's BPTT and central finite differences
+    on the flat row x.
 
     For each entry of the packed parameter vector compares backward()'s value
     against (L(theta+eps) - L(theta-eps)) / (2 eps), where L is re-evaluated
@@ -398,7 +384,7 @@ def grad_check(params: LstmParams, seq, y: int, w: float, eps: float = 1e-5,
     if not 0.0 < eps <= 1e-3:
         raise ValueError("grad_check: eps must be in (0, 1e-3]")
     kernel = PackedLstm.from_params(params)
-    prob, h_last, trace = kernel.forward(seq)
+    prob, h_last, trace = kernel.forward(x)
     kernel.backward(prob, y, w, h_last, trace)
     if break_gate is not None:
         for kind in ("W", "U", "b"):
@@ -408,9 +394,9 @@ def grad_check(params: LstmParams, seq, y: int, w: float, eps: float = 1e-5,
     for k in range(theta.size):
         orig = theta[k]
         theta[k] = orig + eps
-        up = weighted_loss(kernel.forward(seq)[0], y, w)
+        up = weighted_loss(kernel.forward(x)[0], y, w)
         theta[k] = orig - eps
-        down = weighted_loss(kernel.forward(seq)[0], y, w)
+        down = weighted_loss(kernel.forward(x)[0], y, w)
         theta[k] = orig
         numeric = (up - down) / (2.0 * eps)
         a = analytic[k]
@@ -419,21 +405,27 @@ def grad_check(params: LstmParams, seq, y: int, w: float, eps: float = 1e-5,
     return worst
 
 
-def train_weak_learner(examples, weights, cfg: TrainConfig):
+def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_dim: int):
     """Weighted SGD training; returns (LstmParams, LossCurve).
 
-    examples is a list of (sequence, label in {0,1}); weights is one
-    non-negative factor per example. Weights are renormalized to mean 1 so
-    the loss curve sits on the same scale as unweighted training. Each epoch
-    visits every example once in a freshly shuffled order (seeded); one
-    gradient step per example, L2-clipped to cfg.grad_clip.
+    X is the (N, T*D) float64 matrix of example rows with D = input_dim;
+    labels holds one {0,1} label and weights one non-negative factor per row.
+    Weights are renormalized to mean 1 so the loss curve sits on the same
+    scale as unweighted training. Each epoch visits every example once in a
+    freshly shuffled order (seeded); one gradient step per example,
+    L2-clipped to cfg.grad_clip.
     """
-    n = len(examples)
+    X = np.asarray(X, dtype=float)
+    n = len(X)
     if n == 0:
-        raise ValueError("train_weak_learner: empty example list")
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (n,):
-        raise ValueError("train_weak_learner: need exactly one weight per example")
+        raise ValueError("train_weak_learner: no examples")
+    if X.ndim != 2 or X.shape[1] == 0 or X.shape[1] % input_dim:
+        raise ValueError(f"train_weak_learner: need an (N, T*{input_dim}) matrix, "
+                         f"got shape {X.shape}")
+    labels, weights = np.asarray(labels), np.asarray(weights, dtype=float)
+    if labels.shape != (n,) or weights.shape != (n,):
+        raise ValueError("train_weak_learner: need exactly one label and one weight per example")
+    labels = labels.tolist()
     if np.any(weights < 0) or not np.all(np.isfinite(weights)):
         raise ValueError("train_weak_learner: weights must be finite and >= 0")
     total = math.fsum(weights)
@@ -442,7 +434,6 @@ def train_weak_learner(examples, weights, cfg: TrainConfig):
     norm_w = weights * n / total
 
     rng = Rng(cfg.seed)
-    input_dim = len(np.asarray(examples[0][0][0]))
     kernel = PackedLstm.from_params(init_params(input_dim, cfg.hidden_dim, rng))
     curve = LossCurve()
     for epoch in range(1, cfg.max_epochs + 1):
@@ -451,9 +442,8 @@ def train_weak_learner(examples, weights, cfg: TrainConfig):
         rng.shuffle(order)
         epoch_losses = []
         for idx in order:
-            seq, y = examples[idx]
-            w = norm_w[idx]
-            prob, h_last, trace = kernel.forward(seq)
+            y, w = labels[idx], norm_w[idx]
+            prob, h_last, trace = kernel.forward(X[idx])
             loss = weighted_loss(prob, y, w)
             if not math.isfinite(loss):
                 raise TrainingError(

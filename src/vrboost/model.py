@@ -14,7 +14,7 @@ import numpy as np
 from . import data as data_mod
 from .boosting import NEGATIVE, POSITIVE, BoostRound, Ensemble, LstmWeakLearner
 from .errors import DataError
-from .lstm import LstmParams, TrainConfig, param_keys, to_sequence
+from .lstm import LstmParams, TrainConfig, param_keys, step_dim
 
 MODEL_FORMAT_VERSION = 1
 
@@ -89,7 +89,8 @@ def load_model(path: str) -> ModelBundle:
     dimension must be the step length of its sequence mode, and every alpha,
     weight, mean and std finite, with std > 0 unless the column is flagged
     constant, no feature standardized twice, and the label convention the
-    one boost_train writes.
+    one boost_train writes. Flags must be JSON booleans, and counts,
+    indices, the threshold and the labels JSON integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -100,28 +101,28 @@ def load_model(path: str) -> ModelBundle:
         if doc["format_version"] != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format version {doc['format_version']}")
         target = data_mod.TargetSpec(target_column=doc["target"]["column"],
-                                     threshold=int(doc["target"]["threshold"]))
+                                     threshold=_typed(doc["target"]["threshold"], int))
         std_doc = doc["standardizer"]
         standardizer = data_mod.Standardizer(
-            indices=tuple(int(i) for i in std_doc["indices"]),
+            indices=tuple(_typed(i, int) for i in std_doc["indices"]),
             means=np.array([float(v) for v in std_doc["means"]]),
             stds=np.array([float(v) for v in std_doc["stds"]]),
-            constant=tuple(bool(v) for v in std_doc["constant"]),
+            constant=tuple(_typed(v, bool) for v in std_doc["constant"]),
         )
         _validate_standardizer(standardizer)
         sequence_mode = doc["sequence_mode"]
-        step_dim = _step_dim(sequence_mode)
+        dim = step_dim(sequence_mode, data_mod.N_FEATURES)
         rounds = []
         for number, entry in enumerate(doc["rounds"], start=1):
             learner_doc = entry["learner"]
             if learner_doc["type"] != "lstm":
                 raise DataError(f"unsupported learner type {learner_doc['type']!r}")
-            input_dim = int(learner_doc["input_dim"])
-            hidden_dim = int(learner_doc["hidden_dim"])
-            if input_dim != step_dim:
+            input_dim = _typed(learner_doc["input_dim"], int)
+            hidden_dim = _typed(learner_doc["hidden_dim"], int)
+            if input_dim != dim:
                 raise DataError(f"round {number}: input_dim {input_dim} does not fit "
                                 f"sequence_mode {sequence_mode!r}, whose steps have "
-                                f"{step_dim} features")
+                                f"{dim} features")
             arrays = {}
             for key in param_keys():
                 arr = np.array(learner_doc["arrays"][key], dtype=float)
@@ -137,7 +138,7 @@ def load_model(path: str) -> ModelBundle:
         if not rounds:
             raise DataError("model file contains no rounds")
         convention = doc["label_convention"]
-        labels = (int(convention["positive"]), int(convention["negative"]))
+        labels = (_typed(convention["positive"], int), _typed(convention["negative"], int))
         if labels != (POSITIVE, NEGATIVE):
             raise DataError(f"label_convention positive {labels[0]}, negative {labels[1]}: "
                             f"expected positive {POSITIVE}, negative {NEGATIVE}")
@@ -148,9 +149,11 @@ def load_model(path: str) -> ModelBundle:
                        sequence_mode=sequence_mode)
 
 
-def _step_dim(sequence_mode: str) -> int:
-    """Features per time step that a learner sees under sequence_mode."""
-    return len(to_sequence(np.zeros(data_mod.N_FEATURES), sequence_mode)[0])
+def _typed(value, kind: type):
+    # exact type: a JSON true is a bool, an int subclass, but no count or index
+    if type(value) is not kind:
+        raise DataError(f"expected a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 def _validate_standardizer(std: data_mod.Standardizer) -> None:

@@ -11,20 +11,25 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 
-def sigmoid(x):
-    """Logistic function 1 / (1 + exp(-x)).
+def sigmoid(z, out=None):
+    """Logistic function 1 / (1 + exp(-z)); a float for a scalar z, else an array.
 
-    Branches on sign so the exp() argument is never positive: sigmoid(-500)
-    returns a tiny positive number instead of underflowing to 0 through
-    1 / (1 + exp(500)).
+    Never passes a positive argument to exp(), so sigmoid(-500) returns a
+    tiny positive number instead of underflowing to 0 through
+    1 / (1 + exp(500)). An array takes no masks: exp(-|z|) is exp(-z) where
+    z >= 0 and exp(z) elsewhere, so each entry takes the scalar branch's
+    operations. out, if given, receives the array result.
     """
-    arr = np.asarray(x, dtype=float)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return float(out) if arr.ndim == 0 else out
+    if isinstance(z, float):  # numpy float64 scalars included
+        if z >= 0:
+            return float(1.0 / (1.0 + np.exp(-z)))
+        ex = np.exp(z)
+        return float(ex / (1.0 + ex))
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        return sigmoid(float(z))
+    e = np.exp(-np.abs(z))
+    return np.divide(np.where(z >= 0, 1.0, e), 1.0 + e, out=out)
 
 
 class Rng:

@@ -17,7 +17,7 @@ from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict,
                               lstm_factory, staged_train_error, stump_factory,
                               update_weights, weighted_error)
 from vrboost.cli import gradcheck_suite, main
-from vrboost.data import (TargetSpec, apply_standardizer, encode,
+from vrboost.data import (TargetSpec, apply_standardizer, encode, encode_labels,
                           fit_standardizer, gen_synthetic, majority_rate,
                           split_indices)
 from vrboost.lstm import TrainConfig, learning_rate
@@ -35,26 +35,24 @@ def _criterion(num, description, ok, detail=""):
 
 
 def _prepare(n, seed, signal):
+    """((X, labels) of the standardized train split, the same of the test split)."""
     records = gen_synthetic(n, seed=seed, signal_strength=signal)
-    examples = encode(records, TargetSpec())
-    train_idx, test_idx = split_indices(len(examples), 0.7, seed=seed)
-    train = [examples[i] for i in train_idx]
-    std = fit_standardizer(train)
-    train = apply_standardizer(std, train)
-    test = apply_standardizer(std, [examples[i] for i in test_idx])
-    return ([(ex.features, ex.label) for ex in train],
-            [(ex.features, ex.label) for ex in test])
+    X, labels = encode(records, TargetSpec()), encode_labels(records, TargetSpec())
+    train_idx, test_idx = split_indices(len(X), 0.7, seed=seed)
+    std = fit_standardizer(X[train_idx])
+    return ((apply_standardizer(std, X[train_idx]), labels[train_idx]),
+            (apply_standardizer(std, X[test_idx]), labels[test_idx]))
 
 
 @pytest.fixture(scope="module")
 def signal_run():
     """n=500, signal 4.0, protocol defaults (T=10, 50 epochs, lr 0.01/0.1)."""
-    train_pairs, test_pairs = _prepare(500, seed=0, signal=4.0)
+    train, test = _prepare(500, seed=0, signal=4.0)
     cfg = BoostConfig(rounds=10, train=TrainConfig(), seed=0)
     started = time.time()
-    ensemble, log = boost_train(train_pairs, cfg, lstm_factory(cfg.train))
-    return {"ensemble": ensemble, "log": log, "train": train_pairs,
-            "test": test_pairs, "elapsed": time.time() - started}
+    ensemble, log = boost_train(*train, cfg, lstm_factory(cfg.train))
+    return {"ensemble": ensemble, "log": log, "train": train,
+            "test": test, "elapsed": time.time() - started}
 
 
 def test_criterion_1_metric_arithmetic_matches_reported_values():
@@ -91,20 +89,20 @@ def test_criterion_3_adaboost_exactness():
     started = time.time()
     ok = True
     for name, (xs, ys) in sorted(FIXTURES.items()):
-        pairs = [(np.array([float(x)]), y) for x, y in zip(xs, ys)]
-        ensemble, log = boost_train(pairs, BoostConfig(rounds=3, seed=0),
+        X = np.array([[float(x)] for x in xs])
+        ensemble, log = boost_train(X, np.array(ys), BoostConfig(rounds=3, seed=0),
                                     stump_factory)
-        expected = oracle_boost(np.array([[float(x)] for x in xs]), ys, rounds=3)
+        expected = oracle_boost(X, ys, rounds=3)
         ok &= len(log) == len(expected)
         for entry, exp in zip(log, expected):
             ok &= entry.epsilon == exp["epsilon"] and entry.alpha == exp["alpha"]
             ok &= bool(np.array_equal(entry.weights, exp["weights"]))
         # post-update neutrality on every non-terminal round
-        truths = np.array([2 * y - 1 for _, y in pairs])
+        truths = np.array([2 * y - 1 for y in ys])
         for r, entry in zip(ensemble.rounds, log):
             if entry.epsilon <= 1e-10:
                 continue
-            preds = r.learner.predict(np.stack([x for x, _ in pairs]))
+            preds = r.learner.predict(X)
             ok &= abs(weighted_error(preds, truths, entry.weights) - 0.5) < 1e-10
     elapsed = time.time() - started
     _criterion(3, "stump boosting is bit-identical to brute-force enumeration",
@@ -128,22 +126,23 @@ def test_criterion_4_error_bound_over_random_runs():
             xs.append(x)
         if len(set(ys)) < 2:
             ys[0] = 1 - ys[0]
-        ensemble, log = boost_train(list(zip(xs, ys)),
+        X, labels = np.stack(xs), np.array(ys)
+        ensemble, log = boost_train(X, labels,
                                     BoostConfig(rounds=5, seed=rng.randint(0, 10**6)),
                                     stump_factory)
         bound = math.prod(2 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
-        final = staged_train_error(ensemble, list(zip(xs, ys)))[-1]
+        final = staged_train_error(ensemble, X, labels)[-1]
         ok &= final <= bound + 1e-12
         checked += 1
     # 8 boosted-LSTM runs on planted-signal data
     for k in range(8):
-        train_pairs, _ = _prepare(80, seed=100 + k, signal=2.0 + 0.25 * k)
+        train, _ = _prepare(80, seed=100 + k, signal=2.0 + 0.25 * k)
         cfg = BoostConfig(rounds=5,
                           train=TrainConfig(max_epochs=6, hidden_dim=4),
                           seed=200 + k)
-        ensemble, log = boost_train(train_pairs, cfg, lstm_factory(cfg.train))
+        ensemble, log = boost_train(*train, cfg, lstm_factory(cfg.train))
         bound = math.prod(2 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
-        final = staged_train_error(ensemble, train_pairs)[-1]
+        final = staged_train_error(ensemble, *train)[-1]
         ok &= final <= bound + 1e-12
         checked += 1
     elapsed = time.time() - started
@@ -162,12 +161,11 @@ def test_criterion_5_first_learner_loss_drops(signal_run):
 
 def test_criterion_6_ensemble_beats_majority_and_improves(signal_run):
     ensemble = signal_run["ensemble"]
-    test_pairs = signal_run["test"]
-    preds, _ = ensemble_predict(ensemble, np.stack([x for x, _ in test_pairs]))
-    truths = [y for _, y in test_pairs]
+    X_test, truths = signal_run["test"]
+    preds, _ = ensemble_predict(ensemble, X_test)
     accuracy = float(np.mean(np.array(preds) == np.array(truths)))
     baseline = majority_rate(truths)
-    staged = staged_train_error(ensemble, signal_run["train"])
+    staged = staged_train_error(ensemble, *signal_run["train"])
     monotone = all(b <= a + 0.02 for a, b in zip(staged, staged[1:]))
     ok = accuracy >= baseline + 0.10 and monotone
     _criterion(6, "ensemble beats the majority baseline by >= 10 points and "
@@ -178,11 +176,10 @@ def test_criterion_6_ensemble_beats_majority_and_improves(signal_run):
 
 def test_criterion_7_null_signal_stays_near_chance():
     started = time.time()
-    train_pairs, test_pairs = _prepare(1000, seed=1, signal=0.0)
+    train, (X_test, truths) = _prepare(1000, seed=1, signal=0.0)
     cfg = BoostConfig(rounds=10, train=TrainConfig(), seed=1)
-    ensemble, _ = boost_train(train_pairs, cfg, lstm_factory(cfg.train))
-    preds, _ = ensemble_predict(ensemble, np.stack([x for x, _ in test_pairs]))
-    truths = [y for _, y in test_pairs]
+    ensemble, _ = boost_train(*train, cfg, lstm_factory(cfg.train))
+    preds, _ = ensemble_predict(ensemble, X_test)
     accuracy = float(np.mean(np.array(preds) == np.array(truths)))
     baseline = majority_rate(truths)
     elapsed = time.time() - started
@@ -203,13 +200,12 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
         for name in ("model.json", "report.json", "loss_curve.csv", "boost_log.csv"))
 
     # save -> load -> predict equals in-memory predictions, exactly
-    train_pairs, _ = _prepare(100, seed=9, signal=4.0)
+    train, _ = _prepare(100, seed=9, signal=4.0)
     cfg = BoostConfig(rounds=2, train=TrainConfig(max_epochs=6, hidden_dim=6), seed=9)
-    ensemble, _ = boost_train(train_pairs, cfg, lstm_factory(cfg.train))
-    records = gen_synthetic(100, seed=77, signal_strength=4.0)
-    examples = encode(records, TargetSpec())
-    std = fit_standardizer(examples)
-    feats = np.stack([ex.features for ex in apply_standardizer(std, examples)])
+    ensemble, _ = boost_train(*train, cfg, lstm_factory(cfg.train))
+    raw = encode(gen_synthetic(100, seed=77, signal_strength=4.0), TargetSpec())
+    std = fit_standardizer(raw)
+    feats = apply_standardizer(std, raw)
     in_memory = ensemble_predict(ensemble, feats)
     bundle = ModelBundle(ensemble=ensemble, target=TargetSpec(),
                          standardizer=std, sequence_mode="single")

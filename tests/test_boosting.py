@@ -15,8 +15,9 @@ from vrboost.lstm import TrainConfig
 from vrboost.numerics import Rng
 
 
-def _pairs(xs, ys):
-    return [(np.array([float(x)]), y) for x, y in zip(xs, ys)]
+def _matrix(xs, ys):
+    """(X, labels) of a 1-D fixture: one feature column."""
+    return np.array(xs, dtype=float)[:, None], np.array(ys)
 
 
 def test_init_weights_uniform():
@@ -86,10 +87,9 @@ def test_update_weights_neutrality():
 @pytest.mark.parametrize("name", sorted(ORACLE_FIXTURES))
 def test_boost_train_matches_enumeration_oracle(name):
     xs, ys = ORACLE_FIXTURES[name]
-    pairs = _pairs(xs, ys)
+    X, labels = _matrix(xs, ys)
     cfg = BoostConfig(rounds=3, seed=0)
-    ensemble, log = boost_train(pairs, cfg, stump_factory)
-    X = np.array([[float(x)] for x in xs])
+    ensemble, log = boost_train(X, labels, cfg, stump_factory)
     expected = oracle_boost(X, ys, rounds=3)
 
     assert len(log) == len(expected)
@@ -107,17 +107,16 @@ def test_boost_train_matches_enumeration_oracle(name):
 
 
 def test_boost_train_separable_stops_early():
-    xs, ys = ORACLE_FIXTURES["separable"]
-    ensemble, log = boost_train(_pairs(xs, ys), BoostConfig(rounds=5, seed=0),
-                                stump_factory)
+    X, labels = _matrix(*ORACLE_FIXTURES["separable"])
+    ensemble, log = boost_train(X, labels, BoostConfig(rounds=5, seed=0), stump_factory)
     assert len(ensemble.rounds) == 1
     assert log[0].epsilon <= 1e-10
-    assert staged_train_error(ensemble, _pairs(xs, ys)) == [0.0]
+    assert staged_train_error(ensemble, X, labels) == [0.0]
 
 
 def test_boost_train_deterministic():
-    xs, ys = ORACLE_FIXTURES["classic_ten"]
-    runs = [boost_train(_pairs(xs, ys), BoostConfig(rounds=3, seed=4), stump_factory)
+    X, labels = _matrix(*ORACLE_FIXTURES["classic_ten"])
+    runs = [boost_train(X, labels, BoostConfig(rounds=3, seed=4), stump_factory)
             for _ in range(2)]
     for a, b in zip(runs[0][1], runs[1][1]):
         assert (a.epsilon, a.alpha) == (b.epsilon, b.alpha)
@@ -126,22 +125,25 @@ def test_boost_train_deterministic():
 
 def test_boost_train_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        boost_train([], BoostConfig(rounds=1), stump_factory)
-    single_class = [(np.array([float(i)]), 1) for i in range(4)]
+        boost_train(np.zeros((0, 1)), np.zeros(0, dtype=int), BoostConfig(rounds=1),
+                    stump_factory)
+    with pytest.raises(ValueError, match="N labels"):
+        boost_train(np.zeros((4, 1)), np.array([0, 1, 0]), BoostConfig(rounds=1),
+                    stump_factory)
     with pytest.raises(DataError):
-        boost_train(single_class, BoostConfig(rounds=1), stump_factory)
+        boost_train(*_matrix(range(4), [1] * 4), BoostConfig(rounds=1), stump_factory)
 
 
 def test_boost_train_gives_up_when_nothing_beats_chance():
     # identical inputs with opposite labels: every stump sits at exactly 0.5
-    pairs = [(np.array([0.0]), 1), (np.array([0.0]), 0)]
+    X, labels = _matrix([0, 0], [1, 0])
     with pytest.raises(TrainingError, match="beat chance"):
-        boost_train(pairs, BoostConfig(rounds=3, seed=0), stump_factory)
+        boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
 
 
 def test_weight_invariants_after_each_round():
-    xs, ys = ORACLE_FIXTURES["eight_mixed"]
-    _, log = boost_train(_pairs(xs, ys), BoostConfig(rounds=3, seed=0), stump_factory)
+    X, labels = _matrix(*ORACLE_FIXTURES["eight_mixed"])
+    _, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
     for entry in log:
         assert entry.epsilon < 0.5
         assert entry.alpha > 0
@@ -179,24 +181,22 @@ def test_ensemble_predict_tie_margin_is_negative_label():
 
 
 def test_staged_error_prefix_consistency_and_bound():
-    xs, ys = ORACLE_FIXTURES["classic_ten"]
-    pairs = _pairs(xs, ys)
-    ensemble, log = boost_train(pairs, BoostConfig(rounds=3, seed=0), stump_factory)
-    staged = staged_train_error(ensemble, pairs)
+    X, labels = _matrix(*ORACLE_FIXTURES["classic_ten"])
+    ensemble, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
+    staged = staged_train_error(ensemble, X, labels)
     assert len(staged) == len(ensemble.rounds)
     for k in range(1, len(ensemble.rounds) + 1):
         prefix = Ensemble(rounds=ensemble.rounds[:k])
-        preds, _ = ensemble_predict(prefix, np.stack([x for x, _ in pairs]))
-        manual = np.mean([p != y for p, y in zip(preds, [y for _, y in pairs])])
+        preds, _ = ensemble_predict(prefix, X)
+        manual = np.mean([p != y for p, y in zip(preds, labels)])
         assert staged[k - 1] == pytest.approx(manual, abs=1e-15)
     bound = math.prod(2.0 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
     assert staged[-1] <= bound + 1e-12
 
 
 def test_margin_scaling_leaves_labels_unchanged():
-    xs, ys = ORACLE_FIXTURES["eight_mixed"]
-    pairs = _pairs(xs, ys)
-    ensemble, _ = boost_train(pairs, BoostConfig(rounds=3, seed=0), stump_factory)
+    X, labels = _matrix(*ORACLE_FIXTURES["eight_mixed"])
+    ensemble, _ = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
     scaled = Ensemble(rounds=[BoostRound(3.7 * r.alpha, r.learner)
                               for r in ensemble.rounds])
     points = np.linspace(-2, 10, 30)[:, None]
@@ -211,28 +211,25 @@ def test_signed_label_mapping():
 def test_stump_fit_multifeature():
     # second feature carries the rule; the first is noise
     rng = Rng(3)
-    xs, ys = [], []
+    rows, ys = [], []
     for _ in range(30):
         informative = rng.uniform(-1, 1)
-        xs.append(np.array([rng.uniform(-1, 1), informative]))
+        rows.append([rng.uniform(-1, 1), informative])
         ys.append(1 if informative > 0.2 else -1)
-    stump = DecisionStump().fit(xs, np.array(ys), init_weights(30))
+    X = np.array(rows)
+    stump = DecisionStump().fit(X, np.array(ys), init_weights(30))
     assert stump.feature == 1
-    preds = stump.predict(np.stack(xs))
+    preds = stump.predict(X)
     assert weighted_error(preds, np.array(ys), init_weights(30)) == 0.0
 
 
 def test_lstm_weak_learner_integration():
-    rng = Rng(6)
-    pairs = []
-    for _ in range(16):
-        x = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        pairs.append((x, 1 if x[0] > 0 else 0))
+    X = Rng(6).uniform_array((16, 2), -1, 1)
+    labels = (X[:, 0] > 0).astype(int)
     cfg = BoostConfig(rounds=2, train=TrainConfig(max_epochs=3, hidden_dim=3), seed=1)
-    runs = [boost_train(pairs, cfg, lstm_factory(cfg.train)) for _ in range(2)]
+    runs = [boost_train(X, labels, cfg, lstm_factory(cfg.train)) for _ in range(2)]
     (ens_a, log_a), (ens_b, log_b) = runs
     assert [e.epsilon for e in log_a] == [e.epsilon for e in log_b]
-    X = np.stack([x for x, _ in pairs])
     la, ma = ensemble_predict(ens_a, X)
     lb, mb = ensemble_predict(ens_b, X)
     assert np.array_equal(la, lb) and np.array_equal(ma, mb)

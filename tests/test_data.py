@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from vrboost.data import (COLUMNS, EncodedExample, RawRecord, TargetSpec,
-                          apply_standardizer, encode, encode_features,
-                          fit_standardizer, gen_synthetic, load_csv,
+from vrboost.data import (COLUMNS, NUMERIC_FEATURE_INDICES, N_FEATURES, RawRecord,
+                          TargetSpec, apply_standardizer, encode, encode_features,
+                          encode_labels, fit_standardizer, gen_synthetic, load_csv,
                           majority_rate, signal_score, split_indices,
                           synthetic_bayes_rate, write_csv)
 from vrboost.errors import DataError
@@ -128,41 +131,44 @@ def test_encode_labels_and_layout():
     records = [RawRecord(40, "Male", "HTC Vive", 13.59850823, 8, 5),
                RawRecord(43, "Female", "HTC Vive", 19.95081498, 2, 2)]
     spec = TargetSpec("ImmersionLevel", 4)
-    examples = encode(records, spec)
-    assert [ex.label for ex in examples] == [1, 0]
-    feats = examples[0].features
-    assert feats.shape == (9,)
+    X = encode(records, spec)
+    assert encode_labels(records, spec).tolist() == [1, 0]
+    assert X.shape == (2, 9) and X.dtype == np.float64
+    feats = X[0]
     assert feats[0] == 40.0 and feats[1] == 13.59850823
     assert feats[2] == 8.0  # leftover score column, target excluded
     assert np.array_equal(feats[3:6], [1.0, 0.0, 0.0])  # Male one-hot
     assert np.array_equal(feats[6:9], [1.0, 0.0, 0.0])  # HTC Vive one-hot
-    assert len({ex.features.shape for ex in examples}) == 1
+    assert np.array_equal(X[1], encode_features(records[1], spec))
 
 
 @pytest.mark.filterwarnings("ignore:all labels identical")
 def test_encode_motion_sickness_target():
     record = RawRecord(40, "Other", "Oculus Rift", 10.0, 8, 5)
     spec = TargetSpec("MotionSickness", 6)
-    example = encode([record], spec)[0]
-    assert example.label == 1
-    assert example.features[2] == 5.0  # immersion becomes the leftover feature
+    assert encode_labels([record], spec).tolist() == [1]
+    assert encode([record], spec)[0, 2] == 5.0  # immersion becomes the leftover feature
 
 
 def test_encode_warns_on_single_class():
     records = [RawRecord(30, "Male", "HTC Vive", 10.0, 5, 5),
                RawRecord(31, "Female", "Oculus Rift", 11.0, 5, 5)]
     with pytest.warns(UserWarning, match="identical"):
-        encode(records, TargetSpec("ImmersionLevel", 4))
+        encode_labels(records, TargetSpec("ImmersionLevel", 4))
 
 
 def test_encode_requires_target_values():
     record = RawRecord(30, "Male", "HTC Vive", 10.0, 5, None)
     with pytest.raises(DataError, match="ImmersionLevel"):
-        encode([record], TargetSpec("ImmersionLevel", 4))
-    # ...and the leftover score column is a feature, so it is required too
+        encode_labels([record], TargetSpec("ImmersionLevel", 4))
+    # features never need the target column...
+    assert encode([record], TargetSpec("ImmersionLevel", 4)).shape == (1, 9)
+    # ...but the leftover score column is a feature, so it is required
     record = RawRecord(30, "Male", "HTC Vive", 10.0, None, 5)
     with pytest.raises(DataError, match="MotionSickness"):
         encode_features(record, TargetSpec("ImmersionLevel", 4))
+    with pytest.raises(DataError, match="MotionSickness"):
+        encode([record], TargetSpec("ImmersionLevel", 4))
 
 
 def test_target_spec_validation():
@@ -216,28 +222,82 @@ def test_split_stratified_preserves_class_ratios():
 
 
 def test_standardizer_hand_case():
-    examples = [EncodedExample(np.array([1.0, 1.0, 0.0]), 0),
-                EncodedExample(np.array([3.0, 1.0, 0.0]), 1)]
-    std = fit_standardizer(examples, indices=(0, 1, 2))
+    X = np.array([[1.0, 1.0, 0.0],
+                  [3.0, 1.0, 0.0]])
+    std = fit_standardizer(X, indices=(0, 1, 2))
     assert std.means[0] == 2.0 and std.stds[0] == 1.0
     assert std.constant == (False, True, True)
-    out = apply_standardizer(std, examples)
-    assert [ex.features[0] for ex in out] == [-1.0, 1.0]
-    assert all(ex.features[1] == 1.0 for ex in out)  # constant passes through
+    out = apply_standardizer(std, X)
+    assert out[:, 0].tolist() == [-1.0, 1.0]
+    assert np.all(out[:, 1] == 1.0)  # constant passes through
+
+
+def test_standardizer_flags_a_constant_column_whose_mean_rounds():
+    # np.mean of three 0.1s is 0.10000000000000002, whose std would be 1.4e-17
+    X = np.full((3, 3), 0.1)
+    std = fit_standardizer(X, indices=(0, 1, 2))
+    assert std.constant == (True, True, True)
+    assert std.stds.tolist() == [0.0] * 3
+    assert apply_standardizer(std, X).tobytes() == X.tobytes()
 
 
 def test_standardizer_normalizes_train_columns():
     records = gen_synthetic(200, seed=9, signal_strength=1.0)
-    examples = encode(records, TargetSpec())
-    std = fit_standardizer(examples)
-    out = apply_standardizer(std, examples)
-    X = np.stack([ex.features for ex in out])
+    raw = encode(records, TargetSpec())
+    std = fit_standardizer(raw)
+    X = apply_standardizer(std, raw)
     for idx in (0, 1, 2):
         assert abs(X[:, idx].mean()) < 1e-10
         assert abs(X[:, idx].std() - 1.0) < 1e-10
     # one-hot block untouched
-    raw = np.stack([ex.features for ex in examples])
     assert np.array_equal(X[:, 3:], raw[:, 3:])
+
+
+# numeric values up to 1e150, so that squared deviations of 40 rows stay finite
+_NUMERIC = st.floats(-1e150, 1e150, allow_nan=False)
+
+
+@st.composite
+def _training_matrices(draw):
+    """Finite (N, 9) matrices: each numeric column one repeated value (a
+    quarter of them) or arbitrary values; the one-hot block 0/1."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for idx in range(N_FEATURES):
+        if idx not in NUMERIC_FEATURE_INDICES:
+            columns.append(draw(arrays(float, n, elements=st.sampled_from([0.0, 1.0]))))
+        elif draw(st.integers(0, 3)) == 0:
+            columns.append(np.full(n, draw(_NUMERIC)))
+        else:
+            columns.append(draw(arrays(float, n, elements=_NUMERIC)))
+    return np.column_stack(columns)
+
+
+@settings(max_examples=60)
+@given(_training_matrices())
+def test_standardizer_invariants(X):
+    before = X.copy()
+    std = fit_standardizer(X)
+    out = apply_standardizer(std, X)
+    assert X.tobytes() == before.tobytes()  # the input is not mutated
+    assert out.shape == X.shape
+    one_hot = [idx for idx in range(N_FEATURES) if idx not in std.indices]
+    assert out[:, one_hot].tobytes() == X[:, one_hot].tobytes()
+    for j, idx in enumerate(std.indices):
+        col = X[:, idx].tolist()
+        assert std.constant[j] == (std.stds[j] == 0.0)
+        if len(set(col)) == 1:
+            assert std.constant[j]
+        if std.constant[j]:
+            assert out[:, idx].tobytes() == X[:, idx].tobytes()
+            continue
+        mu, sd = float(std.means[j]), float(std.stds[j])
+        want = np.array([(x - mu) / sd for x in col])
+        assert out[:, idx].tobytes() == want.tobytes()  # the scalar formula, bit for bit
+        # the moments, where the column's spread is not lost to rounding of its values
+        if sd >= 1e-4 * max(abs(x) for x in col):
+            assert abs(float(np.mean(out[:, idx]))) <= 1e-9
+            assert abs(float(np.std(out[:, idx])) - 1.0) <= 1e-9
 
 
 def test_gen_synthetic_determinism_and_ranges(tmp_path):

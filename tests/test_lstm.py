@@ -6,7 +6,7 @@ import pytest
 from lstm_oracle import LstmState, forward_sequence, forward_step
 from vrboost.errors import TrainingError
 from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
-                          init_params, learning_rate, param_keys, to_sequence,
+                          init_params, learning_rate, param_keys, step_dim,
                           train_weak_learner, weighted_loss)
 from vrboost.numerics import Rng
 
@@ -139,8 +139,8 @@ def test_forced_gates_keep_cell_state():
 
 def test_sequence_zero_params_gives_half():
     params = _zeroed(4, 3)
-    seq = [np.ones(4), -np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])]
-    prob, _, trace = PackedLstm.from_params(params).forward(seq)
+    x = np.concatenate([np.ones(4), -np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
+    prob, _, trace = PackedLstm.from_params(params).forward(x)
     assert prob == 0.5
     assert len(trace) == 3
 
@@ -160,9 +160,9 @@ def test_sequence_matches_independent_reimplementation():
     rng = Rng(31)
     for _ in range(5):
         params = init_params(3, 4, rng)
-        seq = [rng.uniform_array((3,), -2, 2) for _ in range(4)]
-        prob, _, _ = PackedLstm.from_params(params).forward(seq)
-        assert prob == pytest.approx(_reference_forward(params, seq), abs=1e-12)
+        x = rng.uniform_array((4 * 3,), -2, 2)
+        prob, _, _ = PackedLstm.from_params(params).forward(x)
+        assert prob == pytest.approx(_reference_forward(params, x.reshape(4, 3)), abs=1e-12)
 
 
 def test_sequence_rejects_empty():
@@ -186,9 +186,9 @@ def test_weighted_loss_clamps():
 def test_backward_zero_weight_gives_zero_gradient():
     rng = Rng(8)
     params = init_params(2, 3, rng)
-    seq = [rng.uniform_array((2,), -1, 1) for _ in range(3)]
+    x = rng.uniform_array((3 * 2,), -1, 1)
     kernel = PackedLstm.from_params(params)
-    prob, h_last, trace = kernel.forward(seq)
+    prob, h_last, trace = kernel.forward(x)
     kernel.backward(prob, 1, 0.0, h_last, trace)
     for key in param_keys():
         assert np.all(kernel.grads[key] == 0.0)
@@ -198,9 +198,9 @@ def test_backward_head_bias_closed_form():
     rng = Rng(18)
     for y in (0, 1):
         params = init_params(3, 4, rng)
-        seq = [rng.uniform_array((3,), -1, 1) for _ in range(2)]
+        x = rng.uniform_array((2 * 3,), -1, 1)
         kernel = PackedLstm.from_params(params)
-        prob, h_last, trace = kernel.forward(seq)
+        prob, h_last, trace = kernel.forward(x)
         w = 1.7
         kernel.backward(prob, y, w, h_last, trace)
         assert kernel.grads["b_head"][0] == pytest.approx(w * (prob - y), abs=1e-15)
@@ -213,9 +213,9 @@ def test_gradients_match_finite_differences():
     for _ in range(10):
         dim, hid, steps = rng.randint(1, 5), rng.randint(1, 8), rng.randint(1, 4)
         params = init_params(dim, hid, rng)
-        seq = [rng.uniform_array((dim,), -2.0, 2.0) for _ in range(steps)]
+        x = rng.uniform_array((steps * dim,), -2.0, 2.0)
         y, w = rng.randint(0, 1), rng.uniform(0.5, 2.0)
-        worst = max(worst, grad_check(params, seq, y, w, eps=1e-5))
+        worst = max(worst, grad_check(params, x, y, w, eps=1e-5))
     assert worst < 1e-4
 
 
@@ -223,21 +223,21 @@ def test_gradients_match_finite_differences():
 def test_grad_check_detects_broken_gate(gate):
     rng = Rng(55)
     params = init_params(3, 5, rng)
-    seq = [rng.uniform_array((3,), -2, 2) for _ in range(3)]
-    assert grad_check(params, seq, 1, 1.0, break_gate=gate) > 1e-2
+    x = rng.uniform_array((3 * 3,), -2, 2)
+    assert grad_check(params, x, 1, 1.0, break_gate=gate) > 1e-2
 
 
 def test_grad_check_zero_weight_returns_zero():
     rng = Rng(13)
     params = init_params(2, 3, rng)
-    seq = [rng.uniform_array((2,), -1, 1)]
-    assert grad_check(params, seq, 1, 0.0) == 0.0
+    x = rng.uniform_array((2,), -1, 1)
+    assert grad_check(params, x, 1, 0.0) == 0.0
 
 
 def test_grad_check_validates_eps():
     params = init_params(1, 1, Rng(0))
     with pytest.raises(ValueError):
-        grad_check(params, [np.zeros(1)], 1, 1.0, eps=0.1)
+        grad_check(params, np.zeros(1), 1, 1.0, eps=0.1)
 
 
 # --- schedule and training ------------------------------------------------
@@ -264,80 +264,83 @@ def test_train_config_validation():
 
 
 def _toy_examples(n, seed):
-    # planted rule: label follows the sign of the first feature
-    rng = Rng(seed)
-    examples = []
-    for _ in range(n):
-        x = np.array([rng.uniform(-1, 1), rng.uniform(-1, 1)])
-        examples.append((to_sequence(x), 1 if x[0] > 0 else 0))
-    return examples
+    """(X, labels) of n two-feature rows, read as one step each (D = 2).
+    Planted rule: label follows the sign of the first feature."""
+    X = Rng(seed).uniform_array((n, 2), -1, 1)
+    return X, (X[:, 0] > 0).astype(int)
 
 
 def test_training_reduces_loss():
-    examples = _toy_examples(120, 3)
-    weights = np.full(len(examples), 1.0 / len(examples))
+    X, labels = _toy_examples(120, 3)
+    weights = np.full(len(X), 1.0 / len(X))
     cfg = TrainConfig(max_epochs=12, hidden_dim=6, seed=5)
-    _, curve = train_weak_learner(examples, weights, cfg)
+    _, curve = train_weak_learner(X, labels, weights, cfg, 2)
     assert len(curve.losses) == 12
     assert curve.losses[-1] < curve.losses[0]
     assert all(l >= 0 and math.isfinite(l) for l in curve.losses)
 
 
 def test_training_weight_scale_invariance():
-    examples = _toy_examples(30, 7)
+    X, labels = _toy_examples(30, 7)
     cfg = TrainConfig(max_epochs=3, hidden_dim=4, seed=2)
     base = np.full(30, 0.1)
     scaled = np.full(30, 0.1 * 7.3)
-    p1, c1 = train_weak_learner(examples, base, cfg)
-    p2, c2 = train_weak_learner(examples, scaled, cfg)
+    p1, c1 = train_weak_learner(X, labels, base, cfg, 2)
+    p2, c2 = train_weak_learner(X, labels, scaled, cfg, 2)
     for key in param_keys():
         assert p1.arrays[key].tobytes() == p2.arrays[key].tobytes()
     assert c1.losses == c2.losses
 
 
 def test_training_deterministic():
-    examples = _toy_examples(25, 11)
+    X, labels = _toy_examples(25, 11)
     weights = np.full(25, 1.0 / 25)
     cfg = TrainConfig(max_epochs=2, hidden_dim=3, seed=4)
-    p1, c1 = train_weak_learner(examples, weights, cfg)
-    p2, c2 = train_weak_learner(examples, weights, cfg)
+    p1, c1 = train_weak_learner(X, labels, weights, cfg, 2)
+    p2, c2 = train_weak_learner(X, labels, weights, cfg, 2)
     for key in param_keys():
         assert p1.arrays[key].tobytes() == p2.arrays[key].tobytes()
     assert c1.losses == c2.losses and c1.learning_rates == c2.learning_rates
 
 
 def test_training_single_epoch_curve():
-    examples = _toy_examples(10, 1)
+    X, labels = _toy_examples(10, 1)
     weights = np.full(10, 0.1)
-    _, curve = train_weak_learner(examples, weights, TrainConfig(max_epochs=1, hidden_dim=2))
+    _, curve = train_weak_learner(X, labels, weights, TrainConfig(max_epochs=1, hidden_dim=2), 2)
     assert len(curve.losses) == 1
 
 
 def test_training_rejects_empty_and_bad_weights():
+    cfg = TrainConfig(max_epochs=1)
     with pytest.raises(ValueError):
-        train_weak_learner([], np.array([]), TrainConfig(max_epochs=1))
-    examples = _toy_examples(4, 0)
+        train_weak_learner(np.zeros((0, 2)), np.array([]), np.array([]), cfg, 2)
+    X, labels = _toy_examples(4, 0)
     with pytest.raises(ValueError):
-        train_weak_learner(examples, np.array([1.0, 2.0]), TrainConfig(max_epochs=1))
+        train_weak_learner(X, labels, np.array([1.0, 2.0]), cfg, 2)
     with pytest.raises(ValueError):
-        train_weak_learner(examples, np.array([1.0, -1.0, 1.0, 1.0]),
-                           TrainConfig(max_epochs=1))
+        train_weak_learner(X, labels, np.array([1.0, -1.0, 1.0, 1.0]), cfg, 2)
+    with pytest.raises(ValueError, match="label"):
+        train_weak_learner(X, labels[:3], np.ones(4), cfg, 2)
+
+
+@pytest.mark.parametrize("shape,input_dim", [((4, 3), 2), ((4, 0), 1), ((8,), 1)])
+def test_training_rejects_a_matrix_that_is_not_whole_steps(shape, input_dim):
+    with pytest.raises(ValueError, match="matrix"):
+        train_weak_learner(np.zeros(shape), np.zeros(4, dtype=int), np.ones(4),
+                           TrainConfig(max_epochs=1), input_dim)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
 def test_training_reports_non_finite_loss():
-    examples = _toy_examples(5, 2)
-    examples[2] = ([np.array([np.inf, 1.0])], 1)
+    X, labels = _toy_examples(5, 2)
+    X[2] = [np.inf, 1.0]
     weights = np.full(5, 0.2)
     with pytest.raises(TrainingError, match="epoch"):
-        train_weak_learner(examples, weights, TrainConfig(max_epochs=2, hidden_dim=2))
+        train_weak_learner(X, labels, weights, TrainConfig(max_epochs=2, hidden_dim=2), 2)
 
 
-def test_to_sequence_modes():
-    x = np.array([1.0, 2.0, 3.0])
-    single = to_sequence(x, "single")
-    assert len(single) == 1 and np.array_equal(single[0], x)
-    unrolled = to_sequence(x, "unrolled")
-    assert len(unrolled) == 3 and all(step.shape == (1,) for step in unrolled)
-    with pytest.raises(ValueError):
-        to_sequence(x, "stacked")
+def test_step_dim_modes():
+    assert step_dim("single", 3) == 3  # one step of the whole row
+    assert step_dim("unrolled", 3) == 1  # one feature per step
+    with pytest.raises(ValueError, match="unknown mode 'stacked'"):
+        step_dim("stacked", 3)

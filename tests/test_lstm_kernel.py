@@ -1,7 +1,9 @@
 """The packed kernel against the per-gate reference, bit for bit.
 
 Training is compared with the dict-based loop in lstm_oracle.py; single
-steps are compared with forward_sequence() and backward(). The batched
+steps are compared with forward_sequence() and backward(). The kernel takes
+flat rows of T*D features; the oracle takes the same row as a list of T
+steps, list(row.reshape(-1, D)). The batched
 forward_rows() is compared with the per-row forward() under the drift policy
 of vrboost.lstm: logits within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|),
 equal votes.
@@ -13,18 +15,20 @@ import pytest
 from lstm_oracle import backward, clip_gradient, forward_sequence, oracle_train
 from vrboost.boosting import LstmWeakLearner
 from vrboost.lstm import (GATES, ROW_LOGIT_DRIFT, SCORE_BLOCK_ROWS, PackedLstm,
-                          TrainConfig, init_params, param_keys, to_sequence,
+                          TrainConfig, init_params, param_keys, step_dim,
                           train_weak_learner)
 from vrboost.numerics import Rng
 
 
-def _examples(n, features, mode, seed):
-    rng = Rng(seed)
-    out = []
-    for _ in range(n):
-        x = rng.uniform_array((features,), -2.0, 2.0)
-        out.append((to_sequence(x, mode), int(x[0] + 0.5 * x[-1] > 0)))
-    return out
+def _examples(n, features, seed):
+    """(X, labels): n rows of uniform(-2, 2) features and a planted rule."""
+    X = Rng(seed).uniform_array((n, features), -2.0, 2.0)
+    return X, (X[:, 0] + 0.5 * X[:, -1] > 0).astype(int)
+
+
+def _oracle_examples(X, labels, input_dim):
+    """The oracle's (sequence, label) pairs of the rows of X."""
+    return [(list(x.reshape(-1, input_dim)), int(y)) for x, y in zip(X, labels)]
 
 
 def _weights(n, seed):
@@ -54,11 +58,13 @@ TRAIN_CASES = [
 @pytest.mark.parametrize("features,mode,hidden,seed,overrides", TRAIN_CASES)
 def test_training_matches_dict_oracle_bit_for_bit(features, mode, hidden, seed, overrides):
     n = 40
-    examples = _examples(n, features, mode, seed)
+    X, labels = _examples(n, features, seed)
     weights = _weights(n, seed)
     cfg = TrainConfig(**{"max_epochs": 2, "hidden_dim": hidden, "seed": seed, **overrides})
-    params, curve = train_weak_learner(examples, weights, cfg)
-    want_params, want_curve, clipped = oracle_train(examples, weights, cfg)
+    dim = step_dim(mode, features)
+    params, curve = train_weak_learner(X, labels, weights, cfg, dim)
+    want_params, want_curve, clipped = oracle_train(_oracle_examples(X, labels, dim),
+                                                    weights, cfg)
     _assert_same_bits(params.arrays, want_params.arrays)
     assert curve.losses == want_curve.losses
     assert curve.learning_rates == want_curve.learning_rates
@@ -69,14 +75,41 @@ def test_training_matches_dict_oracle_bit_for_bit(features, mode, hidden, seed, 
 def test_sequences_of_vectors_match_dict_oracle():
     # T > 1 with D > 1: neither CLI mode produces this shape, the kernel allows it
     rng = Rng(21)
-    examples = [([rng.uniform_array((3,), -2.0, 2.0) for _ in range(4)], rng.randint(0, 1))
-                for _ in range(30)]
+    rows = [(rng.uniform_array((4 * 3,), -2.0, 2.0), rng.randint(0, 1)) for _ in range(30)]
+    X, labels = np.stack([x for x, _ in rows]), np.array([y for _, y in rows])
     weights = _weights(30, 21)
     cfg = TrainConfig(max_epochs=2, hidden_dim=5, seed=21)
-    params, curve = train_weak_learner(examples, weights, cfg)
-    want_params, want_curve, _ = oracle_train(examples, weights, cfg)
+    params, curve = train_weak_learner(X, labels, weights, cfg, 3)
+    want_params, want_curve, _ = oracle_train(_oracle_examples(X, labels, 3), weights, cfg)
     _assert_same_bits(params.arrays, want_params.arrays)
     assert curve.losses == want_curve.losses
+
+
+def _placed(X, row_offset):
+    """A copy of X starting row_offset rows into a 64-byte-aligned buffer."""
+    n, width = X.shape
+    raw = np.zeros((n + row_offset) * width + 8)
+    start = (-raw.ctypes.data % 64) // 8 + row_offset * width
+    out = raw[start:start + n * width].reshape(n, width)
+    out[...] = X
+    return out
+
+
+@pytest.mark.parametrize("mode", ["single", "unrolled"])
+def test_training_does_not_depend_on_row_alignment(mode):
+    # rows of 9 float64 are 72 bytes, so a one-row offset moves every row by
+    # 8 bytes modulo 64: each row is read by BLAS at another alignment
+    X, labels = _examples(40, 9, 6)
+    weights = _weights(40, 6)
+    cfg = TrainConfig(max_epochs=2, hidden_dim=6, seed=6)
+    aligned, shifted = _placed(X, 0), _placed(X, 1)
+    assert (aligned.ctypes.data % 64, shifted.ctypes.data % 64) == (0, 8)
+    dim = step_dim(mode, 9)
+    want_params, want_curve = train_weak_learner(X, labels, weights, cfg, dim)
+    for copy in (aligned, shifted):
+        params, curve = train_weak_learner(copy, labels, weights, cfg, dim)
+        _assert_same_bits(params.arrays, want_params.arrays)
+        assert curve.losses == want_curve.losses
 
 
 def _gradcheck_like_cases(seed, count, min_steps, dims=(1, 5), hiddens=(1, 8)):
@@ -86,18 +119,18 @@ def _gradcheck_like_cases(seed, count, min_steps, dims=(1, 5), hiddens=(1, 8)):
         dim, hid = rng.randint(*dims), rng.randint(*hiddens)
         steps = rng.randint(min_steps, 4)
         params = init_params(dim, hid, rng)
-        seq = [rng.uniform_array((dim,), -2.0, 2.0) for _ in range(steps)]
-        yield params, seq, rng.randint(0, 1), rng.uniform(0.5, 2.0)
+        x = rng.uniform_array((steps * dim,), -2.0, 2.0)
+        yield params, x, rng.randint(0, 1), rng.uniform(0.5, 2.0)
 
 
 @pytest.mark.parametrize("seed,min_steps,dims,hiddens", [
     (11, 1, (1, 5), (1, 8)), (12, 2, (1, 5), (1, 8)), (13, 2, (8, 12), (5, 11))])
 def test_kernel_gradient_equals_backward(seed, min_steps, dims, hiddens):
-    for params, seq, y, w in _gradcheck_like_cases(seed, 10, min_steps, dims, hiddens):
-        want_prob, cache = forward_sequence(params, seq)
+    for params, x, y, w in _gradcheck_like_cases(seed, 10, min_steps, dims, hiddens):
+        want_prob, cache = forward_sequence(params, list(x.reshape(-1, params.input_dim)))
         want = backward(params, cache, y, w)
         kernel = PackedLstm.from_params(params)
-        prob, h_last, trace = kernel.forward(seq)
+        prob, h_last, trace = kernel.forward(x)
         assert prob == want_prob
         kernel.backward(prob, y, w, h_last, trace)
         _assert_same_bits(kernel.grads, want)
@@ -143,7 +176,7 @@ def test_learner_predict_thresholds_reference_probability():
     learner = LstmWeakLearner(TrainConfig(hidden_dim=5), "unrolled")
     learner.params = init_params(1, 5, rng)
     X = rng.uniform_array((20, 9), -3.0, 3.0)
-    want = [1 if forward_sequence(learner.params, to_sequence(x, "unrolled"))[0] >= 0.5
+    want = [1 if forward_sequence(learner.params, list(x.reshape(-1, 1)))[0] >= 0.5
             else -1 for x in X]
     assert learner.predict(X).tolist() == want
 
@@ -164,7 +197,7 @@ def test_forward_rows_within_drift_of_per_row_forward(mode, hidden):
             probs, logits = kernel.forward_rows(X)
             assert probs.shape == logits.shape == (n,)
             for x, prob, logit in zip(X, probs.tolist(), logits.tolist()):
-                want_prob, h, _ = kernel.forward(to_sequence(x, mode))
+                want_prob, h, _ = kernel.forward(x)
                 want_logit = float(kernel.w_head @ h) + float(kernel.b_head[0])
                 assert abs(logit - want_logit) <= ROW_LOGIT_DRIFT * scale
                 assert (prob >= 0.5) == (want_prob >= 0.5)

@@ -39,7 +39,7 @@ def bundles(draw):
                        standardizer=standardizer, sequence_mode=mode)
 
 
-@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(bundles())
 def test_save_load_round_trip_is_bit_exact(tmp_path_factory, bundle):
     first = tmp_path_factory.getbasetemp() / "first.json"
