@@ -15,8 +15,8 @@ from .data import (RawRecord, Standardizer, TargetSpec, apply_standardizer,
                    synthetic_bayes_rate, write_csv)
 from .errors import DataError, TrainingError, VrboostError
 from .lstm import (LossCurve, LstmParams, PackedLstm, TrainConfig, grad_check,
-                   init_params, learning_rate, step_dim, train_weak_learner,
-                   weighted_loss)
+                   init_params, learning_rate, live_keys, step_dim,
+                   train_weak_learner, weighted_loss)
 from .metrics import (ConfusionMatrix, MetricReport, confusion,
                       correct_incorrect, f1_score, scores)
 from .numerics import Rng, sigmoid

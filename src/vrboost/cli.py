@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 failed gradient check, 2 usage, 3 data/schema,
 """
 
 import argparse
+import json
 import os
 import sys
 
@@ -23,7 +24,7 @@ from .boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
 from .errors import DataError, TrainingError
 from .lstm import GATES, TrainConfig, grad_check, init_params
 from .metrics import confusion, correct_incorrect, scores
-from .model import ModelBundle, load_model, save_model, write_json
+from .model import ModelBundle, load_model, save_model
 from .numerics import Rng
 
 GRADCHECK_TOLERANCE = 1e-4
@@ -33,6 +34,12 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_DATA, EXIT_TRAINING, EXIT_IO = 0, 1
 
 
 # --- commands ---------------------------------------------------------------
+
+def write_json(doc: dict, path: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
 
 def _evaluation_block(preds, truths) -> dict:
     cm = confusion(preds, truths)

@@ -108,7 +108,8 @@ def load_csv(path, optional_column: str | None = None) -> list:
     The header must contain exactly the six schema names, in any order;
     optional_column (a score column) may be absent, in which case that field
     is None on every record. A leading UTF-8 byte-order mark is skipped.
-    Scores must lie in SCORE_RANGES: MotionSickness 1..10, ImmersionLevel 1..5.
+    Scores must lie in SCORE_RANGES: MotionSickness 1..10, ImmersionLevel 1..5;
+    Age must be a non-negative integer that converts to a finite float64.
     Raises DataError for schema problems, with the line number for
     row-level ones.
     """
@@ -146,6 +147,10 @@ def load_csv(path, optional_column: str | None = None) -> list:
             age = _parse_int(cell("Age"), "Age", line_no)
             if age < 0:
                 raise DataError(f"line {line_no}: column Age: must be >= 0")
+            try:
+                float(age)  # encode_features reads Age as a float64
+            except OverflowError:
+                raise DataError(f"line {line_no}: column Age: too large for a float64") from None
             duration = _parse_float(cell("Duration"), "Duration", line_no)
             if duration < 0:
                 raise DataError(f"line {line_no}: column Duration: must be >= 0")
@@ -276,16 +281,23 @@ def split_indices(n: int, ratio: float, seed: int, labels=None,
 
 
 def fit_standardizer(X, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
-    """Fit per-column mean and population stddev on the training matrix X only."""
+    """Fit per-column mean and population stddev on the training matrix X only.
+
+    Raises DataError when a column's mean or std overflows float64.
+    """
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise ValueError("fit_standardizer: empty training set")
     means, stds, constant = [], [], []
     for idx in indices:
         col = X[:, idx]
-        mu = float(np.mean(col))
-        # the rounded mean can miss a repeated value by an ulp: that column has std 0
-        sd = float(np.sqrt(np.mean((col - mu) ** 2))) if np.any(col != col[0]) else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            mu = float(np.mean(col))
+            # the rounded mean can miss a repeated value by an ulp: that column has std 0
+            sd = float(np.sqrt(np.mean((col - mu) ** 2))) if np.any(col != col[0]) else 0.0
+        if not (math.isfinite(mu) and math.isfinite(sd)):
+            raise DataError(f"standardizer: feature {idx} has mean {mu!r} and std {sd!r}, "
+                            f"which must be finite")
         means.append(mu)
         stds.append(sd)
         constant.append(sd == 0.0)

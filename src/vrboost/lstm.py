@@ -11,7 +11,8 @@ PackedLstm is the cell: one contiguous float64 vector holding W (4H, D),
 U (4H, H) and b (4H) with the gate blocks stacked in GATES order, then
 w_head (H) and b_head (1), plus a gradient buffer of the same layout, so an
 update is one clip over the whole vector and one `theta -= lr * grad`.
-LstmParams is its serialized form, a dict of 14 per-key arrays. Per-example
+LstmParams is its per-key form, a dict of 14 arrays, of which a model file
+stores the live_keys() of its sequence mode. Per-example
 SGD and grad_check's finite-difference audit run forward(), one example at a
 time; every prediction (each boosting round's in-sample predict, the train
 report, evaluate and predict) runs forward_rows() over a matrix of rows.
@@ -171,6 +172,22 @@ def step_dim(mode: str, width: int) -> int:
     raise ValueError(f"step_dim: unknown mode {mode!r}")
 
 
+def live_keys(mode: str) -> tuple:
+    """The param_keys() arrays a sequence mode trains, and so the ones a model file stores.
+
+    "single" runs one step from a zero state: the forget gate multiplies a
+    zero cell state and every U a zero hidden state, so their gradients are
+    exact zeros and W_forget, b_forget and the four U_* keep their initial
+    values. Only input, output and candidate W and b and the head are live.
+    "unrolled" trains all of them.
+    """
+    if mode == "single":
+        return tuple(k for k in param_keys() if not (k.startswith("U_") or k.endswith("_forget")))
+    if mode == "unrolled":
+        return param_keys()
+    raise ValueError(f"live_keys: unknown mode {mode!r}")
+
+
 def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int) -> tuple:
     """Views W (4H, D), U (4H, H), b (4H), w_head (H), b_head (1) of a packed vector."""
     d, h = input_dim, hidden_dim
@@ -234,10 +251,16 @@ class PackedLstm:
 
     @classmethod
     def from_params(cls, params: LstmParams) -> "PackedLstm":
-        """Pack a copy of params; raises ValueError on any array of the wrong shape."""
+        """Pack a copy of params; the arrays it does not hold stay zero.
+
+        Raises ValueError on an unknown key or an array of the wrong shape.
+        """
         kernel = cls(params.input_dim, params.hidden_dim)
-        for key, view in kernel.params.arrays.items():
-            arr = np.asarray(params.arrays[key], dtype=float)
+        views = kernel.params.arrays
+        for key, arr in params.arrays.items():
+            if key not in views:
+                raise ValueError(f"unknown array {key!r}")
+            view, arr = views[key], np.asarray(arr, dtype=float)
             if arr.shape != view.shape:
                 raise ValueError(f"array {key} has shape {arr.shape}, expected {view.shape}")
             view[...] = arr

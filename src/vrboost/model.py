@@ -1,8 +1,12 @@
 """The model file: a versioned JSON bundle of the ensemble and its preprocessing.
 
-Every float is written as decimal text at 17 significant digits, which
-round-trips any float64 exactly. load_model checks everything scoring relies
-on, so a model that does not fit its data fails before any row is scored.
+Format v2, the one save_model writes, is compact JSON with every float a JSON
+number: Python writes the shortest text that round-trips a float64 exactly.
+Each learner stores only the arrays its sequence mode trains,
+lstm.live_keys(). Format v1 (every float as a string of 17 significant
+digits, all 14 arrays per learner) still loads; its dead arrays are ignored.
+load_model checks everything scoring relies on, so a model that does not fit
+its data fails before any row is scored.
 """
 
 import json
@@ -14,26 +18,10 @@ import numpy as np
 from . import data as data_mod
 from .boosting import NEGATIVE, POSITIVE, BoostRound, Ensemble, LstmWeakLearner
 from .errors import DataError
-from .lstm import LstmParams, TrainConfig, param_keys, step_dim
+from .lstm import LstmParams, TrainConfig, live_keys, step_dim
 
-MODEL_FORMAT_VERSION = 1
-
-
-def write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _fmt(value: float) -> str:
-    # decimal text at 17 significant digits round-trips any float64 exactly
-    return format(float(value), ".17g")
-
-
-def _fmt_array(arr: np.ndarray):
-    if arr.ndim == 1:
-        return [_fmt(v) for v in arr]
-    return [[_fmt(v) for v in row] for row in arr]
+MODEL_FORMAT_VERSION = 2
+READABLE_FORMAT_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -47,20 +35,21 @@ class ModelBundle:
 
 
 def save_model(bundle: ModelBundle, path: str) -> None:
-    """Versioned JSON; every float as decimal text with 17 significant digits."""
+    """Format v2: compact JSON, floats as JSON numbers, live arrays only."""
     std = bundle.standardizer
+    keys = live_keys(bundle.sequence_mode)
     rounds = []
     for r in bundle.ensemble.rounds:
         if not isinstance(r.learner, LstmWeakLearner):
             raise ValueError("save_model: only LSTM weak learners are serializable")
         params = r.learner.params
         rounds.append({
-            "alpha": _fmt(r.alpha),
+            "alpha": float(r.alpha),
             "learner": {
                 "type": "lstm",
                 "input_dim": params.input_dim,
                 "hidden_dim": params.hidden_dim,
-                "arrays": {k: _fmt_array(params.arrays[k]) for k in param_keys()},
+                "arrays": {k: params.arrays[k].tolist() for k in keys},
             },
         })
     doc = {
@@ -72,17 +61,25 @@ def save_model(bundle: ModelBundle, path: str) -> None:
         "sequence_mode": bundle.sequence_mode,
         "standardizer": {
             "indices": list(std.indices),
-            "means": [_fmt(v) for v in std.means],
-            "stds": [_fmt(v) for v in std.stds],
+            "means": std.means.tolist(),
+            "stds": std.stds.tolist(),
             "constant": list(std.constant),
         },
         "rounds": rounds,
     }
-    write_json(doc, path)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, separators=(",", ":"))
+        fh.write("\n")
 
 
 def load_model(path: str) -> ModelBundle:
-    """Inverse of save_model. Any malformed content raises DataError.
+    """Inverse of save_model, for format v1 and v2. Any malformed content raises DataError.
+
+    Each learner reads only the live_keys() arrays of its sequence mode and is
+    packed with the others at zero, which scores exactly as the trained
+    values: a one-step learner's forget gate multiplies a zero cell state
+    and its U a zero hidden state. A v2 learner must store exactly the live
+    arrays; a v1 learner's others are ignored.
 
     Everything scoring relies on is checked here, so that a model which does
     not fit its data fails before any row is scored: each learner's input
@@ -98,8 +95,9 @@ def load_model(path: str) -> ModelBundle:
     except json.JSONDecodeError as exc:
         raise DataError(f"could not parse model file {path}: {exc}") from None
     try:
-        if doc["format_version"] != MODEL_FORMAT_VERSION:
-            raise DataError(f"unsupported model format version {doc['format_version']}")
+        version = doc["format_version"]
+        if type(version) is not int or version not in READABLE_FORMAT_VERSIONS:
+            raise DataError(f"unsupported model format version {version!r}")
         target = data_mod.TargetSpec(target_column=doc["target"]["column"],
                                      threshold=_typed(doc["target"]["threshold"], int))
         std_doc = doc["standardizer"]
@@ -112,6 +110,7 @@ def load_model(path: str) -> ModelBundle:
         _validate_standardizer(standardizer)
         sequence_mode = doc["sequence_mode"]
         dim = step_dim(sequence_mode, data_mod.N_FEATURES)
+        keys = live_keys(sequence_mode)
         rounds = []
         for number, entry in enumerate(doc["rounds"], start=1):
             learner_doc = entry["learner"]
@@ -123,9 +122,13 @@ def load_model(path: str) -> ModelBundle:
                 raise DataError(f"round {number}: input_dim {input_dim} does not fit "
                                 f"sequence_mode {sequence_mode!r}, whose steps have "
                                 f"{dim} features")
+            stored = learner_doc["arrays"]
+            if version == 2 and set(stored) != set(keys):
+                raise DataError(f"round {number}: arrays {sorted(stored)} are not the "
+                                f"{sequence_mode!r} arrays {sorted(keys)}")
             arrays = {}
-            for key in param_keys():
-                arr = np.array(learner_doc["arrays"][key], dtype=float)
+            for key in keys:
+                arr = np.array(stored[key], dtype=float)
                 if not np.all(np.isfinite(arr)):
                     raise DataError(f"round {number}: array {key} is not finite")
                 arrays[key] = arr

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from boost_oracle import FIXTURES as ORACLE_FIXTURES
 from boost_oracle import oracle_boost, oracle_margins
@@ -82,6 +84,32 @@ def test_update_weights_neutrality():
         assert abs(math.fsum(updated) - 1.0) < 1e-12
         assert np.all(updated >= 0)
         assert weighted_error(preds, truths, updated) == pytest.approx(0.5, abs=1e-10)
+
+
+@st.composite
+def _accepted_rounds(draw):
+    """(d, preds, truths) of a round boost_train accepts: 0 < eps < 1/2."""
+    n = draw(st.integers(2, 20))
+    raw = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=n, max_size=n)))
+    d = raw / math.fsum(raw)
+    signs = st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)
+    truths, preds = np.array(draw(signs)), np.array(draw(signs))
+    if weighted_error(preds, truths, d) > 0.5:
+        preds = -preds  # the flipped learner errs on exactly the other rows
+    eps = weighted_error(preds, truths, d)
+    assume(0.0 < eps < 0.5)
+    return d, preds, truths
+
+
+@settings(max_examples=60)
+@given(_accepted_rounds())
+def test_update_weights_properties(round_):
+    # an accepted round has eps < 1/2; near 1 the rounding of 1 - eps grows
+    d, preds, truths = round_
+    updated = update_weights(d, alpha(weighted_error(preds, truths, d)), preds, truths)
+    assert np.all(updated > 0)
+    assert abs(math.fsum(updated) - 1.0) <= 4 * math.ulp(1.0)
+    assert abs(weighted_error(preds, truths, updated) - 0.5) <= 4 * math.ulp(0.5)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_FIXTURES))

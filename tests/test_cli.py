@@ -319,9 +319,9 @@ def _drop_last_input_column(doc):
     for entry in doc["rounds"]:
         learner = entry["learner"]
         learner["input_dim"] -= 1
-        for gate in ("forget", "input", "output", "candidate"):
-            key = f"W_{gate}"
-            learner["arrays"][key] = [row[:-1] for row in learner["arrays"][key]]
+        for key, arr in learner["arrays"].items():
+            if key.startswith("W_"):
+                learner["arrays"][key] = [row[:-1] for row in arr]
 
 
 def _set(path, value):
@@ -343,6 +343,17 @@ def _nest_w_head(doc):
     arrays["w_head"] = [[v] for v in arrays["w_head"]]
 
 
+def _add_dead_u_forget(doc):
+    # the trained model is a v2 `single` model, whose learners store no U
+    arrays = doc["rounds"][1]["learner"]["arrays"]
+    hidden = len(arrays["w_head"])
+    arrays["U_forget"] = [[0.0] * hidden for _ in range(hidden)]
+
+
+def _drop_live_b_output(doc):
+    del doc["rounds"][0]["learner"]["arrays"]["b_output"]
+
+
 INVALID_MODELS = {
     "input_dim_8_single": _drop_last_input_column,
     "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
@@ -357,13 +368,16 @@ INVALID_MODELS = {
     "standardizer_lengths_differ": _set(["standardizer", "constant"], [False, False]),
     "label_convention_both_1": _set(["label_convention", "negative"], 1),
     "w_input_ragged_row": _drop_last_w_input_entry,
-    "weight_not_a_number": _set(["rounds", 0, "learner", "arrays", "W_forget", 0, 0], "abc"),
+    "weight_not_a_number": _set(["rounds", 0, "learner", "arrays", "W_output", 0, 0], "abc"),
     "w_head_extra_nesting": _nest_w_head,
     "b_head_null": _set(["rounds", 0, "learner", "arrays", "b_head", 0], None),
     "standardizer_duplicate_index": _set(["standardizer", "indices", 1], 0),
     "standardizer_constant_string": _set(["standardizer", "constant", 0], "false"),
     "standardizer_index_float": _set(["standardizer", "indices", 1], 1.9),
     "input_dim_float": _set(["rounds", 0, "learner", "input_dim"], 9.0),
+    "v2_single_stores_dead_array": _add_dead_u_forget,
+    "v2_single_lacks_live_array": _drop_live_b_output,
+    "format_version_3": _set(["format_version"], 3),
 }
 
 

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vrboost.data import (COLUMNS, NUMERIC_FEATURE_INDICES, N_FEATURES, RawRecord,
-                          TargetSpec, apply_standardizer, encode, encode_features,
-                          encode_labels, fit_standardizer, gen_synthetic, load_csv,
-                          majority_rate, signal_score, split_indices,
+from vrboost import cli
+from vrboost.data import (COLUMNS, GENDERS, HEADSETS, NUMERIC_FEATURE_INDICES, N_FEATURES,
+                          SCORE_RANGES, RawRecord, TargetSpec, apply_standardizer, encode,
+                          encode_features, encode_labels, fit_standardizer, gen_synthetic,
+                          load_csv, majority_rate, signal_score, split_indices,
                           synthetic_bayes_rate, write_csv)
 from vrboost.errors import DataError
 
@@ -79,6 +80,17 @@ def test_load_csv_row_errors_carry_line_numbers(tmp_path):
         load_csv(bad_age)
 
 
+def test_load_csv_rejects_an_age_beyond_float64(tmp_path):
+    # 309 digits still convert (1e308 < max float64); 400 overflow
+    fits = _write(tmp_path, HEADER + "\n" + "9" * 308 + ",Male,HTC Vive,1.0,8,5\n", "a.csv")
+    assert load_csv(fits)[0].age == int("9" * 308)
+    huge = _write(tmp_path, HEADER + "\n" + SAMPLE_ROWS[0] + "\n"
+                  + "9" * 400 + ",Male,HTC Vive,1.0,8,5\n", "b.csv")
+    with pytest.raises(DataError, match="line 3: column Age: too large"):
+        load_csv(huge)
+    assert cli.main(["train", "--data", str(huge), "--out-dir", str(tmp_path / "run")]) == 3
+
+
 def test_load_csv_rejects_scores_out_of_range(tmp_path):
     bad = [("40,Male,HTC Vive,13.5,999,5", "MotionSickness"),
            ("40,Male,HTC Vive,13.5,0,5", "MotionSickness"),
@@ -112,6 +124,27 @@ def test_csv_round_trip_exact(tmp_path):
     second = tmp_path / "second.csv"
     write_csv(loaded, second)
     assert first.read_bytes() == second.read_bytes()
+
+
+_RECORDS = st.lists(st.builds(
+    RawRecord,
+    age=st.integers(0, 10 ** 300),
+    gender=st.sampled_from(GENDERS),
+    vr_headset=st.sampled_from(HEADSETS),
+    # every non-negative finite float64: -0.0, subnormals and 1.8e308 included
+    duration=st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False),
+    motion_sickness=st.integers(*SCORE_RANGES["MotionSickness"]),
+    immersion_level=st.integers(*SCORE_RANGES["ImmersionLevel"])), min_size=1, max_size=8)
+
+
+@settings(max_examples=40)
+@given(_RECORDS)
+def test_csv_write_load_round_trip_property(tmp_path_factory, records):
+    path = tmp_path_factory.getbasetemp() / "records.csv"
+    write_csv(records, path)
+    loaded = load_csv(path)
+    assert loaded == records
+    assert [repr(r.duration) for r in loaded] == [repr(r.duration) for r in records]
 
 
 def test_crlf_line_endings(tmp_path):
@@ -239,6 +272,32 @@ def test_standardizer_flags_a_constant_column_whose_mean_rounds():
     assert std.constant == (True, True, True)
     assert std.stds.tolist() == [0.0] * 3
     assert apply_standardizer(std, X).tobytes() == X.tobytes()
+
+
+def test_standardizer_rejects_a_column_whose_moments_overflow():
+    X = np.zeros((4, N_FEATURES))
+    X[:, 1] = [1e308, 5e307, 1e308, 5e307]  # finite values whose sum is not
+    with pytest.raises(DataError, match="feature 1"):
+        fit_standardizer(X)
+    X[:, 1] = [1e300, -1e300, 1e300, -1e300]  # a finite mean, squares that are not
+    with pytest.raises(DataError, match="feature 1"):
+        fit_standardizer(X)
+
+
+def test_train_on_overflowing_durations_exits_3_before_any_learner_trains(tmp_path,
+                                                                          monkeypatch):
+    records = gen_synthetic(40, seed=3, signal_strength=4.0)
+    for k, record in enumerate(records):
+        record.duration = 1e308 if k % 2 else 5e307
+    path = tmp_path / "data.csv"
+    write_csv(records, path)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a learner was trained")
+
+    monkeypatch.setattr(cli, "boost_train", no_training)
+    assert cli.main(["train", "--data", str(path), "--out-dir", str(tmp_path / "run")]) == 3
+    assert not (tmp_path / "run").exists()
 
 
 def test_standardizer_normalizes_train_columns():

@@ -6,8 +6,8 @@ import pytest
 from lstm_oracle import LstmState, forward_sequence, forward_step
 from vrboost.errors import TrainingError
 from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
-                          init_params, learning_rate, param_keys, step_dim,
-                          train_weak_learner, weighted_loss)
+                          init_params, learning_rate, live_keys, param_keys,
+                          step_dim, train_weak_learner, weighted_loss)
 from vrboost.numerics import Rng
 
 
@@ -321,6 +321,18 @@ def test_training_rejects_empty_and_bad_weights():
         train_weak_learner(X, labels, np.array([1.0, -1.0, 1.0, 1.0]), cfg, 2)
     with pytest.raises(ValueError, match="label"):
         train_weak_learner(X, labels[:3], np.ones(4), cfg, 2)
+
+
+def test_single_step_training_leaves_every_dead_array_at_its_initial_value():
+    # a model file stores only live_keys("single"); the rest must never train
+    X, labels = _toy_examples(40, 6)
+    cfg = TrainConfig(max_epochs=3, hidden_dim=4, seed=8, initial_lr=0.5)
+    trained, _ = train_weak_learner(X, labels, np.full(40, 1 / 40), cfg, step_dim("single", 2))
+    initial = init_params(2, 4, Rng(cfg.seed))
+    for key in param_keys():
+        same = trained.arrays[key].tobytes() == initial.arrays[key].tobytes()
+        assert same != (key in live_keys("single")), key
+    assert live_keys("unrolled") == param_keys()
 
 
 @pytest.mark.parametrize("shape,input_dim", [((4, 3), 2), ((4, 0), 1), ((8,), 1)])
