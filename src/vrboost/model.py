@@ -95,8 +95,8 @@ def load_model(path: str) -> ModelBundle:
     except json.JSONDecodeError as exc:
         raise DataError(f"could not parse model file {path}: {exc}") from None
     try:
-        version = doc["format_version"]
-        if type(version) is not int or version not in READABLE_FORMAT_VERSIONS:
+        version = _typed(doc["format_version"], int)
+        if version not in READABLE_FORMAT_VERSIONS:
             raise DataError(f"unsupported model format version {version!r}")
         target = data_mod.TargetSpec(target_column=doc["target"]["column"],
                                      threshold=_typed(doc["target"]["threshold"], int))
