@@ -33,7 +33,7 @@ print("  new hidden state ->", h_last, f"  probability {prob}")
 #    open (bias +50) and let the candidate follow the input (tanh(x)): with
 #    the input gate open (bias +50) the cell adds tanh(0.5) = 0.46 on every
 #    step; slam it shut (bias -50) and nothing gets in.
-arrays = kernel.params.arrays  # per-gate views of the packed vector
+arrays = kernel.arrays  # per-gate views of the packed vector
 arrays["b_forget"][...] = 50.0
 arrays["W_candidate"][:, 0] = 1.0
 sequence = np.full(4 * 3, 0.5)  # 4 steps of 3 features
@@ -48,15 +48,15 @@ for label, bias in (("open", 50.0), ("shut", -50.0)):
 # 3. A small random cell driving the sigmoid head: probabilities live
 #    strictly inside (0, 1) and the trace keeps what backward() needs.
 rng = Rng(42)
-params = init_params(input_dim=3, hidden_dim=4, rng=rng)
+kernel = init_params(input_dim=3, hidden_dim=4, rng=rng)
 sequence = rng.uniform_array((5 * 3,), -1, 1)
-prob, _, trace = PackedLstm.from_params(params).forward(sequence)
+prob, _, trace = kernel.forward(sequence)
 print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({len(trace)} steps traced)")
 
 # ---------------------------------------------------------------------------
 # 4. The backward pass is exact. Compare every parameter's gradient against
 #    central finite differences: the worst relative error is tiny, and
 #    deliberately zeroing one gate's gradient is caught immediately.
-err = grad_check(params, sequence, y=1, w=1.0)
-broken = grad_check(params, sequence, y=1, w=1.0, break_gate="candidate")
+err = grad_check(kernel, sequence, y=1, w=1.0)
+broken = grad_check(kernel, sequence, y=1, w=1.0, break_gate="candidate")
 print(f"\ngradient check: healthy {err:.2e}, candidate gate zeroed {broken:.2e}")

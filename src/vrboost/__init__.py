@@ -14,7 +14,7 @@ from .data import (RawRecord, Standardizer, TargetSpec, apply_standardizer,
                    gen_synthetic, load_csv, majority_rate, split_indices,
                    synthetic_bayes_rate, write_csv)
 from .errors import DataError, TrainingError, VrboostError
-from .lstm import (LossCurve, LstmParams, PackedLstm, TrainConfig, grad_check,
+from .lstm import (LossCurve, PackedLstm, TrainConfig, grad_check,
                    init_params, learning_rate, live_keys, step_dim,
                    train_weak_learner, weighted_loss)
 from .metrics import (ConfusionMatrix, MetricReport, confusion,

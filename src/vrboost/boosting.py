@@ -2,8 +2,8 @@
 
 Rounds train on an evolving sample distribution; each accepted round gets a
 vote alpha = 0.5*ln((1-eps)/eps), the stagewise minimizer of the exponential
-loss of the additive model. Labels are {0,1} at the data layer and {-1,+1}
-inside the loop; the convention is recorded on the trained ensemble.
+loss of the additive model. Labels are {0,1} at the data layer (POSITIVE
+and NEGATIVE) and {-1,+1} inside the loop.
 
 A decision stump learner lives here as an exhaustively-optimizable companion
 so boosting runs can be checked against brute-force enumeration.
@@ -94,11 +94,9 @@ class BoostRound:
 
 @dataclass
 class Ensemble:
-    """Trained additive model: alpha-weighted weak learners plus label convention."""
+    """Trained additive model: alpha-weighted weak learners."""
 
     rounds: list
-    positive_label: int = POSITIVE
-    negative_label: int = NEGATIVE
 
 
 @dataclass
@@ -171,7 +169,7 @@ def ensemble_predict(ensemble: Ensemble, X) -> tuple:
     X = np.asarray(X, dtype=float)
     votes = np.array([r.alpha * r.learner.predict(X) for r in ensemble.rounds])
     margins = np.array([math.fsum(row) for row in votes.T.tolist()])
-    labels = np.where(margins > 0, ensemble.positive_label, ensemble.negative_label)
+    labels = np.where(margins > 0, POSITIVE, NEGATIVE)
     return labels, margins
 
 
@@ -244,37 +242,28 @@ class LstmWeakLearner:
 
     A feature row is read as a sequence under sequence_mode (lstm.step_dim);
     prediction thresholds the head probability at 0.5 (>= 0.5 maps to +1),
-    not the logit at 0: a logit just below 0 can round to probability 0.5. Setting
-    `params` packs them once into the learner's PackedLstm, which every
-    predict() runs; reading it returns views of that packed vector.
+    not the logit at 0: a logit just below 0 can round to probability 0.5.
+    `kernel` is the PackedLstm that fit() trained or load_model() packed.
     """
 
     def __init__(self, cfg: TrainConfig, sequence_mode: str = "single"):
         self.cfg = cfg
         self.sequence_mode = sequence_mode
-        self._kernel = None
+        self.kernel = None
         self.loss_curve = None
-
-    @property
-    def params(self):
-        return None if self._kernel is None else self._kernel.params
-
-    @params.setter
-    def params(self, params) -> None:
-        self._kernel = lstm_mod.PackedLstm.from_params(params)
 
     def fit(self, X, signed_labels, weights) -> "LstmWeakLearner":
         """Train on the rows of the (N, D) feature matrix X."""
         labels = (np.asarray(signed_labels, dtype=int) + 1) // 2
         input_dim = lstm_mod.step_dim(self.sequence_mode, X.shape[1])
-        self.params, self.loss_curve = lstm_mod.train_weak_learner(
+        self.kernel, self.loss_curve = lstm_mod.train_weak_learner(
             X, labels, weights, self.cfg, input_dim)
         return self
 
     def predict(self, X) -> np.ndarray:
         """One -1/+1 vote per row of the (N, D) feature matrix X, in one batched
         forward."""
-        probs, _ = self._kernel.forward_rows(X)
+        probs, _ = self.kernel.forward_rows(X)
         return np.where(probs >= 0.5, 1, -1)
 
 

@@ -65,6 +65,11 @@ def _evaluate_split(bundle: ModelBundle, X, labels) -> dict:
     return _evaluation_block(preds, labels)
 
 
+def _score_line(name: str, block: dict) -> str:
+    return (f"{name}: accuracy {block['accuracy']:.4f}  precision {block['precision']:.4f}  "
+            f"recall {block['recall']:.4f}  f1 {block['f1']:.4f}")
+
+
 def cmd_gen_data(n: int, seed: int, signal: float, out_path: str) -> int:
     """Write a synthetic dataset and print the link's oracle accuracy."""
     records = data_mod.gen_synthetic(n, seed, signal)
@@ -136,8 +141,7 @@ def cmd_train(opts: dict) -> int:
     for split in ("train", "test"):
         block = report[split]
         note = "  (near chance)" if block["near_chance"] else ""
-        print(f"{split}: accuracy {block['accuracy']:.4f}  precision {block['precision']:.4f}  "
-              f"recall {block['recall']:.4f}  f1 {block['f1']:.4f}{note}")
+        print(_score_line(split, block) + note)
     print(f"artifacts written to {out_dir}")
     return EXIT_OK
 
@@ -155,8 +159,7 @@ def cmd_evaluate(model_path: str, data_path: str, out_path: str) -> int:
     block = _evaluate_split(bundle, _standardized(bundle, records),
                             data_mod.encode_labels(records, bundle.target))
     write_json({"eval": block}, out_path)
-    print(f"eval: accuracy {block['accuracy']:.4f}  precision {block['precision']:.4f}  "
-          f"recall {block['recall']:.4f}  f1 {block['f1']:.4f}")
+    print(_score_line("eval", block))
     print(f"report written to {out_path}")
     return EXIT_OK
 
@@ -191,11 +194,11 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
         input_dim = rng.randint(1, 5)
         hidden_dim = rng.randint(1, 8)
         steps = rng.randint(1, 4)
-        params = init_params(input_dim, hidden_dim, rng)
+        kernel = init_params(input_dim, hidden_dim, rng)
         x = rng.uniform_array((steps * input_dim,), -2.0, 2.0)
         y = rng.randint(0, 1)
         w = rng.uniform(0.5, 2.0)
-        err = grad_check(params, x, y, w, eps=1e-5, break_gate=break_gate)
+        err = grad_check(kernel, x, y, w, eps=1e-5, break_gate=break_gate)
         if verbose:
             print(f"case {case}: D={input_dim} H={hidden_dim} T={steps} "
                   f"max_rel_err={err:.3e}")
@@ -323,13 +326,16 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(with_options=tuple(COMMANDS)) -> argparse.ArgumentParser:
+    """The parser of every command; only those in with_options get their option rows."""
     parser = argparse.ArgumentParser(
         prog="vrboost",
         description="Boosted-LSTM binary classifier for tabular VR experience records")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
+        if command not in with_options:
+            continue
         for name, default, text, *choices in option_rows(command).values():
             # suppressed, so that an absent flag leaves the config file's value
             kwargs = {"default": argparse.SUPPRESS,
@@ -370,8 +376,9 @@ def _dispatch(opts: dict, command: str) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # one call parses one command: the others' option rows are never read
+    args = build_parser(argv[:1]).parse_args(argv)
     try:
         opts = resolve_options(args)
         return _dispatch(opts, args.command)

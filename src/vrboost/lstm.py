@@ -7,15 +7,17 @@ state produces the class probability. Training is per-example SGD on
 weighted binary cross-entropy with a step-decay learning-rate schedule and
 per-update L2 gradient clipping.
 
-PackedLstm is the cell: one contiguous float64 vector holding W (4H, D),
-U (4H, H) and b (4H) with the gate blocks stacked in GATES order, then
-w_head (H) and b_head (1), plus a gradient buffer of the same layout, so an
-update is one clip over the whole vector and one `theta -= lr * grad`.
-LstmParams is its per-key form, a dict of 14 arrays, of which a model file
-stores the live_keys() of its sequence mode. Per-example
-SGD and grad_check's finite-difference audit run forward(), one example at a
-time; every prediction (each boosting round's in-sample predict, the train
-report, evaluate and predict) runs forward_rows() over a matrix of rows.
+PackedLstm is the cell and the one form of its parameters: one contiguous
+float64 vector holding W (4H, D), U (4H, H) and b (4H) with the gate blocks
+stacked in GATES order, then w_head (H) and b_head (1), plus a gradient
+buffer of the same layout, so an update is one clip over the whole vector
+and one `theta -= lr * grad`. Its `arrays` are the 14 per-key views of that
+vector, of which a model file stores the live_keys() of its sequence mode;
+init_params() fills them and train_weak_learner() trains and returns the
+kernel itself. Per-example SGD and grad_check's finite-difference audit run
+forward(), one example at a time; every prediction (each boosting round's
+in-sample predict, the train report, evaluate and predict) runs
+forward_rows() over a matrix of rows.
 
 Row layout: an example is one flat float64 row of T steps of D features laid
 end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
@@ -71,43 +73,6 @@ def param_keys() -> tuple:
         keys += [f"W_{gate}", f"U_{gate}", f"b_{gate}"]
     keys += ["w_head", "b_head"]
     return tuple(keys)
-
-
-@dataclass
-class LstmParams:
-    """All trainable arrays, keyed per param_keys().
-
-    W_<gate> is (H, D), U_<gate> is (H, H), b_<gate> is (H,); the head is
-    w_head (H,) and b_head (1,). Everything float64.
-    """
-
-    input_dim: int
-    hidden_dim: int
-    arrays: dict
-
-    def __getitem__(self, key: str) -> np.ndarray:
-        return self.arrays[key]
-
-
-def init_params(input_dim: int, hidden_dim: int, rng: Rng) -> LstmParams:
-    """Initialize weights uniform in [-1/sqrt(H), 1/sqrt(H)], biases zero.
-
-    The forget-gate bias starts at +1 so the cell does not forget everything
-    before training has a chance to move it. Draw order is fixed: for each
-    gate in GATES order, W then U (row-major); biases are not drawn; head
-    weights last.
-    """
-    if input_dim < 1 or hidden_dim < 1:
-        raise ValueError("init_params: input_dim and hidden_dim must be >= 1")
-    lim = 1.0 / math.sqrt(hidden_dim)
-    arrays = {}
-    for gate in GATES:
-        arrays[f"W_{gate}"] = rng.uniform_array((hidden_dim, input_dim), -lim, lim)
-        arrays[f"U_{gate}"] = rng.uniform_array((hidden_dim, hidden_dim), -lim, lim)
-        arrays[f"b_{gate}"] = np.ones(hidden_dim) if gate == "forget" else np.zeros(hidden_dim)
-    arrays["w_head"] = rng.uniform_array((hidden_dim,), -lim, lim)
-    arrays["b_head"] = np.zeros(1)
-    return LstmParams(input_dim, hidden_dim, arrays)
 
 
 def weighted_loss(prob: float, y: int, w: float) -> float:
@@ -214,8 +179,9 @@ class PackedLstm:
 
     theta holds W (4H, D), U (4H, H) and b (4H), each stacking its gate
     blocks in GATES order, then w_head (H) and b_head (1); grad has the same
-    layout. `params` is an LstmParams whose arrays are views of theta, so
-    it serializes unchanged; `grads` holds the same per-key views of grad.
+    layout. `arrays` holds the param_keys() views of theta: W_<gate> (H, D),
+    U_<gate> (H, H), b_<gate> (H,), w_head (H,) and b_head (1,), which is
+    what a model file stores; `grads` holds the same per-key views of grad.
 
     Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
     forward() returns the probability its forward_sequence() returns,
@@ -235,8 +201,7 @@ class PackedLstm:
         self.theta, self.grad = np.zeros(size), np.zeros(size)
         self._work = np.zeros(size)  # squared gradient, then lr * gradient
         self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h)
-        self.params = LstmParams(d, h, _key_views(self.W, self.U, self.b, self.w_head,
-                                                  self.b_head, h))
+        self.arrays = _key_views(self.W, self.U, self.b, self.w_head, self.b_head, h)
         gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(self.grad, d, h)
         self._g_gates = (gW, gU, gb)
         self.grads = _key_views(gW, gU, gb, self._g_w_head, self._g_b_head, h)
@@ -250,14 +215,15 @@ class PackedLstm:
         self._UT3 = self._U3.transpose(0, 2, 1)
 
     @classmethod
-    def from_params(cls, params: LstmParams) -> "PackedLstm":
-        """Pack a copy of params; the arrays it does not hold stay zero.
+    def from_arrays(cls, input_dim: int, hidden_dim: int, arrays: dict) -> "PackedLstm":
+        """A kernel holding a copy of arrays, keyed per param_keys(); the
+        arrays it is not given stay zero.
 
         Raises ValueError on an unknown key or an array of the wrong shape.
         """
-        kernel = cls(params.input_dim, params.hidden_dim)
-        views = kernel.params.arrays
-        for key, arr in params.arrays.items():
+        kernel = cls(input_dim, hidden_dim)
+        views = kernel.arrays
+        for key, arr in arrays.items():
             if key not in views:
                 raise ValueError(f"unknown array {key!r}")
             view, arr = views[key], np.asarray(arr, dtype=float)
@@ -393,7 +359,26 @@ class PackedLstm:
         return clipped
 
 
-def grad_check(params: LstmParams, x: np.ndarray, y: int, w: float, eps: float = 1e-5,
+def init_params(input_dim: int, hidden_dim: int, rng: Rng) -> PackedLstm:
+    """A kernel with weights uniform in [-1/sqrt(H), 1/sqrt(H)] and biases zero.
+
+    The forget-gate bias starts at +1 so the cell does not forget everything
+    before training has a chance to move it. Draw order is fixed: for each
+    gate in GATES order, W then U (row-major); biases are not drawn; head
+    weights last.
+    """
+    kernel = PackedLstm(input_dim, hidden_dim)
+    lim = 1.0 / math.sqrt(hidden_dim)
+    for gate in GATES:
+        for key in (f"W_{gate}", f"U_{gate}"):
+            view = kernel.arrays[key]
+            view[...] = rng.uniform_array(view.shape, -lim, lim)
+    kernel.w_head[...] = rng.uniform_array((hidden_dim,), -lim, lim)
+    kernel.arrays["b_forget"][...] = 1.0
+    return kernel
+
+
+def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float = 1e-5,
                break_gate: str | None = None) -> float:
     """Max relative error between PackedLstm's BPTT and central finite differences
     on the flat row x.
@@ -402,11 +387,11 @@ def grad_check(params: LstmParams, x: np.ndarray, y: int, w: float, eps: float =
     against (L(theta+eps) - L(theta-eps)) / (2 eps), where L is re-evaluated
     through forward() alone. Relative error is |a - n| / max(|a|, |n|, 1e-8).
     break_gate is a verification hook: naming a gate zeroes that gate's
-    W/U/b gradients so the check can prove it would notice.
+    W/U/b gradients so the check can prove it would notice. The kernel's
+    grad is left holding the analytic gradient; theta ends as it began.
     """
     if not 0.0 < eps <= 1e-3:
         raise ValueError("grad_check: eps must be in (0, 1e-3]")
-    kernel = PackedLstm.from_params(params)
     prob, h_last, trace = kernel.forward(x)
     kernel.backward(prob, y, w, h_last, trace)
     if break_gate is not None:
@@ -429,7 +414,7 @@ def grad_check(params: LstmParams, x: np.ndarray, y: int, w: float, eps: float =
 
 
 def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_dim: int):
-    """Weighted SGD training; returns (LstmParams, LossCurve).
+    """Weighted SGD training; returns (the trained PackedLstm, LossCurve).
 
     X is the (N, T*D) float64 matrix of example rows with D = input_dim;
     labels holds one {0,1} label and weights one non-negative factor per row.
@@ -457,7 +442,7 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     norm_w = weights * n / total
 
     rng = Rng(cfg.seed)
-    kernel = PackedLstm.from_params(init_params(input_dim, cfg.hidden_dim, rng))
+    kernel = init_params(input_dim, cfg.hidden_dim, rng)
     curve = LossCurve()
     for epoch in range(1, cfg.max_epochs + 1):
         lr = learning_rate(cfg, epoch)
@@ -476,4 +461,4 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
             kernel.clip_and_update(lr, cfg.grad_clip)
         curve.losses.append(math.fsum(epoch_losses) / n)
         curve.learning_rates.append(lr)
-    return kernel.params, curve
+    return kernel, curve

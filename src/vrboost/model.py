@@ -18,7 +18,7 @@ import numpy as np
 from . import data as data_mod
 from .boosting import NEGATIVE, POSITIVE, BoostRound, Ensemble, LstmWeakLearner
 from .errors import DataError
-from .lstm import LstmParams, TrainConfig, live_keys, step_dim
+from .lstm import PackedLstm, TrainConfig, live_keys, step_dim
 
 MODEL_FORMAT_VERSION = 2
 READABLE_FORMAT_VERSIONS = (1, 2)
@@ -42,20 +42,19 @@ def save_model(bundle: ModelBundle, path: str) -> None:
     for r in bundle.ensemble.rounds:
         if not isinstance(r.learner, LstmWeakLearner):
             raise ValueError("save_model: only LSTM weak learners are serializable")
-        params = r.learner.params
+        kernel = r.learner.kernel
         rounds.append({
             "alpha": float(r.alpha),
             "learner": {
                 "type": "lstm",
-                "input_dim": params.input_dim,
-                "hidden_dim": params.hidden_dim,
-                "arrays": {k: params.arrays[k].tolist() for k in keys},
+                "input_dim": kernel.input_dim,
+                "hidden_dim": kernel.hidden_dim,
+                "arrays": {k: kernel.arrays[k].tolist() for k in keys},
             },
         })
     doc = {
         "format_version": MODEL_FORMAT_VERSION,
-        "label_convention": {"positive": bundle.ensemble.positive_label,
-                             "negative": bundle.ensemble.negative_label},
+        "label_convention": {"positive": POSITIVE, "negative": NEGATIVE},
         "target": {"column": bundle.target.target_column,
                    "threshold": bundle.target.threshold},
         "sequence_mode": bundle.sequence_mode,
@@ -136,7 +135,7 @@ def load_model(path: str) -> ModelBundle:
             if not math.isfinite(alpha):
                 raise DataError(f"round {number}: alpha {alpha!r} is not finite")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
-            learner.params = LstmParams(input_dim, hidden_dim, arrays)  # checks shapes
+            learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays)  # checks shapes
             rounds.append(BoostRound(alpha=alpha, learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")

@@ -1,10 +1,12 @@
 """The per-gate LSTM reference cell and its dict-based SGD loop.
 
-forward_step, forward_sequence and backward work gate by gate on LstmParams'
-dict of 14 arrays, one `W @ x + U @ h + b` per gate. oracle_train runs them
+forward_step, forward_sequence and backward work gate by gate on a plain
+dict of the 14 param_keys() arrays, one `W @ x + U @ h + b` per gate; none
+of them calls the packed kernel. oracle_train runs them
 per example: forward_sequence -> backward -> clip over the dict of
 gradients -> per-key update, with the same weight normalization, RNG draws,
-shuffle and loss curve as train_weak_learner. The packed kernel in
+shuffle and loss curve as train_weak_learner, on its own copy of the
+arrays init_params() draws. The packed kernel in
 `vrboost.lstm` must reproduce its probabilities, gradients, parameters and
 loss curve bit for bit.
 """
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vrboost.lstm import (GATES, LossCurve, LstmParams, init_params,
-                          learning_rate, param_keys, weighted_loss)
+from vrboost.lstm import (GATES, LossCurve, init_params, learning_rate,
+                          param_keys, weighted_loss)
 from vrboost.numerics import Rng, sigmoid
 
 
@@ -54,7 +56,12 @@ class StepCache:
     prob: float
 
 
-def forward_step(params: LstmParams, x_t: np.ndarray, state: LstmState):
+def copied(arrays: dict) -> dict:
+    """A plain dict holding a copy of each array, for the oracle to own."""
+    return {key: np.array(arr) for key, arr in arrays.items()}
+
+
+def forward_step(params: dict, x_t: np.ndarray, state: LstmState):
     """One cell update; returns the new state and the step's forward trace."""
     x_t = np.asarray(x_t, dtype=float)
     pre = {}
@@ -74,14 +81,14 @@ def forward_step(params: LstmParams, x_t: np.ndarray, state: LstmState):
     return LstmState(h=h, c=c), record
 
 
-def forward_sequence(params: LstmParams, seq) -> tuple:
+def forward_sequence(params: dict, seq) -> tuple:
     """Run the cell over a sequence from a zero state; sigmoid head on h_T.
 
     Returns (probability of class 1, StepCache with the full trace).
     """
     if len(seq) == 0:
         raise ValueError("forward_sequence: empty sequence")
-    state = zero_state(params.hidden_dim)
+    state = zero_state(len(params["w_head"]))
     steps = []
     for x_t in seq:
         state, record = forward_step(params, x_t, state)
@@ -91,25 +98,21 @@ def forward_sequence(params: LstmParams, seq) -> tuple:
     return prob, StepCache(steps=steps, logit=logit, prob=prob)
 
 
-def _zero_grads(params: LstmParams) -> dict:
-    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
-
-
-def backward(params: LstmParams, cache: StepCache, y: int, w: float,
+def backward(params: dict, cache: StepCache, y: int, w: float,
              break_gate: str | None = None) -> dict:
     """Exact gradient of weighted_loss w.r.t. every parameter, via BPTT.
 
     break_gate is a verification hook: naming a gate zeroes that gate's
     W/U/b gradients so finite-difference checks can prove they would notice.
     """
-    grads = _zero_grads(params)
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
     # head: d(loss)/d(logit) for sigmoid + cross-entropy
     dlogit = w * (cache.prob - y)
     h_last = cache.steps[-1].h
     grads["w_head"] += dlogit * h_last
     grads["b_head"] += dlogit
     dh = dlogit * params["w_head"]
-    dc = np.zeros(params.hidden_dim)
+    dc = np.zeros_like(dh)
     for rec in reversed(cache.steps):
         f = rec.gate["forget"]
         i = rec.gate["input"]
@@ -150,13 +153,14 @@ def clip_gradient(grads: dict, max_norm: float) -> None:
 
 
 def oracle_train(examples, weights, cfg):
-    """(LstmParams, LossCurve, clipped updates) of the dict-based training loop."""
+    """(dict of trained arrays, LossCurve, clipped updates) of the dict-based
+    training loop."""
     n = len(examples)
     weights = np.asarray(weights, dtype=float)
     norm_w = weights * n / math.fsum(weights)
     rng = Rng(cfg.seed)
     input_dim = len(np.asarray(examples[0][0][0]))
-    params = init_params(input_dim, cfg.hidden_dim, rng)
+    params = copied(init_params(input_dim, cfg.hidden_dim, rng).arrays)
     curve = LossCurve()
     clipped = 0
     for epoch in range(1, cfg.max_epochs + 1):
@@ -173,7 +177,7 @@ def oracle_train(examples, weights, cfg):
             clip_gradient(grads, cfg.grad_clip)
             clipped += float(grads["b_head"][0]) != head_grad
             for key in param_keys():
-                params.arrays[key] -= lr * grads[key]
+                params[key] -= lr * grads[key]
         curve.losses.append(math.fsum(epoch_losses) / n)
         curve.learning_rates.append(lr)
     return params, curve, clipped

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from lstm_oracle import forward_sequence
 from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
-from vrboost.cli import build_parser, main, option_rows, resolve_options
+from vrboost.cli import COMMANDS, build_parser, main, option_rows, resolve_options
 from vrboost.errors import DataError
 from vrboost.lstm import step_dim
 from vrboost.metrics import f1_score
@@ -439,7 +440,7 @@ def test_predict_matches_per_row_oracle_and_ignores_row_order(tmp_path, mode):
     for line, x in zip(lines, X):
         votes = []
         for r in bundle.ensemble.rounds:
-            prob, _ = forward_sequence(r.learner.params, list(x.reshape(-1, dim)))
+            prob, _ = forward_sequence(r.learner.kernel.arrays, list(x.reshape(-1, dim)))
             votes.append(r.alpha * (1 if prob >= 0.5 else -1))
         margin = math.fsum(votes)
         assert line.split(",")[1:] == [repr(margin), str(1 if margin > 0 else 0)]
@@ -461,7 +462,7 @@ def test_unrolled_train_predict_evaluate_end_to_end(tmp_path):
                  "--out-dir", out]) == 0
     bundle = load_model(out / "model.json")
     assert bundle.sequence_mode == "unrolled"
-    assert all(r.learner.params.input_dim == 1 for r in bundle.ensemble.rounds)
+    assert all(r.learner.kernel.input_dim == 1 for r in bundle.ensemble.rounds)
 
     assert _run(["evaluate", "--model", out / "model.json", "--data", out / "test_split.csv",
                  "--out", "eval.json", "--out-dir", tmp_path]) == 0
@@ -515,3 +516,18 @@ def test_cli_module_help():
     assert proc.returncode == 0
     for verb in ("gen-data", "train", "evaluate", "predict", "gradcheck"):
         assert verb in proc.stdout
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_lists_every_command_and_every_flag_of_the_invoked_one(capsys, command):
+    # main adds only the invoked command's option rows to the parser
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"] if command is None else [command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    if command is None:
+        for verb in ("gen-data", "train", "evaluate", "predict", "gradcheck"):
+            assert verb in out
+    else:
+        for name in option_rows(command):
+            assert re.search(rf"--{name.replace('_', '-')}(?![\w-])", out), name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lstm_oracle import LstmState, forward_sequence, forward_step
+from lstm_oracle import LstmState, copied, forward_sequence, forward_step
 from vrboost.errors import TrainingError
 from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
                           init_params, learning_rate, live_keys, param_keys,
@@ -12,16 +12,14 @@ from vrboost.numerics import Rng
 
 
 def _zeroed(input_dim, hidden_dim):
-    params = init_params(input_dim, hidden_dim, Rng(0))
-    for key in param_keys():
-        params.arrays[key] = np.zeros_like(params.arrays[key])
-    return params
+    """The oracle's dict of all-zero arrays."""
+    return copied(PackedLstm(input_dim, hidden_dim).arrays)
 
 
-def _reference_forward(params, seq):
+def _reference_forward(kernel, seq):
     """Step-by-step scalar re-implementation of the recurrence and head."""
-    arrays = {k: np.asarray(v).tolist() for k, v in params.arrays.items()}
-    hid, dim = params.hidden_dim, params.input_dim
+    arrays = {k: np.asarray(v).tolist() for k, v in kernel.arrays.items()}
+    hid, dim = kernel.hidden_dim, kernel.input_dim
 
     def sig(z):
         if z >= 0:
@@ -107,14 +105,14 @@ def test_step_hand_value_with_unit_cell():
 
 def test_step_saturated_forget_gate_retains_cell():
     params = _zeroed(1, 1)
-    params.arrays["b_forget"] = np.array([50.0])
+    params["b_forget"] = np.array([50.0])
     state, _ = forward_step(params, np.zeros(1), LstmState(np.zeros(1), np.ones(1)))
     assert state.c[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gate_boundedness():
     rng = Rng(4)
-    params = init_params(3, 5, rng)
+    params = copied(init_params(3, 5, rng).arrays)
     state = LstmState(np.zeros(5), np.zeros(5))
     for _ in range(6):
         state, rec = forward_step(params, rng.uniform_array((3,), -3, 3), state)
@@ -128,9 +126,9 @@ def test_gate_boundedness():
 def test_forced_gates_keep_cell_state():
     # saturate forget open and input shut: the cell must pass through
     rng = Rng(21)
-    params = init_params(2, 3, rng)
-    params.arrays["b_forget"] = np.full(3, 50.0)
-    params.arrays["b_input"] = np.full(3, -50.0)
+    params = copied(init_params(2, 3, rng).arrays)
+    params["b_forget"] = np.full(3, 50.0)
+    params["b_input"] = np.full(3, -50.0)
     c = rng.uniform_array((3,), -1, 1)
     state, _ = forward_step(params, rng.uniform_array((2,), -1, 1),
                             LstmState(rng.uniform_array((3,), -0.5, 0.5), c))
@@ -138,16 +136,15 @@ def test_forced_gates_keep_cell_state():
 
 
 def test_sequence_zero_params_gives_half():
-    params = _zeroed(4, 3)
     x = np.concatenate([np.ones(4), -np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
-    prob, _, trace = PackedLstm.from_params(params).forward(x)
+    prob, _, trace = PackedLstm(4, 3).forward(x)
     assert prob == 0.5
     assert len(trace) == 3
 
 
 def test_sequence_single_step_composition():
     rng = Rng(15)
-    params = init_params(3, 4, rng)
+    params = copied(init_params(3, 4, rng).arrays)
     x = rng.uniform_array((3,), -1, 1)
     prob, cache = forward_sequence(params, [x])
     state, rec = forward_step(params, x, LstmState(np.zeros(4), np.zeros(4)))
@@ -159,15 +156,15 @@ def test_sequence_single_step_composition():
 def test_sequence_matches_independent_reimplementation():
     rng = Rng(31)
     for _ in range(5):
-        params = init_params(3, 4, rng)
+        kernel = init_params(3, 4, rng)
         x = rng.uniform_array((4 * 3,), -2, 2)
-        prob, _, _ = PackedLstm.from_params(params).forward(x)
-        assert prob == pytest.approx(_reference_forward(params, x.reshape(4, 3)), abs=1e-12)
+        prob, _, _ = kernel.forward(x)
+        assert prob == pytest.approx(_reference_forward(kernel, x.reshape(4, 3)), abs=1e-12)
 
 
 def test_sequence_rejects_empty():
     with pytest.raises(ValueError):
-        forward_sequence(init_params(2, 2, Rng(0)), [])
+        forward_sequence(_zeroed(2, 2), [])
 
 
 # --- loss and gradients ---------------------------------------------------
@@ -185,9 +182,8 @@ def test_weighted_loss_clamps():
 
 def test_backward_zero_weight_gives_zero_gradient():
     rng = Rng(8)
-    params = init_params(2, 3, rng)
+    kernel = init_params(2, 3, rng)
     x = rng.uniform_array((3 * 2,), -1, 1)
-    kernel = PackedLstm.from_params(params)
     prob, h_last, trace = kernel.forward(x)
     kernel.backward(prob, 1, 0.0, h_last, trace)
     for key in param_keys():
@@ -197,9 +193,8 @@ def test_backward_zero_weight_gives_zero_gradient():
 def test_backward_head_bias_closed_form():
     rng = Rng(18)
     for y in (0, 1):
-        params = init_params(3, 4, rng)
+        kernel = init_params(3, 4, rng)
         x = rng.uniform_array((2 * 3,), -1, 1)
-        kernel = PackedLstm.from_params(params)
         prob, h_last, trace = kernel.forward(x)
         w = 1.7
         kernel.backward(prob, y, w, h_last, trace)
@@ -212,32 +207,31 @@ def test_gradients_match_finite_differences():
     worst = 0.0
     for _ in range(10):
         dim, hid, steps = rng.randint(1, 5), rng.randint(1, 8), rng.randint(1, 4)
-        params = init_params(dim, hid, rng)
+        kernel = init_params(dim, hid, rng)
         x = rng.uniform_array((steps * dim,), -2.0, 2.0)
         y, w = rng.randint(0, 1), rng.uniform(0.5, 2.0)
-        worst = max(worst, grad_check(params, x, y, w, eps=1e-5))
+        worst = max(worst, grad_check(kernel, x, y, w, eps=1e-5))
     assert worst < 1e-4
 
 
 @pytest.mark.parametrize("gate", GATES)
 def test_grad_check_detects_broken_gate(gate):
     rng = Rng(55)
-    params = init_params(3, 5, rng)
+    kernel = init_params(3, 5, rng)
     x = rng.uniform_array((3 * 3,), -2, 2)
-    assert grad_check(params, x, 1, 1.0, break_gate=gate) > 1e-2
+    assert grad_check(kernel, x, 1, 1.0, break_gate=gate) > 1e-2
 
 
 def test_grad_check_zero_weight_returns_zero():
     rng = Rng(13)
-    params = init_params(2, 3, rng)
+    kernel = init_params(2, 3, rng)
     x = rng.uniform_array((2,), -1, 1)
-    assert grad_check(params, x, 1, 0.0) == 0.0
+    assert grad_check(kernel, x, 1, 0.0) == 0.0
 
 
 def test_grad_check_validates_eps():
-    params = init_params(1, 1, Rng(0))
     with pytest.raises(ValueError):
-        grad_check(params, np.zeros(1), 1, 1.0, eps=0.1)
+        grad_check(init_params(1, 1, Rng(0)), np.zeros(1), 1, 1.0, eps=0.1)
 
 
 # --- schedule and training ------------------------------------------------

@@ -11,8 +11,11 @@ equal votes.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lstm_oracle import backward, clip_gradient, forward_sequence, oracle_train
+from lstm_oracle import backward, clip_gradient, copied, forward_sequence, oracle_train
 from vrboost.boosting import LstmWeakLearner
 from vrboost.lstm import (GATES, ROW_LOGIT_DRIFT, SCORE_BLOCK_ROWS, PackedLstm,
                           TrainConfig, init_params, param_keys, step_dim,
@@ -62,10 +65,10 @@ def test_training_matches_dict_oracle_bit_for_bit(features, mode, hidden, seed, 
     weights = _weights(n, seed)
     cfg = TrainConfig(**{"max_epochs": 2, "hidden_dim": hidden, "seed": seed, **overrides})
     dim = step_dim(mode, features)
-    params, curve = train_weak_learner(X, labels, weights, cfg, dim)
+    kernel, curve = train_weak_learner(X, labels, weights, cfg, dim)
     want_params, want_curve, clipped = oracle_train(_oracle_examples(X, labels, dim),
                                                     weights, cfg)
-    _assert_same_bits(params.arrays, want_params.arrays)
+    _assert_same_bits(kernel.arrays, want_params)
     assert curve.losses == want_curve.losses
     assert curve.learning_rates == want_curve.learning_rates
     if "grad_clip" in overrides:
@@ -79,9 +82,9 @@ def test_sequences_of_vectors_match_dict_oracle():
     X, labels = np.stack([x for x, _ in rows]), np.array([y for _, y in rows])
     weights = _weights(30, 21)
     cfg = TrainConfig(max_epochs=2, hidden_dim=5, seed=21)
-    params, curve = train_weak_learner(X, labels, weights, cfg, 3)
+    kernel, curve = train_weak_learner(X, labels, weights, cfg, 3)
     want_params, want_curve, _ = oracle_train(_oracle_examples(X, labels, 3), weights, cfg)
-    _assert_same_bits(params.arrays, want_params.arrays)
+    _assert_same_bits(kernel.arrays, want_params)
     assert curve.losses == want_curve.losses
 
 
@@ -105,10 +108,10 @@ def test_training_does_not_depend_on_row_alignment(mode):
     aligned, shifted = _placed(X, 0), _placed(X, 1)
     assert (aligned.ctypes.data % 64, shifted.ctypes.data % 64) == (0, 8)
     dim = step_dim(mode, 9)
-    want_params, want_curve = train_weak_learner(X, labels, weights, cfg, dim)
+    want_kernel, want_curve = train_weak_learner(X, labels, weights, cfg, dim)
     for copy in (aligned, shifted):
-        params, curve = train_weak_learner(copy, labels, weights, cfg, dim)
-        _assert_same_bits(params.arrays, want_params.arrays)
+        kernel, curve = train_weak_learner(copy, labels, weights, cfg, dim)
+        _assert_same_bits(kernel.arrays, want_kernel.arrays)
         assert curve.losses == want_curve.losses
 
 
@@ -118,18 +121,18 @@ def _gradcheck_like_cases(seed, count, min_steps, dims=(1, 5), hiddens=(1, 8)):
     for _ in range(count):
         dim, hid = rng.randint(*dims), rng.randint(*hiddens)
         steps = rng.randint(min_steps, 4)
-        params = init_params(dim, hid, rng)
+        kernel = init_params(dim, hid, rng)
         x = rng.uniform_array((steps * dim,), -2.0, 2.0)
-        yield params, x, rng.randint(0, 1), rng.uniform(0.5, 2.0)
+        yield kernel, x, rng.randint(0, 1), rng.uniform(0.5, 2.0)
 
 
 @pytest.mark.parametrize("seed,min_steps,dims,hiddens", [
     (11, 1, (1, 5), (1, 8)), (12, 2, (1, 5), (1, 8)), (13, 2, (8, 12), (5, 11))])
 def test_kernel_gradient_equals_backward(seed, min_steps, dims, hiddens):
-    for params, x, y, w in _gradcheck_like_cases(seed, 10, min_steps, dims, hiddens):
-        want_prob, cache = forward_sequence(params, list(x.reshape(-1, params.input_dim)))
+    for kernel, x, y, w in _gradcheck_like_cases(seed, 10, min_steps, dims, hiddens):
+        params = copied(kernel.arrays)
+        want_prob, cache = forward_sequence(params, list(x.reshape(-1, kernel.input_dim)))
         want = backward(params, cache, y, w)
-        kernel = PackedLstm.from_params(params)
         prob, h_last, trace = kernel.forward(x)
         assert prob == want_prob
         kernel.backward(prob, y, w, h_last, trace)
@@ -139,46 +142,63 @@ def test_kernel_gradient_equals_backward(seed, min_steps, dims, hiddens):
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6])
 def test_clip_and_update_equals_per_key_update(max_norm):
     rng = Rng(5)
-    params = init_params(9, 16, rng)
-    kernel = PackedLstm.from_params(params)
+    kernel = init_params(9, 16, rng)
+    params = copied(kernel.arrays)
     kernel.grad[:] = rng.uniform_array(kernel.grad.shape, -0.2, 0.2)
-    grads = {k: v.copy() for k, v in kernel.grads.items()}
+    grads = copied(kernel.grads)
     clipped = kernel.clip_and_update(0.01, max_norm)
     clip_gradient(grads, max_norm)
     for key in param_keys():
-        params.arrays[key] -= 0.01 * grads[key]
-    _assert_same_bits(kernel.params.arrays, params.arrays)
+        params[key] -= 0.01 * grads[key]
+    _assert_same_bits(kernel.arrays, params)
     assert clipped == (max_norm == 1e-3)  # the norm is about 4.7
 
 
 def test_packed_params_are_views_in_param_keys_order():
-    params = init_params(3, 4, Rng(2))
-    kernel = PackedLstm.from_params(params)
-    assert list(kernel.params.arrays) == list(param_keys())
+    params = copied(init_params(3, 4, Rng(2)).arrays)
+    kernel = PackedLstm.from_arrays(3, 4, params)
+    assert list(kernel.arrays) == list(param_keys())
     layout = ([f"W_{g}" for g in GATES] + [f"U_{g}" for g in GATES]
               + [f"b_{g}" for g in GATES] + ["w_head", "b_head"])
-    flat = np.concatenate([params.arrays[k].reshape(-1) for k in layout])
+    flat = np.concatenate([params[k].reshape(-1) for k in layout])
     assert kernel.theta.tobytes() == flat.tobytes()
-    kernel.params.arrays["U_output"][1, 2] = 7.0
+    kernel.arrays["U_output"][1, 2] = 7.0
     assert kernel.U[2 * 4 + 1, 2] == 7.0
-    assert params.arrays["U_output"][1, 2] != 7.0  # packing copied
+    assert params["U_output"][1, 2] != 7.0  # packing copied
 
 
-def test_from_params_rejects_wrong_shapes():
-    params = init_params(3, 4, Rng(0))
-    params.arrays["U_input"] = np.zeros((4, 3))
+def test_from_arrays_rejects_wrong_shapes_and_unknown_keys():
+    params = copied(init_params(3, 4, Rng(0)).arrays)
+    params["U_input"] = np.zeros((4, 3))
     with pytest.raises(ValueError, match="U_input"):
-        PackedLstm.from_params(params)
+        PackedLstm.from_arrays(3, 4, params)
+    with pytest.raises(ValueError, match="unknown array 'U_head'"):
+        PackedLstm.from_arrays(3, 4, {"U_head": np.zeros(4)})
 
 
 def test_learner_predict_thresholds_reference_probability():
     rng = Rng(8)
     learner = LstmWeakLearner(TrainConfig(hidden_dim=5), "unrolled")
-    learner.params = init_params(1, 5, rng)
+    learner.kernel = init_params(1, 5, rng)
+    params = copied(learner.kernel.arrays)
     X = rng.uniform_array((20, 9), -3.0, 3.0)
-    want = [1 if forward_sequence(learner.params, list(x.reshape(-1, 1)))[0] >= 0.5
+    want = [1 if forward_sequence(params, list(x.reshape(-1, 1)))[0] >= 0.5
             else -1 for x in X]
     assert learner.predict(X).tolist() == want
+
+
+def _assert_rows_within_drift_of_forward(kernel, X):
+    """forward_rows() of X against forward() of each row, per the drift policy."""
+    scale = float(np.sum(np.abs(kernel.w_head))) + abs(float(kernel.b_head[0]))
+    probs, logits = kernel.forward_rows(X)
+    assert probs.shape == logits.shape == (len(X),)
+    for x, prob, logit in zip(X, probs.tolist(), logits.tolist()):
+        want_prob, h, _ = kernel.forward(x)
+        want_logit = float(kernel.w_head @ h) + float(kernel.b_head[0])
+        assert abs(logit - want_logit) <= ROW_LOGIT_DRIFT * scale
+        assert (prob >= 0.5) == (want_prob >= 0.5)
+        if logit == want_logit:
+            assert prob == want_prob  # the same head sigmoid
 
 
 @pytest.mark.parametrize("mode", ["single", "unrolled"])
@@ -187,22 +207,24 @@ def test_forward_rows_within_drift_of_per_row_forward(mode, hidden):
     assert SCORE_BLOCK_ROWS == 256  # the row counts below straddle its edges
     rng = Rng(40 + hidden)
     step_dim = 9 if mode == "single" else 1
-    initial = PackedLstm.from_params(init_params(step_dim, hidden, rng))
+    initial = init_params(step_dim, hidden, rng)
     scrambled = PackedLstm(step_dim, hidden)  # every entry live, biases and head bias too
     scrambled.theta[:] = rng.uniform_array(scrambled.theta.shape, -1.5, 1.5)
     for kernel in (initial, scrambled):
-        scale = float(np.sum(np.abs(kernel.w_head))) + abs(float(kernel.b_head[0]))
         for n in (1, 7, 256, 257, 600):
-            X = rng.uniform_array((n, 9), -3.0, 3.0)
-            probs, logits = kernel.forward_rows(X)
-            assert probs.shape == logits.shape == (n,)
-            for x, prob, logit in zip(X, probs.tolist(), logits.tolist()):
-                want_prob, h, _ = kernel.forward(x)
-                want_logit = float(kernel.w_head @ h) + float(kernel.b_head[0])
-                assert abs(logit - want_logit) <= ROW_LOGIT_DRIFT * scale
-                assert (prob >= 0.5) == (want_prob >= 0.5)
-                if logit == want_logit:
-                    assert prob == want_prob  # the same head sigmoid
+            _assert_rows_within_drift_of_forward(kernel, rng.uniform_array((n, 9), -3.0, 3.0))
+
+
+@settings(max_examples=40)
+@given(hidden=st.integers(1, 8), step_dim=st.sampled_from([9, 1]),
+       n=st.one_of(st.integers(1, 8),
+                   st.integers(SCORE_BLOCK_ROWS - 2, SCORE_BLOCK_ROWS + 24)),
+       seed=st.integers(0, 2 ** 32), data=st.data())
+def test_forward_rows_within_drift_for_drawn_cells(hidden, step_dim, n, seed, data):
+    kernel = PackedLstm(step_dim, hidden)
+    kernel.theta[:] = data.draw(arrays(np.float64, kernel.theta.shape,
+                                       elements=st.floats(-1.5, 1.5)))
+    _assert_rows_within_drift_of_forward(kernel, Rng(seed).uniform_array((n, 9), -3.0, 3.0))
 
 
 def test_forward_rows_rejects_a_row_width_that_is_not_whole_steps():

@@ -16,9 +16,8 @@ from vrboost import data as data_mod
 from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.cli import main
 from vrboost.data import N_FEATURES, NUMERIC_FEATURE_INDICES, Standardizer, TargetSpec
-from vrboost.lstm import LstmParams, PackedLstm, TrainConfig, init_params, live_keys
+from vrboost.lstm import PackedLstm, TrainConfig, live_keys
 from vrboost.model import ModelBundle, load_model, save_model
-from vrboost.numerics import Rng
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "tests" / "fixtures"
@@ -35,9 +34,9 @@ def bundles(draw):
     rounds = []
     for _ in range(draw(st.integers(1, 2))):
         hidden_dim = draw(st.integers(1, 4))
-        template = init_params(STEP_DIMS[mode], hidden_dim, Rng(0)).arrays
+        template = PackedLstm(STEP_DIMS[mode], hidden_dim).arrays
         learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), mode)
-        learner.params = LstmParams(STEP_DIMS[mode], hidden_dim, {
+        learner.kernel = PackedLstm.from_arrays(STEP_DIMS[mode], hidden_dim, {
             key: draw(arrays(np.float64, like.shape, elements=FINITE))
             for key, like in template.items()})
         rounds.append(BoostRound(alpha=draw(FINITE), learner=learner))
@@ -63,8 +62,8 @@ def test_save_load_round_trip_is_bit_exact(tmp_path_factory, bundle):
     live = live_keys(bundle.sequence_mode)
     for want, got in zip(bundle.ensemble.rounds, loaded.ensemble.rounds, strict=True):
         assert np.float64(got.alpha).tobytes() == np.float64(want.alpha).tobytes()
-        for key, arr in want.learner.params.arrays.items():
-            got_arr = got.learner.params.arrays[key]
+        for key, arr in want.learner.kernel.arrays.items():
+            got_arr = got.learner.kernel.arrays[key]
             assert got_arr.shape == arr.shape, key
             if key in live:
                 assert got_arr.tobytes() == arr.tobytes(), key
@@ -111,11 +110,11 @@ def test_v1_dead_arrays_do_not_change_a_logit(mode):
     doc = json.loads(path.read_text())
     for entry, r in zip(doc["rounds"], bundle.ensemble.rounds, strict=True):
         learner = entry["learner"]
-        full = PackedLstm.from_params(LstmParams(
+        full = PackedLstm.from_arrays(
             learner["input_dim"], learner["hidden_dim"],
-            {k: np.array(v, dtype=float) for k, v in learner["arrays"].items()}))
+            {k: np.array(v, dtype=float) for k, v in learner["arrays"].items()})
         want = full.forward_rows(X)[1]
-        got = PackedLstm.from_params(r.learner.params).forward_rows(X)[1]
+        got = r.learner.kernel.forward_rows(X)[1]
         assert got.tobytes() == want.tobytes()
 
 

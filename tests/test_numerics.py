@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vrboost.numerics import Rng, sigmoid
 
@@ -88,6 +90,36 @@ def test_rng_shuffle_is_permutation():
     again = list(range(50))
     Rng(7).shuffle(again)
     assert again == items
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# adjacent floats round lo + (hi - lo) * u up to hi for about half of all u
+RANGES = st.one_of(
+    st.lists(FINITE, min_size=2, max_size=2, unique=True).map(sorted),
+    FINITE.filter(lambda lo: lo < sys.float_info.max).map(
+        lambda lo: [lo, math.nextafter(lo, math.inf)]))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(-2 ** 70, 2 ** 70), bounds=RANGES,
+       low=st.integers(-2 ** 70, 2 ** 70), span=st.integers(0, 2 ** 70),
+       n=st.integers(0, 40))
+def test_rng_stream_properties(seed, bounds, low, span, n):
+    lo, hi = bounds
+
+    def stream(rng):
+        items = list(range(n))
+        uniforms = [rng.uniform(lo, hi) for _ in range(5)] + rng.uniform_array(
+            (3,), lo, hi).tolist()
+        ints = [rng.randint(low, low + span) for _ in range(5)]
+        rng.shuffle(items)
+        return uniforms, ints, items, rng.next_u64()
+
+    uniforms, ints, items, last = stream(Rng(seed))
+    assert stream(Rng(seed)) == (uniforms, ints, items, last)  # one seed, one stream
+    assert all(lo <= u < hi for u in uniforms)
+    assert all(low <= k <= low + span for k in ints)
+    assert sorted(items) == list(range(n))
 
 
 def test_rng_randint_bounds_and_coverage():
