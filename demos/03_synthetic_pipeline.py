@@ -34,8 +34,8 @@ print(f"split {len(train_idx)}/{len(test_idx)}, "
       f"majority baseline {majority_rate(test[1]):.3f}")
 
 # 3. Boost small LSTM weak learners on the evolving sample weights.
-cfg = BoostConfig(rounds=4, train=TrainConfig(max_epochs=10, hidden_dim=8), seed=0)
-ensemble, log = boost_train(*train, cfg, lstm_factory(cfg.train))
+ensemble, log = boost_train(*train, BoostConfig(rounds=4, seed=0),
+                            lstm_factory(TrainConfig(max_epochs=10, hidden_dim=8)))
 for entry in log:
     print(f"round {entry.round}: eps={entry.epsilon:.3f} alpha={entry.alpha:.3f}")
 

@@ -10,7 +10,7 @@ so boosting runs can be checked against brute-force enumeration.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,11 +72,11 @@ def update_weights(d, alpha_t: float, preds, truths) -> np.ndarray:
 
 @dataclass
 class BoostConfig:
-    """Round count, degenerate-error clamp, and the weak learner's settings."""
+    """Round count, degenerate-error clamp and seed; the learner's settings
+    travel with the learner factory."""
 
     rounds: int = 10
     epsilon_floor: float = 1e-10
-    train: TrainConfig = field(default_factory=TrainConfig)
     seed: int = 0
 
     def __post_init__(self):

@@ -35,13 +35,8 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_DATA, EXIT_TRAINING, EXIT_IO = 0, 1
 
 # --- commands ---------------------------------------------------------------
 
-def write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _evaluation_block(preds, truths) -> dict:
+def _evaluate_split(bundle: ModelBundle, X, truths) -> dict:
+    preds, _ = ensemble_predict(bundle.ensemble, X)
     cm = confusion(preds, truths)
     report = scores(cm)
     correct, incorrect = correct_incorrect(cm)
@@ -60,19 +55,24 @@ def _evaluation_block(preds, truths) -> dict:
     }
 
 
-def _evaluate_split(bundle: ModelBundle, X, labels) -> dict:
-    preds, _ = ensemble_predict(bundle.ensemble, X)
-    return _evaluation_block(preds, labels)
-
-
 def _score_line(name: str, block: dict) -> str:
     return (f"{name}: accuracy {block['accuracy']:.4f}  precision {block['precision']:.4f}  "
             f"recall {block['recall']:.4f}  f1 {block['f1']:.4f}")
 
 
-def cmd_gen_data(n: int, seed: int, signal: float, out_path: str) -> int:
+def _out_path(opts: dict, name: str) -> str:
+    """The path of output file name: under --out-dir, created if missing, unless absolute."""
+    os.makedirs(opts["out_dir"], exist_ok=True)
+    return name if os.path.isabs(name) else os.path.join(opts["out_dir"], name)
+
+
+def cmd_gen_data(opts: dict) -> int:
     """Write a synthetic dataset and print the link's oracle accuracy."""
-    records = data_mod.gen_synthetic(n, seed, signal)
+    n, signal = opts["n"], opts["signal"]
+    if n < 1:
+        raise ValueError("gen-data: --n must be >= 1")
+    out_path = _out_path(opts, opts["out"])
+    records = data_mod.gen_synthetic(n, opts["seed"], signal)
     data_mod.write_csv(records, out_path)
     rate = data_mod.synthetic_bayes_rate(records, signal)
     print(f"wrote {n} records to {out_path}")
@@ -85,16 +85,15 @@ def cmd_train(opts: dict) -> int:
 
     opts holds every `train` option, resolved as by main().
     """
-    seed, sequence_mode, out_dir = opts["seed"], opts["sequence_mode"], opts["out_dir"]
+    seed, sequence_mode = opts["seed"], opts["sequence_mode"]
     target = data_mod.TargetSpec(target_column=opts["target_column"],
                                  threshold=opts["target_threshold"])
     train_cfg = TrainConfig(max_epochs=opts["epochs"], initial_lr=opts["lr"],
                             lr_drop_factor=opts["lr_drop_factor"],
                             lr_drop_period=opts["lr_drop_period"],
-                            grad_clip=opts["grad_clip"], seed=seed,
-                            hidden_dim=opts["hidden_dim"])
+                            grad_clip=opts["grad_clip"], hidden_dim=opts["hidden_dim"])
     boost_cfg = BoostConfig(rounds=opts["rounds"], epsilon_floor=opts["epsilon_floor"],
-                            train=train_cfg, seed=seed)
+                            seed=seed)
     if opts["data"] is not None:
         records = data_mod.load_csv(opts["data"])
     else:
@@ -122,19 +121,15 @@ def cmd_train(opts: dict) -> int:
         "test": _evaluate_split(bundle, X_test, labels[test_idx]),
     }
 
-    os.makedirs(out_dir, exist_ok=True)
-    join = lambda name: os.path.join(out_dir, name)
+    join = lambda name: _out_path(opts, name)
     save_model(bundle, join("model.json"))
-    write_json(report, join("report.json"))
-    with open(join("boost_log.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("round,epsilon,alpha\n")
-        for entry in log:
-            fh.write(f"{entry.round},{entry.epsilon!r},{entry.alpha!r}\n")
-    with open(join("loss_curve.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("round,epoch,loss\n")
-        for rnd, r in enumerate(ensemble.rounds, start=1):
-            for epoch, loss in enumerate(r.learner.loss_curve.losses, start=1):
-                fh.write(f"{rnd},{epoch},{loss!r}\n")
+    data_mod.write_lines(join("report.json"), [json.dumps(report, indent=2)])
+    data_mod.write_lines(join("boost_log.csv"), ["round,epsilon,alpha"] + [
+        f"{entry.round},{entry.epsilon!r},{entry.alpha!r}" for entry in log])
+    data_mod.write_lines(join("loss_curve.csv"), ["round,epoch,loss"] + [
+        f"{rnd},{epoch},{loss!r}"
+        for rnd, r in enumerate(ensemble.rounds, start=1)
+        for epoch, loss in enumerate(r.learner.loss_curve.losses, start=1)])
     data_mod.write_csv([records[i] for i in train_idx], join("train_split.csv"))
     data_mod.write_csv([records[i] for i in test_idx], join("test_split.csv"))
 
@@ -142,7 +137,7 @@ def cmd_train(opts: dict) -> int:
         block = report[split]
         note = "  (near chance)" if block["near_chance"] else ""
         print(_score_line(split, block) + note)
-    print(f"artifacts written to {out_dir}")
+    print(f"artifacts written to {opts['out_dir']}")
     return EXIT_OK
 
 
@@ -152,28 +147,32 @@ def _standardized(bundle: ModelBundle, records) -> np.ndarray:
                                        data_mod.encode(records, bundle.target))
 
 
-def cmd_evaluate(model_path: str, data_path: str, out_path: str) -> int:
+def cmd_evaluate(opts: dict) -> int:
     """Score a labeled CSV with a saved model; write a single-block report."""
-    bundle = load_model(model_path)
-    records = data_mod.load_csv(data_path)
+    if not opts["data"]:
+        raise ValueError("evaluate: --data is required")
+    out_path = _out_path(opts, opts["out"])
+    bundle = load_model(opts["model"])
+    records = data_mod.load_csv(opts["data"])
     block = _evaluate_split(bundle, _standardized(bundle, records),
                             data_mod.encode_labels(records, bundle.target))
-    write_json({"eval": block}, out_path)
+    data_mod.write_lines(out_path, [json.dumps({"eval": block}, indent=2)])
     print(_score_line("eval", block))
     print(f"report written to {out_path}")
     return EXIT_OK
 
 
-def cmd_predict(model_path: str, data_path: str, out_path: str) -> int:
+def cmd_predict(opts: dict) -> int:
     """Write (row_index, margin, label) for every row; target column optional."""
-    bundle = load_model(model_path)
-    records = data_mod.load_csv(data_path, optional_column=bundle.target.target_column)
+    if not opts["data"]:
+        raise ValueError("predict: --data is required")
+    out_path = _out_path(opts, opts["out"])
+    bundle = load_model(opts["model"])
+    records = data_mod.load_csv(opts["data"], optional_column=bundle.target.target_column)
     labels, margins = ensemble_predict(bundle.ensemble, _standardized(bundle, records))
-    lines = ["row_index,margin,label"]
-    lines += [f"{idx},{margin!r},{label}"
-              for idx, (margin, label) in enumerate(zip(margins.tolist(), labels.tolist()))]
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    data_mod.write_lines(out_path, ["row_index,margin,label"] + [
+        f"{idx},{margin!r},{label}"
+        for idx, (margin, label) in enumerate(zip(margins.tolist(), labels.tolist()))])
     print(f"wrote {len(records)} predictions to {out_path}")
     return EXIT_OK
 
@@ -206,10 +205,9 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
     return worst
 
 
-def cmd_gradcheck(seed: int = GRADCHECK_DEFAULT_SEED,
-                  break_gate: str | None = None) -> int:
+def cmd_gradcheck(opts: dict) -> int:
     """Finite-difference audit of the BPTT gradients; nonzero exit on failure."""
-    worst = gradcheck_suite(seed, break_gate, verbose=True)
+    worst = gradcheck_suite(opts["seed"], opts["break_gate"], verbose=True)
     passed = worst < GRADCHECK_TOLERANCE
     print(f"gradcheck {'PASS' if passed else 'FAIL'}: max relative error {worst:.3e} "
           f"(tolerance {GRADCHECK_TOLERANCE:g})")
@@ -352,36 +350,14 @@ def build_parser(with_options=tuple(COMMANDS)) -> argparse.ArgumentParser:
 
 # --- entry point ----------------------------------------------------------------
 
-def _out_path(opts: dict) -> str:
-    name = opts["out"]
-    return name if os.path.isabs(name) else os.path.join(opts["out_dir"], name)
-
-
-def _dispatch(opts: dict, command: str) -> int:
-    if command == "train":
-        return cmd_train(opts)
-    if command == "gradcheck":
-        return cmd_gradcheck(opts["seed"], opts["break_gate"])
-    if command == "gen-data":
-        if opts["n"] < 1:
-            raise ValueError("gen-data: --n must be >= 1")
-    elif not opts["data"]:
-        raise ValueError(f"{command}: --data is required")
-    os.makedirs(opts["out_dir"], exist_ok=True)
-    if command == "gen-data":
-        return cmd_gen_data(opts["n"], opts["seed"], opts["signal"], _out_path(opts))
-    if command == "evaluate":
-        return cmd_evaluate(opts["model"], opts["data"], _out_path(opts))
-    return cmd_predict(opts["model"], opts["data"], _out_path(opts))
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # one call parses one command: the others' option rows are never read
     args = build_parser(argv[:1]).parse_args(argv)
     try:
         opts = resolve_options(args)
-        return _dispatch(opts, args.command)
+        # looked up when the command runs, so a wrapper set on the module is called
+        return globals()["cmd_" + args.command.replace("-", "_")](opts)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -182,12 +182,16 @@ def record_to_row(record: RawRecord) -> str:
     ])
 
 
-def write_csv(records, path) -> None:
-    """Write records in the canonical header order with \\n line endings."""
-    lines = [",".join(COLUMNS)]
-    lines += [record_to_row(r) for r in records]
+def write_lines(path, lines) -> None:
+    """Write text lines as UTF-8, each ending in \\n on every platform.
+    Every file the package outputs is written here."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_csv(records, path) -> None:
+    """Write records in the canonical header order."""
+    write_lines(path, [",".join(COLUMNS)] + [record_to_row(r) for r in records])
 
 
 def _score_value(record: RawRecord, column: str):

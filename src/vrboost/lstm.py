@@ -11,13 +11,14 @@ PackedLstm is the cell and the one form of its parameters: one contiguous
 float64 vector holding W (4H, D), U (4H, H) and b (4H) with the gate blocks
 stacked in GATES order, then w_head (H) and b_head (1), plus a gradient
 buffer of the same layout, so an update is one clip over the whole vector
-and one `theta -= lr * grad`. Its `arrays` are the 14 per-key views of that
-vector, of which a model file stores the live_keys() of its sequence mode;
-init_params() fills them and train_weak_learner() trains and returns the
-kernel itself. Per-example SGD and grad_check's finite-difference audit run
-forward(), one example at a time; every prediction (each boosting round's
-in-sample predict, the train report, evaluate and predict) runs
-forward_rows() over a matrix of rows.
+and one `theta -= lr * grad`. The gradient buffer is built on first use, so
+a kernel that only scores holds theta alone. Its `arrays` are the 14
+per-key views of that vector, of which a model file stores the live_keys()
+of its sequence mode; init_params() fills them and train_weak_learner()
+trains and returns the kernel itself. Per-example SGD and grad_check's
+finite-difference audit run forward(), one example at a time; every
+prediction (each boosting round's in-sample predict, the train report,
+evaluate and predict) runs forward_rows() over a matrix of rows.
 
 Row layout: an example is one flat float64 row of T steps of D features laid
 end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
@@ -45,6 +46,7 @@ byte-identical files to the per-row path on all 16 of those runs.
 tests/test_lstm_kernel.py asserts the bound and the votes.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -197,22 +199,35 @@ class PackedLstm:
             raise ValueError("PackedLstm: input_dim and hidden_dim must be >= 1")
         d, h = input_dim, hidden_dim
         self.input_dim, self.hidden_dim = d, h
-        size = 4 * h * d + 4 * h * h + 5 * h + 1
-        self.theta, self.grad = np.zeros(size), np.zeros(size)
-        self._work = np.zeros(size)  # squared gradient, then lr * gradient
+        self.theta = np.zeros(4 * h * d + 4 * h * h + 5 * h + 1)
         self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h)
         self.arrays = _key_views(self.W, self.U, self.b, self.w_head, self.b_head, h)
-        gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(self.grad, d, h)
-        self._g_gates = (gW, gU, gb)
-        self.grads = _key_views(gW, gU, gb, self._g_w_head, self._g_b_head, h)
-        sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h)
-        # one row per gate, so one reduction gives the four per-key sums
-        self._sq_gates = (sW.reshape(4, -1), sU.reshape(4, -1), sb.reshape(4, -1))
         # BLAS sums a row of one (4H, .) product in an order that depends on
         # the row's position, so products are batched over a gate axis:
         # numpy then makes the reference's per-gate BLAS call for each gate
         self._W3, self._U3 = self.W.reshape(4, h, d), self.U.reshape(4, h, h)
         self._UT3 = self._U3.transpose(0, 2, 1)
+
+    @functools.cached_property
+    def grad(self) -> np.ndarray:
+        """The gradient vector, zero until backward(). Built on first use, with
+        the views backward() writes through and clip_and_update()'s work
+        buffer, as scoring reads none of them."""
+        d, h = self.input_dim, self.hidden_dim
+        grad, self._work = np.zeros(self.theta.size), np.zeros(self.theta.size)
+        gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(grad, d, h)
+        self._g_gates = (gW, gU, gb)
+        # squared gradient, then lr * gradient; one row per gate, so one
+        # reduction gives the four per-key sums
+        sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h)
+        self._sq_gates = (sW.reshape(4, -1), sU.reshape(4, -1), sb.reshape(4, -1))
+        return grad
+
+    @functools.cached_property
+    def grads(self) -> dict:
+        """The param_keys() views of grad."""
+        h = self.hidden_dim
+        return _key_views(*_named_blocks(self.grad, self.input_dim, h), h)
 
     @classmethod
     def from_arrays(cls, input_dim: int, hidden_dim: int, arrays: dict) -> "PackedLstm":
@@ -305,8 +320,8 @@ class PackedLstm:
         """
         h_dim = self.hidden_dim
         n_sig = 3 * h_dim
+        self.grad.fill(0.0)  # first: building grad builds _g_gates
         gW, gU, gb = self._g_gates
-        self.grad.fill(0.0)
         dlogit = w * (prob - y)
         self._g_w_head += dlogit * h_last
         self._g_b_head += dlogit
@@ -338,8 +353,9 @@ class PackedLstm:
 
         Returns whether the gradient was clipped.
         """
+        grad = self.grad  # first: building grad builds _work
         sq = self._work
-        np.multiply(self.grad, self.grad, out=sq)
+        np.multiply(grad, grad, out=sq)
         # each key's own pairwise sum, added in param_keys() order: W, U, b
         # per gate, then the head (b_head's sum is its single square)
         sW, sU, sb = (np.add.reduce(block, axis=1).tolist() for block in self._sq_gates)

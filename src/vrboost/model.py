@@ -66,9 +66,7 @@ def save_model(bundle: ModelBundle, path: str) -> None:
         },
         "rounds": rounds,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, separators=(",", ":"))
-        fh.write("\n")
+    data_mod.write_lines(path, [json.dumps(doc, separators=(",", ":"))])
 
 
 def load_model(path: str) -> ModelBundle:

@@ -52,11 +52,13 @@ class Rng:
         return z ^ (z >> 31)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Uniform draw in [lo, hi). Requires lo < hi."""
-        if not lo < hi:
-            raise ValueError(f"uniform: requires lo < hi, got lo={lo}, hi={hi}")
+        """Uniform draw in [lo, hi). Requires lo < hi and a finite hi - lo."""
+        span = hi - lo
+        if not (lo < hi and math.isfinite(span)):
+            raise ValueError(f"uniform: requires lo < hi and a finite hi - lo, "
+                             f"got lo={lo}, hi={hi}")
         u = (self.next_u64() >> 11) * 2.0 ** -53  # 53-bit mantissa in [0, 1)
-        x = lo + (hi - lo) * u
+        x = lo + span * u
         # guard the rare rounding of lo + (hi-lo)*u up to hi
         return x if x < hi else math.nextafter(hi, lo)
 

@@ -48,9 +48,9 @@ def _prepare(n, seed, signal):
 def signal_run():
     """n=500, signal 4.0, protocol defaults (T=10, 50 epochs, lr 0.01/0.1)."""
     train, test = _prepare(500, seed=0, signal=4.0)
-    cfg = BoostConfig(rounds=10, train=TrainConfig(), seed=0)
     started = time.time()
-    ensemble, log = boost_train(*train, cfg, lstm_factory(cfg.train))
+    ensemble, log = boost_train(*train, BoostConfig(rounds=10, seed=0),
+                                lstm_factory(TrainConfig()))
     return {"ensemble": ensemble, "log": log, "train": train,
             "test": test, "elapsed": time.time() - started}
 
@@ -137,10 +137,8 @@ def test_criterion_4_error_bound_over_random_runs():
     # 8 boosted-LSTM runs on planted-signal data
     for k in range(8):
         train, _ = _prepare(80, seed=100 + k, signal=2.0 + 0.25 * k)
-        cfg = BoostConfig(rounds=5,
-                          train=TrainConfig(max_epochs=6, hidden_dim=4),
-                          seed=200 + k)
-        ensemble, log = boost_train(*train, cfg, lstm_factory(cfg.train))
+        ensemble, log = boost_train(*train, BoostConfig(rounds=5, seed=200 + k),
+                                    lstm_factory(TrainConfig(max_epochs=6, hidden_dim=4)))
         bound = math.prod(2 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
         final = staged_train_error(ensemble, *train)[-1]
         ok &= final <= bound + 1e-12
@@ -177,8 +175,8 @@ def test_criterion_6_ensemble_beats_majority_and_improves(signal_run):
 def test_criterion_7_null_signal_stays_near_chance():
     started = time.time()
     train, (X_test, truths) = _prepare(1000, seed=1, signal=0.0)
-    cfg = BoostConfig(rounds=10, train=TrainConfig(), seed=1)
-    ensemble, _ = boost_train(*train, cfg, lstm_factory(cfg.train))
+    ensemble, _ = boost_train(*train, BoostConfig(rounds=10, seed=1),
+                              lstm_factory(TrainConfig()))
     preds, _ = ensemble_predict(ensemble, X_test)
     accuracy = float(np.mean(np.array(preds) == np.array(truths)))
     baseline = majority_rate(truths)
@@ -201,8 +199,8 @@ def test_criterion_8_determinism_and_round_trip(tmp_path):
 
     # save -> load -> predict equals in-memory predictions, exactly
     train, _ = _prepare(100, seed=9, signal=4.0)
-    cfg = BoostConfig(rounds=2, train=TrainConfig(max_epochs=6, hidden_dim=6), seed=9)
-    ensemble, _ = boost_train(*train, cfg, lstm_factory(cfg.train))
+    ensemble, _ = boost_train(*train, BoostConfig(rounds=2, seed=9),
+                              lstm_factory(TrainConfig(max_epochs=6, hidden_dim=6)))
     raw = encode(gen_synthetic(100, seed=77, signal_strength=4.0), TargetSpec())
     std = fit_standardizer(raw)
     feats = apply_standardizer(std, raw)

@@ -254,8 +254,9 @@ def test_stump_fit_multifeature():
 def test_lstm_weak_learner_integration():
     X = Rng(6).uniform_array((16, 2), -1, 1)
     labels = (X[:, 0] > 0).astype(int)
-    cfg = BoostConfig(rounds=2, train=TrainConfig(max_epochs=3, hidden_dim=3), seed=1)
-    runs = [boost_train(X, labels, cfg, lstm_factory(cfg.train)) for _ in range(2)]
+    cfg = BoostConfig(rounds=2, seed=1)
+    factory = lstm_factory(TrainConfig(max_epochs=3, hidden_dim=3))
+    runs = [boost_train(X, labels, cfg, factory) for _ in range(2)]
     (ens_a, log_a), (ens_b, log_b) = runs
     assert [e.epsilon for e in log_a] == [e.epsilon for e in log_b]
     la, ma = ensemble_predict(ens_a, X)

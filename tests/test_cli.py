@@ -1,5 +1,7 @@
+import builtins
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lstm_oracle import forward_sequence
+from vrboost import cli
 from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
 from vrboost.cli import COMMANDS, build_parser, main, option_rows, resolve_options
@@ -314,6 +317,24 @@ def test_model_round_trip_identical_predictions(tmp_path, trained):
         assert np.array_equal(got, want)
 
 
+def test_predict_leaves_loaded_kernels_without_gradient_buffers(tmp_path, trained,
+                                                                 monkeypatch):
+    _, data_path, out = trained
+    loaded = []
+
+    def recording_load(path):
+        loaded.append(load_model(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_model", recording_load)
+    assert _run(["predict", "--model", out / "model.json", "--data", data_path,
+                 "--out", "p.csv", "--out-dir", tmp_path]) == 0
+    kernels = [r.learner.kernel for r in loaded[0].ensemble.rounds]
+    assert kernels
+    for kernel in kernels:
+        assert not {"grad", "grads", "_work"} & set(vars(kernel))
+
+
 # --- load-time model validation ---------------------------------------------
 
 def _drop_last_input_column(doc):
@@ -503,6 +524,52 @@ def test_gradcheck_mutation_hook_fails(capsys):
 
 
 # --- entry point ------------------------------------------------------------
+
+def test_every_command_has_a_handler():
+    for command in COMMANDS:
+        assert callable(getattr(cli, "cmd_" + command.replace("-", "_"), None)), command
+
+
+def test_main_calls_the_handler_bound_on_the_module_when_it_runs(tmp_path, monkeypatch):
+    # bench/spans.py traces the commands by rebinding the cli.cmd_* globals
+    calls = []
+    original = cli.cmd_gen_data
+
+    def recording_gen_data(opts):
+        calls.append(opts)
+        return original(opts)
+
+    monkeypatch.setattr(cli, "cmd_gen_data", recording_gen_data)
+    assert _run(["gen-data", "--n", 5, "--out-dir", tmp_path]) == 0
+    assert len(calls) == 1 and calls[0]["n"] == 5
+
+
+def test_every_output_file_is_opened_with_newline_translation_off(tmp_path, monkeypatch):
+    # newline="" keeps each "\n" as written, so artifacts match on every platform
+    real_open = builtins.open
+    writes = {}
+
+    def recording_open(file, mode="r", buffering=-1, encoding=None, errors=None,
+                       newline=None, closefd=True, opener=None):
+        if set(mode) & set("wax+"):
+            writes[os.path.basename(file)] = newline
+        return real_open(file, mode, buffering, encoding, errors, newline, closefd, opener)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    assert _run(["gen-data", "--n", 120, "--seed", 5, "--out", "data.csv",
+                 "--out-dir", tmp_path]) == 0
+    assert _run(["train", "--data", tmp_path / "data.csv", "--rounds", 2, "--epochs", 2,
+                 "--hidden-dim", 4, "--out-dir", tmp_path]) == 0
+    for command, out in (("evaluate", "eval.json"), ("predict", "preds.csv")):
+        assert _run([command, "--model", tmp_path / "model.json", "--data",
+                     tmp_path / "test_split.csv", "--out", out, "--out-dir", tmp_path]) == 0
+    monkeypatch.undo()
+    assert writes == dict.fromkeys(
+        ["data.csv", "model.json", "report.json", "boost_log.csv", "loss_curve.csv",
+         "train_split.csv", "test_split.csv", "eval.json", "preds.csv"], "")
+    for name in writes:
+        assert b"\r" not in (tmp_path / name).read_bytes(), name
+
 
 def test_console_entry_point_usage_exit():
     proc = subprocess.run([sys.executable, "-m", "vrboost.cli", "train",

@@ -70,6 +70,10 @@ def test_rng_uniform_rejects_bad_range():
         rng.uniform(1.0, 1.0)
     with pytest.raises(ValueError):
         rng.uniform(2.0, 1.0)
+    # hi - lo overflows or is infinite: every draw would be the same value
+    for lo, hi in ((-1e308, 1e308), (0.0, math.inf)):
+        with pytest.raises(ValueError):
+            rng.uniform(lo, hi)
 
 
 def test_rng_bit_identical_across_processes():
