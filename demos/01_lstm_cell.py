@@ -9,9 +9,9 @@ from vrboost.lstm import GATES, PackedLstm, grad_check, init_params
 from vrboost.numerics import Rng
 
 
-def gates(act, hidden_dim):
-    """One step's traced activations, stacked in GATES order, keyed by gate."""
-    return {gate: act[k * hidden_dim:(k + 1) * hidden_dim] for k, gate in enumerate(GATES)}
+def gates(trace, t):
+    """Step t's traced activations, keyed by gate in GATES order."""
+    return dict(zip(GATES, (trace.f[t], trace.i[t], trace.o[t], trace.g[t])))
 
 
 # ---------------------------------------------------------------------------
@@ -19,12 +19,13 @@ def gates(act, hidden_dim):
 #    the cell is perfectly agnostic: the sigmoid gates all emit 0.5, the
 #    candidate vector is 0, and the state stays put. forward() takes one flat
 #    row of T steps of input_dim features laid end to end, and returns the
-#    class-1 probability, the last hidden state and a per-step trace of
-#    (x, h_prev, c_prev, gate activations, tanh(c)).
+#    class-1 probability, the last hidden state and the row's trace: per
+#    step, the gate activations f, i, o, g and tanh(c), and the states c and
+#    h from the zero start on.
 kernel = PackedLstm(input_dim=3, hidden_dim=2)
 prob, h_last, trace = kernel.forward(np.array([1.0, -2.0, 0.5]))
 print("zero-weight gates:")
-for gate, value in gates(trace[0][3], 2).items():
+for gate, value in gates(trace, 0).items():
     print(f"  {gate:<10} -> {value}")
 print("  new hidden state ->", h_last, f"  probability {prob}")
 
@@ -41,7 +42,7 @@ print()
 for label, bias in (("open", 50.0), ("shut", -50.0)):
     arrays["b_input"][...] = bias
     _, _, trace = kernel.forward(sequence)
-    cells = [step[2][0] for step in trace[1:]]  # c_prev of steps 2..4
+    cells = trace.c[1:4, 0]  # c[0] is the zero start, c[t] the cell after step t
     print(f"input gate {label}: cell after steps 1-3 ->", " ".join(f"{c:.3g}" for c in cells))
 
 # ---------------------------------------------------------------------------
@@ -51,7 +52,7 @@ rng = Rng(42)
 kernel = init_params(input_dim=3, hidden_dim=4, rng=rng)
 sequence = rng.uniform_array((5 * 3,), -1, 1)
 prob, _, trace = kernel.forward(sequence)
-print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({len(trace)} steps traced)")
+print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({trace.steps} steps traced)")
 
 # ---------------------------------------------------------------------------
 # 4. The backward pass is exact. Compare every parameter's gradient against

@@ -31,6 +31,28 @@ parameters to the last bit (tests/test_lstm_kernel.py checks this). Matrix
 products stay per gate because BLAS sums a row of a stacked product in an
 order that depends on the row's position.
 
+Time-batched BPTT. Each time step of forward() and backward() does only the
+recurrent work; what does not depend on the recurrence is done once over
+the whole (T, .) trace (after Appleyard, Kocisky & Blunsom 2016, "Optimizing
+Performance of Recurrent Neural Networks on GPUs"). forward() writes a
+Trace, whose buffers the kernel keeps per T: gates (T, 4H) holds each step's
+[f, i, o, 1], mult (T+1, 4H) its [c_prev, g, tanh(c), i] and h (T+1, H) the
+hidden states from h_0 = 0. At D=1 the input products of all T steps are
+one multiply. backward() first forms [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2]
+for all steps, then per step builds dpre from [dc, dc, dh, dc] * mult[t],
+* gates[t] and * those factors, which is the reference's association,
+((dc*c_prev)*f)*(1-f) and so on, and dc + (dh*o)*(1-tanh(c)^2). It keeps
+dpre's rows in a (T, 4H) buffer, row k holding step T-1-k. The W, b and U
+gradients are then one axis-0 np.add.reduce each over those rows (times
+x_t or h_prev for W and U), with initial=0.0. These reductions are exact:
+an axis-0 reduction of a C-contiguous array adds its rows one after the
+other, so each entry is 0.0 + s_{T-1} + ... + s_0, the reference's
+accumulation into a zeroed gradient in its reverse loop. Starting from
++0.0, not from the first row, keeps a sum of -0.0 products (x_t = 0.0, as
+in unrolled mode's one-hot steps) at +0.0; numpy's add reduction also starts
+there by default, and initial=0.0 states it. dh_prev = sum_g U_g^T dpre_g
+stays per step and per gate.
+
 forward_rows() is not bit-identical, for the same reason: a row of a gemm is
 not summed like a per-row gemv. Drift policy: a row's forward_rows() logit
 is within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|), with ROW_LOGIT_DRIFT
@@ -155,6 +177,11 @@ def live_keys(mode: str) -> tuple:
     raise ValueError(f"live_keys: unknown mode {mode!r}")
 
 
+# each param_keys() array's shape, as an index into ((H, D), (H, H), (H,), (1,))
+_SHAPE_OF_KEY = {key: "WUb".index(key[0]) for key in param_keys()[:-2]}
+_SHAPE_OF_KEY.update(w_head=2, b_head=3)
+
+
 def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int) -> tuple:
     """Views W (4H, D), U (4H, H), b (4H), w_head (H), b_head (1) of a packed vector."""
     d, h = input_dim, hidden_dim
@@ -174,6 +201,63 @@ def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
         views[f"W_{gate}"], views[f"U_{gate}"], views[f"b_{gate}"] = W[rows], U[rows], b[rows]
     views["w_head"], views["b_head"] = w_head, b_head
     return views
+
+
+class Trace:
+    """forward()'s record of one T-step row, laid out for backward(), with
+    backward()'s work buffers. A kernel keeps one per T and reuses it.
+
+    gates (T, 4H): step t's [f, i, o, 1], its sigmoid gates and a block of
+    ones. mult (T+1, 4H): step t's [c_prev, g, tanh(c), i], the factors
+    dpre's first product takes; row T holds c_T in its first block, and the i
+    block is copied from gates by backward(). h (T+1, H): h[0] = 0 and h[t+1]
+    the hidden state after step t. c (T+1, H), g and tanh_c (T, H) and f, i,
+    o (T, H) are named views of those buffers; x is the row forward() ran.
+
+    factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
+    dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k.
+    forward_steps and backward_steps hold each step's views, so the step
+    loops slice nothing.
+    """
+
+    def __init__(self, input_dim: int, hidden_dim: int, steps: int):
+        d, h_dim = input_dim, hidden_dim
+        n_sig = 3 * h_dim
+        self.steps, self.x = steps, None
+        self.pre = np.empty((steps, 4 * h_dim))
+        self.gates = np.ones((steps, 4 * h_dim))  # forward() never writes the ones
+        self.mult = np.zeros((steps + 1, 4 * h_dim))  # nor c[0] = 0
+        self.h = np.zeros((steps + 1, h_dim))  # nor h[0] = 0
+        self.c = self.mult[:, :h_dim]
+        self.f, self.i, self.o = (self.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(3))
+        self.g = self.mult[:steps, h_dim:2 * h_dim]
+        self.tanh_c = self.mult[:steps, 2 * h_dim:n_sig]
+        self.uh, fc_ig = np.empty((4, h_dim)), np.empty(2 * h_dim)
+        self.forward_steps = []  # each step's views, in forward()'s unpacking order
+        for t in range(steps):
+            z = self.pre[t]
+            self.forward_steps.append((
+                z, z.reshape(4, h_dim), z[:n_sig], z[n_sig:], self.gates[t, :n_sig], self.g[t],
+                self.gates[t, :2 * h_dim], self.mult[t, :2 * h_dim], fc_ig, fc_ig[:h_dim],
+                fc_ig[h_dim:], self.c[t + 1], self.o[t], self.tanh_c[t], self.h[t], self.h[t + 1]))
+
+        self.factors = np.empty((steps, 5 * h_dim))
+        self.dpre = np.empty((steps, 4 * h_dim))
+        self.dpre_cols = self.dpre[:, :, None]
+        self.h_prev_rows = self.h[steps - 1:0:-1, None, :]  # h_prev of steps T-1 .. 1
+        # the outer products each gradient sums, written in dpre's row order
+        self.w_terms = np.empty((steps, 4 * h_dim, d))
+        self.u_terms = np.empty((max(steps - 1, 0), 4 * h_dim, h_dim))
+        self.dh, self.dc, self.ddc = np.empty(h_dim), np.empty(h_dim), np.empty(h_dim)
+        self.ud = np.empty((4, h_dim, 1))
+        self.ud_rows = self.ud[..., 0]
+        self.backward_steps = []  # (t, views in backward()'s unpacking order), t descending
+        for t in range(steps - 1, -1, -1):
+            dp = self.dpre[steps - 1 - t]
+            self.backward_steps.append((
+                t, (self.o[t], self.tanh_c[t], self.f[t], self.mult[t].reshape(4, h_dim),
+                    self.gates[t], self.factors[t, :4 * h_dim], self.factors[t, 4 * h_dim:],
+                    dp, dp.reshape(4, h_dim), dp[2 * h_dim:n_sig], dp.reshape(4, h_dim, 1))))
 
 
 class PackedLstm:
@@ -207,6 +291,8 @@ class PackedLstm:
         # numpy then makes the reference's per-gate BLAS call for each gate
         self._W3, self._U3 = self.W.reshape(4, h, d), self.U.reshape(4, h, h)
         self._UT3 = self._U3.transpose(0, 2, 1)
+        self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
+        self._traces = {}  # T -> the Trace forward() fills for T-step rows
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
@@ -234,46 +320,61 @@ class PackedLstm:
         """A kernel holding a copy of arrays, keyed per param_keys(); the
         arrays it is not given stay zero.
 
-        Raises ValueError on an unknown key or an array of the wrong shape.
+        Raises ValueError on an unknown key or an array of the wrong shape,
+        before allocating anything, so the dimensions alone never size an
+        allocation that the arrays do not fit.
         """
-        kernel = cls(input_dim, hidden_dim)
-        views = kernel.arrays
+        shapes = ((hidden_dim, input_dim), (hidden_dim, hidden_dim), (hidden_dim,), (1,))
+        checked = {}
         for key, arr in arrays.items():
-            if key not in views:
+            if key not in _SHAPE_OF_KEY:
                 raise ValueError(f"unknown array {key!r}")
-            view, arr = views[key], np.asarray(arr, dtype=float)
-            if arr.shape != view.shape:
-                raise ValueError(f"array {key} has shape {arr.shape}, expected {view.shape}")
-            view[...] = arr
+            arr, shape = np.asarray(arr, dtype=float), shapes[_SHAPE_OF_KEY[key]]
+            if arr.shape != shape:
+                raise ValueError(f"array {key} has shape {arr.shape}, expected {shape}")
+            checked[key] = arr
+        kernel = cls(input_dim, hidden_dim)
+        for key, arr in checked.items():
+            kernel.arrays[key][...] = arr
         return kernel
 
     def forward(self, x: np.ndarray) -> tuple:
         """Run the cell from a zero state over the flat float64 row x of T*D
         features, step t being x[t*D:(t+1)*D]; sigmoid head on h_T.
 
-        Returns (probability of class 1, h_T, per-step trace for backward).
-        U @ h is skipped at step 0, where h is zero: U @ 0 adds +0.0, which
-        changes no sum whose bias term is not -0.0, and SGD never makes one.
+        Returns (probability of class 1, h_T, the row's Trace for backward()).
+        The kernel keeps one Trace per T and overwrites it: h_T and the
+        trace are valid until the next forward() of a T-step row on this
+        kernel. At D=1 every step's input product W_g x_t is one product per
+        entry, so all T are taken at once; at D>1 each step makes the
+        per-gate W_g @ x_t. U @ h is skipped at step 0, where h is zero:
+        U @ 0 adds +0.0, which changes no sum whose bias term is not -0.0,
+        and SGD never makes one.
         """
-        d, h_dim = self.input_dim, self.hidden_dim
-        n_sig = 3 * h_dim
-        W3, U3, b = self._W3, self._U3, self.b
-        h = c = np.zeros(h_dim)
-        trace = []
-        for t in range(len(x) // d):
-            x_t = x[t * d:(t + 1) * d]
-            z = W3 @ x_t + U3 @ h if t else W3 @ x_t
-            z = z.reshape(-1)
+        d = self.input_dim
+        steps = len(x) // d
+        trace = self._traces.get(steps)
+        if trace is None:
+            trace = self._traces[steps] = Trace(d, self.hidden_dim, steps)
+        trace.x = x
+        W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
+        if d == 1:
+            np.multiply(x[:steps, None], self._w_col, out=trace.pre)
+        for t, (z, z4, z_sig, z_cand, sig, g, fi, cg, fc_ig, fc, ig, c, o, tanh_c, h_prev,
+                h) in enumerate(trace.forward_steps):
+            if d > 1:
+                np.matmul(W3, x[t * d:(t + 1) * d], out=z4)
+            if t:
+                np.matmul(U3, h_prev, out=uh)
+                z4 += uh  # (W x + U h) + b, the reference's order
             z += b
-            act = np.empty(4 * h_dim)
-            sigmoid(z[:n_sig], act[:n_sig])
-            np.tanh(z[n_sig:], out=act[n_sig:])
-            f, i, o, g = act[:h_dim], act[h_dim:2 * h_dim], act[2 * h_dim:n_sig], act[n_sig:]
-            c_prev, h_prev = c, h
-            c = f * c_prev + i * g
-            tanh_c = np.tanh(c)
-            h = o * tanh_c
-            trace.append((x_t, h_prev, c_prev, act, tanh_c))
+            sigmoid(z_sig, sig)
+            np.tanh(z_cand, out=g)
+            np.multiply(fi, cg, out=fc_ig)  # [f, i] * [c_prev, g]
+            np.add(fc, ig, out=c)
+            np.tanh(c, out=tanh_c)
+            np.multiply(o, tanh_c, out=h)
+        h = trace.h[steps]
         logit = float(self.w_head @ h) + float(self.b_head[0])
         return sigmoid(logit), h, trace
 
@@ -313,10 +414,17 @@ class PackedLstm:
         return sigmoid(logits), logits
 
     def backward(self, prob: float, y: int, w: float, h_last: np.ndarray, trace) -> None:
-        """BPTT of weighted_loss into self.grad, accumulated into a zeroed buffer.
+        """BPTT of weighted_loss into self.grad, from forward()'s trace.
 
-        dh_prev is built gate by gate and is not formed at step 0, where it
-        is never used; neither is the U gradient there, whose input is zero.
+        The factors that do not depend on dh or dc are formed for all T steps
+        before the reverse loop, which then does only the recurrent work: dc,
+        the four gates' dpre from [dc, dc, dh, dc] times the multiplier row
+        [c_prev, g, tanh(c), i], then times [f, i, o, 1] and
+        [1-f, 1-i, 1-o, 1-g^2], and dh_prev = sum_g U_g^T dpre_g. The loop
+        keeps each dpre row; W, b and U gradients are one reduction each
+        afterwards (see the module docstring). dh_prev is not formed at step
+        0, where it is never used; neither is the U gradient there, whose
+        input is zero.
         """
         h_dim = self.hidden_dim
         n_sig = 3 * h_dim
@@ -325,28 +433,35 @@ class PackedLstm:
         dlogit = w * (prob - y)
         self._g_w_head += dlogit * h_last
         self._g_b_head += dlogit
-        dh = dlogit * self.w_head
-        dc = np.zeros(h_dim)
-        for t in range(len(trace) - 1, -1, -1):
-            x, h_prev, c_prev, act, tanh_c = trace[t]
-            f, i, o, g = act[:h_dim], act[h_dim:2 * h_dim], act[2 * h_dim:n_sig], act[n_sig:]
-            dc = dc + dh * o * (1.0 - tanh_c ** 2)
-            dpre = np.empty(4 * h_dim)
-            np.multiply(dc, c_prev, out=dpre[:h_dim])
-            np.multiply(dc, g, out=dpre[h_dim:2 * h_dim])
-            np.multiply(dh, tanh_c, out=dpre[2 * h_dim:n_sig])
-            np.multiply(dc, i, out=dpre[n_sig:])
-            sig = act[:n_sig]
-            dpre[:n_sig] = dpre[:n_sig] * sig * (1.0 - sig)
-            dpre[n_sig:] = dpre[n_sig:] * (1.0 - g ** 2)
-            gW += dpre[:, None] * x  # np.outer's products, without its wrapper
-            gb += dpre
+        steps, factors, mult = trace.steps, trace.factors, trace.mult
+        np.subtract(1.0, trace.gates[:, :n_sig], out=factors[:, :n_sig])
+        np.square(mult[:steps, h_dim:n_sig], out=factors[:, n_sig:])  # g^2, tanh(c)^2
+        np.subtract(1.0, factors[:, n_sig:], out=factors[:, n_sig:])
+        np.copyto(mult[:steps, n_sig:], trace.i)
+        dh, dc, ddc, ud, ud_rows = trace.dh, trace.dc, trace.ddc, trace.ud, trace.ud_rows
+        np.multiply(dlogit, self.w_head, out=dh)
+        dc.fill(0.0)
+        for t, (o, tanh_c, f, m4, s, one_minus, one_minus_tc2, dp, dp4, dp_o,
+                dp3) in trace.backward_steps:
+            np.multiply(dh, o, out=ddc)
+            ddc *= one_minus_tc2
+            dc += ddc  # dc + (dh*o)*(1-tanh(c)^2)
+            np.multiply(m4, dc, out=dp4)
+            np.multiply(dh, tanh_c, out=dp_o)  # the output gate's block takes dh
+            dp *= s
+            dp *= one_minus
             if t:
-                gU += dpre[:, None] * h_prev
                 # U_g.T @ d_g per gate, added to zeros in GATES order
-                dh = np.add.reduce((self._UT3 @ dpre.reshape(4, h_dim, 1))[..., 0],
-                                   axis=0, initial=0.0)
-                dc = dc * f
+                np.matmul(self._UT3, dp3, out=ud)
+                np.add.reduce(ud_rows, axis=0, initial=0.0, out=dh)
+                dc *= f
+        xs = trace.x[:steps * self.input_dim].reshape(steps, self.input_dim)
+        np.add.reduce(trace.dpre, axis=0, initial=0.0, out=gb)
+        np.multiply(trace.dpre_cols, xs[::-1, None, :], out=trace.w_terms)
+        np.add.reduce(trace.w_terms, axis=0, initial=0.0, out=gW)
+        if steps > 1:
+            np.multiply(trace.dpre_cols[:-1], trace.h_prev_rows, out=trace.u_terms)
+            np.add.reduce(trace.u_terms, axis=0, initial=0.0, out=gU)
 
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
@@ -477,4 +592,5 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
             kernel.clip_and_update(lr, cfg.grad_clip)
         curve.losses.append(math.fsum(epoch_losses) / n)
         curve.learning_rates.append(lr)
+    kernel._traces.clear()  # 98 kB at T=9, H=16, of no use to a learner that only scores
     return kernel, curve

@@ -133,7 +133,10 @@ def load_model(path: str) -> ModelBundle:
             if not math.isfinite(alpha):
                 raise DataError(f"round {number}: alpha {alpha!r} is not finite")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
-            learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays)  # checks shapes
+            try:  # checks every shape before it allocates the kernel
+                learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays)
+            except ValueError as exc:
+                raise DataError(f"round {number}: {exc}") from None
             rounds.append(BoostRound(alpha=alpha, learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")

@@ -17,7 +17,7 @@ from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
 from vrboost.cli import COMMANDS, build_parser, main, option_rows, resolve_options
 from vrboost.errors import DataError
-from vrboost.lstm import step_dim
+from vrboost.lstm import PackedLstm, step_dim
 from vrboost.metrics import f1_score
 from vrboost.model import load_model, save_model
 
@@ -400,25 +400,50 @@ INVALID_MODELS = {
     "v2_single_stores_dead_array": _add_dead_u_forget,
     "v2_single_lacks_live_array": _drop_live_b_output,
     "format_version_3": _set(["format_version"], 3),
+    # a hidden_dim the arrays do not fit must not size an allocation: with
+    # H = 20000 the kernel alone would be 12.8 GB
+    "hidden_dim_20000": _set(["rounds", 1, "learner", "hidden_dim"], 20000),
 }
+
+# the error message of a case, where the test checks it
+INVALID_MODEL_MESSAGES = {
+    "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
+}
+
+# no case may build a kernel larger than the trained ones
+LARGEST_LOADED_HIDDEN_DIM = 6
+
+
+def _refuse_large_kernels(monkeypatch):
+    init = PackedLstm.__init__
+
+    def guarded(self, input_dim, hidden_dim):
+        if hidden_dim > LARGEST_LOADED_HIDDEN_DIM:
+            raise AssertionError(f"a kernel of hidden_dim {hidden_dim} was allocated")
+        init(self, input_dim, hidden_dim)
+
+    monkeypatch.setattr(PackedLstm, "__init__", guarded)
 
 
 @pytest.mark.parametrize("case", sorted(INVALID_MODELS))
 @pytest.mark.parametrize("command", ["evaluate", "predict"])
 def test_invalid_model_is_rejected_at_load_with_exit_3(tmp_path, trained, case, command,
-                                                       capsys):
+                                                       capsys, monkeypatch):
     _, data_path, out = trained
     doc = json.loads((out / "model.json").read_text())
     INVALID_MODELS[case](doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
+    _refuse_large_kernels(monkeypatch)
     with pytest.raises(DataError):
         load_model(model)
     code = _run([command, "--model", model, "--data", data_path,
                  "--out", "result", "--out-dir", tmp_path])
     assert code == 3
     assert not (tmp_path / "result").exists()
-    assert "usage error" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" not in err
+    assert INVALID_MODEL_MESSAGES.get(case, "") in err
 
 
 def test_zero_std_on_constant_column_loads(tmp_path, trained):

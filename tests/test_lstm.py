@@ -139,7 +139,8 @@ def test_sequence_zero_params_gives_half():
     x = np.concatenate([np.ones(4), -np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
     prob, _, trace = PackedLstm(4, 3).forward(x)
     assert prob == 0.5
-    assert len(trace) == 3
+    assert trace.steps == 3
+    assert trace.gates.shape == (3, 4 * 3) and trace.h.shape == (3 + 1, 3)
 
 
 def test_sequence_single_step_composition():

@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays
 from lstm_oracle import backward, clip_gradient, copied, forward_sequence, oracle_train
 from vrboost.boosting import LstmWeakLearner
 from vrboost.lstm import (GATES, ROW_LOGIT_DRIFT, SCORE_BLOCK_ROWS, PackedLstm,
-                          TrainConfig, init_params, param_keys, step_dim,
+                          TrainConfig, grad_check, init_params, param_keys, step_dim,
                           train_weak_learner)
 from vrboost.numerics import Rng
 
@@ -55,22 +55,31 @@ TRAIN_CASES = [
     (6, "unrolled", 10, 2, {"max_epochs": 3}),
     (7, "single", 6, 9, {"initial_lr": 0.5, "grad_clip": 0.05}),
     (5, "unrolled", 4, 4, {"initial_lr": 0.5, "grad_clip": 0.05}),
+    # the time-batched gradient sums at their edges: H=1, T=2, and a clipped
+    # T=9 run, the shape of the CLI's unrolled mode
+    (9, "unrolled", 1, 12, {}),
+    (2, "unrolled", 3, 13, {"max_epochs": 3}),
+    (9, "unrolled", 5, 14, {"initial_lr": 0.5, "grad_clip": 0.05}),
 ]
 
 
-@pytest.mark.parametrize("features,mode,hidden,seed,overrides", TRAIN_CASES)
-def test_training_matches_dict_oracle_bit_for_bit(features, mode, hidden, seed, overrides):
-    n = 40
-    X, labels = _examples(n, features, seed)
-    weights = _weights(n, seed)
-    cfg = TrainConfig(**{"max_epochs": 2, "hidden_dim": hidden, "seed": seed, **overrides})
-    dim = step_dim(mode, features)
-    kernel, curve = train_weak_learner(X, labels, weights, cfg, dim)
-    want_params, want_curve, clipped = oracle_train(_oracle_examples(X, labels, dim),
+def _assert_trains_like_oracle(X, labels, cfg, input_dim) -> int:
+    """Train the kernel and the dict oracle alike; returns the oracle's clip count."""
+    weights = _weights(len(X), cfg.seed)
+    kernel, curve = train_weak_learner(X, labels, weights, cfg, input_dim)
+    want_params, want_curve, clipped = oracle_train(_oracle_examples(X, labels, input_dim),
                                                     weights, cfg)
     _assert_same_bits(kernel.arrays, want_params)
     assert curve.losses == want_curve.losses
     assert curve.learning_rates == want_curve.learning_rates
+    return clipped
+
+
+@pytest.mark.parametrize("features,mode,hidden,seed,overrides", TRAIN_CASES)
+def test_training_matches_dict_oracle_bit_for_bit(features, mode, hidden, seed, overrides):
+    X, labels = _examples(40, features, seed)
+    cfg = TrainConfig(**{"max_epochs": 2, "hidden_dim": hidden, "seed": seed, **overrides})
+    clipped = _assert_trains_like_oracle(X, labels, cfg, step_dim(mode, features))
     if "grad_clip" in overrides:
         assert clipped > 0  # the case really exercises the clip
 
@@ -80,12 +89,82 @@ def test_sequences_of_vectors_match_dict_oracle():
     rng = Rng(21)
     rows = [(rng.uniform_array((4 * 3,), -2.0, 2.0), rng.randint(0, 1)) for _ in range(30)]
     X, labels = np.stack([x for x, _ in rows]), np.array([y for _, y in rows])
-    weights = _weights(30, 21)
-    cfg = TrainConfig(max_epochs=2, hidden_dim=5, seed=21)
-    kernel, curve = train_weak_learner(X, labels, weights, cfg, 3)
-    want_params, want_curve, _ = oracle_train(_oracle_examples(X, labels, 3), weights, cfg)
-    _assert_same_bits(kernel.arrays, want_params)
-    assert curve.losses == want_curve.losses
+    _assert_trains_like_oracle(X, labels, TrainConfig(max_epochs=2, hidden_dim=5, seed=21), 3)
+
+
+def _one_hot_examples(n, seed):
+    """(X, labels) laid out as data.encode's rows: three numeric features, then
+    two one-hot groups of three, so most features are exactly 0.0."""
+    rng = Rng(seed)
+    X = np.zeros((n, 9))
+    X[:, :3] = rng.uniform_array((n, 3), -2.0, 2.0)
+    for row in X:
+        row[3 + rng.randint(0, 2)] = row[6 + rng.randint(0, 2)] = 1.0
+    return X, (X[:, 0] + X[:, 4] > 0.5).astype(int)
+
+
+@pytest.mark.parametrize("mode,hidden,seed", [("unrolled", 6, 31), ("single", 5, 32)])
+def test_training_on_exact_zero_inputs_matches_dict_oracle(mode, hidden, seed):
+    # in unrolled mode six of nine steps carry x_t = 0.0, whose W products are +-0.0
+    X, labels = _one_hot_examples(40, seed)
+    _assert_trains_like_oracle(X, labels, TrainConfig(max_epochs=2, hidden_dim=hidden, seed=seed),
+                               step_dim(mode, 9))
+
+
+@pytest.mark.parametrize("dim,steps", [(1, 1), (1, 2), (1, 9), (9, 1), (3, 2)])
+def test_gradient_of_exact_zero_inputs_equals_backward(dim, steps):
+    # a zero x_t times a negative dpre entry is -0.0; the reference adds it to
+    # +0.0, so a W gradient of all-zero inputs must be +0.0, not -0.0
+    rng = Rng(50 + 10 * dim + steps)
+    negative = 0
+    for hidden in (1, 4):
+        for row in range(6):
+            kernel = init_params(dim, hidden, rng)
+            x = rng.uniform_array((steps * dim,), -2.0, 2.0)
+            x[rng.randint(0, 1)::2] = 0.0  # every other feature
+            if row < 2:
+                x[:] = 0.0
+            y, w = rng.randint(0, 1), rng.uniform(0.5, 2.0)
+            params = copied(kernel.arrays)
+            want = backward(params, forward_sequence(params, list(x.reshape(-1, dim)))[1], y, w)
+            prob, h_last, trace = kernel.forward(x)
+            kernel.backward(prob, y, w, h_last, trace)
+            _assert_same_bits(kernel.grads, want)
+            negative += int(np.sum(trace.dpre < 0))
+    assert negative  # the case has -0.0 products to sum
+
+
+def _sgd_step(kernel, x, y):
+    prob, h_last, trace = kernel.forward(x)
+    kernel.backward(prob, y, 1.3, h_last, trace)
+    kernel.clip_and_update(0.2, 0.5)
+
+
+def test_interleaved_kernels_of_one_shape_train_as_if_alone():
+    # each kernel keeps its own trace buffers: interleaving two kernels of the
+    # same shape, and grad_check's many forward() calls after one backward(),
+    # must leave every kernel's parameters as training it alone does
+    X, labels = _one_hot_examples(24, 43)
+    X2, labels2 = X[::-1].copy(), labels[::-1]
+    alone = []
+    for seed, rows, ys in ((1, X, labels), (2, X2, labels2)):
+        kernel = init_params(1, 4, Rng(seed))
+        for x, y in zip(rows, ys):
+            _sgd_step(kernel, x, y)
+        alone.append(kernel.theta.tobytes())
+
+    a, b = init_params(1, 4, Rng(1)), init_params(1, 4, Rng(2))
+    for n, (xa, ya, xb, yb) in enumerate(zip(X, labels, X2, labels2)):
+        prob_a, h_a, trace_a = a.forward(xa)
+        prob_b, h_b, trace_b = b.forward(xb)
+        a.backward(prob_a, ya, 1.3, h_a, trace_a)
+        b.backward(prob_b, yb, 1.3, h_b, trace_b)
+        a.clip_and_update(0.2, 0.5)
+        b.clip_and_update(0.2, 0.5)
+        if n % 8 == 3:  # grad_check runs on a's own buffers and leaves theta as it was
+            copy = PackedLstm.from_arrays(1, 4, copied(a.arrays))
+            assert grad_check(a, xb, yb, 0.7) == grad_check(copy, xb, yb, 0.7)
+    assert [a.theta.tobytes(), b.theta.tobytes()] == alone
 
 
 def _placed(X, row_offset):
