@@ -18,14 +18,17 @@ from vrboost.metrics import confusion, scores
 # 1. Synthesize records. ImmersionLevel follows a logistic link on motion
 #    sickness, session duration, and headset; signal_strength 4 puts the
 #    best achievable accuracy near 0.9.
-records = gen_synthetic(n=400, seed=0, signal_strength=4.0)
-print(f"generated {len(records)} records, "
-      f"oracle accuracy {synthetic_bayes_rate(records, 4.0):.3f}")
+#    The records come as a Table: one list per schema column, in row order.
+table = gen_synthetic(n=400, seed=0, signal_strength=4.0)
+print(f"generated {len(table)} records, "
+      f"oracle accuracy {synthetic_bayes_rate(table, 4.0):.3f}")
+print(f"first ages {table.columns['Age'][:5]}, "
+      f"first headsets {table.columns['VRHeadset'][:2]}")
 
 # 2. Encode to a (N, 9) feature matrix and N labels (ImmersionLevel >= 4 is
 #    the default binary target), split 70/30, and standardize the numeric
 #    features on the training side only.
-X, labels = encode(records, TargetSpec()), encode_labels(records, TargetSpec())
+X, labels = encode(table, TargetSpec()), encode_labels(table, TargetSpec())
 train_idx, test_idx = split_indices(len(X), ratio=0.7, seed=0)
 standardizer = fit_standardizer(X[train_idx])
 train = apply_standardizer(standardizer, X[train_idx]), labels[train_idx]

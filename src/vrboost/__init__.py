@@ -9,10 +9,9 @@ from .boosting import (BoostConfig, DecisionStump, Ensemble, LstmWeakLearner,
                        alpha, boost_train, ensemble_predict, init_weights,
                        lstm_factory, staged_train_error, stump_factory,
                        update_weights, weighted_error)
-from .data import (RawRecord, Standardizer, TargetSpec, apply_standardizer,
-                   encode, encode_features, encode_labels, fit_standardizer,
-                   gen_synthetic, load_csv, majority_rate, split_indices,
-                   synthetic_bayes_rate, write_csv)
+from .data import (Standardizer, Table, TargetSpec, apply_standardizer, encode,
+                   encode_labels, fit_standardizer, gen_synthetic, load_csv,
+                   majority_rate, split_indices, synthetic_bayes_rate, write_csv)
 from .errors import DataError, TrainingError, VrboostError
 from .lstm import (LossCurve, PackedLstm, TrainConfig, grad_check,
                    init_params, learning_rate, live_keys, step_dim,

@@ -72,9 +72,9 @@ def cmd_gen_data(opts: dict) -> int:
     if n < 1:
         raise ValueError("gen-data: --n must be >= 1")
     out_path = _out_path(opts, opts["out"])
-    records = data_mod.gen_synthetic(n, opts["seed"], signal)
-    data_mod.write_csv(records, out_path)
-    rate = data_mod.synthetic_bayes_rate(records, signal)
+    table = data_mod.gen_synthetic(n, opts["seed"], signal)
+    data_mod.write_csv(table, out_path)
+    rate = data_mod.synthetic_bayes_rate(table, signal)
     print(f"wrote {n} records to {out_path}")
     print(f"oracle accuracy of the generative link: {rate:.4f}")
     return EXIT_OK
@@ -95,11 +95,11 @@ def cmd_train(opts: dict) -> int:
     boost_cfg = BoostConfig(rounds=opts["rounds"], epsilon_floor=opts["epsilon_floor"],
                             seed=seed)
     if opts["data"] is not None:
-        records = data_mod.load_csv(opts["data"])
+        table = data_mod.load_csv(opts["data"])
     else:
-        records = data_mod.gen_synthetic(opts["synth_n"], seed, opts["signal"])
-    X = data_mod.encode(records, target)
-    labels = data_mod.encode_labels(records, target)
+        table = data_mod.gen_synthetic(opts["synth_n"], seed, opts["signal"])
+    X = data_mod.encode(table, target)
+    labels = data_mod.encode_labels(table, target)
     if len(set(labels.tolist())) < 2:
         raise DataError(
             f"dataset has a single label class under rule "
@@ -130,8 +130,8 @@ def cmd_train(opts: dict) -> int:
         f"{rnd},{epoch},{loss!r}"
         for rnd, r in enumerate(ensemble.rounds, start=1)
         for epoch, loss in enumerate(r.learner.loss_curve.losses, start=1)])
-    data_mod.write_csv([records[i] for i in train_idx], join("train_split.csv"))
-    data_mod.write_csv([records[i] for i in test_idx], join("test_split.csv"))
+    data_mod.write_csv(table.take(train_idx), join("train_split.csv"))
+    data_mod.write_csv(table.take(test_idx), join("test_split.csv"))
 
     for split in ("train", "test"):
         block = report[split]
@@ -141,10 +141,10 @@ def cmd_train(opts: dict) -> int:
     return EXIT_OK
 
 
-def _standardized(bundle: ModelBundle, records) -> np.ndarray:
-    """The model's standardized feature matrix of records."""
+def _standardized(bundle: ModelBundle, table) -> np.ndarray:
+    """The model's standardized feature matrix of table."""
     return data_mod.apply_standardizer(bundle.standardizer,
-                                       data_mod.encode(records, bundle.target))
+                                       data_mod.encode(table, bundle.target))
 
 
 def cmd_evaluate(opts: dict) -> int:
@@ -153,9 +153,9 @@ def cmd_evaluate(opts: dict) -> int:
         raise ValueError("evaluate: --data is required")
     out_path = _out_path(opts, opts["out"])
     bundle = load_model(opts["model"])
-    records = data_mod.load_csv(opts["data"])
-    block = _evaluate_split(bundle, _standardized(bundle, records),
-                            data_mod.encode_labels(records, bundle.target))
+    table = data_mod.load_csv(opts["data"])
+    block = _evaluate_split(bundle, _standardized(bundle, table),
+                            data_mod.encode_labels(table, bundle.target))
     data_mod.write_lines(out_path, [json.dumps({"eval": block}, indent=2)])
     print(_score_line("eval", block))
     print(f"report written to {out_path}")
@@ -168,12 +168,12 @@ def cmd_predict(opts: dict) -> int:
         raise ValueError("predict: --data is required")
     out_path = _out_path(opts, opts["out"])
     bundle = load_model(opts["model"])
-    records = data_mod.load_csv(opts["data"], optional_column=bundle.target.target_column)
-    labels, margins = ensemble_predict(bundle.ensemble, _standardized(bundle, records))
+    table = data_mod.load_csv(opts["data"], optional_column=bundle.target.target_column)
+    labels, margins = ensemble_predict(bundle.ensemble, _standardized(bundle, table))
     data_mod.write_lines(out_path, ["row_index,margin,label"] + [
         f"{idx},{margin!r},{label}"
         for idx, (margin, label) in enumerate(zip(margins.tolist(), labels.tolist()))])
-    print(f"wrote {len(records)} predictions to {out_path}")
+    print(f"wrote {len(table)} predictions to {out_path}")
     return EXIT_OK
 
 

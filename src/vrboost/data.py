@@ -27,16 +27,23 @@ N_FEATURES = len(NUMERIC_FEATURE_INDICES) + len(GENDERS) + len(HEADSETS)
 
 
 @dataclass
-class RawRecord:
-    """One row of the six-column table. A score field is None only when its
-    column was declared optional at load time (prediction inputs)."""
+class Table:
+    """The six-column table: one list per schema column name, in row order.
 
-    age: int
-    gender: str
-    vr_headset: str
-    duration: float
-    motion_sickness: int | None
-    immersion_level: int | None
+    Ages stay Python ints, so an age beyond int64 is written back exactly.
+    A score column is None only when it was declared optional at load time
+    and the file lacks it (prediction inputs).
+    """
+
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(self.columns["Age"])
+
+    def take(self, idx) -> "Table":
+        """The rows idx, in that order."""
+        return Table({name: None if col is None else [col[i] for i in idx]
+                      for name, col in self.columns.items()})
 
 
 @dataclass
@@ -84,9 +91,7 @@ def _parse_float(text: str, column: str, line: int) -> float:
     return value
 
 
-def _parse_score(text: str | None, column: str, line: int) -> int | None:
-    if text is None:
-        return None
+def _parse_score(text: str, column: str, line: int) -> int:
     value = _parse_int(text, column, line)
     lo, hi = SCORE_RANGES[column]
     if not lo <= value <= hi:
@@ -102,84 +107,70 @@ def _parse_enum(text: str, allowed: tuple, column: str, line: int) -> str:
     return value
 
 
-def load_csv(path, optional_column: str | None = None) -> list:
-    """Read a six-column CSV into RawRecords, preserving row order.
+def load_csv(path, optional_column: str | None = None) -> Table:
+    """Read a six-column CSV into a Table, preserving row order.
 
     The header must contain exactly the six schema names, in any order;
-    optional_column (a score column) may be absent, in which case that field
-    is None on every record. A leading UTF-8 byte-order mark is skipped.
+    optional_column (a score column) may be absent, in which case its
+    column is None. A leading UTF-8 byte-order mark is skipped.
     Scores must lie in SCORE_RANGES: MotionSickness 1..10, ImmersionLevel 1..5;
     Age must be a non-negative integer that converts to a finite float64.
-    Raises DataError for schema problems, with the line number for
-    row-level ones.
+    Raises DataError for schema problems and non-UTF-8 text, with the line
+    number for row-level ones: the first bad line, and within it the first
+    failed check in the order Age, Duration, the scores, Gender, VRHeadset.
     """
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+            return _read_table(csv.reader(fh), path, optional_column)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def _read_table(reader, path, optional_column: str | None) -> Table:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError(f"{path}: file is empty") from None
+    header = [name.strip() for name in header]
+    seen = set(header)
+    if len(header) != len(seen):
+        raise DataError(f"{path}: duplicate column in header")
+    missing = set(COLUMNS) - seen - {optional_column}
+    if missing:
+        raise DataError(f"{path}: missing column {sorted(missing)[0]!r}")
+    unknown = seen - set(COLUMNS)
+    if unknown:
+        raise DataError(f"{path}: unknown column {sorted(unknown)[0]!r}")
+
+    columns = {name: [] if name in seen else None for name in COLUMNS}
+    ages, genders, headsets, durations = (columns[name] for name in COLUMNS[:4])
+    i_age, i_gender, i_headset, i_duration = (header.index(name) for name in COLUMNS[:4])
+    scores = [(header.index(name), name, columns[name]) for name in TARGET_COLUMNS
+              if name in seen]
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
+        age = _parse_int(row[i_age], "Age", line_no)
+        if age < 0:
+            raise DataError(f"line {line_no}: column Age: must be >= 0")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: file is empty") from None
-        header = [name.strip() for name in header]
-        expected = set(COLUMNS)
-        if optional_column is not None and optional_column not in header:
-            expected = expected - {optional_column}
-        seen = set(header)
-        if len(header) != len(seen):
-            raise DataError(f"{path}: duplicate column in header")
-        missing = expected - seen
-        if missing:
-            raise DataError(f"{path}: missing column {sorted(missing)[0]!r}")
-        unknown = seen - set(COLUMNS)
-        if unknown:
-            raise DataError(f"{path}: unknown column {sorted(unknown)[0]!r}")
-        pos = {name: header.index(name) for name in header}
-
-        records = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
-
-            def cell(column):
-                return row[pos[column]] if column in pos else None
-
-            age = _parse_int(cell("Age"), "Age", line_no)
-            if age < 0:
-                raise DataError(f"line {line_no}: column Age: must be >= 0")
-            try:
-                float(age)  # encode_features reads Age as a float64
-            except OverflowError:
-                raise DataError(f"line {line_no}: column Age: too large for a float64") from None
-            duration = _parse_float(cell("Duration"), "Duration", line_no)
-            if duration < 0:
-                raise DataError(f"line {line_no}: column Duration: must be >= 0")
-            motion = _parse_score(cell("MotionSickness"), "MotionSickness", line_no)
-            immersion = _parse_score(cell("ImmersionLevel"), "ImmersionLevel", line_no)
-            records.append(RawRecord(
-                age=age,
-                gender=_parse_enum(cell("Gender"), GENDERS, "Gender", line_no),
-                vr_headset=_parse_enum(cell("VRHeadset"), HEADSETS, "VRHeadset", line_no),
-                duration=duration,
-                motion_sickness=motion,
-                immersion_level=immersion,
-            ))
-    if not records:
+            float(age)  # encode() reads Age as a float64
+        except OverflowError:
+            raise DataError(f"line {line_no}: column Age: too large for a float64") from None
+        ages.append(age)
+        duration = _parse_float(row[i_duration], "Duration", line_no)
+        if duration < 0:
+            raise DataError(f"line {line_no}: column Duration: must be >= 0")
+        durations.append(duration)
+        for i, name, column in scores:
+            column.append(_parse_score(row[i], name, line_no))
+        genders.append(_parse_enum(row[i_gender], GENDERS, "Gender", line_no))
+        headsets.append(_parse_enum(row[i_headset], HEADSETS, "VRHeadset", line_no))
+    if not ages:
         raise DataError(f"{path}: no data rows")
-    return records
-
-
-def record_to_row(record: RawRecord) -> str:
-    """Serialize one record in schema column order; floats via repr, so a
-    written-then-loaded file reproduces every value exactly."""
-    return ",".join([
-        str(record.age),
-        record.gender,
-        record.vr_headset,
-        repr(record.duration),
-        str(record.motion_sickness),
-        str(record.immersion_level),
-    ])
+    return Table(columns)
 
 
 def write_lines(path, lines) -> None:
@@ -189,17 +180,22 @@ def write_lines(path, lines) -> None:
         fh.writelines(line + "\n" for line in lines)
 
 
-def write_csv(records, path) -> None:
-    """Write records in the canonical header order."""
-    write_lines(path, [",".join(COLUMNS)] + [record_to_row(r) for r in records])
+def write_csv(table: Table, path) -> None:
+    """Write table in the canonical header order; floats via repr, so a
+    written-then-loaded file reproduces every value exactly. Raises
+    ValueError when a column is absent."""
+    for name in COLUMNS:
+        if table.columns[name] is None:
+            raise ValueError(f"write_csv: column {name} is absent")
+    write_lines(path, [",".join(COLUMNS)] + [
+        f"{age},{gender},{headset},{duration!r},{motion},{immersion}"
+        for age, gender, headset, duration, motion, immersion
+        in zip(*(table.columns[name] for name in COLUMNS))])
 
 
-def _score_value(record: RawRecord, column: str):
-    return record.motion_sickness if column == "MotionSickness" else record.immersion_level
-
-
-def encode_features(record: RawRecord, spec: TargetSpec) -> np.ndarray:
-    """Numeric feature vector, length 9, in documented order:
+def encode(table: Table, spec: TargetSpec) -> np.ndarray:
+    """The (N, 9) float64 feature matrix of table, one row per record, in
+    documented order:
 
     [age, duration, leftover score column,
      gender one-hot (Male, Female, Other),
@@ -207,41 +203,34 @@ def encode_features(record: RawRecord, spec: TargetSpec) -> np.ndarray:
 
     The target column itself never appears among the features.
     """
+    if not len(table):
+        raise ValueError("encode: no records")
+    cols = table.columns
     other_column = "MotionSickness" if spec.target_column == "ImmersionLevel" else "ImmersionLevel"
-    other = _score_value(record, other_column)
+    other = cols[other_column]
     if other is None:
         raise DataError(f"column {other_column} is required as a feature but is missing")
-    vec = [float(record.age), float(record.duration), float(other)]
-    vec += [1.0 if record.gender == g else 0.0 for g in GENDERS]
-    vec += [1.0 if record.vr_headset == h else 0.0 for h in HEADSETS]
-    return np.array(vec)
+    return np.column_stack([np.array(cols["Age"], dtype=float), cols["Duration"], other,
+                            np.array(cols["Gender"])[:, None] == np.array(GENDERS),
+                            np.array(cols["VRHeadset"])[:, None] == np.array(HEADSETS)])
 
 
-def encode(records, spec: TargetSpec) -> np.ndarray:
-    """The (N, 9) float64 feature matrix of records, one encode_features() row each."""
-    if not records:
-        raise ValueError("encode: no records")
-    return np.stack([encode_features(record, spec) for record in records])
-
-
-def encode_labels(records, spec: TargetSpec) -> np.ndarray:
-    """The (N,) {0,1} labels of records under the target rule.
+def encode_labels(table: Table, spec: TargetSpec) -> np.ndarray:
+    """The (N,) {0,1} labels of table under the target rule.
 
     Warns (UserWarning) when every label comes out identical; downstream
     training will reject such data.
     """
-    if not records:
+    if not len(table):
         raise ValueError("encode_labels: no records")
-    labels = []
-    for record in records:
-        target = _score_value(record, spec.target_column)
-        if target is None:
-            raise DataError(f"column {spec.target_column} is required to compute labels")
-        labels.append(1 if target >= spec.threshold else 0)
-    if len(set(labels)) == 1:
+    target = table.columns[spec.target_column]
+    if target is None:
+        raise DataError(f"column {spec.target_column} is required to compute labels")
+    labels = (np.array(target) >= spec.threshold).astype(int)
+    if labels.min() == labels.max():
         warnings.warn(f"all labels identical ({labels[0]}); training cannot proceed "
                       f"on single-class data", UserWarning, stacklevel=2)
-    return np.array(labels)
+    return labels
 
 
 def _round_half_up(x: float) -> int:
@@ -336,8 +325,8 @@ def signal_score(motion_sickness: float, duration: float, vr_headset: str) -> fl
             + ch * _HEADSET_EFFECT[vr_headset])
 
 
-def gen_synthetic(n: int, seed: int, signal_strength: float) -> list:
-    """Generate n schema-compatible records with a plantable signal.
+def gen_synthetic(n: int, seed: int, signal_strength: float) -> Table:
+    """Generate a Table of n schema-compatible records with a plantable signal.
 
     ImmersionLevel lands in {4,5} with probability sigmoid(signal_strength *
     signal_score(...)) and in {1,2,3} otherwise, so the default target rule
@@ -352,7 +341,7 @@ def gen_synthetic(n: int, seed: int, signal_strength: float) -> list:
     if signal_strength < 0:
         raise ValueError("gen_synthetic: signal_strength must be >= 0")
     rng = Rng(seed)
-    records = []
+    rows = []
     for _ in range(n):
         age = rng.randint(18, 60)
         gender = GENDERS[rng.randint(0, 2)]
@@ -362,19 +351,16 @@ def gen_synthetic(n: int, seed: int, signal_strength: float) -> list:
         p_high = sigmoid(signal_strength * signal_score(motion, duration, headset))
         high = rng.uniform(0.0, 1.0) < p_high
         immersion = rng.randint(4, 5) if high else rng.randint(1, 3)
-        records.append(RawRecord(age=age, gender=gender, vr_headset=headset,
-                                 duration=duration, motion_sickness=motion,
-                                 immersion_level=immersion))
-    return records
+        rows.append((age, gender, headset, duration, motion, immersion))  # COLUMNS order
+    return Table(dict(zip(COLUMNS, map(list, zip(*rows)))))
 
 
-def synthetic_bayes_rate(records, signal_strength: float) -> float:
+def synthetic_bayes_rate(table: Table, signal_strength: float) -> float:
     """Best achievable accuracy on the planted labels, by direct evaluation
     of the known link: mean over records of max(p, 1-p)."""
-    best = [max(p, 1.0 - p) for p in
-            (sigmoid(signal_strength * signal_score(r.motion_sickness, r.duration,
-                                                    r.vr_headset))
-             for r in records)]
+    cols = table.columns
+    links = map(signal_score, cols["MotionSickness"], cols["Duration"], cols["VRHeadset"])
+    best = [max(p, 1.0 - p) for p in (sigmoid(signal_strength * z) for z in links)]
     return math.fsum(best) / len(best)
 
 

@@ -292,7 +292,7 @@ class PackedLstm:
         self._W3, self._U3 = self.W.reshape(4, h, d), self.U.reshape(4, h, h)
         self._UT3 = self._U3.transpose(0, 2, 1)
         self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
-        self._traces = {}  # T -> the Trace forward() fills for T-step rows
+        self._traces = {}  # T*D -> the Trace forward() fills for T-step rows
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
@@ -349,13 +349,16 @@ class PackedLstm:
         entry, so all T are taken at once; at D>1 each step makes the
         per-gate W_g @ x_t. U @ h is skipped at step 0, where h is zero:
         U @ 0 adds +0.0, which changes no sum whose bias term is not -0.0,
-        and SGD never makes one.
+        and SGD never makes one. Raises ValueError when x is empty or its
+        length is not a multiple of D.
         """
         d = self.input_dim
-        steps = len(x) // d
-        trace = self._traces.get(steps)
-        if trace is None:
-            trace = self._traces[steps] = Trace(d, self.hidden_dim, steps)
+        trace = self._traces.get(len(x))
+        if trace is None:  # the row's width is checked once per width
+            if not len(x) or len(x) % d:
+                raise ValueError(f"forward: need a row of T*{d} features, got {len(x)}")
+            trace = self._traces[len(x)] = Trace(d, self.hidden_dim, len(x) // d)
+        steps = trace.steps
         trace.x = x
         W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
         if d == 1:

@@ -89,7 +89,7 @@ def load_model(path: str) -> ModelBundle:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"could not parse model file {path}: {exc}") from None
     try:
         version = _typed(doc["format_version"], int)

@@ -36,8 +36,8 @@ def _criterion(num, description, ok, detail=""):
 
 def _prepare(n, seed, signal):
     """((X, labels) of the standardized train split, the same of the test split)."""
-    records = gen_synthetic(n, seed=seed, signal_strength=signal)
-    X, labels = encode(records, TargetSpec()), encode_labels(records, TargetSpec())
+    table = gen_synthetic(n, seed=seed, signal_strength=signal)
+    X, labels = encode(table, TargetSpec()), encode_labels(table, TargetSpec())
     train_idx, test_idx = split_indices(len(X), 0.7, seed=seed)
     std = fit_standardizer(X[train_idx])
     return ((apply_standardizer(std, X[train_idx]), labels[train_idx]),

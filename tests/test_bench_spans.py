@@ -25,7 +25,8 @@ def test_only_the_known_targets_are_missing():
     # Tracer() resolves its targets without installing a wrapper
     assert _bench_spans().Tracer().missing == [
         "lstm.forward_sequence", "lstm.backward", "lstm._clip_gradient",
-        "numerics.affine", "numerics.tanh_act", "numerics.Rng.normal"]
+        "numerics.affine", "numerics.tanh_act", "numerics.Rng.normal",
+        "data.encode_features"]
 
 
 def test_accepted_rounds_hook_counts_the_rounds_boost_train_accepts():

@@ -267,12 +267,12 @@ def test_predict_margins_match_library(tmp_path, trained):
                  "--out", pred_path.name, "--out-dir", tmp_path])
     assert code == 0
     bundle = load_model(out / "model.json")
-    records = data_mod.load_csv(data_path)
+    table = data_mod.load_csv(data_path)
     standardized = data_mod.apply_standardizer(bundle.standardizer,
-                                               data_mod.encode(records, bundle.target))
+                                               data_mod.encode(table, bundle.target))
     lines = pred_path.read_text().splitlines()
     assert lines[0] == "row_index,margin,label"
-    assert len(lines) == len(records) + 1
+    assert len(lines) == len(table) + 1
     want_labels, want_margins = ensemble_predict(bundle.ensemble, standardized)
     for line, want_label, want_margin in zip(lines[1:], want_labels, want_margins):
         idx, margin, label = line.split(",")
@@ -282,12 +282,9 @@ def test_predict_margins_match_library(tmp_path, trained):
 
 def test_predict_without_target_column(tmp_path, trained):
     _, data_path, out = trained
-    records = data_mod.load_csv(data_path)
+    lines = data_path.read_text().splitlines()[:11]  # header and 10 rows, ImmersionLevel last
     no_target = tmp_path / "new.csv"
-    lines = ["Age,Gender,VRHeadset,Duration,MotionSickness"]
-    lines += [f"{r.age},{r.gender},{r.vr_headset},{r.duration!r},{r.motion_sickness}"
-              for r in records[:10]]
-    no_target.write_text("\n".join(lines) + "\n")
+    no_target.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
     code = _run(["predict", "--model", out / "model.json", "--data", no_target,
                  "--out", "p.csv", "--out-dir", tmp_path])
     assert code == 0
@@ -303,6 +300,28 @@ def test_predict_empty_data_is_exit_3(tmp_path, trained):
     assert code == 3
 
 
+def test_predict_non_utf8_data_is_exit_3_naming_the_file(tmp_path, trained, capsys):
+    _, data_path, out = trained
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes(data_path.read_bytes() + "40,Male,HTC Vive,1.0,8,5\u00e9\n".encode("cp1252"))
+    code = _run(["predict", "--model", out / "model.json", "--data", latin1,
+                 "--out", "p.csv", "--out-dir", tmp_path])
+    assert code == 3
+    assert f"error: {latin1}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_evaluate_non_utf8_model_is_exit_3_naming_the_file(tmp_path, trained, capsys):
+    _, data_path, out = trained
+    model = tmp_path / "model.json"
+    model.write_bytes(b"\xff" + (out / "model.json").read_bytes())
+    code = _run(["evaluate", "--model", model, "--data", data_path,
+                 "--out", "r.json", "--out-dir", tmp_path])
+    assert code == 3
+    assert f"error: could not parse model file {model}: 'utf-8' codec" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_model_round_trip_identical_predictions(tmp_path, trained):
     _, data_path, out = trained
     bundle = load_model(out / "model.json")
@@ -310,8 +329,8 @@ def test_model_round_trip_identical_predictions(tmp_path, trained):
     save_model(bundle, copy_path)
     assert copy_path.read_bytes() == (out / "model.json").read_bytes()
     reloaded = load_model(copy_path)
-    records = data_mod.load_csv(data_path)
-    X = data_mod.apply_standardizer(bundle.standardizer, data_mod.encode(records, bundle.target))
+    table = data_mod.load_csv(data_path)
+    X = data_mod.apply_standardizer(bundle.standardizer, data_mod.encode(table, bundle.target))
     for got, want in zip(ensemble_predict(bundle.ensemble, X),
                          ensemble_predict(reloaded.ensemble, X)):
         assert np.array_equal(got, want)

@@ -2,16 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vrboost import cli
 from vrboost.data import (COLUMNS, GENDERS, HEADSETS, NUMERIC_FEATURE_INDICES, N_FEATURES,
-                          SCORE_RANGES, RawRecord, TargetSpec, apply_standardizer, encode,
-                          encode_features, encode_labels, fit_standardizer, gen_synthetic,
-                          load_csv, majority_rate, signal_score, split_indices,
-                          synthetic_bayes_rate, write_csv)
+                          SCORE_RANGES, Table, TargetSpec, apply_standardizer, encode,
+                          encode_labels, fit_standardizer, gen_synthetic, load_csv,
+                          majority_rate, signal_score, split_indices, synthetic_bayes_rate,
+                          write_csv)
 from vrboost.errors import DataError
 
 HEADER = "Age,Gender,VRHeadset,Duration,MotionSickness,ImmersionLevel"
@@ -30,26 +30,43 @@ def _write(tmp_path, text, name="data.csv"):
     return path
 
 
+def _table(*rows):
+    """A Table of rows given as tuples in COLUMNS order."""
+    return Table(dict(zip(COLUMNS, map(list, zip(*rows)))))
+
+
+def _rows(table):
+    return list(zip(*(table.columns[name] for name in COLUMNS)))
+
+
 def test_load_csv_parses_rows(tmp_path):
     path = _write(tmp_path, HEADER + "\n" + "\n".join(SAMPLE_ROWS) + "\n")
-    records = load_csv(path)
-    assert len(records) == 4
-    first = records[0]
-    assert first == RawRecord(40, "Male", "HTC Vive", 13.59850823, 8, 5)
-    assert records[3] == RawRecord(46, "Other", "PlayStation VR", 48.88756499, 6, 2)
+    table = load_csv(path)
+    assert len(table) == 4
+    rows = _rows(table)
+    assert rows[0] == (40, "Male", "HTC Vive", 13.59850823, 8, 5)
+    assert rows[3] == (46, "Other", "PlayStation VR", 48.88756499, 6, 2)
+
+
+def test_table_take_keeps_the_given_order_and_an_absent_column():
+    table = _table((40, "Male", "HTC Vive", 1.5, 8, 5), (41, "Other", "Oculus Rift", 2.5, 3, 1),
+                   (42, "Female", "PlayStation VR", 3.5, 1, 4))
+    assert _rows(table.take([2, 0])) == [_rows(table)[2], _rows(table)[0]]
+    table.columns["ImmersionLevel"] = None
+    picked = table.take([1])
+    assert len(picked) == 1 and picked.columns["ImmersionLevel"] is None
 
 
 def test_load_csv_any_column_order(tmp_path):
     path = _write(tmp_path, "Duration,Age,ImmersionLevel,Gender,MotionSickness,VRHeadset\n"
                             "13.5,40,5,Male,8,HTC Vive\n")
-    record = load_csv(path)[0]
-    assert record.age == 40 and record.duration == 13.5 and record.vr_headset == "HTC Vive"
+    assert _rows(load_csv(path)) == [(40, "Male", "HTC Vive", 13.5, 8, 5)]
 
 
 def test_load_csv_trims_whitespace(tmp_path):
     path = _write(tmp_path, HEADER + "\n40, Male , HTC Vive ,13.5,8,5\n")
-    record = load_csv(path)[0]
-    assert record.gender == "Male" and record.vr_headset == "HTC Vive"
+    table = load_csv(path)
+    assert table.columns["Gender"] == ["Male"] and table.columns["VRHeadset"] == ["HTC Vive"]
 
 
 def test_load_csv_schema_errors(tmp_path):
@@ -83,7 +100,7 @@ def test_load_csv_row_errors_carry_line_numbers(tmp_path):
 def test_load_csv_rejects_an_age_beyond_float64(tmp_path):
     # 309 digits still convert (1e308 < max float64); 400 overflow
     fits = _write(tmp_path, HEADER + "\n" + "9" * 308 + ",Male,HTC Vive,1.0,8,5\n", "a.csv")
-    assert load_csv(fits)[0].age == int("9" * 308)
+    assert load_csv(fits).columns["Age"] == [int("9" * 308)]
     huge = _write(tmp_path, HEADER + "\n" + SAMPLE_ROWS[0] + "\n"
                   + "9" * 400 + ",Male,HTC Vive,1.0,8,5\n", "b.csv")
     with pytest.raises(DataError, match="line 3: column Age: too large"):
@@ -102,54 +119,104 @@ def test_load_csv_rejects_scores_out_of_range(tmp_path):
             load_csv(path)
     edges = _write(tmp_path, HEADER + "\n40,Male,HTC Vive,13.5,1,1\n"
                    "40,Male,HTC Vive,13.5,10,5\n", "edges.csv")
-    assert [(r.motion_sickness, r.immersion_level) for r in load_csv(edges)] == [(1, 1), (10, 5)]
+    table = load_csv(edges)
+    assert table.columns["MotionSickness"] == [1, 10]
+    assert table.columns["ImmersionLevel"] == [1, 5]
+
+
+@pytest.mark.parametrize("row, message", [
+    ("-1,Male,HTC Vive,abc,8,5", "column Age: must be >= 0"),
+    ("9" * 400 + ",Male,HTC Vive,-1.0,8,5", "column Age: too large"),
+    ("40,Unknown,HTC Vive,abc,8,5", "column Duration: 'abc' is not a number"),
+    ("40,Unknown,HTC Vive,-2.0,8,5", "column Duration: must be >= 0"),
+    ("40,Male,Unknown,1.0,0,9", "column MotionSickness: 0 is outside"),
+    ("40,Unknown,HTC Vive,1.0,8,9", "column ImmersionLevel: 9 is outside"),
+    ("40,Unknown,Unknown,1.0,8,5", "column Gender: unknown value 'Unknown'"),
+], ids=["age_before_duration", "age_size_before_duration", "duration_before_gender",
+        "duration_sign_before_gender", "motion_before_immersion", "immersion_before_gender",
+        "gender_before_headset"])
+def test_load_csv_reports_the_first_failed_check_of_the_first_bad_line(tmp_path, row, message):
+    # line 4 is bad in every column: only line 3's first failed check may be reported
+    path = _write(tmp_path, HEADER + "\n" + SAMPLE_ROWS[0] + "\n" + row + "\n"
+                  "x,Unknown,Unknown,abc,0,0\n")
+    with pytest.raises(DataError) as info:
+        load_csv(path)
+    assert str(info.value).startswith(f"line 3: {message}")
+
+
+def test_load_csv_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes((HEADER + "\n40,Male,HTC Vive,13.5,8,5\n").encode() + b"\xff\n")
+    with pytest.raises(DataError, match="latin1.csv: not UTF-8 text"):
+        load_csv(path)
 
 
 def test_load_csv_optional_target_column(tmp_path):
     text = "Age,Gender,VRHeadset,Duration,MotionSickness\n40,Male,HTC Vive,13.5,8\n"
     path = _write(tmp_path, text)
-    records = load_csv(path, optional_column="ImmersionLevel")
-    assert records[0].immersion_level is None
-    assert records[0].motion_sickness == 8
+    table = load_csv(path, optional_column="ImmersionLevel")
+    assert table.columns["ImmersionLevel"] is None
+    assert table.columns["MotionSickness"] == [8]
     with pytest.raises(DataError, match="ImmersionLevel"):
         load_csv(path)
+    # a table without its score column cannot be written back as a schema file
+    with pytest.raises(ValueError, match="column ImmersionLevel is absent"):
+        write_csv(table, tmp_path / "out.csv")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_csv_round_trip_exact(tmp_path):
-    records = gen_synthetic(60, seed=5, signal_strength=2.0)
+    table = gen_synthetic(60, seed=5, signal_strength=2.0)
     first = tmp_path / "first.csv"
-    write_csv(records, first)
+    write_csv(table, first)
     loaded = load_csv(first)
-    assert loaded == records
+    assert loaded == table
     second = tmp_path / "second.csv"
     write_csv(loaded, second)
     assert first.read_bytes() == second.read_bytes()
 
 
-_RECORDS = st.lists(st.builds(
-    RawRecord,
-    age=st.integers(0, 10 ** 300),
-    gender=st.sampled_from(GENDERS),
-    vr_headset=st.sampled_from(HEADSETS),
+_TABLES = st.lists(st.tuples(
+    # small ages, ages about 2**63 where int64 ends, and ages up to 10**300
+    st.one_of(st.integers(0, 200), st.integers(2 ** 63 - 2 ** 11, 2 ** 64 + 2 ** 12),
+              st.integers(0, 10 ** 300)),
+    st.sampled_from(GENDERS),
+    st.sampled_from(HEADSETS),
     # every non-negative finite float64: -0.0, subnormals and 1.8e308 included
-    duration=st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False),
-    motion_sickness=st.integers(*SCORE_RANGES["MotionSickness"]),
-    immersion_level=st.integers(*SCORE_RANGES["ImmersionLevel"])), min_size=1, max_size=8)
+    st.floats(min_value=-0.0, allow_nan=False, allow_infinity=False),
+    st.integers(*SCORE_RANGES["MotionSickness"]),
+    st.integers(*SCORE_RANGES["ImmersionLevel"])), min_size=1, max_size=8).map(
+        lambda rows: _table(*rows))
 
 
 @settings(max_examples=40)
-@given(_RECORDS)
-def test_csv_write_load_round_trip_property(tmp_path_factory, records):
-    path = tmp_path_factory.getbasetemp() / "records.csv"
-    write_csv(records, path)
+@given(_TABLES)
+def test_csv_write_load_round_trip_property(tmp_path_factory, table):
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    write_csv(table, path)
     loaded = load_csv(path)
-    assert loaded == records
-    assert [repr(r.duration) for r in loaded] == [repr(r.duration) for r in records]
+    assert loaded == table
+    assert list(map(repr, loaded.columns["Duration"])) == list(map(repr, table.columns["Duration"]))
+
+
+@settings(max_examples=60)
+@given(_TABLES, st.sampled_from([TargetSpec("ImmersionLevel", 4), TargetSpec("MotionSickness", 6)]))
+@example(_table((40, "Male", "HTC Vive", 13.5, 8, 5), (2 ** 63 + 1025, "Other", "PlayStation VR",
+                                                       -0.0, 10, 1)), TargetSpec())
+def test_encode_rows_follow_the_documented_layout(table, spec):
+    other = "MotionSickness" if spec.target_column == "ImmersionLevel" else "ImmersionLevel"
+    X = encode(table, spec)
+    assert X.shape == (len(table), N_FEATURES) and X.dtype == np.float64
+    for i, (age, gender, headset, duration, *_) in enumerate(_rows(table)):
+        want = [float(age), duration, float(table.columns[other][i])]
+        want += [1.0 if gender == g else 0.0 for g in GENDERS]
+        want += [1.0 if headset == h else 0.0 for h in HEADSETS]
+        assert X[i].tobytes() == np.array(want).tobytes()  # -0.0 keeps its sign
 
 
 def test_crlf_line_endings(tmp_path):
     path = _write(tmp_path, HEADER + "\r\n" + SAMPLE_ROWS[0] + "\r\n")
-    assert load_csv(path)[0].age == 40
+    assert load_csv(path).columns["Age"] == [40]
 
 
 def test_load_csv_skips_utf8_byte_order_mark(tmp_path):
@@ -161,47 +228,46 @@ def test_load_csv_skips_utf8_byte_order_mark(tmp_path):
 
 
 def test_encode_labels_and_layout():
-    records = [RawRecord(40, "Male", "HTC Vive", 13.59850823, 8, 5),
-               RawRecord(43, "Female", "HTC Vive", 19.95081498, 2, 2)]
+    table = _table((40, "Male", "HTC Vive", 13.59850823, 8, 5),
+                   (43, "Female", "HTC Vive", 19.95081498, 2, 2))
     spec = TargetSpec("ImmersionLevel", 4)
-    X = encode(records, spec)
-    assert encode_labels(records, spec).tolist() == [1, 0]
+    X = encode(table, spec)
+    assert encode_labels(table, spec).tolist() == [1, 0]
     assert X.shape == (2, 9) and X.dtype == np.float64
     feats = X[0]
     assert feats[0] == 40.0 and feats[1] == 13.59850823
     assert feats[2] == 8.0  # leftover score column, target excluded
     assert np.array_equal(feats[3:6], [1.0, 0.0, 0.0])  # Male one-hot
     assert np.array_equal(feats[6:9], [1.0, 0.0, 0.0])  # HTC Vive one-hot
-    assert np.array_equal(X[1], encode_features(records[1], spec))
+    assert np.array_equal(X[1], [43.0, 19.95081498, 2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
 
 
 @pytest.mark.filterwarnings("ignore:all labels identical")
 def test_encode_motion_sickness_target():
-    record = RawRecord(40, "Other", "Oculus Rift", 10.0, 8, 5)
+    table = _table((40, "Other", "Oculus Rift", 10.0, 8, 5))
     spec = TargetSpec("MotionSickness", 6)
-    assert encode_labels([record], spec).tolist() == [1]
-    assert encode([record], spec)[0, 2] == 5.0  # immersion becomes the leftover feature
+    assert encode_labels(table, spec).tolist() == [1]
+    assert encode(table, spec)[0, 2] == 5.0  # immersion becomes the leftover feature
 
 
 def test_encode_warns_on_single_class():
-    records = [RawRecord(30, "Male", "HTC Vive", 10.0, 5, 5),
-               RawRecord(31, "Female", "Oculus Rift", 11.0, 5, 5)]
+    table = _table((30, "Male", "HTC Vive", 10.0, 5, 5), (31, "Female", "Oculus Rift", 11.0, 5, 5))
     with pytest.warns(UserWarning, match="identical"):
-        encode_labels(records, TargetSpec("ImmersionLevel", 4))
+        encode_labels(table, TargetSpec("ImmersionLevel", 4))
 
 
 def test_encode_requires_target_values():
-    record = RawRecord(30, "Male", "HTC Vive", 10.0, 5, None)
+    table = _table((30, "Male", "HTC Vive", 10.0, 5, 5))
+    table.columns["ImmersionLevel"] = None
     with pytest.raises(DataError, match="ImmersionLevel"):
-        encode_labels([record], TargetSpec("ImmersionLevel", 4))
+        encode_labels(table, TargetSpec("ImmersionLevel", 4))
     # features never need the target column...
-    assert encode([record], TargetSpec("ImmersionLevel", 4)).shape == (1, 9)
+    assert encode(table, TargetSpec("ImmersionLevel", 4)).shape == (1, 9)
     # ...but the leftover score column is a feature, so it is required
-    record = RawRecord(30, "Male", "HTC Vive", 10.0, None, 5)
+    table = _table((30, "Male", "HTC Vive", 10.0, 5, 5))
+    table.columns["MotionSickness"] = None
     with pytest.raises(DataError, match="MotionSickness"):
-        encode_features(record, TargetSpec("ImmersionLevel", 4))
-    with pytest.raises(DataError, match="MotionSickness"):
-        encode([record], TargetSpec("ImmersionLevel", 4))
+        encode(table, TargetSpec("ImmersionLevel", 4))
 
 
 def test_target_spec_validation():
@@ -286,11 +352,10 @@ def test_standardizer_rejects_a_column_whose_moments_overflow():
 
 def test_train_on_overflowing_durations_exits_3_before_any_learner_trains(tmp_path,
                                                                           monkeypatch):
-    records = gen_synthetic(40, seed=3, signal_strength=4.0)
-    for k, record in enumerate(records):
-        record.duration = 1e308 if k % 2 else 5e307
+    table = gen_synthetic(40, seed=3, signal_strength=4.0)
+    table.columns["Duration"] = [1e308 if k % 2 else 5e307 for k in range(40)]
     path = tmp_path / "data.csv"
-    write_csv(records, path)
+    write_csv(table, path)
 
     def no_training(*args, **kwargs):
         raise AssertionError("a learner was trained")
@@ -301,8 +366,7 @@ def test_train_on_overflowing_durations_exits_3_before_any_learner_trains(tmp_pa
 
 
 def test_standardizer_normalizes_train_columns():
-    records = gen_synthetic(200, seed=9, signal_strength=1.0)
-    raw = encode(records, TargetSpec())
+    raw = encode(gen_synthetic(200, seed=9, signal_strength=1.0), TargetSpec())
     std = fit_standardizer(raw)
     X = apply_standardizer(std, raw)
     for idx in (0, 1, 2):
@@ -362,12 +426,12 @@ def test_standardizer_invariants(X):
 def test_gen_synthetic_determinism_and_ranges(tmp_path):
     a = gen_synthetic(300, seed=12, signal_strength=4.0)
     b = gen_synthetic(300, seed=12, signal_strength=4.0)
-    assert a == b
-    for record in a:
-        assert 18 <= record.age <= 60
-        assert 5.0 <= record.duration < 60.0
-        assert 1 <= record.motion_sickness <= 10
-        assert 1 <= record.immersion_level <= 5
+    assert a == b and len(a) == 300
+    for age, _, _, duration, motion, immersion in _rows(a):
+        assert 18 <= age <= 60
+        assert 5.0 <= duration < 60.0
+        assert 1 <= motion <= 10
+        assert 1 <= immersion <= 5
     assert gen_synthetic(300, seed=13, signal_strength=4.0) != a
 
 
@@ -379,26 +443,26 @@ def test_gen_synthetic_validation():
 
 
 def test_null_signal_labels_are_independent_coin_flips():
-    records = gen_synthetic(4000, seed=3, signal_strength=0.0)
-    assert synthetic_bayes_rate(records, 0.0) == 0.5
-    labels = [1 if r.immersion_level >= 4 else 0 for r in records]
+    table = gen_synthetic(4000, seed=3, signal_strength=0.0)
+    assert synthetic_bayes_rate(table, 0.0) == 0.5
+    labels = [1 if level >= 4 else 0 for level in table.columns["ImmersionLevel"]]
     assert abs(np.mean(labels) - 0.5) < 0.03
     # association with the link score should be negligible
-    scores = np.array([signal_score(r.motion_sickness, r.duration, r.vr_headset)
-                       for r in records])
+    scores = np.array([signal_score(motion, duration, headset)
+                       for _, _, headset, duration, motion, _ in _rows(table)])
     corr = np.corrcoef(scores, labels)[0, 1]
     assert abs(corr) < 0.05
 
 
 def test_planted_signal_bayes_rate():
-    records = gen_synthetic(2000, seed=7, signal_strength=4.0)
-    rate = synthetic_bayes_rate(records, 4.0)
+    table = gen_synthetic(2000, seed=7, signal_strength=4.0)
+    rate = synthetic_bayes_rate(table, 4.0)
     assert rate >= 0.85
     # the oracle rate is achievable: thresholding the true link hits it
-    labels = np.array([1 if r.immersion_level >= 4 else 0 for r in records])
+    labels = np.array([1 if level >= 4 else 0 for level in table.columns["ImmersionLevel"]])
     link_preds = np.array([
-        1 if signal_score(r.motion_sickness, r.duration, r.vr_headset) > 0 else 0
-        for r in records])
+        1 if signal_score(motion, duration, headset) > 0 else 0
+        for _, _, headset, duration, motion, _ in _rows(table)])
     achieved = np.mean(link_preds == labels)
     assert achieved > 0.8
 

@@ -168,6 +168,21 @@ def test_sequence_rejects_empty():
         forward_sequence(_zeroed(2, 2), [])
 
 
+@pytest.mark.parametrize("width, call", [
+    (5, lambda kernel, x: kernel.forward(x)),
+    (0, lambda kernel, x: kernel.forward(x)),
+    (7, lambda kernel, x: grad_check(kernel, x, 1, 1.0)),
+], ids=["forward_trailing_feature", "forward_empty_row", "grad_check_trailing_features"])
+def test_a_row_that_is_not_whole_steps_is_rejected(width, call):
+    kernel = init_params(4, 3, Rng(2))
+    prob = kernel.forward(np.ones(4))[0]
+    with pytest.raises(ValueError, match=f"need a row of T\\*4 features, got {width}"):
+        call(kernel, np.ones(width))
+    with pytest.raises(ValueError):  # not only when the width is first seen
+        call(kernel, np.ones(width))
+    assert kernel.forward(np.ones(4))[0] == prob
+
+
 # --- loss and gradients ---------------------------------------------------
 
 def test_weighted_loss_values():

@@ -96,9 +96,9 @@ def test_v1_model_predicts_as_the_v1_code_did(tmp_path, mode):
 
 
 def _score_matrix(bundle: ModelBundle) -> np.ndarray:
-    records = data_mod.load_csv(FIXTURES / "v1_score.csv")
+    table = data_mod.load_csv(FIXTURES / "v1_score.csv")
     return data_mod.apply_standardizer(bundle.standardizer,
-                                       data_mod.encode(records, bundle.target))
+                                       data_mod.encode(table, bundle.target))
 
 
 @pytest.mark.parametrize("mode", MODES)
