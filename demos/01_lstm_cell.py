@@ -18,16 +18,16 @@ def gates(trace, t):
 # 1. A new PackedLstm holds all-zero weights, and with every weight at zero
 #    the cell is perfectly agnostic: the sigmoid gates all emit 0.5, the
 #    candidate vector is 0, and the state stays put. forward() takes one flat
-#    row of T steps of input_dim features laid end to end, and returns the
-#    class-1 probability, the last hidden state and the row's trace: per
-#    step, the gate activations f, i, o, g and tanh(c), and the states c and
-#    h from the zero start on.
+#    row of T steps of input_dim features laid end to end, returns the
+#    class-1 probability and keeps the row's trace as kernel.trace: per step,
+#    the gate activations f, i, o, g and tanh(c), the states c and h from the
+#    zero start on, and the last hidden state h_last.
 kernel = PackedLstm(input_dim=3, hidden_dim=2)
-prob, h_last, trace = kernel.forward(np.array([1.0, -2.0, 0.5]))
+prob = kernel.forward(np.array([1.0, -2.0, 0.5]))
 print("zero-weight gates:")
-for gate, value in gates(trace, 0).items():
+for gate, value in gates(kernel.trace, 0).items():
     print(f"  {gate:<10} -> {value}")
-print("  new hidden state ->", h_last, f"  probability {prob}")
+print("  new hidden state ->", kernel.trace.h_last, f"  probability {prob}")
 
 # ---------------------------------------------------------------------------
 # 2. The gates really do decide what the cell keeps. Saturate the forget gate
@@ -41,8 +41,8 @@ sequence = np.full(4 * 3, 0.5)  # 4 steps of 3 features
 print()
 for label, bias in (("open", 50.0), ("shut", -50.0)):
     arrays["b_input"][...] = bias
-    _, _, trace = kernel.forward(sequence)
-    cells = trace.c[1:4, 0]  # c[0] is the zero start, c[t] the cell after step t
+    kernel.forward(sequence)
+    cells = kernel.trace.c[1:4, 0]  # c[0] is the zero start, c[t] the cell after step t
     print(f"input gate {label}: cell after steps 1-3 ->", " ".join(f"{c:.3g}" for c in cells))
 
 # ---------------------------------------------------------------------------
@@ -51,8 +51,8 @@ for label, bias in (("open", 50.0), ("shut", -50.0)):
 rng = Rng(42)
 kernel = init_params(input_dim=3, hidden_dim=4, rng=rng)
 sequence = rng.uniform_array((5 * 3,), -1, 1)
-prob, _, trace = kernel.forward(sequence)
-print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({trace.steps} steps traced)")
+prob = kernel.forward(sequence)
+print(f"\n5-step sequence -> class-1 probability {prob:.4f} ({kernel.trace.steps} steps traced)")
 
 # ---------------------------------------------------------------------------
 # 4. The backward pass is exact. Compare every parameter's gradient against

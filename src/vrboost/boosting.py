@@ -20,6 +20,8 @@ from .lstm import TrainConfig
 
 POSITIVE, NEGATIVE = 1, 0
 
+EPSILON_FLOOR = 1e-10  # a round error at or below it is perfect and ends boosting
+
 
 def to_signed(labels) -> np.ndarray:
     """Map {0,1} labels to {-1,+1}."""
@@ -44,9 +46,9 @@ def weighted_error(preds, truths, d) -> float:
     return math.fsum(d[preds != truths])
 
 
-def alpha(epsilon: float, epsilon_floor: float = 1e-10) -> float:
-    """Learner vote 0.5*ln((1-eps)/eps), with eps clamped into [floor, 1-floor]."""
-    eps = min(max(epsilon, epsilon_floor), 1.0 - epsilon_floor)
+def alpha(epsilon: float) -> float:
+    """Learner vote 0.5*ln((1-eps)/eps), eps clamped into [EPSILON_FLOOR, 1-EPSILON_FLOOR]."""
+    eps = min(max(epsilon, EPSILON_FLOOR), 1.0 - EPSILON_FLOOR)
     return 0.5 * math.log((1.0 - eps) / eps)
 
 
@@ -72,18 +74,15 @@ def update_weights(d, alpha_t: float, preds, truths) -> np.ndarray:
 
 @dataclass
 class BoostConfig:
-    """Round count, degenerate-error clamp and seed; the learner's settings
-    travel with the learner factory."""
+    """Round count and seed; the learner's settings travel with the learner
+    factory."""
 
     rounds: int = 10
-    epsilon_floor: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError("BoostConfig: rounds must be >= 1")
-        if not 0 < self.epsilon_floor < 0.5:
-            raise ValueError("BoostConfig: epsilon_floor must be in (0, 0.5)")
 
 
 @dataclass
@@ -117,7 +116,7 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     fit(X, signed_labels, weights) and predict(X) -> one -1/+1 vote per row
     of X; round t gets seed cfg.seed + t. A round with weighted error >= 0.5
     is discarded and the distribution reset to uniform (the attempt still
-    counts); error at or below epsilon_floor is accepted with clamped error
+    counts); error at or below EPSILON_FLOOR is accepted with clamped error
     and stops early.
 
     Returns (Ensemble, list of RoundLog).
@@ -144,9 +143,9 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
         if eps >= 0.5:
             d = init_weights(n)  # learner no better than chance; restart the distribution
             continue
-        a = alpha(eps, cfg.epsilon_floor)
+        a = alpha(eps)
         rounds.append(BoostRound(alpha=a, learner=learner))
-        if eps <= cfg.epsilon_floor:
+        if eps <= EPSILON_FLOOR:
             # perfect learner: keep the distribution it was trained on and stop
             log.append(RoundLog(len(rounds), eps, a, d.copy()))
             break

@@ -92,8 +92,7 @@ def cmd_train(opts: dict) -> int:
                             lr_drop_factor=opts["lr_drop_factor"],
                             lr_drop_period=opts["lr_drop_period"],
                             grad_clip=opts["grad_clip"], hidden_dim=opts["hidden_dim"])
-    boost_cfg = BoostConfig(rounds=opts["rounds"], epsilon_floor=opts["epsilon_floor"],
-                            seed=seed)
+    boost_cfg = BoostConfig(rounds=opts["rounds"], seed=seed)
     if opts["data"] is not None:
         table = data_mod.load_csv(opts["data"])
     else:
@@ -242,7 +241,6 @@ COMMANDS = {
         ("ratio", 0.7, "train fraction of the split"),
         ("stratified", False, "split each class separately"),
         ("rounds", BoostConfig.rounds, "boosting rounds"),
-        ("epsilon_floor", BoostConfig.epsilon_floor, "clamp for degenerate round errors"),
         ("epochs", TrainConfig.max_epochs, "epochs per weak learner"),
         ("lr", TrainConfig.initial_lr, "initial learning rate"),
         ("lr_drop_factor", TrainConfig.lr_drop_factor, "learning-rate factor at each drop"),

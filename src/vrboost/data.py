@@ -62,16 +62,14 @@ class TargetSpec:
 
 @dataclass
 class Standardizer:
-    """Per-numeric-feature z-score parameters fitted on the training split.
+    """z-score parameters of the NUMERIC_FEATURE_INDICES columns, fitted on the training split.
 
-    Uses the population (1/n) standard deviation. Constant columns are
-    flagged and passed through unchanged.
+    Uses the population (1/n) standard deviation. A column whose std is 0 is
+    constant and passed through unchanged.
     """
 
-    indices: tuple
     means: np.ndarray
     stds: np.ndarray
-    constant: tuple
 
 
 def _parse_int(text: str, column: str, line: int) -> int:
@@ -115,15 +113,19 @@ def load_csv(path, optional_column: str | None = None) -> Table:
     column is None. A leading UTF-8 byte-order mark is skipped.
     Scores must lie in SCORE_RANGES: MotionSickness 1..10, ImmersionLevel 1..5;
     Age must be a non-negative integer that converts to a finite float64.
-    Raises DataError for schema problems and non-UTF-8 text, with the line
+    Raises DataError for schema problems, non-UTF-8 text and text the csv
+    module cannot read (a field over its size limit), with the line
     number for row-level ones: the first bad line, and within it the first
     failed check in the order Age, Duration, the scores, Gender, VRHeadset.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            return _read_table(csv.reader(fh), path, optional_column)
+            reader = csv.reader(fh)
+            return _read_table(reader, path, optional_column)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
 
 
 def _read_table(reader, path, optional_column: str | None) -> Table:
@@ -273,7 +275,7 @@ def split_indices(n: int, ratio: float, seed: int, labels=None,
     return train, test
 
 
-def fit_standardizer(X, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
+def fit_standardizer(X) -> Standardizer:
     """Fit per-column mean and population stddev on the training matrix X only.
 
     Raises DataError when a column's mean or std overflows float64.
@@ -281,8 +283,8 @@ def fit_standardizer(X, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
     X = np.asarray(X, dtype=float)
     if len(X) == 0:
         raise ValueError("fit_standardizer: empty training set")
-    means, stds, constant = [], [], []
-    for idx in indices:
+    means, stds = [], []
+    for idx in NUMERIC_FEATURE_INDICES:
         col = X[:, idx]
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
             mu = float(np.mean(col))
@@ -293,18 +295,16 @@ def fit_standardizer(X, indices=NUMERIC_FEATURE_INDICES) -> Standardizer:
                             f"which must be finite")
         means.append(mu)
         stds.append(sd)
-        constant.append(sd == 0.0)
-    return Standardizer(indices=tuple(indices), means=np.array(means),
-                        stds=np.array(stds), constant=tuple(constant))
+    return Standardizer(means=np.array(means), stds=np.array(stds))
 
 
 def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
     """A copy of the matrix X with the numeric columns z-scored, column by
-    column; one-hot and constant columns untouched."""
+    column; one-hot and constant (std 0) columns untouched."""
     out = np.array(X, dtype=float)
-    for j, idx in enumerate(standardizer.indices):
-        if not standardizer.constant[j]:
-            out[:, idx] = (out[:, idx] - standardizer.means[j]) / standardizer.stds[j]
+    for idx, mu, sd in zip(NUMERIC_FEATURE_INDICES, standardizer.means, standardizer.stds):
+        if sd != 0.0:
+            out[:, idx] = (out[:, idx] - mu) / sd
     return out
 
 

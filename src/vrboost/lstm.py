@@ -34,8 +34,8 @@ order that depends on the row's position.
 Time-batched BPTT. Each time step of forward() and backward() does only the
 recurrent work; what does not depend on the recurrence is done once over
 the whole (T, .) trace (after Appleyard, Kocisky & Blunsom 2016, "Optimizing
-Performance of Recurrent Neural Networks on GPUs"). forward() writes a
-Trace, whose buffers the kernel keeps per T: gates (T, 4H) holds each step's
+Performance of Recurrent Neural Networks on GPUs"). forward() writes the
+kernel's Trace, which backward() reads: gates (T, 4H) holds each step's
 [f, i, o, 1], mult (T+1, 4H) its [c_prev, g, tanh(c), i] and h (T+1, H) the
 hidden states from h_0 = 0. At D=1 the input products of all T steps are
 one multiply. backward() first forms [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2]
@@ -205,14 +205,15 @@ def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
 
 class Trace:
     """forward()'s record of one T-step row, laid out for backward(), with
-    backward()'s work buffers. A kernel keeps one per T and reuses it.
+    backward()'s work buffers. A kernel keeps one, as kernel.trace.
 
     gates (T, 4H): step t's [f, i, o, 1], its sigmoid gates and a block of
     ones. mult (T+1, 4H): step t's [c_prev, g, tanh(c), i], the factors
     dpre's first product takes; row T holds c_T in its first block, and the i
     block is copied from gates by backward(). h (T+1, H): h[0] = 0 and h[t+1]
     the hidden state after step t. c (T+1, H), g and tanh_c (T, H) and f, i,
-    o (T, H) are named views of those buffers; x is the row forward() ran.
+    o (T, H) are named views of those buffers, h_last is h[T]; x is the row
+    forward() ran and prob its probability.
 
     factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
     dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k.
@@ -223,11 +224,12 @@ class Trace:
     def __init__(self, input_dim: int, hidden_dim: int, steps: int):
         d, h_dim = input_dim, hidden_dim
         n_sig = 3 * h_dim
-        self.steps, self.x = steps, None
+        self.steps, self.x, self.prob = steps, None, None
         self.pre = np.empty((steps, 4 * h_dim))
         self.gates = np.ones((steps, 4 * h_dim))  # forward() never writes the ones
         self.mult = np.zeros((steps + 1, 4 * h_dim))  # nor c[0] = 0
         self.h = np.zeros((steps + 1, h_dim))  # nor h[0] = 0
+        self.h_last = self.h[steps]
         self.c = self.mult[:, :h_dim]
         self.f, self.i, self.o = (self.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(3))
         self.g = self.mult[:steps, h_dim:2 * h_dim]
@@ -267,7 +269,8 @@ class PackedLstm:
     blocks in GATES order, then w_head (H) and b_head (1); grad has the same
     layout. `arrays` holds the param_keys() views of theta: W_<gate> (H, D),
     U_<gate> (H, H), b_<gate> (H,), w_head (H,) and b_head (1,), which is
-    what a model file stores; `grads` holds the same per-key views of grad.
+    what a model file stores; `grads` holds the same per-key views of grad,
+    and `trace` the Trace of the last forward(), which backward() differentiates.
 
     Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
     forward() returns the probability its forward_sequence() returns,
@@ -292,7 +295,7 @@ class PackedLstm:
         self._W3, self._U3 = self.W.reshape(4, h, d), self.U.reshape(4, h, h)
         self._UT3 = self._U3.transpose(0, 2, 1)
         self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
-        self._traces = {}  # T*D -> the Trace forward() fills for T-step rows
+        self.trace = None
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
@@ -338,14 +341,13 @@ class PackedLstm:
             kernel.arrays[key][...] = arr
         return kernel
 
-    def forward(self, x: np.ndarray) -> tuple:
+    def forward(self, x: np.ndarray) -> float:
         """Run the cell from a zero state over the flat float64 row x of T*D
         features, step t being x[t*D:(t+1)*D]; sigmoid head on h_T.
 
-        Returns (probability of class 1, h_T, the row's Trace for backward()).
-        The kernel keeps one Trace per T and overwrites it: h_T and the
-        trace are valid until the next forward() of a T-step row on this
-        kernel. At D=1 every step's input product W_g x_t is one product per
+        Returns the probability of class 1 and records the row in self.trace,
+        which is rebuilt, and the row's width checked, only when the width
+        changes. At D=1 every step's input product W_g x_t is one product per
         entry, so all T are taken at once; at D>1 each step makes the
         per-gate W_g @ x_t. U @ h is skipped at step 0, where h is zero:
         U @ 0 adds +0.0, which changes no sum whose bias term is not -0.0,
@@ -353,11 +355,11 @@ class PackedLstm:
         length is not a multiple of D.
         """
         d = self.input_dim
-        trace = self._traces.get(len(x))
-        if trace is None:  # the row's width is checked once per width
+        trace = self.trace
+        if trace is None or len(x) != len(trace.x):
             if not len(x) or len(x) % d:
                 raise ValueError(f"forward: need a row of T*{d} features, got {len(x)}")
-            trace = self._traces[len(x)] = Trace(d, self.hidden_dim, len(x) // d)
+            trace = self.trace = Trace(d, self.hidden_dim, len(x) // d)
         steps = trace.steps
         trace.x = x
         W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
@@ -377,9 +379,8 @@ class PackedLstm:
             np.add(fc, ig, out=c)
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h)
-        h = trace.h[steps]
-        logit = float(self.w_head @ h) + float(self.b_head[0])
-        return sigmoid(logit), h, trace
+        trace.prob = sigmoid(float(self.w_head @ trace.h_last) + float(self.b_head[0]))
+        return trace.prob
 
     def forward_rows(self, X) -> tuple:
         """Head probabilities and logits of the N rows of X, each run from a zero state.
@@ -416,8 +417,8 @@ class PackedLstm:
         logits += self.b_head[0]
         return sigmoid(logits), logits
 
-    def backward(self, prob: float, y: int, w: float, h_last: np.ndarray, trace) -> None:
-        """BPTT of weighted_loss into self.grad, from forward()'s trace.
+    def backward(self, y: int, w: float) -> None:
+        """BPTT of weighted_loss of the last forward() into self.grad, from self.trace.
 
         The factors that do not depend on dh or dc are formed for all T steps
         before the reverse loop, which then does only the recurrent work: dc,
@@ -433,8 +434,9 @@ class PackedLstm:
         n_sig = 3 * h_dim
         self.grad.fill(0.0)  # first: building grad builds _g_gates
         gW, gU, gb = self._g_gates
-        dlogit = w * (prob - y)
-        self._g_w_head += dlogit * h_last
+        trace = self.trace
+        dlogit = w * (trace.prob - y)
+        self._g_w_head += dlogit * trace.h_last
         self._g_b_head += dlogit
         steps, factors, mult = trace.steps, trace.factors, trace.mult
         np.subtract(1.0, trace.gates[:, :n_sig], out=factors[:, :n_sig])
@@ -458,7 +460,7 @@ class PackedLstm:
                 np.matmul(self._UT3, dp3, out=ud)
                 np.add.reduce(ud_rows, axis=0, initial=0.0, out=dh)
                 dc *= f
-        xs = trace.x[:steps * self.input_dim].reshape(steps, self.input_dim)
+        xs = trace.x.reshape(steps, self.input_dim)
         np.add.reduce(trace.dpre, axis=0, initial=0.0, out=gb)
         np.multiply(trace.dpre_cols, xs[::-1, None, :], out=trace.w_terms)
         np.add.reduce(trace.w_terms, axis=0, initial=0.0, out=gW)
@@ -526,8 +528,8 @@ def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float =
     """
     if not 0.0 < eps <= 1e-3:
         raise ValueError("grad_check: eps must be in (0, 1e-3]")
-    prob, h_last, trace = kernel.forward(x)
-    kernel.backward(prob, y, w, h_last, trace)
+    kernel.forward(x)
+    kernel.backward(y, w)
     if break_gate is not None:
         for kind in ("W", "U", "b"):
             kernel.grads[f"{kind}_{break_gate}"][...] = 0.0
@@ -536,9 +538,9 @@ def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float =
     for k in range(theta.size):
         orig = theta[k]
         theta[k] = orig + eps
-        up = weighted_loss(kernel.forward(x)[0], y, w)
+        up = weighted_loss(kernel.forward(x), y, w)
         theta[k] = orig - eps
-        down = weighted_loss(kernel.forward(x)[0], y, w)
+        down = weighted_loss(kernel.forward(x), y, w)
         theta[k] = orig
         numeric = (up - down) / (2.0 * eps)
         a = analytic[k]
@@ -585,15 +587,14 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
         epoch_losses = []
         for idx in order:
             y, w = labels[idx], norm_w[idx]
-            prob, h_last, trace = kernel.forward(X[idx])
-            loss = weighted_loss(prob, y, w)
+            loss = weighted_loss(kernel.forward(X[idx]), y, w)
             if not math.isfinite(loss):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, example {idx}")
             epoch_losses.append(loss)
-            kernel.backward(prob, y, w, h_last, trace)
+            kernel.backward(y, w)
             kernel.clip_and_update(lr, cfg.grad_clip)
         curve.losses.append(math.fsum(epoch_losses) / n)
         curve.learning_rates.append(lr)
-    kernel._traces.clear()  # 98 kB at T=9, H=16, of no use to a learner that only scores
+    kernel.trace = None  # 98 kB at T=9, H=16, of no use to a learner that only scores
     return kernel, curve

@@ -10,7 +10,7 @@ its data fails before any row is scored.
 """
 
 import json
-import math
+from itertools import chain
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +59,10 @@ def save_model(bundle: ModelBundle, path: str) -> None:
                    "threshold": bundle.target.threshold},
         "sequence_mode": bundle.sequence_mode,
         "standardizer": {
-            "indices": list(std.indices),
+            "indices": list(data_mod.NUMERIC_FEATURE_INDICES),
             "means": std.means.tolist(),
             "stds": std.stds.tolist(),
-            "constant": list(std.constant),
+            "constant": (std.stds == 0.0).tolist(),
         },
         "rounds": rounds,
     }
@@ -80,16 +80,17 @@ def load_model(path: str) -> ModelBundle:
 
     Everything scoring relies on is checked here, so that a model which does
     not fit its data fails before any row is scored: each learner's input
-    dimension must be the step length of its sequence mode, and every alpha,
-    weight, mean and std finite, with std > 0 unless the column is flagged
-    constant, no feature standardized twice, and the label convention the
-    one boost_train writes. Flags must be JSON booleans, and counts,
-    indices, the threshold and the labels JSON integers.
+    dimension must be the step length of its sequence mode, every alpha,
+    weight and mean finite, and the label convention the one boost_train
+    writes. The standardizer's indices must be exactly NUMERIC_FEATURE_INDICES,
+    its stds finite and >= 0, and each constant flag std == 0. Every float
+    must be a JSON number in v2 and a string in v1, flags JSON booleans, and
+    counts, indices, the threshold and the labels JSON integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"could not parse model file {path}: {exc}") from None
     try:
         version = _typed(doc["format_version"], int)
@@ -97,14 +98,16 @@ def load_model(path: str) -> ModelBundle:
             raise DataError(f"unsupported model format version {version!r}")
         target = data_mod.TargetSpec(target_column=doc["target"]["column"],
                                      threshold=_typed(doc["target"]["threshold"], int))
-        std_doc = doc["standardizer"]
-        standardizer = data_mod.Standardizer(
-            indices=tuple(_typed(i, int) for i in std_doc["indices"]),
-            means=np.array([float(v) for v in std_doc["means"]]),
-            stds=np.array([float(v) for v in std_doc["stds"]]),
-            constant=tuple(_typed(v, bool) for v in std_doc["constant"]),
-        )
-        _validate_standardizer(standardizer)
+        std_doc, numeric = doc["standardizer"], list(data_mod.NUMERIC_FEATURE_INDICES)
+        means = _floats(std_doc["means"], version, "standardizer: means")
+        stds = _floats(std_doc["stds"], version, "standardizer: stds")
+        if ([_typed(i, int) for i in std_doc["indices"]] != numeric
+                or not means.shape == stds.shape == (len(numeric),)
+                or not np.all(np.isfinite(means) & np.isfinite(stds) & (stds >= 0))
+                or [_typed(v, bool) for v in std_doc["constant"]] != (stds == 0.0).tolist()):
+            raise DataError(f"standardizer {std_doc}: need indices {numeric}, finite means, "
+                            f"finite stds >= 0 and each constant flag std == 0")
+        standardizer = data_mod.Standardizer(means=means, stds=stds)
         sequence_mode = doc["sequence_mode"]
         dim = step_dim(sequence_mode, data_mod.N_FEATURES)
         keys = live_keys(sequence_mode)
@@ -123,21 +126,20 @@ def load_model(path: str) -> ModelBundle:
             if version == 2 and set(stored) != set(keys):
                 raise DataError(f"round {number}: arrays {sorted(stored)} are not the "
                                 f"{sequence_mode!r} arrays {sorted(keys)}")
-            arrays = {}
-            for key in keys:
-                arr = np.array(stored[key], dtype=float)
-                if not np.all(np.isfinite(arr)):
-                    raise DataError(f"round {number}: array {key} is not finite")
-                arrays[key] = arr
-            alpha = float(entry["alpha"])
-            if not math.isfinite(alpha):
-                raise DataError(f"round {number}: alpha {alpha!r} is not finite")
+            arrays = {key: _floats(stored[key], version, f"round {number}: array {key}")
+                      for key in keys}
+            alpha = _floats(entry["alpha"], version, f"round {number}: alpha")
+            if alpha.shape or not np.isfinite(alpha):
+                raise DataError(f"round {number}: alpha {entry['alpha']!r} is not a finite number")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
             try:  # checks every shape before it allocates the kernel
                 learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays)
             except ValueError as exc:
                 raise DataError(f"round {number}: {exc}") from None
-            rounds.append(BoostRound(alpha=alpha, learner=learner))
+            if not np.all(np.isfinite(learner.kernel.theta)):  # every array, in one check
+                key = next(k for k, arr in arrays.items() if not np.all(np.isfinite(arr)))
+                raise DataError(f"round {number}: array {key} is not finite")
+            rounds.append(BoostRound(alpha=float(alpha), learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
         convention = doc["label_convention"]
@@ -146,7 +148,7 @@ def load_model(path: str) -> ModelBundle:
             raise DataError(f"label_convention positive {labels[0]}, negative {labels[1]}: "
                             f"expected positive {POSITIVE}, negative {NEGATIVE}")
         ensemble = Ensemble(rounds=rounds)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise DataError(f"malformed model file {path}: {exc!r}") from None
     return ModelBundle(ensemble=ensemble, target=target, standardizer=standardizer,
                        sequence_mode=sequence_mode)
@@ -159,17 +161,16 @@ def _typed(value, kind: type):
     return value
 
 
-def _validate_standardizer(std: data_mod.Standardizer) -> None:
-    n = len(std.indices)
-    if not len(std.means) == len(std.stds) == len(std.constant) == n:
-        raise DataError("standardizer: indices, means, stds and constant differ in length")
-    if any(not 0 <= idx < data_mod.N_FEATURES for idx in std.indices):
-        raise DataError(f"standardizer: indices {list(std.indices)} are not all features")
-    if len(set(std.indices)) != n:
-        raise DataError(f"standardizer: indices {list(std.indices)} repeat a feature")
-    if not (np.all(np.isfinite(std.means)) and np.all(np.isfinite(std.stds))):
-        raise DataError("standardizer: means and stds must be finite")
-    for idx, sd, constant in zip(std.indices, std.stds, std.constant):
-        if not constant and sd <= 0:
-            raise DataError(f"standardizer: std {sd!r} of feature {idx} must be > 0 "
-                            f"unless the column is flagged constant")
+def _floats(value, version: int, what: str) -> np.ndarray:
+    """value, a model file's float, list or matrix of floats, as a float64
+    array. A float is a JSON number in v2 and a string in v1, as each writer
+    wrote it; type() is exact, so a JSON true (an int subclass) is neither.
+    Anything else raises DataError naming what."""
+    arr = np.array(value, dtype=float)
+    cells = ([value] if arr.ndim == 0 else value if arr.ndim == 1
+             else list(chain.from_iterable(value)))
+    kinds = {str} if version == 1 else {int, float}
+    if not set(map(type, cells)) <= kinds:
+        bad = next(v for v in cells if type(v) not in kinds)
+        raise DataError(f"{what}: {bad!r} is not a {'string' if version == 1 else 'number'}")
+    return arr

@@ -399,13 +399,24 @@ INVALID_MODELS = {
     "input_dim_8_single": _drop_last_input_column,
     "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
     "unknown_sequence_mode": _set(["sequence_mode"], "stacked"),
-    "alpha_nan": _set(["rounds", 0, "alpha"], "nan"),
-    "weight_inf": _set(["rounds", 1, "learner", "arrays", "W_input", 2, 3], "inf"),
-    "head_bias_nan": _set(["rounds", 0, "learner", "arrays", "b_head", 0], "nan"),
-    "mean_nan": _set(["standardizer", "means", 0], "nan"),
-    "std_inf": _set(["standardizer", "stds", 1], "-inf"),
-    "std_zero_not_constant": _set(["standardizer", "stds", 2], "0"),
-    "std_negative": _set(["standardizer", "stds", 0], "-1.5"),
+    # json.dumps writes float("nan") and float("inf") as NaN and Infinity
+    "alpha_nan": _set(["rounds", 0, "alpha"], float("nan")),
+    "weight_inf": _set(["rounds", 1, "learner", "arrays", "W_input", 2, 3], float("inf")),
+    "head_bias_nan": _set(["rounds", 0, "learner", "arrays", "b_head", 0], float("nan")),
+    "mean_nan": _set(["standardizer", "means", 0], float("nan")),
+    "std_inf": _set(["standardizer", "stds", 1], float("-inf")),
+    "std_zero_not_constant": _set(["standardizer", "stds", 2], 0.0),
+    "std_negative": _set(["standardizer", "stds", 0], -1.5),
+    # a flag that disagrees with its std: Age's std is far from 0
+    "standardizer_constant_disagrees_with_std": _set(["standardizer", "constant", 0], True),
+    "standardizer_indices_permuted": _set(["standardizer", "indices"], [1, 0, 2]),
+    "standardizer_index_bool": _set(["standardizer", "indices", 1], True),
+    "alpha_bool": _set(["rounds", 0, "alpha"], True),
+    "mean_bool": _set(["standardizer", "means", 0], True),
+    "weight_bool": _set(["rounds", 0, "learner", "arrays", "w_head", 1], True),
+    "v2_weight_string": _set(["rounds", 1, "learner", "arrays", "W_output", 0, 2], "0.5"),
+    "alpha_list": _set(["rounds", 0, "alpha"], [0.5]),
+    "weight_overflows_float64": _set(["rounds", 0, "learner", "arrays", "b_head", 0], 10**400),
     "standardizer_lengths_differ": _set(["standardizer", "constant"], [False, False]),
     "label_convention_both_1": _set(["label_convention", "negative"], 1),
     "w_input_ragged_row": _drop_last_w_input_entry,
@@ -427,6 +438,14 @@ INVALID_MODELS = {
 # the error message of a case, where the test checks it
 INVALID_MODEL_MESSAGES = {
     "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
+    "standardizer_constant_disagrees_with_std": "'constant': [True, False, False]}: need "
+                                                "indices [0, 1, 2], finite means, finite stds "
+                                                ">= 0 and each constant flag std == 0",
+    "standardizer_indices_permuted": "{'indices': [1, 0, 2], ",
+    "alpha_bool": "round 1: alpha: True is not a number",
+    "mean_bool": "standardizer: means: True is not a number",
+    "weight_bool": "round 1: array w_head: True is not a number",
+    "v2_weight_string": "round 2: array W_output: '0.5' is not a number",
 }
 
 # no case may build a kernel larger than the trained ones
@@ -468,12 +487,49 @@ def test_invalid_model_is_rejected_at_load_with_exit_3(tmp_path, trained, case, 
 def test_zero_std_on_constant_column_loads(tmp_path, trained):
     _, data_path, out = trained
     doc = json.loads((out / "model.json").read_text())
-    doc["standardizer"]["stds"][2] = "0"
+    doc["standardizer"]["stds"][2] = 0.0
     doc["standardizer"]["constant"][2] = True
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
     assert _run(["predict", "--model", model, "--data", data_path,
                  "--out", "p.csv", "--out-dir", tmp_path]) == 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+def test_deeply_nested_model_file_is_exit_3(tmp_path, trained, command, capsys):
+    # deeper than the JSON parser's recursion limit
+    _, data_path, _ = trained
+    model = tmp_path / "model.json"
+    model.write_text("[" * 200_000)
+    assert _run([command, "--model", model, "--data", data_path,
+                 "--out", "result", "--out-dir", tmp_path]) == 3
+    assert f"error: could not parse model file {model}" in capsys.readouterr().err
+    assert not (tmp_path / "result").exists()
+
+
+def _oversized_field_csv(tmp_path, data_path):
+    """data_path with the Gender of its 10th record padded past the csv
+    module's 131,072-character field limit."""
+    lines = data_path.read_text().splitlines()
+    fields = lines[10].split(",")
+    fields[1] += " " * 200_000
+    lines[10] = ",".join(fields)
+    path = tmp_path / "oversized.csv"
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_csv_field_over_the_size_limit_is_exit_3_naming_file_and_line(tmp_path, trained,
+                                                                      command, capsys):
+    _, data_path, out = trained
+    path = _oversized_field_csv(tmp_path, data_path)
+    argv = (["train", "--rounds", 1, "--epochs", 1] if command == "train"
+            else ["predict", "--model", out / "model.json", "--out", "p.csv"])
+    assert _run([*argv, "--data", path, "--out-dir", tmp_path / "out"]) == 3
+    err = capsys.readouterr().err
+    assert f"error: {path}: line 11: field larger than field limit" in err
+    assert not any((tmp_path / "out").rglob("*"))  # no output file
 
 
 # --- predict against the per-gate reference cell -----------------------------

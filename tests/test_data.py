@@ -323,9 +323,9 @@ def test_split_stratified_preserves_class_ratios():
 def test_standardizer_hand_case():
     X = np.array([[1.0, 1.0, 0.0],
                   [3.0, 1.0, 0.0]])
-    std = fit_standardizer(X, indices=(0, 1, 2))
+    std = fit_standardizer(X)
     assert std.means[0] == 2.0 and std.stds[0] == 1.0
-    assert std.constant == (False, True, True)
+    assert std.stds.tolist()[1:] == [0.0, 0.0]  # constant columns
     out = apply_standardizer(std, X)
     assert out[:, 0].tolist() == [-1.0, 1.0]
     assert np.all(out[:, 1] == 1.0)  # constant passes through
@@ -334,8 +334,7 @@ def test_standardizer_hand_case():
 def test_standardizer_flags_a_constant_column_whose_mean_rounds():
     # np.mean of three 0.1s is 0.10000000000000002, whose std would be 1.4e-17
     X = np.full((3, 3), 0.1)
-    std = fit_standardizer(X, indices=(0, 1, 2))
-    assert std.constant == (True, True, True)
+    std = fit_standardizer(X)
     assert std.stds.tolist() == [0.0] * 3
     assert apply_standardizer(std, X).tobytes() == X.tobytes()
 
@@ -404,14 +403,14 @@ def test_standardizer_invariants(X):
     out = apply_standardizer(std, X)
     assert X.tobytes() == before.tobytes()  # the input is not mutated
     assert out.shape == X.shape
-    one_hot = [idx for idx in range(N_FEATURES) if idx not in std.indices]
+    one_hot = [idx for idx in range(N_FEATURES) if idx not in NUMERIC_FEATURE_INDICES]
     assert out[:, one_hot].tobytes() == X[:, one_hot].tobytes()
-    for j, idx in enumerate(std.indices):
+    for j, idx in enumerate(NUMERIC_FEATURE_INDICES):
         col = X[:, idx].tolist()
-        assert std.constant[j] == (std.stds[j] == 0.0)
+        constant = std.stds[j] == 0.0
         if len(set(col)) == 1:
-            assert std.constant[j]
-        if std.constant[j]:
+            assert constant
+        if constant:
             assert out[:, idx].tobytes() == X[:, idx].tobytes()
             continue
         mu, sd = float(std.means[j]), float(std.stds[j])

@@ -137,8 +137,11 @@ def test_forced_gates_keep_cell_state():
 
 def test_sequence_zero_params_gives_half():
     x = np.concatenate([np.ones(4), -np.ones(4), np.array([1.0, 2.0, 3.0, 4.0])])
-    prob, _, trace = PackedLstm(4, 3).forward(x)
-    assert prob == 0.5
+    kernel = PackedLstm(4, 3)
+    prob = kernel.forward(x)
+    trace = kernel.trace
+    assert prob == 0.5 == trace.prob
+    assert trace.x is x and trace.h_last.tobytes() == trace.h[3].tobytes()
     assert trace.steps == 3
     assert trace.gates.shape == (3, 4 * 3) and trace.h.shape == (3 + 1, 3)
 
@@ -159,7 +162,7 @@ def test_sequence_matches_independent_reimplementation():
     for _ in range(5):
         kernel = init_params(3, 4, rng)
         x = rng.uniform_array((4 * 3,), -2, 2)
-        prob, _, _ = kernel.forward(x)
+        prob = kernel.forward(x)
         assert prob == pytest.approx(_reference_forward(kernel, x.reshape(4, 3)), abs=1e-12)
 
 
@@ -175,12 +178,12 @@ def test_sequence_rejects_empty():
 ], ids=["forward_trailing_feature", "forward_empty_row", "grad_check_trailing_features"])
 def test_a_row_that_is_not_whole_steps_is_rejected(width, call):
     kernel = init_params(4, 3, Rng(2))
-    prob = kernel.forward(np.ones(4))[0]
+    prob = kernel.forward(np.ones(4))
     with pytest.raises(ValueError, match=f"need a row of T\\*4 features, got {width}"):
         call(kernel, np.ones(width))
     with pytest.raises(ValueError):  # not only when the width is first seen
         call(kernel, np.ones(width))
-    assert kernel.forward(np.ones(4))[0] == prob
+    assert kernel.forward(np.ones(4)) == prob
 
 
 # --- loss and gradients ---------------------------------------------------
@@ -200,8 +203,8 @@ def test_backward_zero_weight_gives_zero_gradient():
     rng = Rng(8)
     kernel = init_params(2, 3, rng)
     x = rng.uniform_array((3 * 2,), -1, 1)
-    prob, h_last, trace = kernel.forward(x)
-    kernel.backward(prob, 1, 0.0, h_last, trace)
+    kernel.forward(x)
+    kernel.backward(1, 0.0)
     for key in param_keys():
         assert np.all(kernel.grads[key] == 0.0)
 
@@ -211,9 +214,9 @@ def test_backward_head_bias_closed_form():
     for y in (0, 1):
         kernel = init_params(3, 4, rng)
         x = rng.uniform_array((2 * 3,), -1, 1)
-        prob, h_last, trace = kernel.forward(x)
+        prob = kernel.forward(x)
         w = 1.7
-        kernel.backward(prob, y, w, h_last, trace)
+        kernel.backward(y, w)
         assert kernel.grads["b_head"][0] == pytest.approx(w * (prob - y), abs=1e-15)
 
 

@@ -127,16 +127,16 @@ def test_gradient_of_exact_zero_inputs_equals_backward(dim, steps):
             y, w = rng.randint(0, 1), rng.uniform(0.5, 2.0)
             params = copied(kernel.arrays)
             want = backward(params, forward_sequence(params, list(x.reshape(-1, dim)))[1], y, w)
-            prob, h_last, trace = kernel.forward(x)
-            kernel.backward(prob, y, w, h_last, trace)
+            kernel.forward(x)
+            kernel.backward(y, w)
             _assert_same_bits(kernel.grads, want)
-            negative += int(np.sum(trace.dpre < 0))
+            negative += int(np.sum(kernel.trace.dpre < 0))
     assert negative  # the case has -0.0 products to sum
 
 
 def _sgd_step(kernel, x, y):
-    prob, h_last, trace = kernel.forward(x)
-    kernel.backward(prob, y, 1.3, h_last, trace)
+    kernel.forward(x)
+    kernel.backward(y, 1.3)
     kernel.clip_and_update(0.2, 0.5)
 
 
@@ -155,16 +155,42 @@ def test_interleaved_kernels_of_one_shape_train_as_if_alone():
 
     a, b = init_params(1, 4, Rng(1)), init_params(1, 4, Rng(2))
     for n, (xa, ya, xb, yb) in enumerate(zip(X, labels, X2, labels2)):
-        prob_a, h_a, trace_a = a.forward(xa)
-        prob_b, h_b, trace_b = b.forward(xb)
-        a.backward(prob_a, ya, 1.3, h_a, trace_a)
-        b.backward(prob_b, yb, 1.3, h_b, trace_b)
+        a.forward(xa)
+        b.forward(xb)
+        a.backward(ya, 1.3)
+        b.backward(yb, 1.3)
         a.clip_and_update(0.2, 0.5)
         b.clip_and_update(0.2, 0.5)
         if n % 8 == 3:  # grad_check runs on a's own buffers and leaves theta as it was
             copy = PackedLstm.from_arrays(1, 4, copied(a.arrays))
             assert grad_check(a, xb, yb, 0.7) == grad_check(copy, xb, yb, 0.7)
     assert [a.theta.tobytes(), b.theta.tobytes()] == alone
+
+
+def test_backward_differentiates_the_last_forward_of_any_width():
+    # rows of 1, 3 and again 1 steps on one kernel: the trace is rebuilt on
+    # each change of width, kept while the width holds, and backward() always
+    # takes the gradient of the row forward() ran last
+    rng = Rng(61)
+    kernel = init_params(2, 3, rng)
+    traces = []
+    for steps in (1, 1, 3, 3, 1):
+        x = rng.uniform_array((steps * 2,), -2.0, 2.0)
+        params = copied(kernel.arrays)
+        want_prob, cache = forward_sequence(params, list(x.reshape(-1, 2)))
+        prob = kernel.forward(x)
+        assert prob == want_prob == kernel.trace.prob and kernel.trace.x is x
+        kernel.backward(1, 0.8)
+        _assert_same_bits(kernel.grads, backward(params, cache, 1, 0.8))
+        traces.append(kernel.trace)
+    assert traces[0] is traces[1] and traces[2] is traces[3]
+    assert len({id(t) for t in traces}) == 3
+
+
+def test_a_trained_kernel_keeps_no_trace():
+    X, labels = _examples(10, 9, 2)
+    kernel, _ = train_weak_learner(X, labels, np.ones(10), TrainConfig(max_epochs=1), 9)
+    assert kernel.trace is None
 
 
 def _placed(X, row_offset):
@@ -212,9 +238,8 @@ def test_kernel_gradient_equals_backward(seed, min_steps, dims, hiddens):
         params = copied(kernel.arrays)
         want_prob, cache = forward_sequence(params, list(x.reshape(-1, kernel.input_dim)))
         want = backward(params, cache, y, w)
-        prob, h_last, trace = kernel.forward(x)
-        assert prob == want_prob
-        kernel.backward(prob, y, w, h_last, trace)
+        assert kernel.forward(x) == want_prob
+        kernel.backward(y, w)
         _assert_same_bits(kernel.grads, want)
 
 
@@ -272,8 +297,8 @@ def _assert_rows_within_drift_of_forward(kernel, X):
     probs, logits = kernel.forward_rows(X)
     assert probs.shape == logits.shape == (len(X),)
     for x, prob, logit in zip(X, probs.tolist(), logits.tolist()):
-        want_prob, h, _ = kernel.forward(x)
-        want_logit = float(kernel.w_head @ h) + float(kernel.b_head[0])
+        want_prob = kernel.forward(x)
+        want_logit = float(kernel.w_head @ kernel.trace.h_last) + float(kernel.b_head[0])
         assert abs(logit - want_logit) <= ROW_LOGIT_DRIFT * scale
         assert (prob >= 0.5) == (want_prob >= 0.5)
         if logit == want_logit:

@@ -42,11 +42,9 @@ def bundles(draw):
         rounds.append(BoostRound(alpha=draw(FINITE), learner=learner))
     n = len(NUMERIC_FEATURE_INDICES)
     standardizer = Standardizer(
-        indices=NUMERIC_FEATURE_INDICES,
         means=draw(arrays(np.float64, n, elements=FINITE)),
-        stds=draw(arrays(np.float64, n, elements=st.floats(min_value=5e-324,
-                                                           allow_infinity=False))),
-        constant=(False,) * n)
+        stds=draw(arrays(np.float64, n, elements=st.floats(min_value=0.0,
+                                                           allow_infinity=False))))
     return ModelBundle(ensemble=Ensemble(rounds=rounds), target=TargetSpec(),
                        standardizer=standardizer, sequence_mode=mode)
 
