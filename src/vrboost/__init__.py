@@ -14,7 +14,7 @@ from .data import (Standardizer, Table, TargetSpec, apply_standardizer, encode,
                    majority_rate, split_indices, synthetic_bayes_rate, write_csv)
 from .errors import DataError, TrainingError, VrboostError
 from .lstm import (LossCurve, PackedLstm, TrainConfig, grad_check,
-                   init_params, learning_rate, live_keys, step_dim,
+                   init_params, learning_rate, param_keys, step_dim,
                    train_weak_learner, weighted_loss)
 from .metrics import (ConfusionMatrix, MetricReport, confusion,
                       correct_incorrect, f1_score, scores)

@@ -61,8 +61,9 @@ def _score_line(name: str, block: dict) -> str:
 
 
 def _out_path(opts: dict, name: str) -> str:
-    """The path of output file name: under --out-dir, created if missing, unless absolute."""
-    os.makedirs(opts["out_dir"], exist_ok=True)
+    """The path of output file name: under --out-dir unless absolute. Creates
+    nothing: each command makes --out-dir just before it writes, so that a
+    call that fails first leaves no directory behind."""
     return name if os.path.isabs(name) else os.path.join(opts["out_dir"], name)
 
 
@@ -73,6 +74,7 @@ def cmd_gen_data(opts: dict) -> int:
         raise ValueError("gen-data: --n must be >= 1")
     out_path = _out_path(opts, opts["out"])
     table = data_mod.gen_synthetic(n, opts["seed"], signal)
+    os.makedirs(opts["out_dir"], exist_ok=True)
     data_mod.write_csv(table, out_path)
     rate = data_mod.synthetic_bayes_rate(table, signal)
     print(f"wrote {n} records to {out_path}")
@@ -121,6 +123,7 @@ def cmd_train(opts: dict) -> int:
     }
 
     join = lambda name: _out_path(opts, name)
+    os.makedirs(opts["out_dir"], exist_ok=True)
     save_model(bundle, join("model.json"))
     data_mod.write_lines(join("report.json"), [json.dumps(report, indent=2)])
     data_mod.write_lines(join("boost_log.csv"), ["round,epsilon,alpha"] + [
@@ -155,6 +158,7 @@ def cmd_evaluate(opts: dict) -> int:
     table = data_mod.load_csv(opts["data"])
     block = _evaluate_split(bundle, _standardized(bundle, table),
                             data_mod.encode_labels(table, bundle.target))
+    os.makedirs(opts["out_dir"], exist_ok=True)
     data_mod.write_lines(out_path, [json.dumps({"eval": block}, indent=2)])
     print(_score_line("eval", block))
     print(f"report written to {out_path}")
@@ -169,6 +173,7 @@ def cmd_predict(opts: dict) -> int:
     bundle = load_model(opts["model"])
     table = data_mod.load_csv(opts["data"], optional_column=bundle.target.target_column)
     labels, margins = ensemble_predict(bundle.ensemble, _standardized(bundle, table))
+    os.makedirs(opts["out_dir"], exist_ok=True)
     data_mod.write_lines(out_path, ["row_index,margin,label"] + [
         f"{idx},{margin!r},{label}"
         for idx, (margin, label) in enumerate(zip(margins.tolist(), labels.tolist()))])
@@ -323,15 +328,24 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def build_parser(with_options=tuple(COMMANDS)) -> argparse.ArgumentParser:
-    """The parser of every command; only those in with_options get their option rows."""
+    """The parser of the commands in with_options, each with its option rows;
+    the other commands get no subparser.
+
+    Its usage line names every command, as the parser of all of them does,
+    so that an error it reports reads the same whichever commands it holds.
+    """
     parser = argparse.ArgumentParser(
         prog="vrboost",
         description="Boosted-LSTM binary classifier for tabular VR experience records")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # argparse names the subcommand by its metavar, else by its dest, in a
+    # "required" error: only a parser of some commands needs the metavar
+    every = "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if set(COMMANDS) <= set(with_options) else every)
     for command, (summary, _) in COMMANDS.items():
-        p = sub.add_parser(command, help=summary)
         if command not in with_options:
             continue
+        p = sub.add_parser(command, help=summary)
         for name, default, text, *choices in option_rows(command).values():
             # suppressed, so that an absent flag leaves the config file's value
             kwargs = {"default": argparse.SUPPRESS,
@@ -350,8 +364,11 @@ def build_parser(with_options=tuple(COMMANDS)) -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # one call parses one command: the others' option rows are never read
-    args = build_parser(argv[:1]).parse_args(argv)
+    # one call parses one command: the others get no subparser. Without a
+    # command first (--help, a typo), every command is built, so that help
+    # and errors list them all.
+    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else tuple(COMMANDS)
+    args = build_parser(named).parse_args(argv)
     try:
         opts = resolve_options(args)
         # looked up when the command runs, so a wrapper set on the module is called

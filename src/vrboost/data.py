@@ -149,9 +149,10 @@ def _read_table(reader, path, optional_column: str | None) -> Table:
     i_age, i_gender, i_headset, i_duration = (header.index(name) for name in COLUMNS[:4])
     scores = [(header.index(name), name, columns[name]) for name in TARGET_COLUMNS
               if name in seen]
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row:
             continue
+        line_no = reader.line_num  # physical: a quoted field may span lines
         if len(row) != len(header):
             raise DataError(f"line {line_no}: expected {len(header)} fields, got {len(row)}")
         age = _parse_int(row[i_age], "Age", line_no)

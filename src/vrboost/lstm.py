@@ -12,13 +12,25 @@ float64 vector holding W (4H, D), U (4H, H) and b (4H) with the gate blocks
 stacked in GATES order, then w_head (H) and b_head (1), plus a gradient
 buffer of the same layout, so an update is one clip over the whole vector
 and one `theta -= lr * grad`. The gradient buffer is built on first use, so
-a kernel that only scores holds theta alone. Its `arrays` are the 14
-per-key views of that vector, of which a model file stores the live_keys()
-of its sequence mode; init_params() fills them and train_weak_learner()
-trains and returns the kernel itself. Per-example SGD and grad_check's
-finite-difference audit run forward(), one example at a time; every
-prediction (each boosting round's in-sample predict, the train report,
-evaluate and predict) runs forward_rows() over a matrix of rows.
+a kernel that only scores holds theta alone. Its `arrays` are the per-key
+views of that vector, param_keys(), which a model file stores;
+init_params() fills them and train_weak_learner() trains and returns the
+kernel itself. Per-example SGD and grad_check's finite-difference audit run
+forward(), one example at a time; every prediction (each boosting round's
+in-sample predict, the train report, evaluate and predict) runs
+forward_rows() over a matrix of rows.
+
+The one-step form. A row of one step runs from h_0 = c_0 = 0, where the
+forget gate multiplies c_0 and every U multiplies h_0: their gradients are
+exact zeros and they never train. A kernel built with one_step=True holds
+only the live parameters, W (3H, D) and b (3H) of ONE_STEP_GATES and the
+head, 3H(D + 1) + H + 1 entries (497 of the four-gate 1681 at H=16, D=9),
+and its arrays are param_keys(one_step=True), the ones a `single` model
+stores. Its forward(), backward(), clip_and_update() and forward_rows() do
+only that live work, each live entry with the four-gate kernel's
+operations in the same order. train_weak_learner() builds it for rows of
+one step and load_model() for `single` models; rows of more than one step,
+and the `gradcheck` command's audit, take the four-gate form.
 
 Row layout: an example is one flat float64 row of T steps of D features laid
 end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
@@ -78,6 +90,8 @@ from .errors import TrainingError
 from .numerics import Rng, sigmoid
 
 GATES = ("forget", "input", "output", "candidate")
+# a one-step kernel's gates: at T = 1 the forget gate multiplies c_0 = 0
+ONE_STEP_GATES = GATES[1:]
 
 PROB_CLAMP = 1e-12
 
@@ -90,11 +104,15 @@ SCORE_BLOCK_ROWS = 256
 ROW_LOGIT_DRIFT = 16 * np.finfo(float).eps
 
 
-def param_keys() -> tuple:
-    """Canonical parameter ordering: per gate W (input), U (recurrent), b; then head."""
+def param_keys(one_step: bool = False) -> tuple:
+    """Canonical parameter ordering: per gate W (input), U (recurrent), b; then head.
+
+    With one_step, the arrays of a one-step kernel, which has no forget gate
+    and no U (see PackedLstm): W and b of ONE_STEP_GATES, then the head.
+    """
     keys = []
-    for gate in GATES:
-        keys += [f"W_{gate}", f"U_{gate}", f"b_{gate}"]
+    for gate in ONE_STEP_GATES if one_step else GATES:
+        keys += [f"W_{gate}", f"b_{gate}"] if one_step else [f"W_{gate}", f"U_{gate}", f"b_{gate}"]
     keys += ["w_head", "b_head"]
     return tuple(keys)
 
@@ -161,44 +179,41 @@ def step_dim(mode: str, width: int) -> int:
     raise ValueError(f"step_dim: unknown mode {mode!r}")
 
 
-def live_keys(mode: str) -> tuple:
-    """The param_keys() arrays a sequence mode trains, and so the ones a model file stores.
-
-    "single" runs one step from a zero state: the forget gate multiplies a
-    zero cell state and every U a zero hidden state, so their gradients are
-    exact zeros and W_forget, b_forget and the four U_* keep their initial
-    values. Only input, output and candidate W and b and the head are live.
-    "unrolled" trains all of them.
-    """
-    if mode == "single":
-        return tuple(k for k in param_keys() if not (k.startswith("U_") or k.endswith("_forget")))
-    if mode == "unrolled":
-        return param_keys()
-    raise ValueError(f"live_keys: unknown mode {mode!r}")
-
-
 # each param_keys() array's shape, as an index into ((H, D), (H, H), (H,), (1,))
 _SHAPE_OF_KEY = {key: "WUb".index(key[0]) for key in param_keys()[:-2]}
 _SHAPE_OF_KEY.update(w_head=2, b_head=3)
 
 
-def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int) -> tuple:
-    """Views W (4H, D), U (4H, H), b (4H), w_head (H), b_head (1) of a packed vector."""
+def _packed_size(input_dim: int, hidden_dim: int, one_step: bool) -> int:
+    """Entries of a kernel's vector: 4H(D + H + 1) + H + 1, or 3H(D + 1) + H + 1 one-step."""
     d, h = input_dim, hidden_dim
-    u0 = 4 * h * d
-    b0 = u0 + 4 * h * h
-    head0 = b0 + 4 * h
-    return (buf[:u0].reshape(4 * h, d), buf[u0:b0].reshape(4 * h, h), buf[b0:head0],
-            buf[head0:head0 + h], buf[head0 + h:])
+    return (3 * h * (d + 1) if one_step else 4 * h * (d + h + 1)) + h + 1
+
+
+def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int, one_step: bool) -> tuple:
+    """Views W (4H, D), U (4H, H), b (4H), w_head (H), b_head (1) of a packed
+    vector; one-step, W (3H, D), b (3H) and the head, with U None."""
+    d, h = input_dim, hidden_dim
+    rows = (3 if one_step else 4) * h
+    u0 = rows * d
+    b0 = u0 if one_step else u0 + rows * h
+    head0 = b0 + rows
+    U = None if one_step else buf[u0:b0].reshape(rows, h)
+    return (buf[:u0].reshape(rows, d), U, buf[b0:head0], buf[head0:head0 + h],
+            buf[head0 + h:])
 
 
 def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
-    """The per-key arrays of param_keys() as views of the stacked gate blocks."""
+    """The per-key arrays of param_keys() as views of the stacked gate blocks;
+    those of param_keys(one_step=True) when U is None."""
     h = hidden_dim
     views = {}
-    for k, gate in enumerate(GATES):
+    for k, gate in enumerate(GATES if U is not None else ONE_STEP_GATES):
         rows = slice(k * h, (k + 1) * h)
-        views[f"W_{gate}"], views[f"U_{gate}"], views[f"b_{gate}"] = W[rows], U[rows], b[rows]
+        views[f"W_{gate}"] = W[rows]
+        if U is not None:
+            views[f"U_{gate}"] = U[rows]
+        views[f"b_{gate}"] = b[rows]
     views["w_head"], views["b_head"] = w_head, b_head
     return views
 
@@ -218,7 +233,7 @@ class Trace:
     factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
     dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k.
     forward_steps and backward_steps hold each step's views, so the step
-    loops slice nothing.
+    loops slice nothing; work is sigmoid's scratch.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, steps: int):
@@ -234,7 +249,7 @@ class Trace:
         self.f, self.i, self.o = (self.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(3))
         self.g = self.mult[:steps, h_dim:2 * h_dim]
         self.tanh_c = self.mult[:steps, 2 * h_dim:n_sig]
-        self.uh, fc_ig = np.empty((4, h_dim)), np.empty(2 * h_dim)
+        self.uh, fc_ig, self.work = np.empty((4, h_dim)), np.empty(2 * h_dim), np.empty(n_sig)
         self.forward_steps = []  # each step's views, in forward()'s unpacking order
         for t in range(steps):
             z = self.pre[t]
@@ -262,6 +277,28 @@ class Trace:
                     dp, dp.reshape(4, h_dim), dp[2 * h_dim:n_sig], dp.reshape(4, h_dim, 1))))
 
 
+class OneStepTrace:
+    """A one-step kernel's record of its last row, with backward()'s work buffers.
+
+    act (4H) holds the input, output and candidate pre-activations, then in
+    place [i, o, g], and tanh(c) after them; pre and pre3 view its first 3H
+    entries, io, i, o, g and tanh_c its blocks and i_and_g rows i and g.
+    factors (4H) holds [1-i, 1-o, 1-g^2, 1-tanh(c)^2]; h_last is the hidden
+    state, x the row forward() ran and prob its probability. work is
+    sigmoid's scratch, dh and dc backward()'s.
+    """
+
+    def __init__(self, hidden_dim: int):
+        h = hidden_dim
+        self.x = self.prob = None
+        self.act = np.empty(4 * h)
+        self.pre, self.io = self.act[:3 * h], self.act[:2 * h]
+        self.pre3, self.i_and_g = self.pre.reshape(3, h), self.act.reshape(4, h)[0:3:2]
+        self.i, self.o, self.g, self.tanh_c = self.act.reshape(4, h)
+        self.factors, self.work = np.empty(4 * h), np.empty(2 * h)
+        self.h_last, self.dh, self.dc = np.empty(h), np.empty(h), np.empty(h)
+
+
 class PackedLstm:
     """The cell's parameters in one float64 vector, with the training step.
 
@@ -272,29 +309,41 @@ class PackedLstm:
     what a model file stores; `grads` holds the same per-key views of grad,
     and `trace` the Trace of the last forward(), which backward() differentiates.
 
+    A one-step kernel (one_step=True) runs rows of one step only, from the
+    zero state, where the forget gate multiplies c_0 = 0 and every U the
+    zero h_0: it holds only the live parameters, W (3H, D) and b (3H) of
+    ONE_STEP_GATES and the head, 3H(D + 1) + H + 1 entries, and its arrays
+    are param_keys(one_step=True). Its trace is a OneStepTrace.
+
     Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
     forward() returns the probability its forward_sequence() returns,
     backward() writes the gradient its backward() returns, and
     clip_and_update() clips by the norm of the dict of per-key gradients,
     summed in param_keys() order. Every entry sees the
     same floating-point operations in the same order; only the number of
-    numpy calls differs.
+    numpy calls differs. A one-step kernel's entries equal the reference's
+    live entries; the reference's dead gradients are exact zeros, so its
+    dead parameters keep their initial values and its clip norm adds only
+    +0.0 for them.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int):
+    def __init__(self, input_dim: int, hidden_dim: int, one_step: bool = False):
         if input_dim < 1 or hidden_dim < 1:
             raise ValueError("PackedLstm: input_dim and hidden_dim must be >= 1")
         d, h = input_dim, hidden_dim
-        self.input_dim, self.hidden_dim = d, h
-        self.theta = np.zeros(4 * h * d + 4 * h * h + 5 * h + 1)
-        self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h)
+        self.input_dim, self.hidden_dim, self.one_step = d, h, one_step
+        self.theta = np.zeros(_packed_size(d, h, one_step))
+        self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h,
+                                                                         one_step)
         self.arrays = _key_views(self.W, self.U, self.b, self.w_head, self.b_head, h)
         # BLAS sums a row of one (4H, .) product in an order that depends on
         # the row's position, so products are batched over a gate axis:
         # numpy then makes the reference's per-gate BLAS call for each gate
-        self._W3, self._U3 = self.W.reshape(4, h, d), self.U.reshape(4, h, h)
-        self._UT3 = self._U3.transpose(0, 2, 1)
-        self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
+        self._W3 = self.W.reshape(-1, h, d)
+        if not one_step:
+            self._U3 = self.U.reshape(4, h, h)
+            self._UT3 = self._U3.transpose(0, 2, 1)
+            self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
         self.trace = None
 
     @functools.cached_property
@@ -302,41 +351,47 @@ class PackedLstm:
         """The gradient vector, zero until backward(). Built on first use, with
         the views backward() writes through and clip_and_update()'s work
         buffer, as scoring reads none of them."""
-        d, h = self.input_dim, self.hidden_dim
+        d, h, one_step = self.input_dim, self.hidden_dim, self.one_step
         grad, self._work = np.zeros(self.theta.size), np.zeros(self.theta.size)
-        gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(grad, d, h)
+        gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(grad, d, h, one_step)
         self._g_gates = (gW, gU, gb)
+        if one_step:  # backward() writes dpre straight into gb
+            self._dp_cols, self._dp_o = gb[:, None], gb[h:2 * h]
+            self._dp_g_i = gb.reshape(3, h)[::-2]  # the candidate's then the input's block
         # squared gradient, then lr * gradient; one row per gate, so one
-        # reduction gives the four per-key sums
-        sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h)
-        self._sq_gates = (sW.reshape(4, -1), sU.reshape(4, -1), sb.reshape(4, -1))
+        # reduction gives the per-key sums of each kind
+        sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h, one_step)
+        self._sq_gates = tuple(block.reshape(len(self._W3), -1) for block in (sW, sU, sb)
+                               if block is not None)
         return grad
 
     @functools.cached_property
     def grads(self) -> dict:
         """The param_keys() views of grad."""
         h = self.hidden_dim
-        return _key_views(*_named_blocks(self.grad, self.input_dim, h), h)
+        return _key_views(*_named_blocks(self.grad, self.input_dim, h, self.one_step), h)
 
     @classmethod
-    def from_arrays(cls, input_dim: int, hidden_dim: int, arrays: dict) -> "PackedLstm":
-        """A kernel holding a copy of arrays, keyed per param_keys(); the
-        arrays it is not given stay zero.
+    def from_arrays(cls, input_dim: int, hidden_dim: int, arrays: dict,
+                    one_step: bool = False) -> "PackedLstm":
+        """A kernel holding a copy of arrays, keyed per param_keys(one_step);
+        the arrays it is not given stay zero.
 
         Raises ValueError on an unknown key or an array of the wrong shape,
         before allocating anything, so the dimensions alone never size an
         allocation that the arrays do not fit.
         """
         shapes = ((hidden_dim, input_dim), (hidden_dim, hidden_dim), (hidden_dim,), (1,))
+        known = param_keys(one_step)
         checked = {}
         for key, arr in arrays.items():
-            if key not in _SHAPE_OF_KEY:
+            if key not in known:
                 raise ValueError(f"unknown array {key!r}")
             arr, shape = np.asarray(arr, dtype=float), shapes[_SHAPE_OF_KEY[key]]
             if arr.shape != shape:
                 raise ValueError(f"array {key} has shape {arr.shape}, expected {shape}")
             checked[key] = arr
-        kernel = cls(input_dim, hidden_dim)
+        kernel = cls(input_dim, hidden_dim, one_step)
         for key, arr in checked.items():
             kernel.arrays[key][...] = arr
         return kernel
@@ -352,8 +407,11 @@ class PackedLstm:
         per-gate W_g @ x_t. U @ h is skipped at step 0, where h is zero:
         U @ 0 adds +0.0, which changes no sum whose bias term is not -0.0,
         and SGD never makes one. Raises ValueError when x is empty or its
-        length is not a multiple of D.
+        length is not a multiple of D. A one-step kernel runs rows of D
+        features only, in _forward_step().
         """
+        if self.one_step:
+            return self._forward_step(x)
         d = self.input_dim
         trace = self.trace
         if trace is None or len(x) != len(trace.x):
@@ -373,12 +431,36 @@ class PackedLstm:
                 np.matmul(U3, h_prev, out=uh)
                 z4 += uh  # (W x + U h) + b, the reference's order
             z += b
-            sigmoid(z_sig, sig)
+            sigmoid(z_sig, sig, trace.work)
             np.tanh(z_cand, out=g)
             np.multiply(fi, cg, out=fc_ig)  # [f, i] * [c_prev, g]
             np.add(fc, ig, out=c)
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h)
+        trace.prob = sigmoid(float(self.w_head @ trace.h_last) + float(self.b_head[0]))
+        return trace.prob
+
+    def _forward_step(self, x: np.ndarray) -> float:
+        """forward() of a one-step kernel: the input, output and candidate
+        gates' W x + b, then c = i*g and h = o*tanh(c). The four-gate cell's
+        c = f*c_0 + i*g adds i*g to f*c_0 = +0.0, which can change only the
+        sign of a zero c; tanh(c) then reaches the logit through a sum that
+        takes it as +-0 either way, and the gradient, whose +0.0 start
+        backward() keeps, as +0.0."""
+        if len(x) != self.input_dim:
+            raise ValueError(f"forward: a one-step kernel needs a row of {self.input_dim} "
+                             f"features, got {len(x)}")
+        trace = self.trace
+        if trace is None:
+            trace = self.trace = OneStepTrace(self.hidden_dim)
+        trace.x = x
+        np.matmul(self._W3, x, out=trace.pre3)
+        trace.pre += self.b
+        sigmoid(trace.io, trace.io, trace.work)
+        np.tanh(trace.g, out=trace.g)
+        np.multiply(trace.i, trace.g, out=trace.tanh_c)  # c, until the next line
+        np.tanh(trace.tanh_c, out=trace.tanh_c)
+        np.multiply(trace.o, trace.tanh_c, out=trace.h_last)
         trace.prob = sigmoid(float(self.w_head @ trace.h_last) + float(self.b_head[0]))
         return trace.prob
 
@@ -391,12 +473,17 @@ class PackedLstm:
         gate's slice is contiguous: the gate products are one (4H, rows) gemm
         per step, with U @ h added from step 1 on, then b, as in forward().
         The logits drift from forward()'s within the module docstring's bound.
+        A one-step kernel takes (N, D) only, and one (3H, rows) gemm per
+        block; its c is i*g, as in forward().
         """
         X = np.asarray(X, dtype=float)
-        d, h_dim = self.input_dim, self.hidden_dim
-        n_sig = 3 * h_dim
-        if X.ndim != 2 or X.shape[1] == 0 or X.shape[1] % d:
-            raise ValueError(f"forward_rows: need an (N, T*{d}) matrix, got shape {X.shape}")
+        d, h_dim, one_step = self.input_dim, self.hidden_dim, self.one_step
+        i0 = 0 if one_step else h_dim  # the input gate's first row
+        n_sig = i0 + 2 * h_dim
+        if (X.ndim != 2 or X.shape[1] == 0 or X.shape[1] % d
+                or (one_step and X.shape[1] != d)):
+            width = d if one_step else f"T*{d}"
+            raise ValueError(f"forward_rows: need an (N, {width}) matrix, got shape {X.shape}")
         n, steps = X.shape[0], X.shape[1] // d
         logits = np.empty(n)
         for start in range(0, n, SCORE_BLOCK_ROWS):
@@ -410,8 +497,8 @@ class PackedLstm:
                 z += self.b[:, None]
                 sigmoid(z[:n_sig], z[:n_sig])  # in place: activations overwrite z
                 np.tanh(z[n_sig:], out=z[n_sig:])
-                f, i, o, g = z[:h_dim], z[h_dim:2 * h_dim], z[2 * h_dim:n_sig], z[n_sig:]
-                c = f * c + i * g
+                i, o, g = z[i0:i0 + h_dim], z[i0 + h_dim:n_sig], z[n_sig:]
+                c = i * g if one_step else z[:h_dim] * c + i * g
                 h = o * np.tanh(c)
             logits[start:start + rows] = self.w_head @ h
         logits += self.b_head[0]
@@ -428,8 +515,10 @@ class PackedLstm:
         keeps each dpre row; W, b and U gradients are one reduction each
         afterwards (see the module docstring). dh_prev is not formed at step
         0, where it is never used; neither is the U gradient there, whose
-        input is zero.
+        input is zero. A one-step kernel runs _backward_step().
         """
+        if self.one_step:
+            return self._backward_step(y, w)
         h_dim = self.hidden_dim
         n_sig = 3 * h_dim
         self.grad.fill(0.0)  # first: building grad builds _g_gates
@@ -468,6 +557,37 @@ class PackedLstm:
             np.multiply(trace.dpre_cols[:-1], trace.h_prev_rows, out=trace.u_terms)
             np.add.reduce(trace.u_terms, axis=0, initial=0.0, out=gU)
 
+    def _backward_step(self, y: int, w: float) -> None:
+        """backward() of a one-step kernel's last forward(), into self.grad.
+
+        The four-gate backward() at T = 1 without its dead work: dc, then
+        dpre from [dc, dh, dc] times [g, tanh(c), i], then times [i, o] and
+        [1-i, 1-o, 1-g^2], written straight into the b block, and the W
+        block dpre x^T. The four-gate kernel adds each entry to a zeroed
+        gradient, which turns a -0.0 into +0.0; the closing grad += 0.0 does
+        the same. It also starts dc from 0.0, which could only change the
+        sign of a zero in dpre, and that close erases it.
+        """
+        grad = self.grad  # first: building grad builds the views below
+        trace, h_dim = self.trace, self.hidden_dim
+        act, factors, dh, dc = trace.act, trace.factors, trace.dh, trace.dc
+        dlogit = w * (trace.prob - y)
+        np.multiply(dlogit, trace.h_last, out=self._g_w_head)
+        self._g_b_head[0] = dlogit
+        np.square(act[2 * h_dim:], out=factors[2 * h_dim:])  # g^2, tanh(c)^2
+        np.subtract(1.0, factors[2 * h_dim:], out=factors[2 * h_dim:])
+        np.subtract(1.0, trace.io, out=factors[:2 * h_dim])
+        np.multiply(dlogit, self.w_head, out=dh)
+        np.multiply(dh, trace.o, out=dc)
+        dc *= factors[3 * h_dim:]
+        gW, _, dp = self._g_gates  # dpre is the b gradient
+        np.multiply(trace.i_and_g, dc, out=self._dp_g_i)  # i*dc and g*dc, blocks swapped
+        np.multiply(dh, trace.tanh_c, out=self._dp_o)
+        dp[:2 * h_dim] *= trace.io
+        dp *= factors[:3 * h_dim]
+        np.multiply(self._dp_cols, trace.x, out=gW)
+        grad += 0.0
+
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
 
@@ -477,13 +597,13 @@ class PackedLstm:
         sq = self._work
         np.multiply(grad, grad, out=sq)
         # each key's own pairwise sum, added in param_keys() order: W, U, b
-        # per gate, then the head (b_head's sum is its single square)
-        sW, sU, sb = (np.add.reduce(block, axis=1).tolist() for block in self._sq_gates)
+        # (W, b one-step) per gate, then the head (b_head's sum is its single
+        # square). A one-step kernel's missing keys would add +0.0.
+        sums = [np.add.reduce(block, axis=1).tolist() for block in self._sq_gates]
         total = 0.0
-        for k in range(4):
-            total += sW[k]
-            total += sU[k]
-            total += sb[k]
+        for per_gate in zip(*sums):
+            for s in per_gate:
+                total += s
         total += float(np.add.reduce(self._sq_w_head))
         total += float(self._sq_b_head[0])
         norm = math.sqrt(total)
@@ -495,22 +615,29 @@ class PackedLstm:
         return clipped
 
 
-def init_params(input_dim: int, hidden_dim: int, rng: Rng) -> PackedLstm:
+def init_params(input_dim: int, hidden_dim: int, rng: Rng,
+                one_step: bool = False) -> PackedLstm:
     """A kernel with weights uniform in [-1/sqrt(H), 1/sqrt(H)] and biases zero.
 
     The forget-gate bias starts at +1 so the cell does not forget everything
     before training has a chance to move it. Draw order is fixed: for each
-    gate in GATES order, W then U (row-major); biases are not drawn; head
-    weights last.
+    gate in GATES order, W then U (row-major), in one bulk draw; biases are
+    not drawn; head weights last. A one-step kernel takes the same draws and
+    drops the forget gate's and the U ones, so its weights are those of the
+    four-gate kernel of the same seed.
     """
-    kernel = PackedLstm(input_dim, hidden_dim)
-    lim = 1.0 / math.sqrt(hidden_dim)
-    for gate in GATES:
-        for key in (f"W_{gate}", f"U_{gate}"):
-            view = kernel.arrays[key]
-            view[...] = rng.uniform_array(view.shape, -lim, lim)
-    kernel.w_head[...] = rng.uniform_array((hidden_dim,), -lim, lim)
-    kernel.arrays["b_forget"][...] = 1.0
+    d, h = input_dim, hidden_dim
+    kernel = PackedLstm(d, h, one_step)
+    lim = 1.0 / math.sqrt(h)
+    draws = rng.uniform_array((len(GATES), h * (d + h)), -lim, lim)
+    W3 = draws[:, :h * d].reshape(len(GATES), h, d)
+    if one_step:
+        kernel._W3[...] = W3[1:]
+    else:
+        kernel._W3[...] = W3
+        kernel._U3[...] = draws[:, h * d:].reshape(len(GATES), h, h)
+        kernel.arrays["b_forget"][...] = 1.0
+    kernel.w_head[...] = rng.uniform_array((h,), -lim, lim)
     return kernel
 
 
@@ -531,8 +658,11 @@ def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float =
     kernel.forward(x)
     kernel.backward(y, w)
     if break_gate is not None:
-        for kind in ("W", "U", "b"):
-            kernel.grads[f"{kind}_{break_gate}"][...] = 0.0
+        broken = [key for key in kernel.grads if key.endswith(f"_{break_gate}")]
+        if not broken:
+            raise ValueError(f"grad_check: the kernel has no {break_gate!r} gate")
+        for key in broken:
+            kernel.grads[key][...] = 0.0
     theta, analytic = kernel.theta, kernel.grad
     worst = 0.0
     for k in range(theta.size):
@@ -557,7 +687,8 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     Weights are renormalized to mean 1 so the loss curve sits on the same
     scale as unweighted training. Each epoch visits every example once in a
     freshly shuffled order (seeded); one gradient step per example,
-    L2-clipped to cfg.grad_clip.
+    L2-clipped to cfg.grad_clip. Rows of one step (T*D = D) train a one-step
+    kernel, which holds and updates only the live parameters.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
@@ -575,10 +706,11 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     total = math.fsum(weights)
     if total <= 0:
         raise ValueError("train_weak_learner: weights sum to zero")
-    norm_w = weights * n / total
+    # Python floats, so that no update does numpy-scalar arithmetic
+    norm_w = (weights * n / total).tolist()
 
     rng = Rng(cfg.seed)
-    kernel = init_params(input_dim, cfg.hidden_dim, rng)
+    kernel = init_params(input_dim, cfg.hidden_dim, rng, one_step=X.shape[1] == input_dim)
     curve = LossCurve()
     for epoch in range(1, cfg.max_epochs + 1):
         lr = learning_rate(cfg, epoch)

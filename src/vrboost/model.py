@@ -2,9 +2,11 @@
 
 Format v2, the one save_model writes, is compact JSON with every float a JSON
 number: Python writes the shortest text that round-trips a float64 exactly.
-Each learner stores only the arrays its sequence mode trains,
-lstm.live_keys(). Format v1 (every float as a string of 17 significant
-digits, all 14 arrays per learner) still loads; its dead arrays are ignored.
+Each learner stores its kernel's arrays, which are the ones its sequence mode
+trains: a `single` learner's kernel is one-step and holds only
+lstm.param_keys(one_step=True), an `unrolled` one all 14 param_keys().
+Format v1 (every float as a string of 17 significant digits, all 14 arrays
+per learner) still loads; the arrays a one-step kernel lacks are ignored.
 load_model checks everything scoring relies on, so a model that does not fit
 its data fails before any row is scored.
 """
@@ -18,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .boosting import NEGATIVE, POSITIVE, BoostRound, Ensemble, LstmWeakLearner
 from .errors import DataError
-from .lstm import PackedLstm, TrainConfig, live_keys, step_dim
+from .lstm import PackedLstm, TrainConfig, param_keys, step_dim
 
 MODEL_FORMAT_VERSION = 2
 READABLE_FORMAT_VERSIONS = (1, 2)
@@ -34,22 +36,35 @@ class ModelBundle:
     sequence_mode: str
 
 
+def _one_step(sequence_mode: str) -> bool:
+    """Whether a sequence mode's rows are one step, so that its learners hold
+    one-step kernels. Raises ValueError on an unknown mode."""
+    return step_dim(sequence_mode, data_mod.N_FEATURES) == data_mod.N_FEATURES
+
+
 def save_model(bundle: ModelBundle, path: str) -> None:
-    """Format v2: compact JSON, floats as JSON numbers, live arrays only."""
+    """Format v2: compact JSON, floats as JSON numbers, each kernel's own arrays.
+
+    Raises ValueError for a learner that is not an LSTM, or whose kernel is
+    not the form its sequence mode trains and load_model builds."""
     std = bundle.standardizer
-    keys = live_keys(bundle.sequence_mode)
+    one_step = _one_step(bundle.sequence_mode)
     rounds = []
     for r in bundle.ensemble.rounds:
         if not isinstance(r.learner, LstmWeakLearner):
             raise ValueError("save_model: only LSTM weak learners are serializable")
         kernel = r.learner.kernel
+        if kernel.one_step != one_step:
+            form = "one-step" if one_step else "four-gate"
+            raise ValueError(f"save_model: a {bundle.sequence_mode!r} learner needs a "
+                             f"{form} kernel")
         rounds.append({
             "alpha": float(r.alpha),
             "learner": {
                 "type": "lstm",
                 "input_dim": kernel.input_dim,
                 "hidden_dim": kernel.hidden_dim,
-                "arrays": {k: kernel.arrays[k].tolist() for k in keys},
+                "arrays": {k: arr.tolist() for k, arr in kernel.arrays.items()},
             },
         })
     doc = {
@@ -72,10 +87,10 @@ def save_model(bundle: ModelBundle, path: str) -> None:
 def load_model(path: str) -> ModelBundle:
     """Inverse of save_model, for format v1 and v2. Any malformed content raises DataError.
 
-    Each learner reads only the live_keys() arrays of its sequence mode and is
-    packed with the others at zero, which scores exactly as the trained
-    values: a one-step learner's forget gate multiplies a zero cell state
-    and its U a zero hidden state. A v2 learner must store exactly the live
+    Each learner is packed into the kernel form its sequence mode trains and
+    reads that form's arrays: a `single` learner's one-step kernel has no
+    forget gate, which multiplies a zero cell state, and no U, which
+    multiply a zero hidden state. A v2 learner must store exactly those
     arrays; a v1 learner's others are ignored.
 
     Everything scoring relies on is checked here, so that a model which does
@@ -110,7 +125,8 @@ def load_model(path: str) -> ModelBundle:
         standardizer = data_mod.Standardizer(means=means, stds=stds)
         sequence_mode = doc["sequence_mode"]
         dim = step_dim(sequence_mode, data_mod.N_FEATURES)
-        keys = live_keys(sequence_mode)
+        one_step = _one_step(sequence_mode)
+        keys = param_keys(one_step)
         rounds = []
         for number, entry in enumerate(doc["rounds"], start=1):
             learner_doc = entry["learner"]
@@ -133,7 +149,7 @@ def load_model(path: str) -> ModelBundle:
                 raise DataError(f"round {number}: alpha {entry['alpha']!r} is not a finite number")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
             try:  # checks every shape before it allocates the kernel
-                learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays)
+                learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays, one_step)
             except ValueError as exc:
                 raise DataError(f"round {number}: {exc}") from None
             if not np.all(np.isfinite(learner.kernel.theta)):  # every array, in one check

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from vrboost.lstm import (GATES, LossCurve, init_params, learning_rate,
+from vrboost.lstm import (GATES, LossCurve, PackedLstm, init_params, learning_rate,
                           param_keys, weighted_loss)
 from vrboost.numerics import Rng, sigmoid
 
@@ -59,6 +59,15 @@ class StepCache:
 def copied(arrays: dict) -> dict:
     """A plain dict holding a copy of each array, for the oracle to own."""
     return {key: np.array(arr) for key, arr in arrays.items()}
+
+
+def four_gate(kernel) -> dict:
+    """The oracle's dict of a kernel's arrays, all 14 param_keys(): those a
+    one-step kernel lacks are zero, which a one-step row never reads, as its
+    forget gate multiplies c_0 = 0 and every U the zero h_0."""
+    arrays = copied(PackedLstm(kernel.input_dim, kernel.hidden_dim).arrays)
+    arrays.update(copied(kernel.arrays))
+    return arrays
 
 
 def forward_step(params: dict, x_t: np.ndarray, state: LstmState):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lstm_oracle import forward_sequence
+from lstm_oracle import forward_sequence, four_gate
 from vrboost import cli
 from vrboost import data as data_mod
 from vrboost.boosting import ensemble_predict
@@ -322,6 +322,22 @@ def test_evaluate_non_utf8_model_is_exit_3_naming_the_file(tmp_path, trained, ca
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "predict"])
+@pytest.mark.parametrize("bad", ["model", "data"])
+def test_a_call_that_exits_3_leaves_no_out_dir(tmp_path, trained, command, bad):
+    _, data_path, out = trained
+    model, data = out / "model.json", data_path
+    if bad == "model":
+        model = tmp_path / "model.json"
+        model.write_text((out / "model.json").read_text()[:-7])  # cut short
+    else:
+        data = tmp_path / "data.csv"
+        data.write_text(data_path.read_text() + "40,Unknown,HTC Vive,1.0,8,5\n")
+    out_dir = tmp_path / "out"
+    assert _run([command, "--model", model, "--data", data, "--out-dir", out_dir]) == 3
+    assert not out_dir.exists()
+
+
 def test_model_round_trip_identical_predictions(tmp_path, trained):
     _, data_path, out = trained
     bundle = load_model(out / "model.json")
@@ -455,10 +471,10 @@ LARGEST_LOADED_HIDDEN_DIM = 6
 def _refuse_large_kernels(monkeypatch):
     init = PackedLstm.__init__
 
-    def guarded(self, input_dim, hidden_dim):
+    def guarded(self, input_dim, hidden_dim, *args):
         if hidden_dim > LARGEST_LOADED_HIDDEN_DIM:
             raise AssertionError(f"a kernel of hidden_dim {hidden_dim} was allocated")
-        init(self, input_dim, hidden_dim)
+        init(self, input_dim, hidden_dim, *args)
 
     monkeypatch.setattr(PackedLstm, "__init__", guarded)
 
@@ -561,7 +577,7 @@ def test_predict_matches_per_row_oracle_and_ignores_row_order(tmp_path, mode):
     for line, x in zip(lines, X):
         votes = []
         for r in bundle.ensemble.rounds:
-            prob, _ = forward_sequence(r.learner.kernel.arrays, list(x.reshape(-1, dim)))
+            prob, _ = forward_sequence(four_gate(r.learner.kernel), list(x.reshape(-1, dim)))
             votes.append(r.alpha * (1 if prob >= 0.5 else -1))
         margin = math.fsum(votes)
         assert line.split(",")[1:] == [repr(margin), str(1 if margin > 0 else 0)]
@@ -698,3 +714,25 @@ def test_help_lists_every_command_and_every_flag_of_the_invoked_one(capsys, comm
     else:
         for name in option_rows(command):
             assert re.search(rf"--{name.replace('_', '-')}(?![\w-])", out), name
+
+
+def _usage_error(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["train", "--no-such-flag", "1"], ["predict", "extra"],
+                                  ["gradcheck", "--break-gate", "nope"], ["gen-data", "--n", "x"]])
+def test_a_parser_of_one_command_reports_errors_as_the_parser_of_all(argv, capsys):
+    # main builds only the invoked command's subparser
+    assert (_usage_error(build_parser(argv[:1]), argv, capsys)
+            == _usage_error(build_parser(), argv, capsys))
+
+
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1", "train"]])
+def test_main_builds_every_command_when_none_comes_first(argv, capsys):
+    code = _usage_error(build_parser(), argv, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert (exc.value.code, capsys.readouterr().err) == code

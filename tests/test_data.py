@@ -97,6 +97,15 @@ def test_load_csv_row_errors_carry_line_numbers(tmp_path):
         load_csv(bad_age)
 
 
+def test_load_csv_numbers_lines_physically_after_a_multiline_field(tmp_path):
+    # record 1 spans lines 2-3 (a quoted Age holding a newline), so the bad
+    # Gender of the third record is on physical line 5, as the csv module counts
+    path = _write(tmp_path, HEADER + '\n"30\n",Male,HTC Vive,1.0,8,5\n' + SAMPLE_ROWS[1] + "\n"
+                  "40,Unknown,HTC Vive,1.0,8,5\n")
+    with pytest.raises(DataError, match="^line 5: column Gender"):
+        load_csv(path)
+
+
 def test_load_csv_rejects_an_age_beyond_float64(tmp_path):
     # 309 digits still convert (1e308 < max float64); 400 overflow
     fits = _write(tmp_path, HEADER + "\n" + "9" * 308 + ",Male,HTC Vive,1.0,8,5\n", "a.csv")

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lstm_oracle import LstmState, copied, forward_sequence, forward_step
+from lstm_oracle import LstmState, copied, forward_sequence, forward_step, oracle_train
 from vrboost.errors import TrainingError
 from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
-                          init_params, learning_rate, live_keys, param_keys,
+                          init_params, learning_rate, param_keys,
                           step_dim, train_weak_learner, weighted_loss)
 from vrboost.numerics import Rng
 
@@ -300,7 +300,7 @@ def test_training_weight_scale_invariance():
     scaled = np.full(30, 0.1 * 7.3)
     p1, c1 = train_weak_learner(X, labels, base, cfg, 2)
     p2, c2 = train_weak_learner(X, labels, scaled, cfg, 2)
-    for key in param_keys():
+    for key in param_keys(one_step=True):  # rows of one step
         assert p1.arrays[key].tobytes() == p2.arrays[key].tobytes()
     assert c1.losses == c2.losses
 
@@ -311,7 +311,7 @@ def test_training_deterministic():
     cfg = TrainConfig(max_epochs=2, hidden_dim=3, seed=4)
     p1, c1 = train_weak_learner(X, labels, weights, cfg, 2)
     p2, c2 = train_weak_learner(X, labels, weights, cfg, 2)
-    for key in param_keys():
+    for key in param_keys(one_step=True):  # rows of one step
         assert p1.arrays[key].tobytes() == p2.arrays[key].tobytes()
     assert c1.losses == c2.losses and c1.learning_rates == c2.learning_rates
 
@@ -337,15 +337,22 @@ def test_training_rejects_empty_and_bad_weights():
 
 
 def test_single_step_training_leaves_every_dead_array_at_its_initial_value():
-    # a model file stores only live_keys("single"); the rest must never train
+    # a one-step kernel holds only the live arrays, and every one of them
+    # trains; the four-gate reference trains none of the arrays it lacks
     X, labels = _toy_examples(40, 6)
+    weights = np.full(40, 1 / 40)
     cfg = TrainConfig(max_epochs=3, hidden_dim=4, seed=8, initial_lr=0.5)
-    trained, _ = train_weak_learner(X, labels, np.full(40, 1 / 40), cfg, step_dim("single", 2))
+    trained, _ = train_weak_learner(X, labels, weights, cfg, step_dim("single", 2))
+    oracle, _, _ = oracle_train([([x], y) for x, y in zip(X, labels)], weights, cfg)
     initial = init_params(2, 4, Rng(cfg.seed))
+    assert list(trained.arrays) == list(param_keys(one_step=True))
     for key in param_keys():
-        same = trained.arrays[key].tobytes() == initial.arrays[key].tobytes()
-        assert same != (key in live_keys("single")), key
-    assert live_keys("unrolled") == param_keys()
+        same = oracle[key].tobytes() == initial.arrays[key].tobytes()
+        assert same != (key in trained.arrays), key
+        if key in trained.arrays:
+            assert trained.arrays[key].tobytes() == oracle[key].tobytes(), key
+    unrolled, _ = train_weak_learner(X, labels, weights, cfg, step_dim("unrolled", 2))
+    assert list(unrolled.arrays) == list(param_keys())
 
 
 @pytest.mark.parametrize("shape,input_dim", [((4, 3), 2), ((4, 0), 1), ((8,), 1)])

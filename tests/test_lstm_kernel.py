@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lstm_oracle import backward, clip_gradient, copied, forward_sequence, oracle_train
+from lstm_oracle import (backward, clip_gradient, copied, forward_sequence, four_gate,
+                         oracle_train)
 from vrboost.boosting import LstmWeakLearner
 from vrboost.lstm import (GATES, ROW_LOGIT_DRIFT, SCORE_BLOCK_ROWS, PackedLstm,
                           TrainConfig, grad_check, init_params, param_keys, step_dim,
@@ -40,7 +41,8 @@ def _weights(n, seed):
 
 
 def _assert_same_bits(got: dict, want: dict):
-    for key in param_keys():
+    assert list(got) == list(want)
+    for key in want:
         assert got[key].shape == want[key].shape, key
         assert got[key].tobytes() == want[key].tobytes(), key
 
@@ -64,12 +66,22 @@ TRAIN_CASES = [
 
 
 def _assert_trains_like_oracle(X, labels, cfg, input_dim) -> int:
-    """Train the kernel and the dict oracle alike; returns the oracle's clip count."""
+    """Train the kernel and the dict oracle alike; returns the oracle's clip count.
+
+    Rows of one step train a one-step kernel: its arrays must be the oracle's,
+    and each oracle array it lacks must end at its init_params() value."""
     weights = _weights(len(X), cfg.seed)
     kernel, curve = train_weak_learner(X, labels, weights, cfg, input_dim)
     want_params, want_curve, clipped = oracle_train(_oracle_examples(X, labels, input_dim),
                                                     weights, cfg)
-    _assert_same_bits(kernel.arrays, want_params)
+    one_step = X.shape[1] == input_dim
+    assert kernel.one_step == one_step
+    assert list(kernel.arrays) == list(param_keys(one_step))
+    _assert_same_bits(kernel.arrays, {key: want_params[key] for key in kernel.arrays})
+    initial = init_params(input_dim, cfg.hidden_dim, Rng(cfg.seed)).arrays
+    dead = [key for key in param_keys() if key not in kernel.arrays]
+    _assert_same_bits({key: want_params[key] for key in dead},
+                      {key: initial[key] for key in dead})
     assert curve.losses == want_curve.losses
     assert curve.learning_rates == want_curve.learning_rates
     return clipped
@@ -336,3 +348,96 @@ def test_forward_rows_rejects_a_row_width_that_is_not_whole_steps():
     for shape in ((4, 8), (4, 0), (9,)):
         with pytest.raises(ValueError, match="forward_rows"):
             kernel.forward_rows(np.zeros(shape))
+
+
+# --- the one-step form ---------------------------------------------------------
+
+SINGLE_LIVE_KEYS = ["W_input", "b_input", "W_output", "b_output", "W_candidate", "b_candidate",
+                    "w_head", "b_head"]
+
+
+@pytest.mark.parametrize("dim,hidden", [(9, 16), (9, 5), (1, 1), (3, 7)])
+def test_one_step_kernel_holds_only_the_single_live_arrays(dim, hidden):
+    kernel = PackedLstm(dim, hidden, one_step=True)
+    assert kernel.theta.size == 3 * hidden * dim + 4 * hidden + 1
+    assert list(kernel.arrays) == SINGLE_LIVE_KEYS == list(param_keys(one_step=True))
+    assert sum(arr.size for arr in kernel.arrays.values()) == kernel.theta.size
+    assert kernel.grad.size == kernel.theta.size
+
+
+def test_one_step_init_draws_the_four_gate_weights():
+    # the forget and U draws are taken and dropped: the live weights do not change
+    four, one = init_params(9, 6, Rng(4)), init_params(9, 6, Rng(4), one_step=True)
+    assert one.one_step and not four.one_step
+    _assert_same_bits(one.arrays, {key: four.arrays[key] for key in SINGLE_LIVE_KEYS})
+
+
+def _one_step_cases(seed, count):
+    """(four-gate kernel, the one-step kernel of its seed, row, label, weight)."""
+    rng = Rng(seed)
+    for case in range(count):
+        dim, hidden = rng.randint(1, 9), rng.randint(1, 17)
+        four = init_params(dim, hidden, Rng(seed + case))
+        one = init_params(dim, hidden, Rng(seed + case), one_step=True)
+        x = rng.uniform_array((dim,), -2.0, 2.0)
+        if case % 3 == 0:
+            x[rng.randint(0, 1)::2] = 0.0  # exact zeros, whose products may be -0.0
+        yield four, one, x, rng.randint(0, 1), rng.uniform(0.5, 2.0)
+
+
+def test_one_step_gradient_equals_backward_on_its_arrays():
+    # the oracle's arrays the kernel lacks take an exact zero gradient
+    for _, kernel, x, y, w in _one_step_cases(70, 24):
+        params = four_gate(kernel)
+        want_prob, cache = forward_sequence(params, [x])
+        want = backward(params, cache, y, w)
+        assert kernel.forward(x) == want_prob == kernel.trace.prob
+        kernel.backward(y, w)
+        _assert_same_bits(kernel.grads, {key: want[key] for key in kernel.grads})
+        dead = [key for key in param_keys() if key not in kernel.grads]
+        _assert_same_bits({key: want[key] for key in dead},
+                          {key: np.zeros_like(want[key]) for key in dead})
+
+
+@pytest.mark.parametrize("max_norm", [1e-3, 1e6])
+def test_one_step_clip_and_update_equals_four_gate_update(max_norm):
+    # the clip norm of the one-step gradient is the four-gate one with its dead zeros
+    for four, one, x, y, w in _one_step_cases(80 + int(max_norm > 1), 8):
+        for kernel in (four, one):
+            kernel.forward(x)
+            kernel.backward(y, w)
+        assert four.clip_and_update(0.3, max_norm) == one.clip_and_update(0.3, max_norm)
+        _assert_same_bits(one.arrays, {key: four.arrays[key] for key in SINGLE_LIVE_KEYS})
+
+
+def test_one_step_kernel_runs_rows_of_one_step_only():
+    kernel = PackedLstm(3, 2, one_step=True)
+    for width in (6, 2):
+        with pytest.raises(ValueError, match="forward: a one-step kernel"):
+            kernel.forward(np.zeros(width))
+        with pytest.raises(ValueError, match=r"forward_rows: need an \(N, 3\) matrix"):
+            kernel.forward_rows(np.zeros((4, width)))
+    with pytest.raises(ValueError, match="unknown array 'U_input'"):
+        PackedLstm.from_arrays(3, 2, {"U_input": np.zeros((2, 2))}, one_step=True)
+    with pytest.raises(ValueError, match="unknown array 'b_forget'"):
+        PackedLstm.from_arrays(3, 2, {"b_forget": np.zeros(2)}, one_step=True)
+
+
+@pytest.mark.parametrize("hidden", [1, 5, 10, 16, 17])
+def test_one_step_forward_rows_within_drift_of_per_row_forward(hidden):
+    rng = Rng(90 + hidden)
+    initial = init_params(9, hidden, rng, one_step=True)
+    scrambled = PackedLstm(9, hidden, one_step=True)
+    scrambled.theta[:] = rng.uniform_array(scrambled.theta.shape, -1.5, 1.5)
+    for kernel in (initial, scrambled):
+        for n in (1, 7, 256, 257):
+            _assert_rows_within_drift_of_forward(kernel, rng.uniform_array((n, 9), -3.0, 3.0))
+
+
+def test_one_step_grad_check_passes_and_notices_a_broken_gate():
+    kernel = init_params(4, 3, Rng(5), one_step=True)
+    x = Rng(6).uniform_array((4,), -2.0, 2.0)
+    assert grad_check(kernel, x, 1, 1.2) < 1e-4
+    assert grad_check(kernel, x, 1, 1.2, break_gate="input") > 0.5
+    with pytest.raises(ValueError, match="no 'forget' gate"):
+        grad_check(kernel, x, 1, 1.2, break_gate="forget")

@@ -16,7 +16,7 @@ from vrboost import data as data_mod
 from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.cli import main
 from vrboost.data import N_FEATURES, NUMERIC_FEATURE_INDICES, Standardizer, TargetSpec
-from vrboost.lstm import PackedLstm, TrainConfig, live_keys
+from vrboost.lstm import PackedLstm, TrainConfig, param_keys
 from vrboost.model import ModelBundle, load_model, save_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,11 +34,12 @@ def bundles(draw):
     rounds = []
     for _ in range(draw(st.integers(1, 2))):
         hidden_dim = draw(st.integers(1, 4))
-        template = PackedLstm(STEP_DIMS[mode], hidden_dim).arrays
+        one_step = mode == "single"  # the kernel form fit() trains in this mode
+        template = PackedLstm(STEP_DIMS[mode], hidden_dim, one_step).arrays
         learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), mode)
         learner.kernel = PackedLstm.from_arrays(STEP_DIMS[mode], hidden_dim, {
             key: draw(arrays(np.float64, like.shape, elements=FINITE))
-            for key, like in template.items()})
+            for key, like in template.items()}, one_step)
         rounds.append(BoostRound(alpha=draw(FINITE), learner=learner))
     n = len(NUMERIC_FEATURE_INDICES)
     standardizer = Standardizer(
@@ -57,21 +58,32 @@ def test_save_load_round_trip_is_bit_exact(tmp_path_factory, bundle):
     save_model(bundle, first)
     loaded = load_model(first)
     assert loaded.sequence_mode == bundle.sequence_mode
-    live = live_keys(bundle.sequence_mode)
     for want, got in zip(bundle.ensemble.rounds, loaded.ensemble.rounds, strict=True):
         assert np.float64(got.alpha).tobytes() == np.float64(want.alpha).tobytes()
+        assert got.learner.kernel.one_step == want.learner.kernel.one_step
+        assert list(got.learner.kernel.arrays) == list(want.learner.kernel.arrays)
         for key, arr in want.learner.kernel.arrays.items():
             got_arr = got.learner.kernel.arrays[key]
             assert got_arr.shape == arr.shape, key
-            if key in live:
-                assert got_arr.tobytes() == arr.tobytes(), key
-            else:
-                assert not got_arr.any(), key
+            assert got_arr.tobytes() == arr.tobytes(), key
     for field in ("means", "stds"):
         assert (getattr(loaded.standardizer, field).tobytes()
                 == getattr(bundle.standardizer, field).tobytes())
     save_model(loaded, second)
     assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_save_model_rejects_a_kernel_of_the_other_form(tmp_path, mode):
+    # a file load_model would refuse is never written
+    learner = LstmWeakLearner(TrainConfig(hidden_dim=2), mode)
+    learner.kernel = PackedLstm(STEP_DIMS[mode], 2, one_step=mode != "single")
+    bundle = ModelBundle(ensemble=Ensemble(rounds=[BoostRound(alpha=0.5, learner=learner)]),
+                         target=TargetSpec(), standardizer=Standardizer(
+                             means=np.zeros(3), stds=np.ones(3)), sequence_mode=mode)
+    with pytest.raises(ValueError, match=f"save_model: a '{mode}' learner needs a"):
+        save_model(bundle, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 # --- format v1 files, written by the v1 writer ----------------------------------
@@ -129,7 +141,7 @@ def test_v1_model_resaved_as_v2_scores_identically_and_round_trips(tmp_path, mod
     save_model(v2, second)
     assert second.read_bytes() == first.read_bytes()
     stored = json.loads(first.read_text())["rounds"][0]["learner"]["arrays"]
-    assert list(stored) == list(live_keys(mode))
+    assert list(stored) == list(param_keys(one_step=mode == "single"))
 
 
 # --- the benchmark's independent reader -------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from vrboost.numerics import Rng, sigmoid
 
@@ -132,3 +133,110 @@ def test_rng_randint_bounds_and_coverage():
     assert seen == {2, 3, 4, 5}
     with pytest.raises(ValueError):
         rng.randint(5, 2)
+
+
+# --- the exact bulk paths against plain-Python references ----------------------
+
+MASK64 = (1 << 64) - 1
+
+
+def _splitmix64(state, n):
+    """(the next n outputs, the final state) of SplitMix64 from state, one
+    draw at a time in Python integers."""
+    outputs = []
+    for _ in range(n):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        outputs.append(z ^ (z >> 31))
+    return outputs, state
+
+
+def _reference_uniforms(seed, n, lo, hi):
+    """(values, final state, how many values the nextafter guard took)."""
+    outputs, state = _splitmix64(seed & MASK64, n)
+    values, guarded = [], 0
+    for r in outputs:
+        x = lo + (hi - lo) * ((r >> 11) * 2.0 ** -53)
+        guarded += not x < hi
+        values.append(x if x < hi else math.nextafter(hi, lo))
+    return values, state, guarded
+
+
+SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1),
+                  st.integers(2 ** 64 - 2 ** 12, 2 ** 64 + 2 ** 12),  # wraps at once
+                  st.integers(-2 ** 70, 2 ** 70))
+
+
+@settings(max_examples=40)
+@given(seed=SEEDS, bounds=RANGES.filter(lambda b: math.isfinite(b[1] - b[0])),
+       n=st.integers(0, 300))
+def test_uniform_array_is_the_scalar_splitmix_stream(seed, bounds, n):
+    lo, hi = bounds
+    rng = Rng(seed)
+    got = rng.uniform_array((n,), lo, hi)
+    values, state, _ = _reference_uniforms(seed, n, lo, hi)
+    assert got.tobytes() == np.array(values, dtype=float).tobytes()
+    assert rng._state == state
+
+
+def test_uniform_array_takes_the_guard_where_rounding_reaches_hi():
+    lo = 1.0
+    hi = math.nextafter(lo, 2.0)  # lo + (hi - lo) * u rounds to hi for u >= 1/2
+    rng = Rng(2 ** 64 - 1)
+    got = rng.uniform_array((2, 16), lo, hi)
+    values, state, guarded = _reference_uniforms(2 ** 64 - 1, 32, lo, hi)
+    assert guarded > 0
+    assert got.shape == (2, 16) and got.reshape(-1).tolist() == values
+    assert rng._state == state and np.all(got == lo)
+
+
+def test_uniform_array_checks_its_range_only_when_it_draws():
+    rng = Rng(9)
+    assert rng.uniform_array((0, 3), 1.0, 1.0).shape == (0, 3)
+    assert rng._state == 9
+    for lo, hi in ((1.0, 1.0), (-1e308, 1e308)):
+        with pytest.raises(ValueError, match="uniform: requires lo < hi"):
+            rng.uniform_array((3,), lo, hi)
+    assert rng._state == 9
+
+
+@settings(max_examples=40)
+@given(seed=SEEDS, n=st.integers(0, 300))
+def test_shuffle_is_the_scalar_fisher_yates(seed, n):
+    rng = Rng(seed)
+    items = list(range(n))
+    rng.shuffle(items)
+    want, state = list(range(n)), seed & MASK64
+    for i in range(n - 1, 0, -1):
+        (r,), state = _splitmix64(state, 1)
+        j = r % (i + 1)
+        want[i], want[j] = want[j], want[i]
+    assert items == want and rng._state == state
+
+
+def _formula_sigmoid(z):
+    """The array sigmoid as first written: where(z >= 0, 1, e) / (1 + e), e = exp(-|z|)."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+         709.0, -709.0, 745.2, -745.2, 746.0, -746.0, 1e308, -1e308, math.inf, -math.inf)
+
+
+@settings(max_examples=60)
+@given(z=arrays(np.float64, st.integers(1, 300),
+                elements=st.one_of(st.floats(allow_nan=False), st.sampled_from(EDGES))))
+def test_sigmoid_array_is_bit_equal_to_the_formula(z):
+    want = _formula_sigmoid(z).tobytes()
+    assert sigmoid(z).tobytes() == want
+    out, work = np.empty_like(z), np.empty_like(z)
+    assert sigmoid(z, out) is out and out.tobytes() == want
+    aliased = z.copy()
+    assert sigmoid(aliased, aliased, work) is aliased and aliased.tobytes() == want
+
+
+def test_sigmoid_array_of_nan_is_nan():
+    assert np.isnan(sigmoid(np.array([math.nan, -math.nan]))).all()
