@@ -9,11 +9,6 @@ from vrboost.lstm import GATES, PackedLstm, grad_check, init_params
 from vrboost.numerics import Rng
 
 
-def gates(trace, t):
-    """Step t's traced activations, keyed by gate in GATES order."""
-    return dict(zip(GATES, (trace.f[t], trace.i[t], trace.o[t], trace.g[t])))
-
-
 # ---------------------------------------------------------------------------
 # 1. A new PackedLstm holds all-zero weights, and with every weight at zero
 #    the cell is perfectly agnostic: the sigmoid gates all emit 0.5, the
@@ -21,13 +16,18 @@ def gates(trace, t):
 #    row of T steps of input_dim features laid end to end, returns the
 #    class-1 probability and keeps the row's trace as kernel.trace: per step,
 #    the gate activations f, i, o, g and tanh(c), the states c and h from the
-#    zero start on, and the last hidden state h_last.
+#    zero start on, and the last hidden state h_last. Every row starts from a
+#    zero cell state, which the forget gate could only multiply, so step 0
+#    does not compute that gate (its trace entry stays 1): the forget gate
+#    first acts at step 1, and that is where this row of two steps shows it.
 kernel = PackedLstm(input_dim=3, hidden_dim=2)
-prob = kernel.forward(np.array([1.0, -2.0, 0.5]))
-print("zero-weight gates:")
-for gate, value in gates(kernel.trace, 0).items():
-    print(f"  {gate:<10} -> {value}")
-print("  new hidden state ->", kernel.trace.h_last, f"  probability {prob}")
+prob = kernel.forward(np.array([1.0, -2.0, 0.5, 0.3, 0.0, -1.0]))
+trace = kernel.trace
+print("zero-weight gates, each at the first step it acts:")
+for gate, steps in zip(GATES, (trace.f, trace.i, trace.o, trace.g)):
+    t = 1 if gate == "forget" else 0
+    print(f"  {gate:<10} step {t} -> {steps[t]}")
+print("  new hidden state ->", trace.h_last, f"  probability {prob}")
 
 # ---------------------------------------------------------------------------
 # 2. The gates really do decide what the cell keeps. Saturate the forget gate

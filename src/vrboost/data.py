@@ -339,8 +339,8 @@ def gen_synthetic(n: int, seed: int, signal_strength: float) -> Table:
     """
     if n < 1:
         raise ValueError("gen_synthetic: n must be >= 1")
-    if signal_strength < 0:
-        raise ValueError("gen_synthetic: signal_strength must be >= 0")
+    if not (math.isfinite(signal_strength) and signal_strength >= 0):  # NaN fails both
+        raise ValueError("gen_synthetic: signal_strength must be finite and >= 0")
     rng = Rng(seed)
     rows = []
     for _ in range(n):

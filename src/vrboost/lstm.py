@@ -20,17 +20,27 @@ forward(), one example at a time; every prediction (each boosting round's
 in-sample predict, the train report, evaluate and predict) runs
 forward_rows() over a matrix of rows.
 
-The one-step form. A row of one step runs from h_0 = c_0 = 0, where the
-forget gate multiplies c_0 and every U multiplies h_0: their gradients are
+Step 0 is the one-step cell. Every row starts from h_0 = c_0 = 0, where
+the forget gate would multiply c_0 and every U would multiply h_0 (Gers,
+Schmidhuber & Cummins 2000, "Learning to forget"). So step 0 of every row,
+in forward(), backward() and forward_rows() alike, computes only the input,
+output and candidate gates' W x + b, sets c_1 = i*g and reads no U; its
+forget block of dpre stays 0. The reference's U @ h_0 adds +0.0, which
+changes no sum whose bias term is not -0.0, and SGD never makes one; its
+f*c_0 + i*g adds +0.0 to i*g, which can change only the sign of a zero c_1.
+tanh(c_1) then reaches the logit through a sum that takes it as +-0 either
+way, and the gradients through sums that start from +0.0. The forget gate
+and U thus act from step 1 on: on rows of one step their gradients are
 exact zeros and they never train. A kernel built with one_step=True holds
-only the live parameters, W (3H, D) and b (3H) of ONE_STEP_GATES and the
+only what such rows read, W (3H, D) and b (3H) of ONE_STEP_GATES and the
 head, 3H(D + 1) + H + 1 entries (497 of the four-gate 1681 at H=16, D=9),
 and its arrays are param_keys(one_step=True), the ones a `single` model
-stores. Its forward(), backward(), clip_and_update() and forward_rows() do
-only that live work, each live entry with the four-gate kernel's
-operations in the same order. train_weak_learner() builds it for rows of
-one step and load_model() for `single` models; rows of more than one step,
-and the `gradcheck` command's audit, take the four-gate form.
+stores. It runs the same forward(), backward() and forward_rows(), on rows
+of one step only; its backward() closes without the sums over steps, its
+one dpre row being the b gradient and dpre x^T the W gradient.
+train_weak_learner() builds it for rows of one step and load_model() for
+`single` models; rows of more than one step, and the `gradcheck` command's
+audit, take the four-gate form.
 
 Row layout: an example is one flat float64 row of T steps of D features laid
 end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
@@ -48,12 +58,15 @@ recurrent work; what does not depend on the recurrence is done once over
 the whole (T, .) trace (after Appleyard, Kocisky & Blunsom 2016, "Optimizing
 Performance of Recurrent Neural Networks on GPUs"). forward() writes the
 kernel's Trace, which backward() reads: gates (T, 4H) holds each step's
-[f, i, o, 1], mult (T+1, 4H) its [c_prev, g, tanh(c), i] and h (T+1, H) the
-hidden states from h_0 = 0. At D=1 the input products of all T steps are
-one multiply. backward() first forms [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2]
-for all steps, then per step builds dpre from [dc, dc, dh, dc] * mult[t],
-* gates[t] and * those factors, which is the reference's association,
-((dc*c_prev)*f)*(1-f) and so on, and dc + (dh*o)*(1-tanh(c)^2). It keeps
+[f, i, o, 1] (f[0] stays 1), mult (T+1, 4H) its [c_prev, g, tanh(c), i] and
+h (T+1, H) the hidden states from h_0 = 0. At D=1 the input products of all
+T steps are one multiply. backward() first forms [1-f, 1-i, 1-o, 1-g^2,
+1-tanh(c)^2] for all steps, then per step builds dpre from
+[dc, dc, dh, dc] * mult[t], * gates[t] and * those factors, which is the
+reference's association, ((dc*c_prev)*f)*(1-f) and so on, and the next dc as
+dc*f + (dh*o)*(1-tanh(c)^2). The last step's dc is (dh*o)*(1-tanh(c)^2)
+itself, where the reference adds it to a zero dc: again only the sign of a
+zero can differ. It keeps
 dpre's rows in a (T, 4H) buffer, row k holding step T-1-k. The W, b and U
 gradients are then one axis-0 np.add.reduce each over those rows (times
 x_t or h_prev for W and U), with initial=0.0. These reductions are exact:
@@ -62,8 +75,9 @@ other, so each entry is 0.0 + s_{T-1} + ... + s_0, the reference's
 accumulation into a zeroed gradient in its reverse loop. Starting from
 +0.0, not from the first row, keeps a sum of -0.0 products (x_t = 0.0, as
 in unrolled mode's one-hot steps) at +0.0; numpy's add reduction also starts
-there by default, and initial=0.0 states it. dh_prev = sum_g U_g^T dpre_g
-stays per step and per gate.
+there by default, and initial=0.0 states it; a closing grad += 0.0 gives
+the head's gradient, and a one-step kernel's, the same +0.0 start.
+dh_prev = sum_g U_g^T dpre_g stays per step and per gate.
 
 forward_rows() is not bit-identical, for the same reason: a row of a gemm is
 not summed like a per-row gemv. Drift policy: a row's forward_rows() logit
@@ -228,12 +242,14 @@ class Trace:
     block is copied from gates by backward(). h (T+1, H): h[0] = 0 and h[t+1]
     the hidden state after step t. c (T+1, H), g and tanh_c (T, H) and f, i,
     o (T, H) are named views of those buffers, h_last is h[T]; x is the row
-    forward() ran and prob its probability.
+    forward() ran and prob its probability. Step 0 is the one-step cell (see
+    the module docstring): it computes no forget gate, so f[0] stays 1.
 
     factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
-    dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k.
-    forward_steps and backward_steps hold each step's views, so the step
-    loops slice nothing; work is sigmoid's scratch.
+    dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k; the
+    forget block of step 0's row stays 0, and dpre0 is the rest of that row.
+    first_step, forward_steps and backward_steps hold each step's views, so
+    the step loops slice nothing; work is sigmoid's scratch.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, steps: int):
@@ -241,7 +257,7 @@ class Trace:
         n_sig = 3 * h_dim
         self.steps, self.x, self.prob = steps, None, None
         self.pre = np.empty((steps, 4 * h_dim))
-        self.gates = np.ones((steps, 4 * h_dim))  # forward() never writes the ones
+        self.gates = np.ones((steps, 4 * h_dim))  # forward() never writes the ones, nor f[0]
         self.mult = np.zeros((steps + 1, 4 * h_dim))  # nor c[0] = 0
         self.h = np.zeros((steps + 1, h_dim))  # nor h[0] = 0
         self.h_last = self.h[steps]
@@ -250,53 +266,49 @@ class Trace:
         self.g = self.mult[:steps, h_dim:2 * h_dim]
         self.tanh_c = self.mult[:steps, 2 * h_dim:n_sig]
         self.uh, fc_ig, self.work = np.empty((4, h_dim)), np.empty(2 * h_dim), np.empty(n_sig)
-        self.forward_steps = []  # each step's views, in forward()'s unpacking order
-        for t in range(steps):
+        z = self.pre[0, h_dim:]  # step 0's input, output and candidate gates
+        self.first_step = (z, z.reshape(3, h_dim), z[:2 * h_dim], z[2 * h_dim:],
+                           self.gates[0, h_dim:n_sig], self.work[:2 * h_dim], self.g[0],
+                           self.i[0], self.c[1], self.o[0], self.tanh_c[0], self.h[1])
+        self.forward_steps = []  # steps 1 .. T-1, in forward()'s unpacking order
+        for t in range(1, steps):
             z = self.pre[t]
             self.forward_steps.append((
-                z, z.reshape(4, h_dim), z[:n_sig], z[n_sig:], self.gates[t, :n_sig], self.g[t],
+                t, z, z.reshape(4, h_dim), z[:n_sig], z[n_sig:], self.gates[t, :n_sig], self.g[t],
                 self.gates[t, :2 * h_dim], self.mult[t, :2 * h_dim], fc_ig, fc_ig[:h_dim],
                 fc_ig[h_dim:], self.c[t + 1], self.o[t], self.tanh_c[t], self.h[t], self.h[t + 1]))
 
         self.factors = np.empty((steps, 5 * h_dim))
-        self.dpre = np.empty((steps, 4 * h_dim))
+        self.dpre = np.zeros((steps, 4 * h_dim))
+        self.dpre0 = self.dpre[steps - 1, h_dim:]
+        self.dpre0_col = self.dpre0[:, None]
         self.dpre_cols = self.dpre[:, :, None]
         self.h_prev_rows = self.h[steps - 1:0:-1, None, :]  # h_prev of steps T-1 .. 1
         # the outer products each gradient sums, written in dpre's row order
         self.w_terms = np.empty((steps, 4 * h_dim, d))
-        self.u_terms = np.empty((max(steps - 1, 0), 4 * h_dim, h_dim))
+        self.u_terms = np.empty((steps - 1, 4 * h_dim, h_dim))
         self.dh, self.dc, self.ddc = np.empty(h_dim), np.empty(h_dim), np.empty(h_dim)
         self.ud = np.empty((4, h_dim, 1))
         self.ud_rows = self.ud[..., 0]
+        # the views backward() forms the factors through, and copies i into
+        self.factor_views = (self.gates[:, :n_sig], self.factors[:, :n_sig],
+                             self.mult[:steps, h_dim:n_sig], self.factors[:, n_sig:],
+                             self.mult[:steps, n_sig:])
+        # dc of step T-1 is (dh*o)*(1-tanh(c)^2) of its o and factor views
+        self.last_dc = (self.o[steps - 1], self.factors[steps - 1, 4 * h_dim:])
         self.backward_steps = []  # (t, views in backward()'s unpacking order), t descending
         for t in range(steps - 1, -1, -1):
-            dp = self.dpre[steps - 1 - t]
+            row = self.dpre[steps - 1 - t]
+            lo = 0 if t else h_dim  # step 0's views start at the input gate
+            dp = row[lo:]
+            # with f, and step t-1's o and 1-tanh(c)^2, which form that step's dc
+            back = (None,) * 3
+            if t:
+                back = (self.f[t], self.o[t - 1], self.factors[t - 1, 4 * h_dim:])
             self.backward_steps.append((
-                t, (self.o[t], self.tanh_c[t], self.f[t], self.mult[t].reshape(4, h_dim),
-                    self.gates[t], self.factors[t, :4 * h_dim], self.factors[t, 4 * h_dim:],
-                    dp, dp.reshape(4, h_dim), dp[2 * h_dim:n_sig], dp.reshape(4, h_dim, 1))))
-
-
-class OneStepTrace:
-    """A one-step kernel's record of its last row, with backward()'s work buffers.
-
-    act (4H) holds the input, output and candidate pre-activations, then in
-    place [i, o, g], and tanh(c) after them; pre and pre3 view its first 3H
-    entries, io, i, o, g and tanh_c its blocks and i_and_g rows i and g.
-    factors (4H) holds [1-i, 1-o, 1-g^2, 1-tanh(c)^2]; h_last is the hidden
-    state, x the row forward() ran and prob its probability. work is
-    sigmoid's scratch, dh and dc backward()'s.
-    """
-
-    def __init__(self, hidden_dim: int):
-        h = hidden_dim
-        self.x = self.prob = None
-        self.act = np.empty(4 * h)
-        self.pre, self.io = self.act[:3 * h], self.act[:2 * h]
-        self.pre3, self.i_and_g = self.pre.reshape(3, h), self.act.reshape(4, h)[0:3:2]
-        self.i, self.o, self.g, self.tanh_c = self.act.reshape(4, h)
-        self.factors, self.work = np.empty(4 * h), np.empty(2 * h)
-        self.h_last, self.dh, self.dc = np.empty(h), np.empty(h), np.empty(h)
+                t, (self.tanh_c[t], self.mult[t, lo:].reshape(-1, h_dim), self.gates[t, lo:],
+                    self.factors[t, lo:4 * h_dim], dp, dp.reshape(-1, h_dim),
+                    row[2 * h_dim:n_sig], row.reshape(4, h_dim, 1)) + back))
 
 
 class PackedLstm:
@@ -309,11 +321,13 @@ class PackedLstm:
     what a model file stores; `grads` holds the same per-key views of grad,
     and `trace` the Trace of the last forward(), which backward() differentiates.
 
-    A one-step kernel (one_step=True) runs rows of one step only, from the
-    zero state, where the forget gate multiplies c_0 = 0 and every U the
-    zero h_0: it holds only the live parameters, W (3H, D) and b (3H) of
-    ONE_STEP_GATES and the head, 3H(D + 1) + H + 1 entries, and its arrays
-    are param_keys(one_step=True). Its trace is a OneStepTrace.
+    Step 0 of every row is the one-step cell (see the module docstring), so
+    it reads neither the forget gate's parameters nor any U. A one-step
+    kernel (one_step=True) runs rows of that one step only and holds only
+    what they read: W (3H, D) and b (3H) of ONE_STEP_GATES and the head,
+    3H(D + 1) + H + 1 entries, with param_keys(one_step=True) as its arrays.
+    Its backward() closes without the sums over steps: its one dpre row is
+    the b gradient and dpre x^T the W gradient.
 
     Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
     forward() returns the probability its forward_sequence() returns,
@@ -340,10 +354,13 @@ class PackedLstm:
         # the row's position, so products are batched over a gate axis:
         # numpy then makes the reference's per-gate BLAS call for each gate
         self._W3 = self.W.reshape(-1, h, d)
+        self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
+        # step 0's gates, the last three blocks of either form: input, output, candidate
+        self._W0, self._b0 = self._W3[-3:], self.b[-3 * h:]
+        self._U3 = self._UT3 = None
         if not one_step:
             self._U3 = self.U.reshape(4, h, h)
             self._UT3 = self._U3.transpose(0, 2, 1)
-            self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
         self.trace = None
 
     @functools.cached_property
@@ -355,9 +372,6 @@ class PackedLstm:
         grad, self._work = np.zeros(self.theta.size), np.zeros(self.theta.size)
         gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(grad, d, h, one_step)
         self._g_gates = (gW, gU, gb)
-        if one_step:  # backward() writes dpre straight into gb
-            self._dp_cols, self._dp_o = gb[:, None], gb[h:2 * h]
-            self._dp_g_i = gb.reshape(3, h)[::-2]  # the candidate's then the input's block
         # squared gradient, then lr * gradient; one row per gate, so one
         # reduction gives the per-key sums of each kind
         sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h, one_step)
@@ -396,40 +410,54 @@ class PackedLstm:
             kernel.arrays[key][...] = arr
         return kernel
 
+    def _steps(self, width: int, need: str) -> int:
+        """The steps T of a row of width features: width must be T*D with
+        T >= 1, and T = 1 for a one-step kernel, which holds no U. Raises
+        ValueError otherwise, its message need with {width} and {needs} filled in."""
+        d = self.input_dim
+        steps, rest = divmod(width, d)
+        if rest or not steps or (self.one_step and steps > 1):
+            if self.one_step:
+                raise ValueError(need.format(width=d, needs="a one-step kernel needs"))
+            raise ValueError(need.format(width=f"T*{d}", needs="need"))
+        return steps
+
     def forward(self, x: np.ndarray) -> float:
         """Run the cell from a zero state over the flat float64 row x of T*D
         features, step t being x[t*D:(t+1)*D]; sigmoid head on h_T.
 
         Returns the probability of class 1 and records the row in self.trace,
         which is rebuilt, and the row's width checked, only when the width
-        changes. At D=1 every step's input product W_g x_t is one product per
-        entry, so all T are taken at once; at D>1 each step makes the
-        per-gate W_g @ x_t. U @ h is skipped at step 0, where h is zero:
-        U @ 0 adds +0.0, which changes no sum whose bias term is not -0.0,
-        and SGD never makes one. Raises ValueError when x is empty or its
-        length is not a multiple of D. A one-step kernel runs rows of D
-        features only, in _forward_step().
+        changes. Step 0 is the one-step cell. At D=1 every step's input
+        product W_g x_t is one product per entry, so all T are taken at once
+        (step 0's forget entries among them, never read); at D>1 each step
+        makes the per-gate W_g @ x_t. Raises ValueError when x is empty or
+        its length is not a multiple of D, or not D for a one-step kernel.
         """
-        if self.one_step:
-            return self._forward_step(x)
         d = self.input_dim
         trace = self.trace
         if trace is None or len(x) != len(trace.x):
-            if not len(x) or len(x) % d:
-                raise ValueError(f"forward: need a row of T*{d} features, got {len(x)}")
-            trace = self.trace = Trace(d, self.hidden_dim, len(x) // d)
-        steps = trace.steps
+            need = f"forward: {{needs}} a row of {{width}} features, got {len(x)}"
+            trace = self.trace = Trace(d, self.hidden_dim, self._steps(len(x), need))
         trace.x = x
         W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
-        if d == 1:
-            np.multiply(x[:steps, None], self._w_col, out=trace.pre)
-        for t, (z, z4, z_sig, z_cand, sig, g, fi, cg, fc_ig, fc, ig, c, o, tanh_c, h_prev,
-                h) in enumerate(trace.forward_steps):
+        if d == 1:  # a one-step kernel has no forget rows: it fills pre from the input gate on
+            np.multiply(x[:, None], self._w_col, out=trace.pre[:, -len(b):])
+        z, z3, z_sig, z_cand, sig, work, g, i, c, o, tanh_c, h = trace.first_step
+        if d > 1:
+            np.matmul(self._W0, x[:d], out=z3)
+        z += self._b0
+        sigmoid(z_sig, sig, work)
+        np.tanh(z_cand, out=g)
+        np.multiply(i, g, out=c)
+        np.tanh(c, out=tanh_c)
+        np.multiply(o, tanh_c, out=h)
+        for t, z, z4, z_sig, z_cand, sig, g, fi, cg, fc_ig, fc, ig, c, o, tanh_c, h_prev, h \
+                in trace.forward_steps:
             if d > 1:
                 np.matmul(W3, x[t * d:(t + 1) * d], out=z4)
-            if t:
-                np.matmul(U3, h_prev, out=uh)
-                z4 += uh  # (W x + U h) + b, the reference's order
+            np.matmul(U3, h_prev, out=uh)
+            z4 += uh  # (W x + U h) + b, the reference's order
             z += b
             sigmoid(z_sig, sig, trace.work)
             np.tanh(z_cand, out=g)
@@ -440,66 +468,42 @@ class PackedLstm:
         trace.prob = sigmoid(float(self.w_head @ trace.h_last) + float(self.b_head[0]))
         return trace.prob
 
-    def _forward_step(self, x: np.ndarray) -> float:
-        """forward() of a one-step kernel: the input, output and candidate
-        gates' W x + b, then c = i*g and h = o*tanh(c). The four-gate cell's
-        c = f*c_0 + i*g adds i*g to f*c_0 = +0.0, which can change only the
-        sign of a zero c; tanh(c) then reaches the logit through a sum that
-        takes it as +-0 either way, and the gradient, whose +0.0 start
-        backward() keeps, as +0.0."""
-        if len(x) != self.input_dim:
-            raise ValueError(f"forward: a one-step kernel needs a row of {self.input_dim} "
-                             f"features, got {len(x)}")
-        trace = self.trace
-        if trace is None:
-            trace = self.trace = OneStepTrace(self.hidden_dim)
-        trace.x = x
-        np.matmul(self._W3, x, out=trace.pre3)
-        trace.pre += self.b
-        sigmoid(trace.io, trace.io, trace.work)
-        np.tanh(trace.g, out=trace.g)
-        np.multiply(trace.i, trace.g, out=trace.tanh_c)  # c, until the next line
-        np.tanh(trace.tanh_c, out=trace.tanh_c)
-        np.multiply(trace.o, trace.tanh_c, out=trace.h_last)
-        trace.prob = sigmoid(float(self.w_head @ trace.h_last) + float(self.b_head[0]))
-        return trace.prob
-
     def forward_rows(self, X) -> tuple:
         """Head probabilities and logits of the N rows of X, each run from a zero state.
 
         X is (N, T*D), in the module docstring's row layout. Rows go through
         the cell SCORE_BLOCK_ROWS at a time, so the working set does not grow with N.
         Within a block the state is held transposed, (H, rows), so that each
-        gate's slice is contiguous: the gate products are one (4H, rows) gemm
-        per step, with U @ h added from step 1 on, then b, as in forward().
-        The logits drift from forward()'s within the module docstring's bound.
-        A one-step kernel takes (N, D) only, and one (3H, rows) gemm per
-        block; its c is i*g, as in forward().
+        gate's slice is contiguous. Step 0 is the one-step cell, one (3H, rows)
+        gemm; each later step is one (4H, rows) gemm with U @ h added, then b,
+        as in forward(). The logits drift from forward()'s within the module
+        docstring's bound.
         """
         X = np.asarray(X, dtype=float)
-        d, h_dim, one_step = self.input_dim, self.hidden_dim, self.one_step
-        i0 = 0 if one_step else h_dim  # the input gate's first row
-        n_sig = i0 + 2 * h_dim
-        if (X.ndim != 2 or X.shape[1] == 0 or X.shape[1] % d
-                or (one_step and X.shape[1] != d)):
-            width = d if one_step else f"T*{d}"
-            raise ValueError(f"forward_rows: need an (N, {width}) matrix, got shape {X.shape}")
-        n, steps = X.shape[0], X.shape[1] // d
+        d, h_dim = self.input_dim, self.hidden_dim
+        n_sig = 3 * h_dim
+        W0, b0 = self._W0.reshape(n_sig, d), self._b0[:, None]
+        need = f"forward_rows: need an (N, {{width}}) matrix, got shape {X.shape}"
+        steps = self._steps(X.shape[1] if X.ndim == 2 else 0, need)
+        n = X.shape[0]
         logits = np.empty(n)
         for start in range(0, n, SCORE_BLOCK_ROWS):
             block = X[start:start + SCORE_BLOCK_ROWS].T
             rows = block.shape[1]
-            h = c = np.zeros((h_dim, rows))
-            for t in range(steps):
+            z = W0 @ block[:d]
+            z += b0
+            sigmoid(z[:2 * h_dim], z[:2 * h_dim])  # in place: activations overwrite z
+            np.tanh(z[2 * h_dim:], out=z[2 * h_dim:])
+            c = z[:h_dim] * z[2 * h_dim:]
+            h = z[h_dim:2 * h_dim] * np.tanh(c)
+            for t in range(1, steps):
                 z = self.W @ block[t * d:(t + 1) * d]
-                if t:
-                    z += self.U @ h
+                z += self.U @ h
                 z += self.b[:, None]
-                sigmoid(z[:n_sig], z[:n_sig])  # in place: activations overwrite z
+                sigmoid(z[:n_sig], z[:n_sig])
                 np.tanh(z[n_sig:], out=z[n_sig:])
-                i, o, g = z[i0:i0 + h_dim], z[i0 + h_dim:n_sig], z[n_sig:]
-                c = i * g if one_step else z[:h_dim] * c + i * g
-                h = o * np.tanh(c)
+                c = z[:h_dim] * c + z[h_dim:2 * h_dim] * z[n_sig:]
+                h = z[2 * h_dim:n_sig] * np.tanh(c)
             logits[start:start + rows] = self.w_head @ h
         logits += self.b_head[0]
         return sigmoid(logits), logits
@@ -511,82 +515,54 @@ class PackedLstm:
         before the reverse loop, which then does only the recurrent work: dc,
         the four gates' dpre from [dc, dc, dh, dc] times the multiplier row
         [c_prev, g, tanh(c), i], then times [f, i, o, 1] and
-        [1-f, 1-i, 1-o, 1-g^2], and dh_prev = sum_g U_g^T dpre_g. The loop
-        keeps each dpre row; W, b and U gradients are one reduction each
-        afterwards (see the module docstring). dh_prev is not formed at step
-        0, where it is never used; neither is the U gradient there, whose
-        input is zero. A one-step kernel runs _backward_step().
+        [1-f, 1-i, 1-o, 1-g^2], and dh_prev = sum_g U_g^T dpre_g. Step 0, the
+        one-step cell, forms the input, output and candidate blocks only and
+        no dh_prev, which is never used. The loop keeps each dpre row; W, b
+        and U gradients are one reduction each afterwards (see the module
+        docstring). A one-step kernel's one row needs no sums: its dpre is
+        the b gradient and dpre x^T the W gradient.
         """
-        if self.one_step:
-            return self._backward_step(y, w)
-        h_dim = self.hidden_dim
-        n_sig = 3 * h_dim
-        self.grad.fill(0.0)  # first: building grad builds _g_gates
+        grad = self.grad  # first: building grad builds _g_gates
         gW, gU, gb = self._g_gates
         trace = self.trace
         dlogit = w * (trace.prob - y)
-        self._g_w_head += dlogit * trace.h_last
-        self._g_b_head += dlogit
-        steps, factors, mult = trace.steps, trace.factors, trace.mult
-        np.subtract(1.0, trace.gates[:, :n_sig], out=factors[:, :n_sig])
-        np.square(mult[:steps, h_dim:n_sig], out=factors[:, n_sig:])  # g^2, tanh(c)^2
-        np.subtract(1.0, factors[:, n_sig:], out=factors[:, n_sig:])
-        np.copyto(mult[:steps, n_sig:], trace.i)
+        np.multiply(dlogit, trace.h_last, out=self._g_w_head)
+        self._g_b_head[0] = dlogit
+        sig, one_minus_sig, g_tanh_c, one_minus_sq, mult_i = trace.factor_views
+        np.subtract(1.0, sig, out=one_minus_sig)
+        np.square(g_tanh_c, out=one_minus_sq)  # g^2, tanh(c)^2
+        np.subtract(1.0, one_minus_sq, out=one_minus_sq)
+        np.copyto(mult_i, trace.i)
         dh, dc, ddc, ud, ud_rows = trace.dh, trace.dc, trace.ddc, trace.ud, trace.ud_rows
         np.multiply(dlogit, self.w_head, out=dh)
-        dc.fill(0.0)
-        for t, (o, tanh_c, f, m4, s, one_minus, one_minus_tc2, dp, dp4, dp_o,
-                dp3) in trace.backward_steps:
-            np.multiply(dh, o, out=ddc)
-            ddc *= one_minus_tc2
-            dc += ddc  # dc + (dh*o)*(1-tanh(c)^2)
+        o, one_minus_tc2 = trace.last_dc
+        np.multiply(dh, o, out=dc)
+        dc *= one_minus_tc2
+        for t, (tanh_c, m4, s, one_minus, dp, dp4, dp_o, dp3, f, o_prev,
+                one_minus_tc2_prev) in trace.backward_steps:
             np.multiply(m4, dc, out=dp4)
             np.multiply(dh, tanh_c, out=dp_o)  # the output gate's block takes dh
             dp *= s
             dp *= one_minus
-            if t:
+            if t:  # dh and dc of step t-1
                 # U_g.T @ d_g per gate, added to zeros in GATES order
                 np.matmul(self._UT3, dp3, out=ud)
                 np.add.reduce(ud_rows, axis=0, initial=0.0, out=dh)
                 dc *= f
-        xs = trace.x.reshape(steps, self.input_dim)
-        np.add.reduce(trace.dpre, axis=0, initial=0.0, out=gb)
-        np.multiply(trace.dpre_cols, xs[::-1, None, :], out=trace.w_terms)
-        np.add.reduce(trace.w_terms, axis=0, initial=0.0, out=gW)
-        if steps > 1:
+                np.multiply(dh, o_prev, out=ddc)
+                ddc *= one_minus_tc2_prev
+                dc += ddc  # dc*f + (dh*o)*(1-tanh(c)^2)
+        if self.one_step:  # one row, so each sum is its one term
+            np.copyto(gb, trace.dpre0)
+            np.multiply(trace.dpre0_col, trace.x, out=gW)
+        else:
+            xs = trace.x.reshape(trace.steps, self.input_dim)
+            np.add.reduce(trace.dpre, axis=0, initial=0.0, out=gb)
+            np.multiply(trace.dpre_cols, xs[::-1, None, :], out=trace.w_terms)
+            np.add.reduce(trace.w_terms, axis=0, initial=0.0, out=gW)
             np.multiply(trace.dpre_cols[:-1], trace.h_prev_rows, out=trace.u_terms)
-            np.add.reduce(trace.u_terms, axis=0, initial=0.0, out=gU)
-
-    def _backward_step(self, y: int, w: float) -> None:
-        """backward() of a one-step kernel's last forward(), into self.grad.
-
-        The four-gate backward() at T = 1 without its dead work: dc, then
-        dpre from [dc, dh, dc] times [g, tanh(c), i], then times [i, o] and
-        [1-i, 1-o, 1-g^2], written straight into the b block, and the W
-        block dpre x^T. The four-gate kernel adds each entry to a zeroed
-        gradient, which turns a -0.0 into +0.0; the closing grad += 0.0 does
-        the same. It also starts dc from 0.0, which could only change the
-        sign of a zero in dpre, and that close erases it.
-        """
-        grad = self.grad  # first: building grad builds the views below
-        trace, h_dim = self.trace, self.hidden_dim
-        act, factors, dh, dc = trace.act, trace.factors, trace.dh, trace.dc
-        dlogit = w * (trace.prob - y)
-        np.multiply(dlogit, trace.h_last, out=self._g_w_head)
-        self._g_b_head[0] = dlogit
-        np.square(act[2 * h_dim:], out=factors[2 * h_dim:])  # g^2, tanh(c)^2
-        np.subtract(1.0, factors[2 * h_dim:], out=factors[2 * h_dim:])
-        np.subtract(1.0, trace.io, out=factors[:2 * h_dim])
-        np.multiply(dlogit, self.w_head, out=dh)
-        np.multiply(dh, trace.o, out=dc)
-        dc *= factors[3 * h_dim:]
-        gW, _, dp = self._g_gates  # dpre is the b gradient
-        np.multiply(trace.i_and_g, dc, out=self._dp_g_i)  # i*dc and g*dc, blocks swapped
-        np.multiply(dh, trace.tanh_c, out=self._dp_o)
-        dp[:2 * h_dim] *= trace.io
-        dp *= factors[:3 * h_dim]
-        np.multiply(self._dp_cols, trace.x, out=gW)
-        grad += 0.0
+            np.add.reduce(trace.u_terms, axis=0, initial=0.0, out=gU)  # 0 at T = 1
+        grad += 0.0  # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
 
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.

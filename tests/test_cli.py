@@ -52,6 +52,18 @@ def test_gen_data_rejects_zero_n(tmp_path):
     assert _run(["gen-data", "--n", 0, "--out-dir", tmp_path]) == 2
 
 
+@pytest.mark.parametrize("signal", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["gen-data", "train"])
+def test_non_finite_signal_is_usage_error_before_anything_is_written(tmp_path, capsys, command,
+                                                                    signal):
+    # NaN passes a plain `< 0` check and would plant no signal, or only NaNs
+    out = tmp_path / "out"
+    argv = ["--n", 50] if command == "gen-data" else ["--synth-n", 50]
+    assert _run([command, *argv, f"--signal={signal}", "--out-dir", out]) == 2
+    assert "signal_strength must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_data_prints_oracle_accuracy(tmp_path, capsys):
     _run(["gen-data", "--n", 50, "--seed", 1, "--out-dir", tmp_path])
     assert "oracle accuracy" in capsys.readouterr().out

@@ -9,7 +9,7 @@ DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
 def test_all_four_demos_are_found():
-    assert len(DEMOS) == 4
+    assert len(DEMOS) == 5
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=lambda p: p.stem)

@@ -434,6 +434,33 @@ def test_one_step_forward_rows_within_drift_of_per_row_forward(hidden):
             _assert_rows_within_drift_of_forward(kernel, rng.uniform_array((n, 9), -3.0, 3.0))
 
 
+@pytest.mark.parametrize("dim,hidden", [(9, 16), (9, 5), (1, 4), (3, 7)])
+def test_step_zero_reads_no_forget_gate_parameter_and_no_u(dim, hidden):
+    # step 0 runs from c_0 = h_0 = 0: a four-gate kernel whose forget gate and
+    # U are NaN scores and differentiates a one-step row as the one-step
+    # kernel of its live arrays does, and gives every dead entry +0.0
+    rng = Rng(100 + dim + hidden)
+    dead = [key for key in param_keys() if key not in SINGLE_LIVE_KEYS]
+    assert dead == ["W_forget", "U_forget", "b_forget", "U_input", "U_output", "U_candidate"]
+    for case in range(6):
+        one = init_params(dim, hidden, rng, one_step=True)
+        one.b[:] = rng.uniform_array(one.b.shape, -1.0, 1.0)
+        four = PackedLstm.from_arrays(dim, hidden, copied(one.arrays))
+        for key in dead:
+            four.arrays[key][...] = np.nan
+        X = rng.uniform_array((7, dim), -2.0, 2.0)
+        X[case % 2::2, rng.randint(0, dim - 1)] = 0.0  # exact zeros, whose products may be -0.0
+        for a, b in zip(four.forward_rows(X), one.forward_rows(X)):
+            assert a.tobytes() == b.tobytes()
+        x, y, w = X[case], rng.randint(0, 1), rng.uniform(0.5, 2.0)
+        assert np.float64(four.forward(x)).tobytes() == np.float64(one.forward(x)).tobytes()
+        four.backward(y, w)
+        one.backward(y, w)
+        _assert_same_bits({key: four.grads[key] for key in SINGLE_LIVE_KEYS}, one.grads)
+        _assert_same_bits({key: four.grads[key] for key in dead},
+                          {key: np.zeros_like(four.grads[key]) for key in dead})
+
+
 def test_one_step_grad_check_passes_and_notices_a_broken_gate():
     kernel = init_params(4, 3, Rng(5), one_step=True)
     x = Rng(6).uniform_array((4,), -2.0, 2.0)
