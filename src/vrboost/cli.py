@@ -185,11 +185,10 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
                     break_gate: str | None = None, verbose: bool = False) -> float:
     """Max finite-difference relative error over 10 seeded random instances.
 
-    Central differences at eps=1e-5 carry ~5e-12 of cancellation noise, so
-    gradient entries below ~5e-8 in magnitude are noise-dominated under the
-    relative-error formula. The default seed fixes a suite whose entries all
-    sit clear of that band (exact gradients score ~4e-6; any zeroed gate
-    scores ~1.0).
+    grad_check's five-point differences at eps=1e-3 carry about 1e-13 of
+    rounding noise and an O(eps^4) truncation error, so a correct gradient
+    scores far below GRADCHECK_TOLERANCE at any seed, and a zeroed gate
+    scores about 1.0.
     """
     rng = Rng(seed)
     worst = 0.0
@@ -201,7 +200,7 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
         x = rng.uniform_array((steps * input_dim,), -2.0, 2.0)
         y = rng.randint(0, 1)
         w = rng.uniform(0.5, 2.0)
-        err = grad_check(kernel, x, y, w, eps=1e-5, break_gate=break_gate)
+        err = grad_check(kernel, x, y, w, eps=1e-3, break_gate=break_gate)
         if verbose:
             print(f"case {case}: D={input_dim} H={hidden_dim} T={steps} "
                   f"max_rel_err={err:.3e}")

@@ -92,6 +92,26 @@ A vote (probability >= 0.5) can only differ for a row whose logit lies
 within the bound of 0; none did, and train, predict and evaluate wrote
 byte-identical files to the per-row path on all 16 of those runs.
 tests/test_lstm_kernel.py asserts the bound and the votes.
+
+The clip guard. clip_and_update() clips by the exact ordered norm: the
+squares of grad, each key's own pairwise sum, the sums added in
+param_keys() order, then sqrt(s) > max_norm. Most updates are not clipped,
+so it first takes q = dot(grad, grad), summed in whatever order BLAS picks.
+q and s sum the same n squares, each through at most n - 1 additions, so
+each lies within gamma_n = nu/(1 - nu) of the true sum, relatively, plus
+n * 2^-1075 for squares that underflow, with u = 2^-53 (Higham 2002,
+"Accuracy and Stability of Numerical Algorithms", 3.1 and 4.2). Let
+m = max_norm lie in [2^-511, 2^511], so that m^2 is a normal float and the
+underflow term is at most n u m^2. Then q < m^2 (1 - delta), with
+delta = 4(n + 2)u, gives s <= m^2: both sums' errors and the threshold's
+own three roundings take 4(n + 1)u of delta to first order, and the whole
+bound leaves s at least 4u m^2 below m^2 for any n up to 4 * 10^7
+(tests/test_lstm_kernel.py evaluates it). So sqrt(s) <= m, and as m is a
+float and sqrt is correctly rounded, so is the computed norm: the exact
+path would not clip either. Such an update takes theta -= lr * grad at
+once, the exact path's unclipped update; every other one, a NaN or inf q
+included, takes the exact path as it was. The flag and theta thus never
+depend on q's order, and no artifact sees it.
 """
 
 import functools
@@ -116,6 +136,10 @@ SCORE_BLOCK_ROWS = 256
 # bound on |forward_rows() logit - forward() logit| per unit of
 # sum|w_head| + |b_head|; see the module docstring
 ROW_LOGIT_DRIFT = 16 * np.finfo(float).eps
+
+# the max_norm range where PackedLstm.clip_and_update's quick sum may decide:
+# max_norm^2 is then a normal float, so the bound in the module docstring holds
+_CLIP_GUARD_MIN, _CLIP_GUARD_MAX = 2.0 ** -511, 2.0 ** 511
 
 
 def param_keys(one_step: bool = False) -> tuple:
@@ -333,7 +357,10 @@ class PackedLstm:
     forward() returns the probability its forward_sequence() returns,
     backward() writes the gradient its backward() returns, and
     clip_and_update() clips by the norm of the dict of per-key gradients,
-    summed in param_keys() order. Every entry sees the
+    summed in param_keys() order; an update whose dot(grad, grad) lies more
+    than delta = 4(n + 2) 2^-53 below max_norm^2 skips that norm, which
+    then cannot exceed max_norm (see the module docstring), so its flag and
+    update are the norm's. Every entry sees the
     same floating-point operations in the same order; only the number of
     numpy calls differs. A one-step kernel's entries equal the reference's
     live entries; the reference's dead gradients are exact zeros, so its
@@ -377,6 +404,8 @@ class PackedLstm:
         sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h, one_step)
         self._sq_gates = tuple(block.reshape(len(self._W3), -1) for block in (sW, sU, sb)
                                if block is not None)
+        # 1 - delta: the margin below max_norm^2 where the quick sum decides
+        self._clip_keep = 1.0 - 4 * (grad.size + 2) * 2.0 ** -53
         return grad
 
     @functools.cached_property
@@ -567,10 +596,19 @@ class PackedLstm:
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
 
-        Returns whether the gradient was clipped.
+        Returns whether the gradient was clipped. One dot product decides
+        most updates: below max_norm^2 * _clip_keep the exact ordered norm
+        cannot exceed max_norm (see the module docstring), so the update
+        needs no norm. Otherwise, and when max_norm^2 may not be a normal
+        float, the exact norm decides, summed as the reference sums it.
         """
         grad = self.grad  # first: building grad builds _work
         sq = self._work
+        if (_CLIP_GUARD_MIN <= max_norm <= _CLIP_GUARD_MAX
+                and float(np.dot(grad, grad)) < max_norm * max_norm * self._clip_keep):
+            np.multiply(grad, lr, out=sq)
+            self.theta -= sq
+            return False
         np.multiply(grad, grad, out=sq)
         # each key's own pairwise sum, added in param_keys() order: W, U, b
         # (W, b one-step) per gate, then the head (b_head's sum is its single
@@ -617,14 +655,18 @@ def init_params(input_dim: int, hidden_dim: int, rng: Rng,
     return kernel
 
 
-def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float = 1e-5,
+def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float = 1e-3,
                break_gate: str | None = None) -> float:
     """Max relative error between PackedLstm's BPTT and central finite differences
     on the flat row x.
 
     For each entry of the packed parameter vector compares backward()'s value
-    against (L(theta+eps) - L(theta-eps)) / (2 eps), where L is re-evaluated
-    through forward() alone. Relative error is |a - n| / max(|a|, |n|, 1e-8).
+    against the five-point central difference
+    (-L(+2 eps) + 8 L(+eps) - 8 L(-eps) + L(-2 eps)) / (12 eps), where L is
+    re-evaluated through forward() alone. Its truncation error is O(eps^4),
+    so eps can be large enough that the rounding of L, about
+    u * L / eps, stays far below the smallest gradient entries the check
+    scores. Relative error is |a - n| / max(|a|, |n|, 1e-8).
     break_gate is a verification hook: naming a gate zeroes that gate's
     W/U/b gradients so the check can prove it would notice. The kernel's
     grad is left holding the analytic gradient; theta ends as it began.
@@ -643,12 +685,13 @@ def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float =
     worst = 0.0
     for k in range(theta.size):
         orig = theta[k]
-        theta[k] = orig + eps
-        up = weighted_loss(kernel.forward(x), y, w)
-        theta[k] = orig - eps
-        down = weighted_loss(kernel.forward(x), y, w)
+        losses = []
+        for step in (2.0 * eps, eps, -eps, -2.0 * eps):
+            theta[k] = orig + step
+            losses.append(weighted_loss(kernel.forward(x), y, w))
         theta[k] = orig
-        numeric = (up - down) / (2.0 * eps)
+        up2, up, down, down2 = losses
+        numeric = (8.0 * (up - down) - (up2 - down2)) / (12.0 * eps)
         a = analytic[k]
         err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, err)

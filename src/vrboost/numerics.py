@@ -25,10 +25,12 @@ def sigmoid(z, out=None, work=None):
     both allocates nothing.
     """
     if isinstance(z, float):  # numpy float64 scalars included
+        # Python floats around np.exp: the same IEEE operations, without
+        # numpy-scalar arithmetic
         if z >= 0:
-            return float(1.0 / (1.0 + np.exp(-z)))
-        ex = np.exp(z)
-        return float(ex / (1.0 + ex))
+            return 1.0 / (1.0 + float(np.exp(-z)))
+        ex = float(np.exp(z))
+        return ex / (1.0 + ex)
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         return sigmoid(float(z))

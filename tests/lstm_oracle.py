@@ -151,14 +151,26 @@ def backward(params: dict, cache: StepCache, y: int, w: float,
     return grads
 
 
-def clip_gradient(grads: dict, max_norm: float) -> None:
-    """Scale every gradient array by one factor when the global L2 norm exceeds max_norm."""
-    sq = sum(float(np.sum(v * v)) for v in grads.values())
-    norm = math.sqrt(sq)
+def squared_norm(grads: dict) -> float:
+    """The squared global L2 norm of a dict of gradient arrays, summed in its key order."""
+    return sum(float(np.sum(v * v)) for v in grads.values())
+
+
+def clip_norm(grads: dict) -> float:
+    """The global L2 norm that clip_gradient compares."""
+    return math.sqrt(squared_norm(grads))
+
+
+def clip_gradient(grads: dict, max_norm: float) -> bool:
+    """Scale every gradient array by one factor when the global L2 norm exceeds
+    max_norm; returns whether it did."""
+    norm = clip_norm(grads)
     if norm > max_norm:
         scale = max_norm / norm
         for v in grads.values():
             v *= scale
+        return True
+    return False
 
 
 def oracle_train(examples, weights, cfg):
@@ -182,9 +194,7 @@ def oracle_train(examples, weights, cfg):
             prob, cache = forward_sequence(params, seq)
             epoch_losses.append(weighted_loss(prob, y, norm_w[idx]))
             grads = backward(params, cache, y, norm_w[idx])
-            head_grad = float(grads["b_head"][0])
-            clip_gradient(grads, cfg.grad_clip)
-            clipped += float(grads["b_head"][0]) != head_grad
+            clipped += clip_gradient(grads, cfg.grad_clip)
             for key in param_keys():
                 params[key] -= lr * grads[key]
         curve.losses.append(math.fsum(epoch_losses) / n)

@@ -8,7 +8,7 @@ import pytest
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
 
 
-def test_all_four_demos_are_found():
+def test_all_demos_are_found():
     assert len(DEMOS) == 5
 
 

@@ -9,18 +9,23 @@ of vrboost.lstm: logits within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|),
 equal votes.
 """
 
+import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lstm_oracle import (backward, clip_gradient, copied, forward_sequence, four_gate,
-                         oracle_train)
+from lstm_oracle import (backward, clip_gradient, clip_norm, copied, forward_sequence,
+                         four_gate, oracle_train, squared_norm)
+from vrboost import lstm
 from vrboost.boosting import LstmWeakLearner
-from vrboost.lstm import (GATES, ROW_LOGIT_DRIFT, SCORE_BLOCK_ROWS, PackedLstm,
-                          TrainConfig, grad_check, init_params, param_keys, step_dim,
-                          train_weak_learner)
+from vrboost.lstm import (_CLIP_GUARD_MAX, _CLIP_GUARD_MIN, GATES, ROW_LOGIT_DRIFT,
+                          SCORE_BLOCK_ROWS, PackedLstm, TrainConfig, grad_check, init_params,
+                          param_keys, step_dim, train_weak_learner)
 from vrboost.numerics import Rng
 
 
@@ -255,19 +260,173 @@ def test_kernel_gradient_equals_backward(seed, min_steps, dims, hiddens):
         _assert_same_bits(kernel.grads, want)
 
 
+def _assert_clips_like_oracle(kernel, lr, max_norm):
+    """clip_and_update()'s flag and theta against the oracle's clip_gradient()
+    and per-key update of the kernel's grad, bit for bit."""
+    params, grads = copied(kernel.arrays), copied(kernel.grads)
+    with np.errstate(all="ignore"):  # squares that overflow, inf * 0
+        clipped = kernel.clip_and_update(lr, max_norm)
+        want = clip_gradient(grads, max_norm)
+        for key in params:
+            params[key] -= lr * grads[key]
+    assert clipped == want
+    _assert_same_bits(kernel.arrays, params)
+
+
 @pytest.mark.parametrize("max_norm", [1e-3, 1e6])
 def test_clip_and_update_equals_per_key_update(max_norm):
     rng = Rng(5)
     kernel = init_params(9, 16, rng)
-    params = copied(kernel.arrays)
     kernel.grad[:] = rng.uniform_array(kernel.grad.shape, -0.2, 0.2)
-    grads = copied(kernel.grads)
-    clipped = kernel.clip_and_update(0.01, max_norm)
-    clip_gradient(grads, max_norm)
-    for key in param_keys():
-        params[key] -= 0.01 * grads[key]
-    _assert_same_bits(kernel.arrays, params)
-    assert clipped == (max_norm == 1e-3)  # the norm is about 4.7
+    assert clip_norm(kernel.grads) == pytest.approx(4.7, abs=0.1)
+    _assert_clips_like_oracle(kernel, 0.01, max_norm)
+
+
+# --- the clip guard --------------------------------------------------------------
+
+def _nudged(x: float, ulps: int) -> float:
+    """x moved ulps floats up, or down for ulps < 0."""
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+def _quick_sum_decides(kernel, max_norm) -> bool:
+    """Whether clip_and_update()'s guard lets the quick sum decide."""
+    quick = float(np.dot(kernel.grad, kernel.grad))
+    return (_CLIP_GUARD_MIN <= max_norm <= _CLIP_GUARD_MAX
+            and quick < max_norm * max_norm * kernel._clip_keep)
+
+
+@settings(max_examples=200)
+@given(one_step=st.booleans(), dim=st.integers(1, 9), hidden=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32), size=st.sampled_from(
+           [1.0, 0.05, 3e-5, 7e4, 2.0 ** -511, 2.0 ** 511, 1e-160, 1e160]),
+       edge=st.sampled_from(["exact norm", "guard"]), ulps=st.integers(-4, 4))
+def test_clip_equals_oracle_within_ulps_of_max_norm(one_step, dim, hidden, seed, size, edge,
+                                                    ulps):
+    # a gradient of exact norm about `size`, and a max_norm a few ulps from
+    # that norm, or from where the quick sum meets the guard's threshold
+    rng = Rng(seed)
+    kernel = PackedLstm(dim, hidden, one_step)
+    kernel.theta[:] = rng.uniform_array(kernel.theta.shape, -1.0, 1.0)
+    kernel.grad[:] = rng.uniform_array(kernel.grad.shape, -1.0, 1.0)
+    kernel.grad[rng.randint(0, 2)::3] = 0.0
+    kernel.grad *= size / clip_norm(kernel.grads)
+    with np.errstate(over="ignore"):
+        if edge == "guard":
+            max_norm = math.sqrt(float(np.dot(kernel.grad, kernel.grad)) / kernel._clip_keep)
+        else:
+            max_norm = clip_norm(kernel.grads)
+    _assert_clips_like_oracle(kernel, 0.1, _nudged(max_norm, ulps))
+
+
+@pytest.mark.parametrize("one_step", [True, False])
+def test_clip_equals_oracle_on_non_finite_and_extreme_values(one_step):
+    # NaN and inf entries, squares that overflow or underflow, and max_norms
+    # whose square is subnormal, at or past the guard's range, zero or NaN
+    specials = [None, math.nan, math.inf, -math.inf, 1e200, 1e-170]
+    max_norms = [1.0, 1e-160, _CLIP_GUARD_MIN, math.nextafter(_CLIP_GUARD_MIN, 0.0),
+                 _CLIP_GUARD_MAX, math.nextafter(_CLIP_GUARD_MAX, math.inf), 1e200,
+                 math.inf, 0.0, math.nan]
+    rng = Rng(7)
+    for special in specials:
+        for max_norm in max_norms:
+            kernel = PackedLstm(4, 3, one_step)
+            kernel.theta[:] = rng.uniform_array(kernel.theta.shape, -1.0, 1.0)
+            kernel.grad[:] = rng.uniform_array(kernel.grad.shape, -1e-3, 1e-3)
+            if special == 1e-170:
+                kernel.grad *= 1e-167  # every square underflows
+            elif special is not None:
+                kernel.grad[rng.randint(0, kernel.grad.size - 1)] = special
+            _assert_clips_like_oracle(kernel, 0.3, max_norm)
+
+
+def _lowest_dot(a, b):
+    """a . b as low as a sum of n products may round: a relative 2nu below
+    numpy's own sum, with n = a.size and u = 2^-53."""
+    return float(np.sum(a * b)) * (1 - 2 * a.size * 2.0 ** -53)
+
+
+def _exact_dot(a, b):
+    """a . b summed exactly and rounded once, which a dot product that fuses
+    each multiply into its add comes near."""
+    return float(sum(Fraction(p) * Fraction(q) for p, q in zip(a.tolist(), b.tolist())))
+
+
+class _NumpyWithDot:
+    """numpy, with another dot()."""
+
+    def __init__(self, dot):
+        self.dot = dot
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.mark.parametrize("dot", [_lowest_dot, _exact_dot])
+@pytest.mark.parametrize("one_step", [True, False])
+def test_clip_equals_oracle_for_a_quick_sum_anywhere_in_its_rounding(dot, one_step, monkeypatch):
+    # max_norms a few ulps around the exact norm, with the quick sum as low
+    # as it may round, or exact where every square rounds up: subnormal
+    # squares, each 0.49 of the least subnormal above its true value, put
+    # the exact ordered total above the true sum by far more than delta
+    monkeypatch.setattr(lstm, "np", _NumpyWithDot(dot))
+    rng = Rng(9)
+    for size in (1.0, 3e-5, None):
+        for ulps in (-6, -3, -1, 0, 1, 3):
+            kernel = PackedLstm(9, 8, one_step)
+            kernel.theta[:] = rng.uniform_array(kernel.theta.shape, -1.0, 1.0)
+            if size is None:
+                kernel.grad[:] = [math.sqrt(k % 40 + 1.51) * 2.0 ** -537
+                                  for k in range(kernel.grad.size)]
+                total, true = squared_norm(kernel.grads), _exact_dot(kernel.grad, kernel.grad)
+                assert total > true
+                max_norm = math.sqrt((total + true) / 2)
+            else:
+                kernel.grad[:] = rng.uniform_array(kernel.grad.shape, -1.0, 1.0)
+                kernel.grad *= size / clip_norm(kernel.grads)
+                max_norm = clip_norm(kernel.grads)
+            _assert_clips_like_oracle(kernel, 0.1, _nudged(max_norm, ulps))
+
+
+@pytest.mark.parametrize("mode", ["single", "unrolled"])
+def test_every_gradient_the_guard_passes_has_an_exact_norm_within_max_norm(mode):
+    # over the gradients of training: for the training clip, and for max_norms
+    # packed around each gradient's own exact norm, wherever the quick sum
+    # decides, the exact ordered norm is <= max_norm
+    X, labels = _examples(300, 9, 17)
+    kernel = init_params(step_dim(mode, 9), 16, Rng(17), one_step=mode == "single")
+    decided = near = 0
+    for _ in range(2):
+        for x, y in zip(X, labels.tolist()):
+            kernel.forward(x)
+            kernel.backward(y, 1.0)
+            norm = clip_norm(kernel.grads)
+            delta = 4 * (kernel.grad.size + 2) * 2.0 ** -53
+            for max_norm in [1.0] + [norm * (1 + k * delta / 8) for k in range(-4, 13)]:
+                if _quick_sum_decides(kernel, max_norm):
+                    assert norm <= max_norm
+                    decided += max_norm == 1.0
+                    near += max_norm < norm * (1 + delta)
+            kernel.clip_and_update(0.05, 1.0)
+    assert decided > 300 and near > 300  # the guard decides for most of them
+
+
+@pytest.mark.parametrize("n", [1, 497, 1681, 10 ** 5, 4 * 10 ** 7])
+def test_clip_guard_margin_covers_the_rounding_bound(n):
+    # the module docstring's bound, for n squares, u = 2^-53 and max_norm^2 = 1
+    # (it scales): q >= (1-u)^n S - n eta and s <= (1+u)^n (S + n eta) for the
+    # true sum S, with eta = 2^-1075 <= u max_norm^2 for a normal max_norm^2, and
+    # the threshold is at most (1 - delta)(1+u)^3 + eta; so q below it gives
+    # s <= ((1+u)/(1-u))^n ((1-delta)(1+u)^3 + u + n u) + (1+u)^n n u
+    with localcontext() as ctx:
+        ctx.prec = 60
+        u = Decimal(2) ** -53
+        delta = 4 * (n + 2) * u
+        bound = (((1 + u) / (1 - u)) ** n * ((1 - delta) * (1 + u) ** 3 + u + n * u)
+                 + (1 + u) ** n * n * u)
+        assert bound <= 1 - 4 * u
 
 
 def test_packed_params_are_views_in_param_keys_order():
