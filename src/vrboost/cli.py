@@ -9,13 +9,14 @@ read from them. Options may also come from a `key = value` config file;
 explicit flags win over the file, the file wins over defaults.
 
 Exit codes: 0 success, 1 failed gradient check, 2 usage, 3 data/schema,
-4 training, 5 I/O.
+4 training, 5 I/O, 70 internal error (a bug: the traceback goes to stderr).
 """
 
 import argparse
 import json
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -31,6 +32,7 @@ GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_DEFAULT_SEED = 11
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_DATA, EXIT_TRAINING, EXIT_IO = 0, 1, 2, 3, 4, 5
+EXIT_INTERNAL = 70  # EX_SOFTWARE of sysexits.h
 
 
 # --- commands ---------------------------------------------------------------
@@ -384,6 +386,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,8 @@ offers no canonical label. Encoded feature order is documented on encode().
 
 import csv
 import math
+import os
+import stat
 import warnings
 from dataclasses import dataclass
 
@@ -24,6 +26,10 @@ SCORE_RANGES = {"MotionSickness": (1, 10), "ImmersionLevel": (1, 5)}  # inclusiv
 
 NUMERIC_FEATURE_INDICES = (0, 1, 2)  # age, duration, leftover score column
 N_FEATURES = len(NUMERIC_FEATURE_INDICES) + len(GENDERS) + len(HEADSETS)
+
+# write_lines replaces a file only where os can tell whether the effective
+# user may write it and whether it carries extended attributes (Linux)
+_CAN_REPLACE = hasattr(os, "listxattr") and os.access in os.supports_effective_ids
 
 
 @dataclass
@@ -178,9 +184,56 @@ def _read_table(reader, path, optional_column: str | None) -> Table:
 
 def write_lines(path, lines) -> None:
     """Write text lines as UTF-8, each ending in \\n on every platform.
-    Every file the package outputs is written here."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    Every file the package outputs is written here.
+
+    An existing file is replaced, not truncated, when os.lstat shows a
+    regular file with one link, owned by this process's effective user and
+    group, writable by it and carrying no extended attribute (so no ACL):
+    the old name is unlinked, the path is created afresh with O_EXCL, and
+    the new file gets the old one's group and exact permission bits. ext4
+    with its default `auto_da_alloc` flushes a file truncated to zero when
+    it is closed; on a 2-vCPU VM that made a 600-byte rewrite cost about
+    50 ms of wall time and 0.3 ms of CPU, against 0.01 ms of both for unlink
+    and create. A reader that has the old file open keeps reading the whole
+    old file.
+
+    Every other case takes the truncating open(path, "w"): no file at the
+    path, a symlink (its target is written), a hard-linked file, a file of
+    another user or group, a read-only file, a FIFO, a device, a
+    directory, a platform without os.listxattr, and an unlink or exclusive
+    create that fails. Neither path calls fsync: after a crash a replaced
+    file may be empty or missing, never a mix of old and new content. The
+    bytes written are the same on both paths.
+    """
+    fd = _replace(path)
+    with open(path if fd is None else fd, "w", encoding="utf-8", newline="") as fh:
         fh.writelines(line + "\n" for line in lines)
+
+
+def _replace(path) -> int | None:
+    """A write descriptor of a new file that replaced the one at path, or
+    None when write_lines must truncate instead (see there)."""
+    if not _CAN_REPLACE:
+        return None
+    try:
+        old = os.lstat(path)
+        if not (stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+                and old.st_uid == os.geteuid() and old.st_gid == os.getegid()
+                and os.access(path, os.W_OK, effective_ids=True)
+                and not os.listxattr(path, follow_symlinks=False)):
+            return None
+        os.unlink(path)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600)
+    except OSError:
+        return None
+    try:
+        if os.fstat(fd).st_gid != old.st_gid:  # a setgid directory gave its own group
+            os.fchown(fd, -1, old.st_gid)
+        os.fchmod(fd, stat.S_IMODE(old.st_mode))
+    except OSError:
+        os.close(fd)
+        raise
+    return fd
 
 
 def write_csv(table: Table, path) -> None:

@@ -682,6 +682,42 @@ def test_main_calls_the_handler_bound_on_the_module_when_it_runs(tmp_path, monke
     assert len(calls) == 1 and calls[0]["n"] == 5
 
 
+def test_an_internal_error_exits_70_with_its_traceback(tmp_path, monkeypatch, capsys):
+    # exit 1 is a failed gradient check, so a bug must not exit 1
+    def broken_predict(opts):
+        raise RuntimeError("a bug in predict")
+
+    monkeypatch.setattr(cli, "cmd_predict", broken_predict)
+    assert _run(["predict", "--data", tmp_path / "data.csv"]) == cli.EXIT_INTERNAL == 70
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: a bug in predict" in err
+    monkeypatch.undo()
+    assert _run(["gradcheck", "--break-gate", "input"]) == cli.EXIT_CHECK_FAILED
+
+
+def _run_every_writer(out):
+    """gen-data, train, predict and evaluate into out; every file in out by name."""
+    data = out / "data.csv"
+    assert _run(["gen-data", "--n", 120, "--seed", 5, "--out", "data.csv",
+                 "--out-dir", out]) == 0
+    assert _run(["train", *FAST_TRAIN, "--data", data, "--out-dir", out]) == 0
+    assert _run(["predict", "--model", out / "model.json", "--data", data,
+                 "--out", "predictions.csv", "--out-dir", out]) == 0
+    assert _run(["evaluate", "--model", out / "model.json", "--data", out / "test_split.csv",
+                 "--out", "eval.json", "--out-dir", out]) == 0
+    return {path.name: path.read_bytes() for path in out.iterdir()}
+
+
+def test_a_rerun_into_the_same_paths_writes_the_bytes_of_a_fresh_run(tmp_path):
+    # write_lines replaces the files of the first run; nothing else is left
+    fresh = _run_every_writer(tmp_path / "fresh")
+    assert sorted(fresh) == ["boost_log.csv", "data.csv", "eval.json", "loss_curve.csv",
+                             "model.json", "predictions.csv", "report.json",
+                             "test_split.csv", "train_split.csv"]
+    for _ in range(2):
+        assert _run_every_writer(tmp_path / "again") == fresh
+
+
 def test_every_output_file_is_opened_with_newline_translation_off(tmp_path, monkeypatch):
     # newline="" keeps each "\n" as written, so artifacts match on every platform
     real_open = builtins.open

@@ -1,4 +1,7 @@
+import ast
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from vrboost import cli
+from vrboost import data as data_mod
 from vrboost.data import (COLUMNS, GENDERS, HEADSETS, NUMERIC_FEATURE_INDICES, N_FEATURES,
                           SCORE_RANGES, Table, TargetSpec, apply_standardizer, encode,
                           encode_labels, fit_standardizer, gen_synthetic, load_csv,
                           majority_rate, signal_score, split_indices, synthetic_bayes_rate,
-                          write_csv)
+                          write_csv, write_lines)
 from vrboost.errors import DataError
 
 HEADER = "Age,Gender,VRHeadset,Duration,MotionSickness,ImmersionLevel"
@@ -478,3 +482,236 @@ def test_planted_signal_bayes_rate():
 def test_majority_rate():
     assert majority_rate([1, 1, 1, 0]) == 0.75
     assert majority_rate([0, 0, 1, 1]) == 0.5
+
+
+# --- write_lines: replace, do not truncate ----------------------------------
+# Every test here works under tmp_path only: tier-1 may run as root, so a
+# wrong fallback pointed at a system path would unlink it.
+
+OLD_LINES = ["row_index,margin,label", "0,0.25,1", "1,-0.5,0"]
+NEW_LINES = ["row_index,margin,label", "0,-0.125,0"]
+NEW_BYTES = b"row_index,margin,label\n0,-0.125,0\n"
+AS_ROOT = os.geteuid() == 0
+OTHER_ID = 54321  # no user or group of the test machine is expected to hold it
+
+
+def _old_file(tmp_path, name="out.csv", mode=None):
+    path = tmp_path / name
+    write_lines(path, OLD_LINES)
+    if mode is not None:
+        os.chmod(path, mode)
+    return path
+
+
+def test_write_lines_rewrite_gives_the_bytes_of_a_fresh_write(tmp_path):
+    fresh = tmp_path / "fresh.csv"
+    write_lines(fresh, NEW_LINES)
+    old = _old_file(tmp_path)
+    write_lines(old, NEW_LINES)
+    assert fresh.read_bytes() == old.read_bytes() == NEW_BYTES
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh.csv", "out.csv"]
+
+
+def test_write_lines_replaces_so_an_open_reader_keeps_the_whole_old_file(tmp_path):
+    path = _old_file(tmp_path)
+    old_bytes = path.read_bytes()
+    with open(path, "rb") as reader:
+        write_lines(path, NEW_LINES)
+        assert reader.read() == old_bytes
+    assert path.read_bytes() == NEW_BYTES
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664])
+def test_write_lines_keeps_the_exact_permission_bits(tmp_path, mode):
+    umask = os.umask(0o022)
+    try:
+        path = _old_file(tmp_path, mode=mode)
+        write_lines(path, NEW_LINES)
+    finally:
+        os.umask(umask)
+    assert os.stat(path).st_mode & 0o7777 == mode
+    assert path.read_bytes() == NEW_BYTES
+
+
+def test_write_lines_writes_through_a_symlink_to_its_target(tmp_path):
+    target = _old_file(tmp_path, "target.csv")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    write_lines(link, NEW_LINES)
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == NEW_BYTES
+
+
+def test_write_lines_writes_a_dangling_symlinks_target(tmp_path):
+    link = tmp_path / "link.csv"
+    link.symlink_to(tmp_path / "absent.csv")
+    write_lines(link, NEW_LINES)
+    assert link.is_symlink() and (tmp_path / "absent.csv").read_bytes() == NEW_BYTES
+
+
+def test_write_lines_writes_both_names_of_a_hard_linked_file(tmp_path):
+    first = _old_file(tmp_path, "first.csv")
+    second = tmp_path / "second.csv"
+    os.link(first, second)
+    write_lines(first, NEW_LINES)
+    assert first.read_bytes() == second.read_bytes() == NEW_BYTES
+    assert os.stat(first).st_ino == os.stat(second).st_ino
+    assert os.stat(first).st_nlink == 2
+
+
+def test_write_lines_on_a_read_only_file_acts_as_a_truncating_open(tmp_path):
+    # root may write any file: the content changes and the mode stays
+    path = _old_file(tmp_path, mode=0o444)
+    old_bytes = path.read_bytes()
+    if AS_ROOT:
+        write_lines(path, NEW_LINES)
+        assert path.read_bytes() == NEW_BYTES
+    else:
+        with pytest.raises(PermissionError):
+            write_lines(path, NEW_LINES)
+        assert path.read_bytes() == old_bytes
+    assert os.stat(path).st_mode & 0o7777 == 0o444
+
+
+def test_write_lines_in_a_read_only_directory_truncates_a_writable_file(tmp_path):
+    if AS_ROOT:
+        pytest.skip("root may unlink in a read-only directory")
+    locked = tmp_path / "locked"
+    locked.mkdir()
+    path = _old_file(locked)
+    locked.chmod(0o555)
+    try:
+        write_lines(path, NEW_LINES)
+    finally:
+        locked.chmod(0o755)
+    assert path.read_bytes() == NEW_BYTES
+
+
+@pytest.mark.skipif(not AS_ROOT, reason="only root can give a file away")
+@pytest.mark.parametrize("owner", [(OTHER_ID, -1), (-1, OTHER_ID)], ids=["uid", "gid"])
+def test_write_lines_keeps_a_file_of_another_user_or_group(tmp_path, owner):
+    path = _old_file(tmp_path, mode=0o644)
+    os.chown(path, *owner)
+    before = os.stat(path)
+    with open(path, "rb") as reader:
+        write_lines(path, NEW_LINES)
+        assert reader.read() == NEW_BYTES  # truncated in place, not replaced
+    after = os.stat(path)
+    assert (after.st_uid, after.st_gid, after.st_mode) == (
+        before.st_uid, before.st_gid, before.st_mode)
+
+
+@pytest.mark.skipif(not AS_ROOT, reason="only root can give a directory away")
+def test_write_lines_keeps_the_group_of_a_file_in_a_setgid_directory(tmp_path):
+    shared = tmp_path / "shared"
+    shared.mkdir()
+    os.chown(shared, -1, OTHER_ID)
+    os.chmod(shared, 0o2775)
+    path = _old_file(shared)
+    os.chown(path, -1, os.getegid())  # a new file here would get OTHER_ID
+    os.chmod(path, 0o664)
+    with open(path, "rb") as reader:
+        write_lines(path, NEW_LINES)
+        assert reader.read() != NEW_BYTES  # replaced
+    after = os.stat(path)
+    assert (after.st_gid, after.st_mode & 0o7777) == (os.getegid(), 0o664)
+    assert path.read_bytes() == NEW_BYTES
+
+
+def test_write_lines_keeps_a_files_extended_attributes(tmp_path):
+    path = _old_file(tmp_path)
+    try:
+        os.setxattr(path, "user.vrboost", b"kept")
+    except (OSError, AttributeError):
+        pytest.skip("no user extended attributes here")
+    write_lines(path, NEW_LINES)
+    assert os.getxattr(path, "user.vrboost") == b"kept"
+    assert path.read_bytes() == NEW_BYTES
+
+
+def test_write_lines_replaces_no_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert data_mod._replace(fifo) is None
+    assert fifo.is_fifo()
+
+
+def test_a_directory_at_the_output_path_is_an_io_error(tmp_path, capsys):
+    (tmp_path / "out.csv").mkdir()
+    code = cli.main(["gen-data", "--n", "20", "--out-dir", str(tmp_path), "--out", "out.csv"])
+    assert code == cli.EXIT_IO == 5
+    assert "i/o error" in capsys.readouterr().err
+    assert (tmp_path / "out.csv").is_dir()
+
+
+# --- write_lines is the one writer --------------------------------------------
+
+WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_CREAT", "O_APPEND", "O_TRUNC", "O_EXCL"}
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "vrboost"
+
+
+def _writing_opens(source: str) -> list:
+    """(function, line) of every open(...), io.open(...), Path-style
+    .open(...) or os.open(...) call in source that may write: its mode
+    holds w, a, x or +, or its flags name a write, create or append flag.
+    A mode or flags that is not written out in the call counts as a write."""
+    found = []
+
+    def opens_to_write(call):
+        func = call.func
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) \
+                and func.value.id == "os":
+            flags = call.args[1] if len(call.args) > 1 else next(
+                (k.value for k in call.keywords if k.arg == "flags"), None)
+            names = {n.attr for n in ast.walk(flags) if isinstance(n, ast.Attribute)}
+            names |= {n.id for n in ast.walk(flags) if isinstance(n, ast.Name)}
+            return bool(names & WRITE_FLAGS) or not any(n.startswith("O_") for n in names)
+        builtin = isinstance(func, ast.Name) or isinstance(func.value, ast.Name) \
+            and func.value.id in ("io", "builtins")
+        position = 1 if builtin else 0
+        mode = call.args[position] if len(call.args) > position else next(
+            (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)):
+            return True
+        return bool(set(mode.value) & set("wax+"))
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef,
+                                                     ast.AsyncFunctionDef)) else function
+            if isinstance(child, ast.Call):
+                func = child.func
+                is_open = (isinstance(func, ast.Name) and func.id == "open") or (
+                    isinstance(func, ast.Attribute) and func.attr == "open")
+                if is_open and opens_to_write(child):
+                    found.append((function, child.lineno))
+            visit(child, name)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_scan_finds_every_kind_of_writing_open():
+    writes = ["open(p, 'w')", "open(p, mode='a', encoding='utf-8')", "open(p, 'r+')",
+              "io.open(p, 'xb')", "Path(p).open('w')", "open(p, m)",
+              "os.open(p, os.O_WRONLY | os.O_CREAT)", "os.open(p, os.O_RDWR)",
+              "os.open(p, flags)", "os.open(p, flags=os.O_APPEND)"]
+    reads = ["open(p)", "open(p, 'r', encoding='utf-8')", "open(p, 'rb')",
+             "open(p, mode='r')", "Path(p).open()", "os.open(p, os.O_RDONLY)"]
+    for text in writes:
+        assert _writing_opens(f"def f():\n    {text}\n") == [("f", 2)], text
+    for text in reads:
+        assert _writing_opens(f"def f():\n    {text}\n") == [], text
+
+
+def test_write_lines_is_the_only_writer_in_the_package():
+    # data._replace opens the file that write_lines writes
+    allowed = {("data.py", "write_lines"), ("data.py", "_replace")}
+    stray = [(path.name, function, line)
+             for path in sorted(SOURCE.glob("*.py"))
+             for function, line in _writing_opens(path.read_text(encoding="utf-8"))
+             if (path.name, function) not in allowed]
+    assert stray == []
+    data_source = (SOURCE / "data.py").read_text(encoding="utf-8")
+    assert {function for function, _ in _writing_opens(data_source)} == {"write_lines",
+                                                                         "_replace"}
