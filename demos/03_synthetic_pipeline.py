@@ -45,6 +45,6 @@ for entry in log:
 # 4. Score both splits.
 for name, (X_split, truths) in (("train", train), ("test", test)):
     preds, _ = ensemble_predict(ensemble, X_split)
-    report = scores(confusion(preds, truths), split=name)
+    report = scores(confusion(preds, truths))
     print(f"{name:<5}: accuracy {report.accuracy:.3f}  precision {report.precision:.3f}  "
           f"recall {report.recall:.3f}  f1 {report.f1:.3f}")

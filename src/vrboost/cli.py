@@ -184,8 +184,8 @@ def cmd_predict(opts: dict) -> int:
 
 
 def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
-                    break_gate: str | None = None, verbose: bool = False) -> float:
-    """Max finite-difference relative error over 10 seeded random instances.
+                    break_gate: str | None = None) -> list:
+    """(D, H, T, max relative error) of each of 10 seeded random instances.
 
     grad_check's five-point differences at eps=1e-3 carry about 1e-13 of
     rounding noise and an O(eps^4) truncation error, so a correct gradient
@@ -193,8 +193,8 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
     scores about 1.0.
     """
     rng = Rng(seed)
-    worst = 0.0
-    for case in range(10):
+    cases = []
+    for _ in range(10):
         input_dim = rng.randint(1, 5)
         hidden_dim = rng.randint(1, 8)
         steps = rng.randint(1, 4)
@@ -202,17 +202,17 @@ def gradcheck_suite(seed: int = GRADCHECK_DEFAULT_SEED,
         x = rng.uniform_array((steps * input_dim,), -2.0, 2.0)
         y = rng.randint(0, 1)
         w = rng.uniform(0.5, 2.0)
-        err = grad_check(kernel, x, y, w, eps=1e-3, break_gate=break_gate)
-        if verbose:
-            print(f"case {case}: D={input_dim} H={hidden_dim} T={steps} "
-                  f"max_rel_err={err:.3e}")
-        worst = max(worst, err)
-    return worst
+        cases.append((input_dim, hidden_dim, steps,
+                      grad_check(kernel, x, y, w, break_gate=break_gate)))
+    return cases
 
 
 def cmd_gradcheck(opts: dict) -> int:
     """Finite-difference audit of the BPTT gradients; nonzero exit on failure."""
-    worst = gradcheck_suite(opts["seed"], opts["break_gate"], verbose=True)
+    cases = gradcheck_suite(opts["seed"], opts["break_gate"])
+    for case, (input_dim, hidden_dim, steps, err) in enumerate(cases):
+        print(f"case {case}: D={input_dim} H={hidden_dim} T={steps} max_rel_err={err:.3e}")
+    worst = max(err for *_, err in cases)
     passed = worst < GRADCHECK_TOLERANCE
     print(f"gradcheck {'PASS' if passed else 'FAIL'}: max relative error {worst:.3e} "
           f"(tolerance {GRADCHECK_TOLERANCE:g})")

@@ -10,7 +10,6 @@ import csv
 import math
 import os
 import stat
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,21 +271,13 @@ def encode(table: Table, spec: TargetSpec) -> np.ndarray:
 
 
 def encode_labels(table: Table, spec: TargetSpec) -> np.ndarray:
-    """The (N,) {0,1} labels of table under the target rule.
-
-    Warns (UserWarning) when every label comes out identical; downstream
-    training will reject such data.
-    """
+    """The (N,) {0,1} labels of table under the target rule."""
     if not len(table):
         raise ValueError("encode_labels: no records")
     target = table.columns[spec.target_column]
     if target is None:
         raise DataError(f"column {spec.target_column} is required to compute labels")
-    labels = (np.array(target) >= spec.threshold).astype(int)
-    if labels.min() == labels.max():
-        warnings.warn(f"all labels identical ({labels[0]}); training cannot proceed "
-                      f"on single-class data", UserWarning, stacklevel=2)
-    return labels
+    return (np.array(target) >= spec.threshold).astype(int)
 
 
 def _round_half_up(x: float) -> int:

@@ -655,7 +655,7 @@ def init_params(input_dim: int, hidden_dim: int, rng: Rng,
     return kernel
 
 
-def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float = 1e-3,
+def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float,
                break_gate: str | None = None) -> float:
     """Max relative error between PackedLstm's BPTT and central finite differences
     on the flat row x.
@@ -663,16 +663,15 @@ def grad_check(kernel: PackedLstm, x: np.ndarray, y: int, w: float, eps: float =
     For each entry of the packed parameter vector compares backward()'s value
     against the five-point central difference
     (-L(+2 eps) + 8 L(+eps) - 8 L(-eps) + L(-2 eps)) / (12 eps), where L is
-    re-evaluated through forward() alone. Its truncation error is O(eps^4),
-    so eps can be large enough that the rounding of L, about
+    re-evaluated through forward() alone and eps = 1e-3. Its truncation error
+    is O(eps^4), so eps can be large enough that the rounding of L, about
     u * L / eps, stays far below the smallest gradient entries the check
     scores. Relative error is |a - n| / max(|a|, |n|, 1e-8).
     break_gate is a verification hook: naming a gate zeroes that gate's
     W/U/b gradients so the check can prove it would notice. The kernel's
     grad is left holding the analytic gradient; theta ends as it began.
     """
-    if not 0.0 < eps <= 1e-3:
-        raise ValueError("grad_check: eps must be in (0, 1e-3]")
+    eps = 1e-3
     kernel.forward(x)
     kernel.backward(y, w)
     if break_gate is not None:

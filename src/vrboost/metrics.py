@@ -27,8 +27,6 @@ class MetricReport:
     precision: float
     recall: float
     f1: float
-    counts: ConfusionMatrix
-    split: str = ""
     degenerate: tuple = ()
 
 
@@ -58,29 +56,19 @@ def f1_score(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def scores(cm: ConfusionMatrix, split: str = "") -> MetricReport:
+def scores(cm: ConfusionMatrix) -> MetricReport:
     """Accuracy, precision, recall, and F1 from the counts."""
     if cm.total <= 0:
         raise ValueError("scores: confusion matrix has no observations")
-    degenerate = []
     accuracy = (cm.tp + cm.tn) / cm.total
-    if cm.tp + cm.fp == 0:
-        precision, flagged = 0.0, True
-    else:
-        precision, flagged = cm.tp / (cm.tp + cm.fp), False
-    if flagged:
-        degenerate.append("precision")
-    if cm.tp + cm.fn == 0:
-        recall, flagged = 0.0, True
-    else:
-        recall, flagged = cm.tp / (cm.tp + cm.fn), False
-    if flagged:
-        degenerate.append("recall")
+    precision = cm.tp / (cm.tp + cm.fp) if cm.tp + cm.fp else 0.0
+    recall = cm.tp / (cm.tp + cm.fn) if cm.tp + cm.fn else 0.0
     f1 = f1_score(precision, recall)
-    if precision + recall == 0:
-        degenerate.append("f1")
+    denominators = (("precision", cm.tp + cm.fp), ("recall", cm.tp + cm.fn),
+                    ("f1", precision + recall))
+    degenerate = tuple(name for name, denominator in denominators if denominator == 0)
     return MetricReport(accuracy=accuracy, precision=precision, recall=recall, f1=f1,
-                        counts=cm, split=split, degenerate=tuple(degenerate))
+                        degenerate=degenerate)
 
 
 def correct_incorrect(cm: ConfusionMatrix) -> tuple:

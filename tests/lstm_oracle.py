@@ -107,13 +107,8 @@ def forward_sequence(params: dict, seq) -> tuple:
     return prob, StepCache(steps=steps, logit=logit, prob=prob)
 
 
-def backward(params: dict, cache: StepCache, y: int, w: float,
-             break_gate: str | None = None) -> dict:
-    """Exact gradient of weighted_loss w.r.t. every parameter, via BPTT.
-
-    break_gate is a verification hook: naming a gate zeroes that gate's
-    W/U/b gradients so finite-difference checks can prove they would notice.
-    """
+def backward(params: dict, cache: StepCache, y: int, w: float) -> dict:
+    """Exact gradient of weighted_loss w.r.t. every parameter, via BPTT."""
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     # head: d(loss)/d(logit) for sigmoid + cross-entropy
     dlogit = w * (cache.prob - y)
@@ -141,10 +136,9 @@ def backward(params: dict, cache: StepCache, y: int, w: float,
         dh_prev = np.zeros_like(dh)
         for gate in GATES:
             d = dpre[gate]
-            if gate != break_gate:
-                grads[f"W_{gate}"] += np.outer(d, rec.x)
-                grads[f"U_{gate}"] += np.outer(d, rec.h_prev)
-                grads[f"b_{gate}"] += d
+            grads[f"W_{gate}"] += np.outer(d, rec.x)
+            grads[f"U_{gate}"] += np.outer(d, rec.h_prev)
+            grads[f"b_{gate}"] += d
             dh_prev += params[f"U_{gate}"].T @ d
         dh = dh_prev
         dc = dc * f

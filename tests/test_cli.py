@@ -119,15 +119,27 @@ def test_train_loss_curve_layout(tmp_path):
         assert 0.0 <= float(eps) < 0.5 and float(a) > 0.0
 
 
-@pytest.mark.filterwarnings("ignore:all labels identical")
-def test_train_single_class_data_is_exit_3(tmp_path):
+def _single_class_csv(tmp_path):
+    """A labeled CSV whose ten rows are all class 1 under ImmersionLevel >= 4."""
     rows = ["%d,Male,HTC Vive,10.0,5,5" % (20 + i) for i in range(10)]
     path = tmp_path / "flat.csv"
     path.write_text("Age,Gender,VRHeadset,Duration,MotionSickness,ImmersionLevel\n"
                     + "\n".join(rows) + "\n")
-    code = _run(["train", "--data", path, "--rounds", 1, "--epochs", 1,
-                 "--out-dir", tmp_path / "out"])
-    assert code == 3
+    return path
+
+
+def _cli_process(argv):
+    """vrboost run as a process, so that stderr holds all a user would see."""
+    return subprocess.run([sys.executable, "-m", "vrboost.cli", *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def test_train_single_class_data_is_exit_3(tmp_path):
+    proc = _cli_process(["train", "--data", _single_class_csv(tmp_path), "--rounds", 1,
+                         "--epochs", 1, "--out-dir", tmp_path / "out"])
+    assert proc.returncode == 3
+    assert proc.stderr == ("error: dataset has a single label class under rule "
+                           "ImmersionLevel >= 4\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--stratified"]], ids=["plain", "stratified"])
@@ -259,6 +271,16 @@ def test_evaluate_reproduces_train_block(tmp_path, trained):
     eval_block = json.loads(report_path.read_text())["eval"]
     train_block = json.loads((out / "report.json").read_text())["train"]
     assert eval_block == train_block
+
+
+def test_evaluate_single_class_data_succeeds_silently(tmp_path, trained):
+    # only training needs both classes
+    _, _, out = trained
+    proc = _cli_process(["evaluate", "--model", out / "model.json",
+                         "--data", _single_class_csv(tmp_path), "--out-dir", tmp_path])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    block = json.loads((tmp_path / "report.json").read_text())["eval"]
+    assert block["n"] == block["tp"] + block["fn"] == 10
 
 
 def test_evaluate_corrupt_model_is_clean_error(tmp_path, trained):
@@ -633,10 +655,23 @@ def test_unrolled_train_predict_evaluate_end_to_end(tmp_path):
 
 # --- gradcheck --------------------------------------------------------------
 
+# the (D, H, T) that seed 11 draws for the ten cases
+_GRADCHECK_SHAPES = ["D=4 H=2 T=2", "D=1 H=1 T=4", "D=2 H=5 T=3", "D=4 H=5 T=3", "D=4 H=3 T=1",
+                     "D=5 H=8 T=3", "D=4 H=3 T=4", "D=3 H=1 T=4", "D=3 H=1 T=2", "D=1 H=1 T=2"]
+
+
 def test_gradcheck_passes_and_prints(capsys):
     assert _run(["gradcheck"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS" in out and "max relative error" in out
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 11
+    errors = []
+    for k, (line, shape) in enumerate(zip(lines, _GRADCHECK_SHAPES)):
+        match = re.fullmatch(rf"case {k}: {shape} max_rel_err=(\d\.\d{{3}}e-\d\d)", line)
+        assert match, line
+        errors.append(match.group(1))
+    worst = max(errors, key=float)
+    assert float(worst) < 1e-4
+    assert lines[10] == f"gradcheck PASS: max relative error {worst} (tolerance 0.0001)"
 
 
 def test_gradcheck_is_reproducible(capsys):
@@ -649,6 +684,11 @@ def test_gradcheck_is_reproducible(capsys):
 def test_gradcheck_mutation_hook_fails(capsys):
     assert _run(["gradcheck", "--break-gate", "forget"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # a zeroed analytic entry scores |0 - n| / |n| = 1 exactly
+    assert _run(["gradcheck", "--break-gate", "input"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"case {k}: {shape} max_rel_err=1.000e+00" for k, shape in enumerate(_GRADCHECK_SHAPES)
+    ] + ["gradcheck FAIL: max relative error 1.000e+00 (tolerance 0.0001)"]
 
 
 @pytest.mark.parametrize("seed", [12, 14, 27])

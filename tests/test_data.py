@@ -255,18 +255,11 @@ def test_encode_labels_and_layout():
     assert np.array_equal(X[1], [43.0, 19.95081498, 2.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
 
 
-@pytest.mark.filterwarnings("ignore:all labels identical")
 def test_encode_motion_sickness_target():
     table = _table((40, "Other", "Oculus Rift", 10.0, 8, 5))
     spec = TargetSpec("MotionSickness", 6)
     assert encode_labels(table, spec).tolist() == [1]
     assert encode(table, spec)[0, 2] == 5.0  # immersion becomes the leftover feature
-
-
-def test_encode_warns_on_single_class():
-    table = _table((30, "Male", "HTC Vive", 10.0, 5, 5), (31, "Female", "Oculus Rift", 11.0, 5, 5))
-    with pytest.warns(UserWarning, match="identical"):
-        encode_labels(table, TargetSpec("ImmersionLevel", 4))
 
 
 def test_encode_requires_target_values():

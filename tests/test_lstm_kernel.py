@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -70,12 +70,13 @@ TRAIN_CASES = [
 ]
 
 
-def _assert_trains_like_oracle(X, labels, cfg, input_dim) -> int:
+def _assert_trains_like_oracle(X, labels, cfg, input_dim, weights=None) -> int:
     """Train the kernel and the dict oracle alike; returns the oracle's clip count.
 
     Rows of one step train a one-step kernel: its arrays must be the oracle's,
-    and each oracle array it lacks must end at its init_params() value."""
-    weights = _weights(len(X), cfg.seed)
+    and each oracle array it lacks must end at its init_params() value.
+    weights defaults to _weights(len(X), cfg.seed)."""
+    weights = _weights(len(X), cfg.seed) if weights is None else np.array(weights)
     kernel, curve = train_weak_learner(X, labels, weights, cfg, input_dim)
     want_params, want_curve, clipped = oracle_train(_oracle_examples(X, labels, input_dim),
                                                     weights, cfg)
@@ -107,6 +108,26 @@ def test_sequences_of_vectors_match_dict_oracle():
     rows = [(rng.uniform_array((4 * 3,), -2.0, 2.0), rng.randint(0, 1)) for _ in range(30)]
     X, labels = np.stack([x for x, _ in rows]), np.array([y for _, y in rows])
     _assert_trains_like_oracle(X, labels, TrainConfig(max_epochs=2, hidden_dim=5, seed=21), 3)
+
+
+# the drawn cases rarely reach T = 1, so the edges are given as examples
+@settings(max_examples=22)
+@example(dim=1, hidden=1, steps=1, seed=5, weights=[1e-300], lr=1.0, grad_clip=1e-3)
+@example(dim=4, hidden=1, steps=1, seed=6, weights=[0.0, 1e-300, 1e6, 1e-6, 0.0, 1.0], lr=0.5,
+         grad_clip=0.01)
+@example(dim=1, hidden=6, steps=4, seed=7, weights=[1e6] + [1e-6] * 10 + [0.0], lr=0.1,
+         grad_clip=0.1)
+@given(dim=st.integers(1, 4), hidden=st.integers(1, 6), steps=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32),
+       weights=st.lists(st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(1e-6, 1e6)),
+                        min_size=1, max_size=12).filter(any),
+       lr=st.floats(1e-3, 1.0), grad_clip=st.floats(1e-3, 0.1))
+def test_training_matches_dict_oracle_for_drawn_cases(dim, hidden, steps, seed, weights, lr,
+                                                      grad_clip):
+    X, labels = _examples(len(weights), steps * dim, seed)
+    cfg = TrainConfig(max_epochs=2, initial_lr=lr, grad_clip=grad_clip, hidden_dim=hidden,
+                      seed=seed)
+    _assert_trains_like_oracle(X, labels, cfg, dim, weights)
 
 
 def _one_hot_examples(n, seed):

@@ -33,12 +33,11 @@ def test_confusion_validation():
 
 
 def test_scores_hand_case():
-    report = scores(ConfusionMatrix(tp=3, fp=1, fn=2, tn=4), split="train")
+    report = scores(ConfusionMatrix(tp=3, fp=1, fn=2, tn=4))
     assert report.accuracy == pytest.approx(0.7, abs=1e-15)
     assert report.precision == pytest.approx(0.75, abs=1e-15)
     assert report.recall == pytest.approx(0.6, abs=1e-15)
     assert report.f1 == pytest.approx(2 / 3, abs=1e-12)
-    assert report.split == "train"
     assert report.degenerate == ()
 
 
