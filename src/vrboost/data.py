@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .numerics import Rng, sigmoid
+from .numerics import Rng, randint_of, sigmoid, uniform_of
 
 COLUMNS = ("Age", "Gender", "VRHeadset", "Duration", "MotionSickness", "ImmersionLevel")
 GENDERS = ("Male", "Female", "Other")
@@ -306,7 +306,7 @@ def split_indices(n: int, ratio: float, seed: int, labels=None,
         labels = np.asarray(labels)
         train, test = [], []
         for cls in (0, 1):
-            cls_idx = [i for i in range(n) if labels[i] == cls]
+            cls_idx = np.flatnonzero(labels == cls).tolist()
             rng.shuffle(cls_idx)
             k = _round_half_up(ratio * len(cls_idx))
             train += cls_idx[:k]
@@ -358,16 +358,28 @@ def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
 # headset, each roughly standardized to unit scale.
 _MOTION_MEAN, _MOTION_STD = 5.5, math.sqrt(99.0 / 12.0)   # uniform {1..10}
 _DURATION_MEAN, _DURATION_STD = 32.5, 55.0 / math.sqrt(12.0)  # uniform (5, 60)
-_HEADSET_EFFECT = {"HTC Vive": 1.0, "Oculus Rift": 0.0, "PlayStation VR": -1.0}
+_HEADSET_EFFECT = np.array([1.0, 0.0, -1.0])  # HTC Vive, Oculus Rift, PlayStation VR
 _LINK_COEF = (-1.0, 0.6, 0.5)  # motion, duration, headset
 
 
-def signal_score(motion_sickness: float, duration: float, vr_headset: str) -> float:
-    """Centered feature combination feeding the generator's logistic link."""
+def signal_score(motion_sickness, duration, headset):
+    """Centered feature combination feeding the generator's logistic link.
+
+    headset is an index into HEADSETS. Each argument may be a number or an
+    array; arrays give the score of each entry, by the same float64
+    operations in the same order.
+    """
     cm, cd, ch = _LINK_COEF
     return (cm * (motion_sickness - _MOTION_MEAN) / _MOTION_STD
             + cd * (duration - _DURATION_MEAN) / _DURATION_STD
-            + ch * _HEADSET_EFFECT[vr_headset])
+            + ch * _HEADSET_EFFECT[headset])
+
+
+def _p_high(score, signal_strength) -> np.ndarray:
+    """sigmoid(signal_strength * score) of the link scores; a product past
+    float64's range is inf, as a Python float product is, and warns of nothing."""
+    with np.errstate(over="ignore"):
+        return sigmoid(signal_strength * score)
 
 
 def gen_synthetic(n: int, seed: int, signal_strength: float) -> Table:
@@ -379,34 +391,36 @@ def gen_synthetic(n: int, seed: int, signal_strength: float) -> Table:
     signal_strength 0 the labels are independent fair coin flips.
 
     Per-record draw order (fixed for reproducibility): age, gender, headset,
-    duration, motion sickness, the label uniform, the in-band level.
+    duration, motion sickness, the label uniform, the in-band level. The
+    records are drawn by column, from one bulk draw of 7n outputs, with the
+    values of one randint or uniform call per draw.
     """
     if n < 1:
         raise ValueError("gen_synthetic: n must be >= 1")
     if not (math.isfinite(signal_strength) and signal_strength >= 0):  # NaN fails both
         raise ValueError("gen_synthetic: signal_strength must be finite and >= 0")
-    rng = Rng(seed)
-    rows = []
-    for _ in range(n):
-        age = rng.randint(18, 60)
-        gender = GENDERS[rng.randint(0, 2)]
-        headset = HEADSETS[rng.randint(0, 2)]
-        duration = rng.uniform(5.0, 60.0)
-        motion = rng.randint(1, 10)
-        p_high = sigmoid(signal_strength * signal_score(motion, duration, headset))
-        high = rng.uniform(0.0, 1.0) < p_high
-        immersion = rng.randint(4, 5) if high else rng.randint(1, 3)
-        rows.append((age, gender, headset, duration, motion, immersion))  # COLUMNS order
-    return Table(dict(zip(COLUMNS, map(list, zip(*rows)))))
+    draws = Rng(seed).next_u64_array(7 * n).reshape(n, 7).T  # one row per draw kind
+    age, gender, headset, duration, motion, label, level = draws
+    headset = randint_of(headset, 0, 2)
+    duration = uniform_of(duration, 5.0, 60.0)
+    motion = randint_of(motion, 1, 10)
+    high = uniform_of(label, 0.0, 1.0) < _p_high(signal_score(motion, duration, headset),
+                                                 signal_strength)
+    immersion = np.where(high, randint_of(level, 4, 5), randint_of(level, 1, 3))
+    return Table(dict(zip(COLUMNS, (
+        randint_of(age, 18, 60).tolist(),
+        [GENDERS[i] for i in randint_of(gender, 0, 2).tolist()],
+        [HEADSETS[i] for i in headset.tolist()],
+        duration.tolist(), motion.tolist(), immersion.tolist()))))
 
 
 def synthetic_bayes_rate(table: Table, signal_strength: float) -> float:
     """Best achievable accuracy on the planted labels, by direct evaluation
     of the known link: mean over records of max(p, 1-p)."""
     cols = table.columns
-    links = map(signal_score, cols["MotionSickness"], cols["Duration"], cols["VRHeadset"])
-    best = [max(p, 1.0 - p) for p in (sigmoid(signal_strength * z) for z in links)]
-    return math.fsum(best) / len(best)
+    p = _p_high(signal_score(np.array(cols["MotionSickness"]), np.array(cols["Duration"]),
+                             list(map(HEADSETS.index, cols["VRHeadset"]))), signal_strength)
+    return math.fsum(np.maximum(p, 1.0 - p).tolist()) / len(p)
 
 
 def majority_rate(labels) -> float:

@@ -53,6 +53,7 @@ class Rng:
     call (after Steele, Lea & Flood 2014, "Fast splittable pseudorandom number
     generators": the k-th output is a fixed function of state + k * gamma).
     A bulk call gives the values and leaves the state that n single draws do.
+    randint_of and uniform_of map raw outputs, one or an array, to draws.
     """
 
     def __init__(self, seed: int):
@@ -66,7 +67,7 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
-    def _next_u64_array(self, n: int) -> np.ndarray:
+    def next_u64_array(self, n: int) -> np.ndarray:
         """The next n raw outputs, as next_u64() would return them, in a uint64 array."""
         z = np.arange(1, n + 1, dtype=np.uint64)
         z *= np.uint64(_GAMMA)
@@ -81,11 +82,8 @@ class Rng:
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Uniform draw in [lo, hi). Requires lo < hi and a finite hi - lo."""
-        span = _checked_span(lo, hi)
-        u = (self.next_u64() >> 11) * 2.0 ** -53  # 53-bit mantissa in [0, 1)
-        x = lo + span * u
-        # guard the rare rounding of lo + (hi-lo)*u up to hi
-        return x if x < hi else math.nextafter(hi, lo)
+        _checked_span(lo, hi)
+        return uniform_of(self.next_u64(), lo, hi)
 
     def uniform_array(self, shape, lo: float, hi: float) -> np.ndarray:
         """Array of uniform draws, filled in row-major order: the values and
@@ -93,17 +91,14 @@ class Rng:
         n = int(np.prod(shape))
         if n <= 0:  # no draw, so no check of lo and hi
             return np.empty(0).reshape(shape)
-        span = _checked_span(lo, hi)
-        u = (self._next_u64_array(n) >> np.uint64(11)).astype(float)
-        u *= 2.0 ** -53  # exact: a power of two
-        x = lo + span * u
-        return np.where(x < hi, x, math.nextafter(hi, lo)).reshape(shape)
+        _checked_span(lo, hi)
+        return uniform_of(self.next_u64_array(n), lo, hi).reshape(shape)
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         if lo > hi:
             raise ValueError(f"randint: requires lo <= hi, got lo={lo}, hi={hi}")
-        return lo + self.next_u64() % (hi - lo + 1)
+        return randint_of(self.next_u64(), lo, hi)
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle. Its n - 1 draws are taken in bulk;
@@ -111,15 +106,32 @@ class Rng:
         n = len(items)
         if n < 2:
             return
-        picks = (self._next_u64_array(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
+        picks = (self.next_u64_array(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)).tolist()
         for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
 
-def _checked_span(lo, hi):
-    """hi - lo, checked as uniform() requires."""
-    span = hi - lo
-    if not (lo < hi and math.isfinite(span)):
+def randint_of(u, lo: int, hi: int):
+    """The integer in [lo, hi] that the raw output u maps to, lo + u mod
+    (hi - lo + 1): an int for an int u, and for a uint64 array u a uint64
+    array, for which lo >= 0 and hi - lo + 1 must fit in a uint64."""
+    return lo + u % (hi - lo + 1)
+
+
+def uniform_of(u, lo: float, hi: float):
+    """The draw in [lo, hi) that the raw output u maps to: lo + (hi - lo) * v,
+    v being u's top 53 bits as a fraction in [0, 1), with a rounding up to hi
+    taken back to the float below hi. A float for an int u, a float64 array
+    for a uint64 array, whose uint64 to float64 conversion is exact below
+    2^53. Requires what uniform() checks."""
+    x = lo + (hi - lo) * ((u >> 11) * 2.0 ** -53)
+    if isinstance(x, float):
+        return x if x < hi else math.nextafter(hi, lo)
+    return np.where(x < hi, x, math.nextafter(hi, lo))
+
+
+def _checked_span(lo, hi) -> None:
+    """Raise unless lo < hi and hi - lo is finite, as uniform() requires."""
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise ValueError(f"uniform: requires lo < hi and a finite hi - lo, "
                          f"got lo={lo}, hi={hi}")
-    return span

@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import json
 import math
 import os
@@ -67,6 +68,28 @@ def test_non_finite_signal_is_usage_error_before_anything_is_written(tmp_path, c
 def test_gen_data_prints_oracle_accuracy(tmp_path, capsys):
     _run(["gen-data", "--n", 50, "--seed", 1, "--out-dir", tmp_path])
     assert "oracle accuracy" in capsys.readouterr().out
+
+
+# sha256 of the CSVs of the per-record generator, which drew one record at a time
+GEN_DATA_SHA256 = {
+    (500, 1, "4.0"): "f9e5e826e04e13f50743d4bcac4bdb59d2f0e5dded007498b998450da10477df",
+    (37, 2, "0"): "94d4255b0298ed5e0fa6cea0f3fc0e98ef82d3ba561ac687f02c55ff8602eb9f",
+}
+
+
+@pytest.mark.parametrize("n, seed, signal", sorted(GEN_DATA_SHA256))
+def test_gen_data_writes_the_bytes_of_the_per_record_generator(tmp_path, n, seed, signal):
+    assert _run(["gen-data", "--n", n, "--seed", seed, "--signal", signal,
+                 "--out-dir", tmp_path]) == 0
+    digest = hashlib.sha256((tmp_path / "synthetic.csv").read_bytes()).hexdigest()
+    assert digest == GEN_DATA_SHA256[n, seed, signal]
+
+
+def test_gen_data_at_a_huge_signal_writes_nothing_to_stderr(tmp_path):
+    # signal * score overflows to inf, as the product of two Python floats does
+    proc = _cli_process(["gen-data", "--n", 50, "--signal", 1e308, "--out-dir", tmp_path])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert "oracle accuracy of the generative link: 1.0000" in proc.stdout
 
 
 # --- train ------------------------------------------------------------------

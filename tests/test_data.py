@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import data_oracle
 from vrboost import cli
 from vrboost import data as data_mod
 from vrboost.data import (COLUMNS, GENDERS, HEADSETS, NUMERIC_FEATURE_INDICES, N_FEATURES,
@@ -447,14 +448,19 @@ def test_gen_synthetic_validation():
         gen_synthetic(10, seed=0, signal_strength=-1.0)
 
 
+def _link_scores(table):
+    cols = table.columns
+    return signal_score(np.array(cols["MotionSickness"]), np.array(cols["Duration"]),
+                        [HEADSETS.index(name) for name in cols["VRHeadset"]])
+
+
 def test_null_signal_labels_are_independent_coin_flips():
     table = gen_synthetic(4000, seed=3, signal_strength=0.0)
     assert synthetic_bayes_rate(table, 0.0) == 0.5
     labels = [1 if level >= 4 else 0 for level in table.columns["ImmersionLevel"]]
     assert abs(np.mean(labels) - 0.5) < 0.03
     # association with the link score should be negligible
-    scores = np.array([signal_score(motion, duration, headset)
-                       for _, _, headset, duration, motion, _ in _rows(table)])
+    scores = _link_scores(table)
     corr = np.corrcoef(scores, labels)[0, 1]
     assert abs(corr) < 0.05
 
@@ -465,11 +471,31 @@ def test_planted_signal_bayes_rate():
     assert rate >= 0.85
     # the oracle rate is achievable: thresholding the true link hits it
     labels = np.array([1 if level >= 4 else 0 for level in table.columns["ImmersionLevel"]])
-    link_preds = np.array([
-        1 if signal_score(motion, duration, headset) > 0 else 0
-        for _, _, headset, duration, motion, _ in _rows(table)])
+    link_preds = (_link_scores(table) > 0).astype(int)
     achieved = np.mean(link_preds == labels)
     assert achieved > 0.8
+
+
+SIGNALS = st.one_of(st.sampled_from((0.0, 5e-324, 1e-300, 0.5, 4.0, 37.0, 1e6, 1e308)),
+                    st.floats(0.0, 50.0))
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(1, 300), signal=SIGNALS)
+@example(seed=1, n=7, signal=1e308)
+def test_gen_synthetic_by_column_is_the_per_record_generator(seed, n, signal):
+    table, want = gen_synthetic(n, seed, signal), data_oracle.gen_synthetic(n, seed, signal)
+    for name in COLUMNS:
+        got = table.columns[name]
+        assert got == want.columns[name]
+        assert list(map(type, got)) == list(map(type, want.columns[name]))
+    cols = want.columns
+    scores = list(map(data_oracle.signal_score, cols["MotionSickness"], cols["Duration"],
+                      cols["VRHeadset"]))
+    assert _link_scores(want).tobytes() == np.array(scores).tobytes()
+    rate = synthetic_bayes_rate(table, signal)
+    assert type(rate) is float
+    assert rate.hex() == data_oracle.synthetic_bayes_rate(want, signal).hex()
 
 
 def test_majority_rate():

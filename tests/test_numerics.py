@@ -240,3 +240,12 @@ def test_sigmoid_array_is_bit_equal_to_the_formula(z):
 
 def test_sigmoid_array_of_nan_is_nan():
     assert np.isnan(sigmoid(np.array([math.nan, -math.nan]))).all()
+
+
+@settings(max_examples=60)
+@given(z=st.floats(allow_nan=False))
+def test_sigmoid_scalar_is_bit_equal_to_the_array_entry(z):
+    for x in (z, *EDGES):  # the generator takes one array in place of a scalar per record
+        scalar = sigmoid(x)
+        assert type(scalar) is float
+        assert scalar.hex() == float(sigmoid(np.array([x]))[0]).hex()
