@@ -156,6 +156,15 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     return Ensemble(rounds=rounds), log
 
 
+def _votes(ensemble: Ensemble, X) -> list:
+    """Each row's votes alpha_t * h_t(x), in round order, one list per row of
+    the (N, D) matrix X; each learner predicts once."""
+    if not ensemble.rounds:
+        raise ValueError("empty ensemble: no rounds to vote")
+    X = np.asarray(X, dtype=float)
+    return np.array([r.alpha * r.learner.predict(X) for r in ensemble.rounds]).T.tolist()
+
+
 def ensemble_predict(ensemble: Ensemble, X) -> tuple:
     """Return (labels in {0,1}, margins), one of each per row of the (N, D) matrix X.
 
@@ -163,31 +172,21 @@ def ensemble_predict(ensemble: Ensemble, X) -> tuple:
     does not depend on the round order; a positive margin maps to the
     positive label, a tie (0) to the negative.
     """
-    if not ensemble.rounds:
-        raise ValueError("ensemble_predict: empty ensemble")
-    X = np.asarray(X, dtype=float)
-    votes = np.array([r.alpha * r.learner.predict(X) for r in ensemble.rounds])
-    margins = np.array([math.fsum(row) for row in votes.T.tolist()])
+    margins = np.array([math.fsum(row) for row in _votes(ensemble, X)])
     labels = np.where(margins > 0, POSITIVE, NEGATIVE)
     return labels, margins
 
 
 def staged_train_error(ensemble: Ensemble, X, labels) -> list:
     """Unweighted error on the rows of X, labels in {0,1}, of every prefix of
-    the ensemble's rounds."""
-    if not ensemble.rounds:
-        raise ValueError("staged_train_error: empty ensemble")
-    X = np.asarray(X, dtype=float)
-    truths = to_signed(labels)
-    n = len(X)
-    preds = np.array([r.learner.predict(X) for r in ensemble.rounds], dtype=float)
-    alphas = np.array([r.alpha for r in ensemble.rounds])
+    the ensemble's rounds: the k-th is that of ensemble_predict on the first
+    k rounds, whose margins it sums as ensemble_predict does."""
+    votes = _votes(ensemble, X)
     errors = []
-    margins = np.zeros(n)
-    for t in range(len(ensemble.rounds)):
-        margins = margins + alphas[t] * preds[t]
-        signed_out = np.where(margins > 0, 1, -1)
-        errors.append(float(np.sum(signed_out != truths)) / n)
+    for k in range(1, len(ensemble.rounds) + 1):
+        margins = np.array([math.fsum(row[:k]) for row in votes])
+        preds = np.where(margins > 0, POSITIVE, NEGATIVE)
+        errors.append(float(np.sum(preds != labels)) / len(votes))
     return errors
 
 

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 failed gradient check, 2 usage, 3 data/schema,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from . import data as data_mod
 from .boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
 from .errors import DataError, TrainingError
-from .lstm import GATES, TrainConfig, grad_check, init_params
+from .lstm import GATES, SEQUENCE_MODES, TrainConfig, grad_check, init_params
 from .metrics import confusion, correct_incorrect, scores
 from .model import ModelBundle, load_model, save_model
 from .numerics import Rng
@@ -233,14 +234,15 @@ COMMON_OPTIONS = (
 
 COMMANDS = {
     "gen-data": ("write a synthetic schema-compatible CSV", (
-        ("n", 500, "record count"),
-        ("signal", 4.0, "planted signal strength (0 = labels independent of features)"),
+        ("n", data_mod.SYNTHETIC_N, "record count"),
+        ("signal", data_mod.SYNTHETIC_SIGNAL,
+         "planted signal strength (0 = labels independent of features)"),
         ("out", "synthetic.csv", "output CSV name"),
     )),
     "train": ("train the boosted ensemble and emit artifacts", (
         ("data", None, "input CSV (omit to train on synthetic data)"),
-        ("synth_n", 500, "synthetic record count when --data is omitted"),
-        ("signal", 4.0, "synthetic signal strength when --data is omitted"),
+        ("synth_n", data_mod.SYNTHETIC_N, "synthetic record count when --data is omitted"),
+        ("signal", data_mod.SYNTHETIC_SIGNAL, "synthetic signal strength when --data is omitted"),
         ("target_column", data_mod.TargetSpec.target_column, "label source column",
          data_mod.TARGET_COLUMNS),
         ("target_threshold", data_mod.TargetSpec.threshold, "label 1 when column >= threshold"),
@@ -253,7 +255,7 @@ COMMANDS = {
         ("lr_drop_period", TrainConfig.lr_drop_period, "epochs between learning-rate drops"),
         ("grad_clip", TrainConfig.grad_clip, "L2 norm each update's gradient is clipped to"),
         ("hidden_dim", TrainConfig.hidden_dim, "LSTM hidden size"),
-        ("sequence_mode", "single", "tabular-to-sequence adapter", ("single", "unrolled")),
+        ("sequence_mode", "single", "tabular-to-sequence adapter", SEQUENCE_MODES),
     )),
     "evaluate": ("score a labeled CSV with a saved model", (
         ("model", "model.json", "model.json path"),
@@ -328,24 +330,15 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return resolved
 
 
-def build_parser(with_options=tuple(COMMANDS)) -> argparse.ArgumentParser:
-    """The parser of the commands in with_options, each with its option rows;
-    the other commands get no subparser.
-
-    Its usage line names every command, as the parser of all of them does,
-    so that an error it reports reads the same whichever commands it holds.
-    """
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, each with its option rows. Built once per
+    process: parse_args leaves it unchanged, every default being suppressed."""
     parser = argparse.ArgumentParser(
         prog="vrboost",
         description="Boosted-LSTM binary classifier for tabular VR experience records")
-    # argparse names the subcommand by its metavar, else by its dest, in a
-    # "required" error: only a parser of some commands needs the metavar
-    every = "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar=None if set(COMMANDS) <= set(with_options) else every)
+    sub = parser.add_subparsers(dest="command", required=True)
     for command, (summary, _) in COMMANDS.items():
-        if command not in with_options:
-            continue
         p = sub.add_parser(command, help=summary)
         for name, default, text, *choices in option_rows(command).values():
             # suppressed, so that an absent flag leaves the config file's value
@@ -364,12 +357,7 @@ def build_parser(with_options=tuple(COMMANDS)) -> argparse.ArgumentParser:
 # --- entry point ----------------------------------------------------------------
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # one call parses one command: the others get no subparser. Without a
-    # command first (--help, a typo), every command is built, so that help
-    # and errors list them all.
-    named = argv[:1] if argv[:1] and argv[0] in COMMANDS else tuple(COMMANDS)
-    args = build_parser(named).parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         opts = resolve_options(args)
         # looked up when the command runs, so a wrapper set on the module is called

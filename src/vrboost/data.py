@@ -382,6 +382,10 @@ def _p_high(score, signal_strength) -> np.ndarray:
         return sigmoid(signal_strength * score)
 
 
+# record count and signal strength of a synthetic dataset drawn by the CLI
+SYNTHETIC_N, SYNTHETIC_SIGNAL = 500, 4.0
+
+
 def gen_synthetic(n: int, seed: int, signal_strength: float) -> Table:
     """Generate a Table of n schema-compatible records with a plantable signal.
 

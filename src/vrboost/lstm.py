@@ -204,6 +204,10 @@ class LossCurve:
     learning_rates: list = field(default_factory=list)
 
 
+# the tabular-to-sequence adapters, each a branch of step_dim
+SEQUENCE_MODES = ("single", "unrolled")
+
+
 def step_dim(mode: str, width: int) -> int:
     """Features per time step D of a width-feature row under a sequence mode.
 

@@ -36,19 +36,13 @@ class ModelBundle:
     sequence_mode: str
 
 
-def _one_step(sequence_mode: str) -> bool:
-    """Whether a sequence mode's rows are one step, so that its learners hold
-    one-step kernels. Raises ValueError on an unknown mode."""
-    return step_dim(sequence_mode, data_mod.N_FEATURES) == data_mod.N_FEATURES
-
-
 def save_model(bundle: ModelBundle, path: str) -> None:
     """Format v2: compact JSON, floats as JSON numbers, each kernel's own arrays.
 
     Raises ValueError for a learner that is not an LSTM, or whose kernel is
     not the form its sequence mode trains and load_model builds."""
     std = bundle.standardizer
-    one_step = _one_step(bundle.sequence_mode)
+    one_step = step_dim(bundle.sequence_mode, data_mod.N_FEATURES) == data_mod.N_FEATURES
     rounds = []
     for r in bundle.ensemble.rounds:
         if not isinstance(r.learner, LstmWeakLearner):
@@ -125,7 +119,7 @@ def load_model(path: str) -> ModelBundle:
         standardizer = data_mod.Standardizer(means=means, stds=stds)
         sequence_mode = doc["sequence_mode"]
         dim = step_dim(sequence_mode, data_mod.N_FEATURES)
-        one_step = _one_step(sequence_mode)
+        one_step = dim == data_mod.N_FEATURES  # a row is one step
         keys = param_keys(one_step)
         rounds = []
         for number, entry in enumerate(doc["rounds"], start=1):

@@ -36,7 +36,7 @@ class ParsingCli:
 
     def main(self, argv):
         self.commands.append(argv[0])
-        cli.resolve_options(cli.build_parser(argv[:1]).parse_args(argv))
+        cli.resolve_options(cli.build_parser().parse_args(argv))
         return cli.main(argv) if argv[0] == "gen-data" else 0
 
 

@@ -208,18 +208,49 @@ def test_ensemble_predict_tie_margin_is_negative_label():
     assert margin == 0.0 and label == 0
 
 
-def test_staged_error_prefix_consistency_and_bound():
-    X, labels = _matrix(*ORACLE_FIXTURES["classic_ten"])
-    ensemble, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
+def _assert_staged_is_ensemble_predict_of_each_prefix(ensemble, X, labels):
     staged = staged_train_error(ensemble, X, labels)
     assert len(staged) == len(ensemble.rounds)
     for k in range(1, len(ensemble.rounds) + 1):
-        prefix = Ensemble(rounds=ensemble.rounds[:k])
-        preds, _ = ensemble_predict(prefix, X)
-        manual = np.mean([p != y for p, y in zip(preds, labels)])
-        assert staged[k - 1] == pytest.approx(manual, abs=1e-15)
+        preds, _ = ensemble_predict(Ensemble(rounds=ensemble.rounds[:k]), X)
+        assert staged[k - 1] == np.mean([p != y for p, y in zip(preds, labels)])
+    return staged
+
+
+def test_staged_error_prefix_consistency_and_bound():
+    X, labels = _matrix(*ORACLE_FIXTURES["classic_ten"])
+    ensemble, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
+    staged = _assert_staged_is_ensemble_predict_of_each_prefix(ensemble, X, labels)
     bound = math.prod(2.0 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
     assert staged[-1] <= bound + 1e-12
+
+
+def test_staged_error_of_an_lstm_ensemble_is_ensemble_predict_of_each_prefix():
+    X = Rng(6).uniform_array((24, 3), -1, 1)
+    labels = (X[:, 0] + X[:, 1] > 0).astype(int)
+    factory = lstm_factory(TrainConfig(max_epochs=2, hidden_dim=4))
+    ensemble, _ = boost_train(X, labels, BoostConfig(rounds=4, seed=2), factory)
+    assert len(ensemble.rounds) > 1
+    _assert_staged_is_ensemble_predict_of_each_prefix(ensemble, X, labels)
+
+
+def test_staged_error_labels_a_near_tie_by_the_exact_margin():
+    # a running sum gives (1 + 1e-16) - 1 == 0, a negative label; the exact
+    # margin is 1e-16, so ensemble_predict labels the row positive. Each
+    # stump's cut lies below the row, so it votes its polarity.
+    ensemble = Ensemble(rounds=[BoostRound(a, _manual_stump(0, -1.0, v))
+                                for a, v in ((1.0, 1), (1e-16, 1), (1.0, -1))])
+    X, labels = np.zeros((1, 1)), np.array([1])
+    assert ensemble_predict(ensemble, X)[1].tolist() == [1e-16]
+    staged = _assert_staged_is_ensemble_predict_of_each_prefix(ensemble, X, labels)
+    assert staged == [0.0, 0.0, 0.0]
+
+
+def test_an_empty_ensemble_has_no_vote():
+    X, labels = _matrix([0.0, 1.0], [0, 1])
+    for vote in (lambda e: ensemble_predict(e, X), lambda e: staged_train_error(e, X, labels)):
+        with pytest.raises(ValueError):
+            vote(Ensemble(rounds=[]))
 
 
 def test_margin_scaling_leaves_labels_unchanged():

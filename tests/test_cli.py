@@ -824,7 +824,7 @@ def test_cli_module_help():
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])
 def test_help_lists_every_command_and_every_flag_of_the_invoked_one(capsys, command):
-    # main adds only the invoked command's option rows to the parser
+    # each command's --help lists that command's option rows
     with pytest.raises(SystemExit) as exc:
         main(["--help"] if command is None else [command, "--help"])
     assert exc.value.code == 0
@@ -843,17 +843,32 @@ def _usage_error(parser, argv, capsys):
     return exc.value.code, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [["train", "--no-such-flag", "1"], ["predict", "extra"],
+@pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1", "train"],
+                                  ["train", "--no-such-flag", "1"], ["predict", "extra"],
                                   ["gradcheck", "--break-gate", "nope"], ["gen-data", "--n", "x"]])
-def test_a_parser_of_one_command_reports_errors_as_the_parser_of_all(argv, capsys):
-    # main builds only the invoked command's subparser
-    assert (_usage_error(build_parser(argv[:1]), argv, capsys)
-            == _usage_error(build_parser(), argv, capsys))
-
-
-@pytest.mark.parametrize("argv", [[], ["bogus"], ["--seed", "1", "train"]])
-def test_main_builds_every_command_when_none_comes_first(argv, capsys):
+def test_main_exits_2_with_the_usage_error_of_its_parser(argv, capsys):
     code = _usage_error(build_parser(), argv, capsys)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert (exc.value.code, capsys.readouterr().err) == code
+    assert code[0] == 2 and code[1].startswith("usage: vrboost")
+
+
+def test_one_parser_serves_every_call_of_a_process():
+    assert build_parser() is build_parser()
+
+
+def test_a_parse_leaves_nothing_in_the_parser_for_the_next():
+    parser = build_parser()
+    first = resolve_options(parser.parse_args(["train", "--epochs", "5", "--stratified"]))
+    assert (first["epochs"], first["stratified"]) == (5, True)
+    bare = resolve_options(parser.parse_args(["train"]))
+    assert (bare["epochs"], bare["stratified"]) == (50, False)
+
+
+def test_two_main_calls_of_one_process_write_their_own_outputs(tmp_path):
+    for seed, name in ((1, "a.csv"), (2, "b.csv")):
+        assert _run(["gen-data", "--n", 20, "--seed", seed, "--out", name,
+                     "--out-dir", tmp_path]) == 0
+    a, b = ((tmp_path / name).read_bytes() for name in ("a.csv", "b.csv"))
+    assert a != b and sorted(os.listdir(tmp_path)) == ["a.csv", "b.csv"]
