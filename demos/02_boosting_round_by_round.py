@@ -11,7 +11,32 @@ import math
 import numpy as np
 
 from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict,
-                              staged_train_error, stump_factory)
+                              staged_train_error, weighted_error)
+
+
+class Stump:
+    """Threshold rule on the one feature: vote polarity where x >= threshold,
+    -polarity elsewhere.
+
+    fit() tries a cut below the smallest x and every midpoint of neighbouring
+    distinct values, each with polarity +1 then -1, and keeps the first rule
+    of least weighted error.
+    """
+
+    def fit(self, X, signed_labels, weights):
+        x = X[:, 0]
+        values = np.unique(x)
+        best = math.inf
+        for threshold in [values[0] - 1.0, *(0.5 * (values[:-1] + values[1:]))]:
+            for polarity in (1, -1):
+                err = weighted_error(np.where(x >= threshold, polarity, -polarity),
+                                     signed_labels, weights)
+                if err < best:
+                    best, self.threshold, self.polarity = err, threshold, polarity
+        return self
+
+    def predict(self, X):
+        return np.where(X[:, 0] >= self.threshold, self.polarity, -self.polarity)
 
 X = np.arange(10.0)[:, None]  # one feature per row
 labels = np.array([1, 1, 1, 0, 0, 0, 1, 1, 1, 0])
@@ -19,7 +44,7 @@ labels = np.array([1, 1, 1, 0, 0, 0, 1, 1, 1, 0])
 print("x      :", " ".join(f"{int(x):>5d}" for x in X[:, 0]))
 print("label  :", " ".join(f"{y:>5d}" for y in labels))
 
-ensemble, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), stump_factory)
+ensemble, log = boost_train(X, labels, BoostConfig(rounds=3, seed=0), lambda seed: Stump())
 
 # Each round: the best stump on the current weights, its weighted error, its
 # vote, and the reweighted distribution (misclassified points gain mass).

@@ -4,9 +4,6 @@ Rounds train on an evolving sample distribution; each accepted round gets a
 vote alpha = 0.5*ln((1-eps)/eps), the stagewise minimizer of the exponential
 loss of the additive model. Labels are {0,1} at the data layer (POSITIVE
 and NEGATIVE) and {-1,+1} inside the loop.
-
-A decision stump learner lives here as an exhaustively-optimizable companion
-so boosting runs can be checked against brute-force enumeration.
 """
 
 import math
@@ -14,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, UsageError
 from . import lstm as lstm_mod
 from .lstm import TrainConfig
 
@@ -82,7 +79,7 @@ class BoostConfig:
 
     def __post_init__(self):
         if self.rounds < 1:
-            raise ValueError("BoostConfig: rounds must be >= 1")
+            raise UsageError("BoostConfig: rounds must be >= 1")
 
 
 @dataclass
@@ -188,51 +185,6 @@ def staged_train_error(ensemble: Ensemble, X, labels) -> list:
         preds = np.where(margins > 0, POSITIVE, NEGATIVE)
         errors.append(float(np.sum(preds != labels)) / len(votes))
     return errors
-
-
-class DecisionStump:
-    """Single-feature threshold rule: predict polarity if x[f] >= threshold.
-
-    fit() enumerates, per feature, one cut below the smallest value (which
-    yields the two constant classifiers) plus every midpoint of consecutive
-    distinct values, with both polarities, and keeps the candidate with the
-    strictly smallest weighted error. Enumeration order (feature ascending,
-    threshold ascending, polarity +1 before -1) doubles as the tie-break.
-    """
-
-    def __init__(self):
-        self.feature = 0
-        self.threshold = 0.0
-        self.polarity = 1
-
-    def fit(self, X, signed_labels, weights) -> "DecisionStump":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(signed_labels)
-        d = np.asarray(weights, dtype=float)
-        best = math.inf
-        for f in range(X.shape[1]):
-            col = X[:, f]
-            vals = np.unique(col)
-            cuts = [vals[0] - 1.0]
-            cuts += [0.5 * (vals[k] + vals[k + 1]) for k in range(len(vals) - 1)]
-            for thr in cuts:
-                base = np.where(col >= thr, 1, -1)
-                for pol in (1, -1):
-                    err = weighted_error(pol * base, y, d)
-                    if err < best:
-                        best = err
-                        self.feature, self.threshold, self.polarity = f, thr, pol
-        return self
-
-    def predict(self, X) -> np.ndarray:
-        """One -1/+1 vote per row of the (N, D) matrix X."""
-        column = np.asarray(X)[:, self.feature]
-        return np.where(column >= self.threshold, self.polarity, -self.polarity)
-
-
-def stump_factory(seed: int) -> DecisionStump:
-    """Boosting-compatible factory; stump training is deterministic, seed unused."""
-    return DecisionStump()
 
 
 class LstmWeakLearner:

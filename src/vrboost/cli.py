@@ -8,8 +8,9 @@ needs no flags; those owned by TrainConfig, BoostConfig and TargetSpec are
 read from them. Options may also come from a `key = value` config file;
 explicit flags win over the file, the file wins over defaults.
 
-Exit codes: 0 success, 1 failed gradient check, 2 usage, 3 data/schema,
-4 training, 5 I/O, 70 internal error (a bug: the traceback goes to stderr).
+Exit codes: 0 success, 1 failed gradient check, 2 usage (a UsageError), 3
+data/schema, 4 training, 5 I/O, 70 internal error (a bug, such as any other
+ValueError: the traceback goes to stderr).
 """
 
 import argparse
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import data as data_mod
 from .boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
-from .errors import DataError, TrainingError
+from .errors import DataError, TrainingError, UsageError
 from .lstm import GATES, SEQUENCE_MODES, TrainConfig, grad_check, init_params
 from .metrics import confusion, correct_incorrect, scores
 from .model import ModelBundle, load_model, save_model
@@ -74,7 +75,7 @@ def cmd_gen_data(opts: dict) -> int:
     """Write a synthetic dataset and print the link's oracle accuracy."""
     n, signal = opts["n"], opts["signal"]
     if n < 1:
-        raise ValueError("gen-data: --n must be >= 1")
+        raise UsageError("gen-data: --n must be >= 1")
     out_path = _out_path(opts, opts["out"])
     table = data_mod.gen_synthetic(n, opts["seed"], signal)
     os.makedirs(opts["out_dir"], exist_ok=True)
@@ -155,7 +156,7 @@ def _standardized(bundle: ModelBundle, table) -> np.ndarray:
 def cmd_evaluate(opts: dict) -> int:
     """Score a labeled CSV with a saved model; write a single-block report."""
     if not opts["data"]:
-        raise ValueError("evaluate: --data is required")
+        raise UsageError("evaluate: --data is required")
     out_path = _out_path(opts, opts["out"])
     bundle = load_model(opts["model"])
     table = data_mod.load_csv(opts["data"])
@@ -171,7 +172,7 @@ def cmd_evaluate(opts: dict) -> int:
 def cmd_predict(opts: dict) -> int:
     """Write (row_index, margin, label) for every row; target column optional."""
     if not opts["data"]:
-        raise ValueError("predict: --data is required")
+        raise UsageError("predict: --data is required")
     out_path = _out_path(opts, opts["out"])
     bundle = load_model(opts["model"])
     table = data_mod.load_csv(opts["data"], optional_column=bundle.target.target_column)
@@ -299,22 +300,26 @@ def _coerce(row: tuple, raw: str):
 
 def _read_config_file(path: str, rows: dict) -> dict:
     """Parse `key = value` lines; '#' starts a comment; keys may use '-' or '_'."""
-    values = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            key = key.replace("-", "_")
-            if key not in rows:
-                raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
-            try:
-                values[key] = _coerce(rows[key], raw)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
+        try:
+            lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise UsageError(exc) from None
+    values = {}
+    for line_no, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise UsageError(f"{path}:{line_no}: expected 'key = value'")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        key = key.replace("-", "_")
+        if key not in rows:
+            raise UsageError(f"{path}:{line_no}: unknown option {key!r}")
+        try:
+            values[key] = _coerce(rows[key], raw)
+        except ValueError as exc:
+            raise UsageError(f"{path}:{line_no}: {key}: {exc}") from None
     return values
 
 
@@ -371,7 +376,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception:

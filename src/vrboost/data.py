@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, UsageError
 from .numerics import Rng, randint_of, sigmoid, uniform_of
 
 COLUMNS = ("Age", "Gender", "VRHeadset", "Duration", "MotionSickness", "ImmersionLevel")
@@ -249,7 +249,7 @@ def write_csv(table: Table, path) -> None:
 
 
 def encode(table: Table, spec: TargetSpec) -> np.ndarray:
-    """The (N, 9) float64 feature matrix of table, one row per record, in
+    """The (N, 9) float64 feature matrix of table (N may be 0), one row per record, in
     documented order:
 
     [age, duration, leftover score column,
@@ -258,8 +258,6 @@ def encode(table: Table, spec: TargetSpec) -> np.ndarray:
 
     The target column itself never appears among the features.
     """
-    if not len(table):
-        raise ValueError("encode: no records")
     cols = table.columns
     other_column = "MotionSickness" if spec.target_column == "ImmersionLevel" else "ImmersionLevel"
     other = cols[other_column]
@@ -272,8 +270,6 @@ def encode(table: Table, spec: TargetSpec) -> np.ndarray:
 
 def encode_labels(table: Table, spec: TargetSpec) -> np.ndarray:
     """The (N,) {0,1} labels of table under the target rule."""
-    if not len(table):
-        raise ValueError("encode_labels: no records")
     target = table.columns[spec.target_column]
     if target is None:
         raise DataError(f"column {spec.target_column} is required to compute labels")
@@ -293,7 +289,7 @@ def split_indices(n: int, ratio: float, seed: int, labels=None,
     if n < 2:
         raise ValueError("split: need at least 2 examples")
     if not 0 < ratio < 1:
-        raise ValueError("split: ratio must be in (0, 1)")
+        raise UsageError("split: ratio must be in (0, 1)")
     rng = Rng(seed)
     if not stratified:
         order = list(range(n))
@@ -400,9 +396,9 @@ def gen_synthetic(n: int, seed: int, signal_strength: float) -> Table:
     values of one randint or uniform call per draw.
     """
     if n < 1:
-        raise ValueError("gen_synthetic: n must be >= 1")
+        raise UsageError("gen_synthetic: n must be >= 1")
     if not (math.isfinite(signal_strength) and signal_strength >= 0):  # NaN fails both
-        raise ValueError("gen_synthetic: signal_strength must be finite and >= 0")
+        raise UsageError("gen_synthetic: signal_strength must be finite and >= 0")
     draws = Rng(seed).next_u64_array(7 * n).reshape(n, 7).T  # one row per draw kind
     age, gender, headset, duration, motion, label, level = draws
     headset = randint_of(headset, 0, 2)

@@ -5,6 +5,10 @@ class VrboostError(Exception):
     """Base class for errors raised by this package."""
 
 
+class UsageError(VrboostError, ValueError):
+    """An option value the program cannot use (CLI exit code 2)."""
+
+
 class DataError(VrboostError):
     """Dataset, schema, or row-level problem (CLI exit code 3)."""
 

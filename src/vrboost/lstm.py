@@ -120,7 +120,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import TrainingError, UsageError
 from .numerics import Rng, sigmoid
 
 GATES = ("forget", "input", "output", "candidate")
@@ -178,17 +178,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.max_epochs < 1:
-            raise ValueError("TrainConfig: max_epochs must be >= 1")
+            raise UsageError("TrainConfig: max_epochs must be >= 1")
         if not self.initial_lr > 0:
-            raise ValueError("TrainConfig: initial_lr must be > 0")
+            raise UsageError("TrainConfig: initial_lr must be > 0")
+        if not math.isfinite(self.initial_lr):
+            raise UsageError("TrainConfig: initial_lr must be finite")
         if not 0 < self.lr_drop_factor <= 1:
-            raise ValueError("TrainConfig: lr_drop_factor must be in (0, 1]")
+            raise UsageError("TrainConfig: lr_drop_factor must be in (0, 1]")
         if self.lr_drop_period < 1:
-            raise ValueError("TrainConfig: lr_drop_period must be >= 1")
+            raise UsageError("TrainConfig: lr_drop_period must be >= 1")
         if not self.grad_clip > 0:
-            raise ValueError("TrainConfig: grad_clip must be > 0")
+            raise UsageError("TrainConfig: grad_clip must be > 0")
         if self.hidden_dim < 1:
-            raise ValueError("TrainConfig: hidden_dim must be >= 1")
+            raise UsageError("TrainConfig: hidden_dim must be >= 1")
 
 
 def learning_rate(cfg: TrainConfig, epoch: int) -> float:
@@ -270,8 +272,8 @@ class Trace:
     block is copied from gates by backward(). h (T+1, H): h[0] = 0 and h[t+1]
     the hidden state after step t. c (T+1, H), g and tanh_c (T, H) and f, i,
     o (T, H) are named views of those buffers, h_last is h[T]; x is the row
-    forward() ran and prob its probability. Step 0 is the one-step cell (see
-    the module docstring): it computes no forget gate, so f[0] stays 1.
+    forward() ran and logit and prob its head's output. Step 0 is the one-step
+    cell (see the module docstring): it computes no forget gate, so f[0] stays 1.
 
     factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
     dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k; the
@@ -283,7 +285,7 @@ class Trace:
     def __init__(self, input_dim: int, hidden_dim: int, steps: int):
         d, h_dim = input_dim, hidden_dim
         n_sig = 3 * h_dim
-        self.steps, self.x, self.prob = steps, None, None
+        self.steps, self.x, self.logit, self.prob = steps, None, None, None
         self.pre = np.empty((steps, 4 * h_dim))
         self.gates = np.ones((steps, 4 * h_dim))  # forward() never writes the ones, nor f[0]
         self.mult = np.zeros((steps + 1, 4 * h_dim))  # nor c[0] = 0
@@ -498,7 +500,8 @@ class PackedLstm:
             np.add(fc, ig, out=c)
             np.tanh(c, out=tanh_c)
             np.multiply(o, tanh_c, out=h)
-        trace.prob = sigmoid(float(self.w_head @ trace.h_last) + float(self.b_head[0]))
+        trace.logit = float(self.w_head @ trace.h_last) + float(self.b_head[0])
+        trace.prob = sigmoid(trace.logit)
         return trace.prob
 
     def forward_rows(self, X) -> tuple:
@@ -710,7 +713,9 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     scale as unweighted training. Each epoch visits every example once in a
     freshly shuffled order (seeded); one gradient step per example,
     L2-clipped to cfg.grad_clip. Rows of one step (T*D = D) train a one-step
-    kernel, which holds and updates only the live parameters.
+    kernel, which holds and updates only the live parameters. Raises
+    TrainingError at a head logit that is not finite, whose loss PROB_CLAMP
+    may keep finite (a finite logit always has a finite loss).
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
@@ -741,11 +746,9 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
         epoch_losses = []
         for idx in order:
             y, w = labels[idx], norm_w[idx]
-            loss = weighted_loss(kernel.forward(X[idx]), y, w)
-            if not math.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, example {idx}")
-            epoch_losses.append(loss)
+            epoch_losses.append(weighted_loss(kernel.forward(X[idx]), y, w))
+            if not math.isfinite(kernel.trace.logit):
+                raise TrainingError(f"non-finite head logit at epoch {epoch}, example {idx}")
             kernel.backward(y, w)
             kernel.clip_and_update(lr, cfg.grad_clip)
         curve.losses.append(math.fsum(epoch_losses) / n)

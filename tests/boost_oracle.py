@@ -5,6 +5,10 @@ enumeration (feature ascending, one cut below the minimum then every
 midpoint, polarity +1 before -1, strictly-smaller error wins) and the
 textbook error/vote/update arithmetic. Shares only the convention, not the
 code, with the production path, so trajectories can be compared bit for bit.
+
+OracleStump wraps oracle_best_stump in the weak-learner interface
+boost_train takes (fit, predict, and stump_factory for the factory), so
+the checks that boost stumps run this one stump search.
 """
 
 import math
@@ -42,6 +46,30 @@ def oracle_best_stump(X, y_signed, d):
                 if best is None or err < best[0]:
                     best = (err, (feature, threshold, polarity), preds)
     return best
+
+
+class OracleStump:
+    """Single-feature threshold rule: vote polarity where x[feature] >= threshold,
+    -polarity elsewhere; fit() keeps oracle_best_stump's choice."""
+
+    def __init__(self, feature=0, threshold=0.0, polarity=1):
+        self.feature, self.threshold, self.polarity = feature, threshold, polarity
+
+    def fit(self, X, signed_labels, weights) -> "OracleStump":
+        _, (self.feature, self.threshold, self.polarity), _ = oracle_best_stump(
+            np.asarray(X, dtype=float), np.asarray(signed_labels),
+            np.asarray(weights, dtype=float))
+        return self
+
+    def predict(self, X) -> np.ndarray:
+        """One -1/+1 vote per row of the (N, D) matrix X."""
+        column = np.asarray(X)[:, self.feature]
+        return np.where(column >= self.threshold, self.polarity, -self.polarity)
+
+
+def stump_factory(seed: int) -> OracleStump:
+    """boost_train's learner factory; the search is deterministic, seed unused."""
+    return OracleStump()
 
 
 def oracle_boost(X, labels01, rounds, epsilon_floor=1e-10):

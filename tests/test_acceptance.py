@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from boost_oracle import FIXTURES, oracle_boost
+from boost_oracle import FIXTURES, oracle_boost, stump_factory
 from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict,
-                              lstm_factory, staged_train_error, stump_factory,
-                              update_weights, weighted_error)
+                              lstm_factory, staged_train_error, update_weights,
+                              weighted_error)
 from vrboost.cli import gradcheck_suite, main
 from vrboost.data import (TargetSpec, apply_standardizer, encode, encode_labels,
                           fit_standardizer, gen_synthetic, majority_rate,

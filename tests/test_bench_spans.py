@@ -8,7 +8,8 @@ rename fail here instead.
 import importlib.util
 from pathlib import Path
 
-from vrboost.boosting import BoostConfig, boost_train, stump_factory
+from boost_oracle import stump_factory
+from vrboost.boosting import BoostConfig, boost_train
 from vrboost.numerics import Rng
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boost_oracle import FIXTURES as ORACLE_FIXTURES
-from boost_oracle import oracle_boost, oracle_margins
-from vrboost.boosting import (BoostConfig, BoostRound, DecisionStump, Ensemble,
-                              LstmWeakLearner, alpha, boost_train,
-                              ensemble_predict, init_weights, lstm_factory,
-                              staged_train_error, stump_factory, to_signed,
+from boost_oracle import OracleStump, oracle_boost, oracle_margins, stump_factory
+from vrboost.boosting import (BoostConfig, BoostRound, Ensemble, LstmWeakLearner,
+                              alpha, boost_train, ensemble_predict, init_weights,
+                              lstm_factory, staged_train_error, to_signed,
                               update_weights, weighted_error)
 from vrboost.errors import DataError, TrainingError
 from vrboost.lstm import TrainConfig
@@ -179,30 +178,24 @@ def test_weight_invariants_after_each_round():
         assert np.all(entry.weights >= 0)
 
 
-def _manual_stump(feature, threshold, polarity):
-    stump = DecisionStump()
-    stump.feature, stump.threshold, stump.polarity = feature, threshold, polarity
-    return stump
-
-
 def test_ensemble_predict_single_round_follows_learner():
-    stump = _manual_stump(0, 0.5, 1)
+    stump = OracleStump(0, 0.5, 1)
     ensemble = Ensemble(rounds=[BoostRound(alpha=1.0, learner=stump)])
     labels, margins = ensemble_predict(ensemble, np.array([[2.0], [-2.0]]))
     assert labels.tolist() == [1, 0] and margins.tolist() == [1.0, -1.0]
 
 
 def test_ensemble_predict_dominant_vote():
-    agree = _manual_stump(0, 0.0, 1)
-    disagree = _manual_stump(0, 0.0, -1)
+    agree = OracleStump(0, 0.0, 1)
+    disagree = OracleStump(0, 0.0, -1)
     ensemble = Ensemble(rounds=[BoostRound(2.0, agree), BoostRound(1.0, disagree)])
     (label,), (margin,) = ensemble_predict(ensemble, np.array([[1.0]]))
     assert label == 1 and margin == pytest.approx(1.0)
 
 
 def test_ensemble_predict_tie_margin_is_negative_label():
-    up = _manual_stump(0, 0.0, 1)
-    down = _manual_stump(0, 0.0, -1)
+    up = OracleStump(0, 0.0, 1)
+    down = OracleStump(0, 0.0, -1)
     ensemble = Ensemble(rounds=[BoostRound(1.0, up), BoostRound(1.0, down)])
     (label,), (margin,) = ensemble_predict(ensemble, np.array([[1.0]]))
     assert margin == 0.0 and label == 0
@@ -238,7 +231,7 @@ def test_staged_error_labels_a_near_tie_by_the_exact_margin():
     # a running sum gives (1 + 1e-16) - 1 == 0, a negative label; the exact
     # margin is 1e-16, so ensemble_predict labels the row positive. Each
     # stump's cut lies below the row, so it votes its polarity.
-    ensemble = Ensemble(rounds=[BoostRound(a, _manual_stump(0, -1.0, v))
+    ensemble = Ensemble(rounds=[BoostRound(a, OracleStump(0, -1.0, v))
                                 for a, v in ((1.0, 1), (1e-16, 1), (1.0, -1))])
     X, labels = np.zeros((1, 1)), np.array([1])
     assert ensemble_predict(ensemble, X)[1].tolist() == [1e-16]
@@ -276,7 +269,7 @@ def test_stump_fit_multifeature():
         rows.append([rng.uniform(-1, 1), informative])
         ys.append(1 if informative > 0.2 else -1)
     X = np.array(rows)
-    stump = DecisionStump().fit(X, np.array(ys), init_weights(30))
+    stump = OracleStump().fit(X, np.array(ys), init_weights(30))
     assert stump.feature == 1
     preds = stump.predict(X)
     assert weighted_error(preds, np.array(ys), init_weights(30)) == 0.0

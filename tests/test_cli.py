@@ -758,6 +758,40 @@ def test_an_internal_error_exits_70_with_its_traceback(tmp_path, monkeypatch, ca
     assert _run(["gradcheck", "--break-gate", "input"]) == cli.EXIT_CHECK_FAILED
 
 
+def test_a_value_error_inside_a_command_exits_70_with_its_traceback(tmp_path, monkeypatch,
+                                                                     capsys):
+    # only a UsageError reads as bad flags; any other ValueError is a bug
+    def broken_encode(table, spec):
+        raise ValueError("a bug in encode")
+
+    monkeypatch.setattr(data_mod, "encode", broken_encode)
+    out = tmp_path / "out"
+    assert _run(["train", "--synth-n", 50, "--out-dir", out]) == cli.EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: a bug in encode" in err
+    assert "usage error" not in err and not out.exists()
+
+
+def test_an_infinite_learning_rate_is_a_usage_error_before_anything_is_written(tmp_path,
+                                                                               capsys):
+    out = tmp_path / "out"
+    assert _run(["train", "--lr", "inf", "--out-dir", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: TrainConfig: initial_lr must be finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_a_learning_rate_that_overflows_the_head_logit_is_exit_4_with_no_model(tmp_path,
+                                                                                capsys):
+    # the head logit reaches +-inf, where the clamped loss would stay finite
+    out = tmp_path / "out"
+    assert _run(["gen-data", "--n", 80, "--seed", 1, "--out-dir", tmp_path]) == 0
+    assert _run(["train", "--data", tmp_path / "synthetic.csv", "--lr", 1e308, "--rounds", 2,
+                 "--epochs", 1, "--out-dir", out]) == cli.EXIT_TRAINING
+    assert "training error: non-finite head logit" in capsys.readouterr().err
+    assert not (out / "model.json").exists()
+
+
 def _run_every_writer(out):
     """gen-data, train, predict and evaluate into out; every file in out by name."""
     data = out / "data.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lstm_oracle import LstmState, copied, forward_sequence, forward_step, oracle_train
-from vrboost.errors import TrainingError
+from vrboost.errors import TrainingError, UsageError
 from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
                           init_params, learning_rate, param_keys,
                           step_dim, train_weak_learner, weighted_loss)
@@ -267,6 +267,8 @@ def test_train_config_validation():
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(initial_lr=0.0)
+    with pytest.raises(UsageError, match="initial_lr must be finite"):
+        TrainConfig(initial_lr=math.inf)
     with pytest.raises(ValueError):
         TrainConfig(lr_drop_factor=1.5)
     with pytest.raises(ValueError):
@@ -366,6 +368,16 @@ def test_training_reports_non_finite_loss():
     weights = np.full(5, 0.2)
     with pytest.raises(TrainingError, match="epoch"):
         train_weak_learner(X, labels, weights, TrainConfig(max_epochs=2, hidden_dim=2), 2)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.parametrize("mode", ["single", "unrolled"])
+def test_training_reports_a_head_logit_that_overflows(mode):
+    # at lr 1e308 w_head overflows; PROB_CLAMP would keep the loss finite
+    X, labels = _toy_examples(20, 4)
+    cfg = TrainConfig(max_epochs=1, hidden_dim=16, initial_lr=1e308)
+    with pytest.raises(TrainingError, match="non-finite head logit at epoch 1"):
+        train_weak_learner(X, labels, np.full(20, 0.05), cfg, step_dim(mode, 2))
 
 
 def test_step_dim_modes():

@@ -110,26 +110,6 @@ def test_sequences_of_vectors_match_dict_oracle():
     _assert_trains_like_oracle(X, labels, TrainConfig(max_epochs=2, hidden_dim=5, seed=21), 3)
 
 
-# the drawn cases rarely reach T = 1, so the edges are given as examples
-@settings(max_examples=22)
-@example(dim=1, hidden=1, steps=1, seed=5, weights=[1e-300], lr=1.0, grad_clip=1e-3)
-@example(dim=4, hidden=1, steps=1, seed=6, weights=[0.0, 1e-300, 1e6, 1e-6, 0.0, 1.0], lr=0.5,
-         grad_clip=0.01)
-@example(dim=1, hidden=6, steps=4, seed=7, weights=[1e6] + [1e-6] * 10 + [0.0], lr=0.1,
-         grad_clip=0.1)
-@given(dim=st.integers(1, 4), hidden=st.integers(1, 6), steps=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 32),
-       weights=st.lists(st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(1e-6, 1e6)),
-                        min_size=1, max_size=12).filter(any),
-       lr=st.floats(1e-3, 1.0), grad_clip=st.floats(1e-3, 0.1))
-def test_training_matches_dict_oracle_for_drawn_cases(dim, hidden, steps, seed, weights, lr,
-                                                      grad_clip):
-    X, labels = _examples(len(weights), steps * dim, seed)
-    cfg = TrainConfig(max_epochs=2, initial_lr=lr, grad_clip=grad_clip, hidden_dim=hidden,
-                      seed=seed)
-    _assert_trains_like_oracle(X, labels, cfg, dim, weights)
-
-
 def _one_hot_examples(n, seed):
     """(X, labels) laid out as data.encode's rows: three numeric features, then
     two one-hot groups of three, so most features are exactly 0.0."""
@@ -139,6 +119,50 @@ def _one_hot_examples(n, seed):
     for row in X:
         row[3 + rng.randint(0, 2)] = row[6 + rng.randint(0, 2)] = 1.0
     return X, (X[:, 0] + X[:, 4] > 0.5).astype(int)
+
+
+# a drawn case's rows: uniform features; the same with exact 0.0 and -0.0
+# entries; or data.encode's nine features, as one step of nine or nine of one
+INPUTS = ("uniform", "signed zeros", "one-hot")
+# grad_clip at the clip guard's edges: its least max_norm, the float below
+# it (where the exact norm decides every update) and its greatest
+CLIP_EDGES = (_CLIP_GUARD_MIN, math.nextafter(_CLIP_GUARD_MIN, 0.0), _CLIP_GUARD_MAX)
+
+
+# the drawn cases rarely reach T = 1 or each edge, so those are given as examples
+@settings(max_examples=30)
+@example(dim=1, hidden=1, steps=1, seed=5, weights=[1e-300], lr=1.0, grad_clip=1e-3,
+         inputs="uniform")
+@example(dim=4, hidden=1, steps=1, seed=6, weights=[0.0, 1e-300, 1e6, 1e-6, 0.0, 1.0], lr=0.5,
+         grad_clip=0.01, inputs="uniform")
+@example(dim=1, hidden=6, steps=4, seed=7, weights=[1e6] + [1e-6] * 10 + [0.0], lr=0.1,
+         grad_clip=0.1, inputs="uniform")
+@example(dim=2, hidden=3, steps=3, seed=8, weights=[1.0] * 8, lr=0.5,
+         grad_clip=CLIP_EDGES[0], inputs="signed zeros")
+@example(dim=1, hidden=4, steps=1, seed=9, weights=[1.0] * 6, lr=0.5,
+         grad_clip=CLIP_EDGES[1], inputs="one-hot")
+@example(dim=3, hidden=2, steps=1, seed=10, weights=[2.0, 1e-6, 1.0, 0.0, 5.0], lr=1.0,
+         grad_clip=CLIP_EDGES[2], inputs="one-hot")
+@given(dim=st.integers(1, 4), hidden=st.integers(1, 6), steps=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32),
+       weights=st.lists(st.one_of(st.sampled_from([0.0, 1e-300]), st.floats(1e-6, 1e6)),
+                        min_size=1, max_size=12).filter(any),
+       lr=st.floats(1e-3, 1.0),
+       grad_clip=st.one_of(st.floats(1e-3, 0.1), st.sampled_from(CLIP_EDGES)),
+       inputs=st.sampled_from(INPUTS))
+def test_training_matches_dict_oracle_for_drawn_cases(dim, hidden, steps, seed, weights, lr,
+                                                      grad_clip, inputs):
+    if inputs == "one-hot":
+        dim = 1 if dim == 1 else 9
+        X, labels = _one_hot_examples(len(weights), seed)
+    else:
+        X, labels = _examples(len(weights), steps * dim, seed)
+    if inputs == "signed zeros":  # about a third of the entries each
+        kind = Rng(seed + 1).uniform_array(X.shape, 0.0, 3.0).astype(int)
+        X[kind == 1], X[kind == 2] = 0.0, -0.0
+    cfg = TrainConfig(max_epochs=2, initial_lr=lr, grad_clip=grad_clip, hidden_dim=hidden,
+                      seed=seed)
+    _assert_trains_like_oracle(X, labels, cfg, dim, weights)
 
 
 @pytest.mark.parametrize("mode,hidden,seed", [("unrolled", 6, 31), ("single", 5, 32)])
