@@ -20,7 +20,9 @@ class Stump:
 
     fit() tries a cut below the smallest x and every midpoint of neighbouring
     distinct values, each with polarity +1 then -1, and keeps the first rule
-    of least weighted error.
+    of least weighted error. predict() votes on the rows of X, and
+    predict_all() gives the votes of a list of stumps, as boost_train and
+    ensemble_predict expect of a weak learner.
     """
 
     def fit(self, X, signed_labels, weights):
@@ -37,6 +39,11 @@ class Stump:
 
     def predict(self, X):
         return np.where(X[:, 0] >= self.threshold, self.polarity, -self.polarity)
+
+    @staticmethod
+    def predict_all(stumps, X):
+        """One row of votes per stump: the one call an ensemble's scoring makes."""
+        return np.array([stump.predict(X) for stump in stumps])
 
 X = np.arange(10.0)[:, None]  # one feature per row
 labels = np.array([1, 1, 1, 0, 0, 0, 1, 1, 1, 0])

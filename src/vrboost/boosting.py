@@ -111,7 +111,9 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     X is the (N, D) feature matrix and labels its N labels in {0,1}, with
     both classes present. learner_factory(seed) must return an object with
     fit(X, signed_labels, weights) and predict(X) -> one -1/+1 vote per row
-    of X; round t gets seed cfg.seed + t. A round with weighted error >= 0.5
+    of X, whose class scores an ensemble with predict_all(learners, X) ->
+    (K, N) votes, row k being learners[k].predict(X); round t gets seed
+    cfg.seed + t. A round with weighted error >= 0.5
     is discarded and the distribution reset to uniform (the attempt still
     counts); error at or below EPSILON_FLOOR is accepted with clamped error
     and stops early.
@@ -155,11 +157,14 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
 
 def _votes(ensemble: Ensemble, X) -> list:
     """Each row's votes alpha_t * h_t(x), in round order, one list per row of
-    the (N, D) matrix X; each learner predicts once."""
+    the (N, D) matrix X, from one predict_all call of the learners' class."""
     if not ensemble.rounds:
         raise ValueError("empty ensemble: no rounds to vote")
     X = np.asarray(X, dtype=float)
-    return np.array([r.alpha * r.learner.predict(X) for r in ensemble.rounds]).T.tolist()
+    learners = [r.learner for r in ensemble.rounds]
+    votes = type(learners[0]).predict_all(learners, X)
+    alphas = np.array([r.alpha for r in ensemble.rounds])
+    return (alphas[:, None] * votes).T.tolist()
 
 
 def ensemble_predict(ensemble: Ensemble, X) -> tuple:
@@ -211,9 +216,15 @@ class LstmWeakLearner:
         return self
 
     def predict(self, X) -> np.ndarray:
-        """One -1/+1 vote per row of the (N, D) feature matrix X, in one batched
-        forward."""
-        probs, _ = self.kernel.forward_rows(X)
+        """One -1/+1 vote per row of the (N, D) feature matrix X."""
+        return self.predict_all([self], X)[0]
+
+    @staticmethod
+    def predict_all(learners, X) -> np.ndarray:
+        """The (K, N) -1/+1 votes of K learners on the rows of the (N, D)
+        feature matrix X, row k being learners[k]'s, in one stacked forward
+        (lstm.forward_stack)."""
+        probs, _ = lstm_mod.forward_stack([learner.kernel for learner in learners], X)
         return np.where(probs >= 0.5, 1, -1)
 
 

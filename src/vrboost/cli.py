@@ -304,7 +304,7 @@ def _read_config_file(path: str, rows: dict) -> dict:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
-            raise UsageError(exc) from None
+            raise UsageError(f"{path}: not UTF-8 text ({exc.reason})") from None
     values = {}
     for line_no, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()

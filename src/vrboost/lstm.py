@@ -18,12 +18,13 @@ init_params() fills them and train_weak_learner() trains and returns the
 kernel itself. Per-example SGD and grad_check's finite-difference audit run
 forward(), one example at a time; every prediction (each boosting round's
 in-sample predict, the train report, evaluate and predict) runs
-forward_rows() over a matrix of rows.
+forward_stack() over a matrix of rows, for one kernel (forward_rows()) or
+for all the learners of an ensemble at once.
 
 Step 0 is the one-step cell. Every row starts from h_0 = c_0 = 0, where
 the forget gate would multiply c_0 and every U would multiply h_0 (Gers,
 Schmidhuber & Cummins 2000, "Learning to forget"). So step 0 of every row,
-in forward(), backward() and forward_rows() alike, computes only the input,
+in forward(), backward() and forward_stack() alike, computes only the input,
 output and candidate gates' W x + b, sets c_1 = i*g and reads no U; its
 forget block of dpre stays 0. The reference's U @ h_0 adds +0.0, which
 changes no sum whose bias term is not -0.0, and SGD never makes one; its
@@ -35,7 +36,7 @@ exact zeros and they never train. A kernel built with one_step=True holds
 only what such rows read, W (3H, D) and b (3H) of ONE_STEP_GATES and the
 head, 3H(D + 1) + H + 1 entries (497 of the four-gate 1681 at H=16, D=9),
 and its arrays are param_keys(one_step=True), the ones a `single` model
-stores. It runs the same forward(), backward() and forward_rows(), on rows
+stores. It runs the same forward(), backward() and forward_stack(), on rows
 of one step only; its backward() closes without the sums over steps, its
 one dpre row being the b gradient and dpre x^T the W gradient.
 train_weak_learner() builds it for rows of one step and load_model() for
@@ -93,6 +94,36 @@ within the bound of 0; none did, and train, predict and evaluate wrote
 byte-identical files to the per-row path on all 16 of those runs.
 tests/test_lstm_kernel.py asserts the bound and the votes.
 
+The stacked scorer. forward_stack() scores the rows of X under K kernels
+at once, which is how an ensemble votes: kernels of one shape are stacked
+so that each block of rows takes one gemm and one pass of each activation
+for all K, not K of each (the batching across independent products of
+Appleyard, Kocisky & Blunsom 2016, here across learners). The stacked W and
+b are laid out gate by gate, (G, K, H), so a block's state is (G, K, H,
+rows), G = 3 at step 0 and 4 after it, and each activation reads one
+contiguous slice; each kernel keeps its own (4H, H) @ (H, rows) product for
+U. forward_rows() is forward_stack() of one kernel, so one code scores a
+single learner and an ensemble. A block holds block_rows(K) =
+SCORE_BLOCK_ROWS // K rows: a stacked gemm is K times one kernel's in its
+gate dimension, and a gemm above a size threshold makes OpenBLAS start its
+threads, whose CPU time adds up with the caller's. Shrunk so, no gemm is
+larger than one kernel's at SCORE_BLOCK_ROWS, the size scoring has always
+run; a stack holds at most SCORE_BLOCK_ROWS kernels, so a block has a row
+at least. (On a 2-core VM with OpenBLAS 0.3.31, a 9-kernel stack at H=16
+in 256-row blocks took 1.76-1.87 ms of process CPU time per 1000-row
+ensemble_predict, about its wall time, against 1.71-1.75 ms in 28-row
+blocks: that build kept one thread, and the rule bounds the gemm for any
+build and core count.) A stacked logit is bit-equal to the kernel's own
+forward_rows() logit when BLAS sums its row alike in both blocks. A row's
+sum can depend on where the row sits in its block and on the block's
+length, so the stacked logits fall under the drift policy above. Measured
+against each kernel's forward_rows(): 2.3% of 773,090 rows of 120 stacks
+of uniform(-1.5, 1.5) cells (K from 1 to 12, H from 1 to 32, both forms)
+and 0.6% of 144,189 rows of 5 trained models were not bit-equal, the
+largest difference 1.42 eps * (sum|w_head| + |b_head|), and no vote
+differed; train, predict and evaluate wrote the files of the per-kernel
+path.
+
 The clip guard. clip_and_update() clips by the exact ordered norm: the
 squares of grad, each key's own pairwise sum, the sums added in
 param_keys() order, then sqrt(s) > max_norm. Most updates are not clipped,
@@ -129,11 +160,12 @@ ONE_STEP_GATES = GATES[1:]
 
 PROB_CLAMP = 1e-12
 
-# rows per block of PackedLstm.forward_rows: the per-step temporaries stay
-# (4H, 256) however many rows a file has
+# rows per block of one kernel's forward_rows; a stack of K kernels takes
+# SCORE_BLOCK_ROWS // K (block_rows), so the per-step temporaries stay
+# (4, K, H, 256 // K) however many rows a file has
 SCORE_BLOCK_ROWS = 256
 
-# bound on |forward_rows() logit - forward() logit| per unit of
+# bound on |forward_stack() logit - forward() logit| per unit of
 # sum|w_head| + |b_head|; see the module docstring
 ROW_LOGIT_DRIFT = 16 * np.finfo(float).eps
 
@@ -223,9 +255,19 @@ def step_dim(mode: str, width: int) -> int:
     raise ValueError(f"step_dim: unknown mode {mode!r}")
 
 
-# each param_keys() array's shape, as an index into ((H, D), (H, H), (H,), (1,))
-_SHAPE_OF_KEY = {key: "WUb".index(key[0]) for key in param_keys()[:-2]}
-_SHAPE_OF_KEY.update(w_head=2, b_head=3)
+def array_shapes(input_dim: int, hidden_dim: int, one_step: bool = False) -> dict:
+    """The shape of each param_keys(one_step) array, keyed in the order the
+    arrays lie in a kernel's theta: each gate's W (H, D), then each gate's U
+    (H, H) (none one-step), then each gate's b (H,), then w_head (H,) and
+    b_head (1,)."""
+    d, h = input_dim, hidden_dim
+    gates = ONE_STEP_GATES if one_step else GATES
+    shapes = {f"W_{gate}": (h, d) for gate in gates}
+    if not one_step:
+        shapes.update({f"U_{gate}": (h, h) for gate in gates})
+    shapes.update({f"b_{gate}": (h,) for gate in gates})
+    shapes.update(w_head=(h,), b_head=(1,))
+    return shapes
 
 
 def _packed_size(input_dim: int, hidden_dim: int, one_step: bool) -> int:
@@ -236,15 +278,17 @@ def _packed_size(input_dim: int, hidden_dim: int, one_step: bool) -> int:
 
 def _named_blocks(buf: np.ndarray, input_dim: int, hidden_dim: int, one_step: bool) -> tuple:
     """Views W (4H, D), U (4H, H), b (4H), w_head (H), b_head (1) of a packed
-    vector; one-step, W (3H, D), b (3H) and the head, with U None."""
+    vector; one-step, W (3H, D), b (3H) and the head, with U None. Of a
+    stack of K vectors, (K, size), each view has a leading K axis."""
     d, h = input_dim, hidden_dim
     rows = (3 if one_step else 4) * h
     u0 = rows * d
     b0 = u0 if one_step else u0 + rows * h
     head0 = b0 + rows
-    U = None if one_step else buf[u0:b0].reshape(rows, h)
-    return (buf[:u0].reshape(rows, d), U, buf[b0:head0], buf[head0:head0 + h],
-            buf[head0 + h:])
+    lead = buf.shape[:-1]
+    U = None if one_step else buf[..., u0:b0].reshape(lead + (rows, h))
+    return (buf[..., :u0].reshape(lead + (rows, d)), U, buf[..., b0:head0],
+            buf[..., head0:head0 + h], buf[..., head0 + h:])
 
 
 def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
@@ -430,13 +474,12 @@ class PackedLstm:
         before allocating anything, so the dimensions alone never size an
         allocation that the arrays do not fit.
         """
-        shapes = ((hidden_dim, input_dim), (hidden_dim, hidden_dim), (hidden_dim,), (1,))
-        known = param_keys(one_step)
+        shapes = array_shapes(input_dim, hidden_dim, one_step)
         checked = {}
         for key, arr in arrays.items():
-            if key not in known:
+            if key not in shapes:
                 raise ValueError(f"unknown array {key!r}")
-            arr, shape = np.asarray(arr, dtype=float), shapes[_SHAPE_OF_KEY[key]]
+            arr, shape = np.asarray(arr, dtype=float), shapes[key]
             if arr.shape != shape:
                 raise ValueError(f"array {key} has shape {arr.shape}, expected {shape}")
             checked[key] = arr
@@ -505,44 +548,10 @@ class PackedLstm:
         return trace.prob
 
     def forward_rows(self, X) -> tuple:
-        """Head probabilities and logits of the N rows of X, each run from a zero state.
-
-        X is (N, T*D), in the module docstring's row layout. Rows go through
-        the cell SCORE_BLOCK_ROWS at a time, so the working set does not grow with N.
-        Within a block the state is held transposed, (H, rows), so that each
-        gate's slice is contiguous. Step 0 is the one-step cell, one (3H, rows)
-        gemm; each later step is one (4H, rows) gemm with U @ h added, then b,
-        as in forward(). The logits drift from forward()'s within the module
-        docstring's bound.
-        """
-        X = np.asarray(X, dtype=float)
-        d, h_dim = self.input_dim, self.hidden_dim
-        n_sig = 3 * h_dim
-        W0, b0 = self._W0.reshape(n_sig, d), self._b0[:, None]
-        need = f"forward_rows: need an (N, {{width}}) matrix, got shape {X.shape}"
-        steps = self._steps(X.shape[1] if X.ndim == 2 else 0, need)
-        n = X.shape[0]
-        logits = np.empty(n)
-        for start in range(0, n, SCORE_BLOCK_ROWS):
-            block = X[start:start + SCORE_BLOCK_ROWS].T
-            rows = block.shape[1]
-            z = W0 @ block[:d]
-            z += b0
-            sigmoid(z[:2 * h_dim], z[:2 * h_dim])  # in place: activations overwrite z
-            np.tanh(z[2 * h_dim:], out=z[2 * h_dim:])
-            c = z[:h_dim] * z[2 * h_dim:]
-            h = z[h_dim:2 * h_dim] * np.tanh(c)
-            for t in range(1, steps):
-                z = self.W @ block[t * d:(t + 1) * d]
-                z += self.U @ h
-                z += self.b[:, None]
-                sigmoid(z[:n_sig], z[:n_sig])
-                np.tanh(z[n_sig:], out=z[n_sig:])
-                c = z[:h_dim] * c + z[h_dim:2 * h_dim] * z[n_sig:]
-                h = z[2 * h_dim:n_sig] * np.tanh(c)
-            logits[start:start + rows] = self.w_head @ h
-        logits += self.b_head[0]
-        return sigmoid(logits), logits
+        """Head probabilities and logits of the N rows of X, each run from a
+        zero state: forward_stack() of this kernel alone."""
+        probs, logits = forward_stack([self], X)
+        return probs[0], logits[0]
 
     def backward(self, y: int, w: float) -> None:
         """BPTT of weighted_loss of the last forward() into self.grad, from self.trace.
@@ -636,6 +645,91 @@ class PackedLstm:
         return clipped
 
 
+def block_rows(stack_size: int) -> int:
+    """Rows per block of a stack of 1 to SCORE_BLOCK_ROWS kernels:
+    SCORE_BLOCK_ROWS // stack_size. A stacked gemm is stack_size times one
+    kernel's in its gate dimension, so none is larger than one kernel's at
+    SCORE_BLOCK_ROWS rows; a larger gemm can make BLAS start its threads."""
+    return SCORE_BLOCK_ROWS // stack_size
+
+
+def forward_stack(kernels, X) -> tuple:
+    """Head probabilities and logits, (K, N) each, of the N rows of X under
+    each of the K kernels, row k of either being kernels[k]'s; each row runs
+    from a zero state.
+
+    X is (N, T*D), in the module docstring's row layout. Kernels of one
+    shape, (input_dim, hidden_dim, one_step), run as one stack of at most
+    SCORE_BLOCK_ROWS kernels; a shape's first kernel checks the width of X.
+    Raises ValueError when X is not an (N, T*D) matrix of that kernel's D,
+    or of D itself for a one-step kernel.
+    """
+    X = np.asarray(X, dtype=float)
+    logits = np.empty((len(kernels), X.shape[0] if X.ndim == 2 else 0))
+    by_shape = {}
+    for index, kernel in enumerate(kernels):
+        by_shape.setdefault((kernel.input_dim, kernel.hidden_dim, kernel.one_step),
+                            []).append(index)
+    for members in by_shape.values():
+        for first in range(0, len(members), SCORE_BLOCK_ROWS):
+            stack = members[first:first + SCORE_BLOCK_ROWS]
+            logits[stack] = _stack_logits([kernels[k] for k in stack], X)
+    return sigmoid(logits), logits
+
+
+def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
+    """The (K, N) head logits of the rows of X under K kernels of one shape.
+
+    Rows go through the stack block_rows(K) at a time, so the working set
+    does not grow with N. Within a block the state is held transposed and
+    gate by gate, (G, K, H, rows), so that each activation reads one
+    contiguous slice. Step 0 is the one-step cell, one (3KH, rows) gemm of
+    the stacked input, output and candidate blocks; each later step is one
+    (4KH, rows) gemm with each kernel's own (4H, H) @ (H, rows) product
+    U @ h added, then b, as in forward().
+    """
+    first, k = kernels[0], len(kernels)
+    d, h_dim = first.input_dim, first.hidden_dim
+    need = f"forward_rows: need an (N, {{width}}) matrix, got shape {X.shape}"
+    steps = first._steps(X.shape[1] if X.ndim == 2 else 0, need)
+    W, U, b, w_head, b_head = _named_blocks(np.array([kernel.theta for kernel in kernels]),
+                                            d, h_dim, first.one_step)
+    # gate by gate: row (g, j, r) of the stacked W is row r of gate g of
+    # kernels[j]; step 0 takes the last three gates, input, output, candidate
+    gates = W.shape[1] // h_dim
+    rows_per_block = block_rows(k)
+    W = W.reshape(k, gates, h_dim, d).transpose(1, 0, 2, 3).reshape(gates * k * h_dim, d)
+    # b repeated over a block's columns: a block's few columns make adding a
+    # broadcast column dearer than adding an array of the block's shape
+    b = b.reshape(k, gates, h_dim).transpose(1, 0, 2).reshape(gates * k * h_dim, 1)
+    b = np.repeat(b, min(rows_per_block, X.shape[0]), axis=1)
+    W0, b0 = W[-3 * k * h_dim:], b[-3 * k * h_dim:]
+    w_head = w_head[:, None, :]
+    logits = np.empty((k, X.shape[0]))
+    for start in range(0, X.shape[0], rows_per_block):
+        block = X[start:start + rows_per_block].T
+        rows = block.shape[1]
+        z = W0 @ block[:d]
+        z += b0[:, :rows]
+        z = z.reshape(3, k, h_dim, rows)
+        sigmoid(z[:2], z[:2])  # in place: activations overwrite z
+        np.tanh(z[2], out=z[2])
+        c = z[0] * z[2]
+        h = z[1] * np.tanh(c)  # (K, H, rows)
+        for t in range(1, steps):
+            z = W @ block[t * d:(t + 1) * d]
+            z4 = z.reshape(4, k, h_dim, rows)
+            z4 += np.matmul(U, h).reshape(k, 4, h_dim, rows).transpose(1, 0, 2, 3)
+            z += b[:, :rows]
+            sigmoid(z4[:3], z4[:3])
+            np.tanh(z4[3], out=z4[3])
+            c = z4[0] * c + z4[1] * z4[3]
+            h = z4[2] * np.tanh(c)
+        logits[:, start:start + rows] = np.matmul(w_head, h)[:, 0]
+    logits += b_head
+    return logits
+
+
 def init_params(input_dim: int, hidden_dim: int, rng: Rng,
                 one_step: bool = False) -> PackedLstm:
     """A kernel with weights uniform in [-1/sqrt(H), 1/sqrt(H)] and biases zero.
@@ -715,7 +809,10 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     L2-clipped to cfg.grad_clip. Rows of one step (T*D = D) train a one-step
     kernel, which holds and updates only the live parameters. Raises
     TrainingError at a head logit that is not finite, whose loss PROB_CLAMP
-    may keep finite (a finite logit always has a finite loss).
+    may keep finite (a finite logit always has a finite loss), and when a
+    parameter is not finite at the end, so that no inf reaches a model file.
+    numpy's overflow and invalid-value warnings are off inside the SGD loop:
+    those checks report its overflows instead.
     """
     X = np.asarray(X, dtype=float)
     n = len(X)
@@ -739,19 +836,23 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     rng = Rng(cfg.seed)
     kernel = init_params(input_dim, cfg.hidden_dim, rng, one_step=X.shape[1] == input_dim)
     curve = LossCurve()
-    for epoch in range(1, cfg.max_epochs + 1):
-        lr = learning_rate(cfg, epoch)
-        order = list(range(n))
-        rng.shuffle(order)
-        epoch_losses = []
-        for idx in order:
-            y, w = labels[idx], norm_w[idx]
-            epoch_losses.append(weighted_loss(kernel.forward(X[idx]), y, w))
-            if not math.isfinite(kernel.trace.logit):
-                raise TrainingError(f"non-finite head logit at epoch {epoch}, example {idx}")
-            kernel.backward(y, w)
-            kernel.clip_and_update(lr, cfg.grad_clip)
-        curve.losses.append(math.fsum(epoch_losses) / n)
-        curve.learning_rates.append(lr)
+    # an overflow is caught by the checks below, not printed as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.max_epochs + 1):
+            lr = learning_rate(cfg, epoch)
+            order = list(range(n))
+            rng.shuffle(order)
+            epoch_losses = []
+            for idx in order:
+                y, w = labels[idx], norm_w[idx]
+                epoch_losses.append(weighted_loss(kernel.forward(X[idx]), y, w))
+                if not math.isfinite(kernel.trace.logit):
+                    raise TrainingError(f"non-finite head logit at epoch {epoch}, example {idx}")
+                kernel.backward(y, w)
+                kernel.clip_and_update(lr, cfg.grad_clip)
+            curve.losses.append(math.fsum(epoch_losses) / n)
+            curve.learning_rates.append(lr)
+    if not np.all(np.isfinite(kernel.theta)):  # the last updates' overflow, which no logit saw
+        raise TrainingError("non-finite parameter after the last update")
     kernel.trace = None  # 98 kB at T=9, H=16, of no use to a learner that only scores
     return kernel, curve

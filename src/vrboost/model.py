@@ -20,7 +20,7 @@ import numpy as np
 from . import data as data_mod
 from .boosting import NEGATIVE, POSITIVE, BoostRound, Ensemble, LstmWeakLearner
 from .errors import DataError
-from .lstm import PackedLstm, TrainConfig, param_keys, step_dim
+from .lstm import PackedLstm, TrainConfig, array_shapes, param_keys, step_dim
 
 MODEL_FORMAT_VERSION = 2
 READABLE_FORMAT_VERSIONS = (1, 2)
@@ -136,19 +136,23 @@ def load_model(path: str) -> ModelBundle:
             if version == 2 and set(stored) != set(keys):
                 raise DataError(f"round {number}: arrays {sorted(stored)} are not the "
                                 f"{sequence_mode!r} arrays {sorted(keys)}")
-            arrays = {key: _floats(stored[key], version, f"round {number}: array {key}")
-                      for key in keys}
+            kernel = _read_kernel(stored, input_dim, hidden_dim, one_step, version)
+            if kernel is None:  # read per key, which names what is wrong
+                arrays = {key: _floats(stored[key], version, f"round {number}: array {key}")
+                          for key in keys}
             alpha = _floats(entry["alpha"], version, f"round {number}: alpha")
             if alpha.shape or not np.isfinite(alpha):
                 raise DataError(f"round {number}: alpha {entry['alpha']!r} is not a finite number")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
-            try:  # checks every shape before it allocates the kernel
-                learner.kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays, one_step)
-            except ValueError as exc:
-                raise DataError(f"round {number}: {exc}") from None
-            if not np.all(np.isfinite(learner.kernel.theta)):  # every array, in one check
-                key = next(k for k, arr in arrays.items() if not np.all(np.isfinite(arr)))
+            if kernel is None:
+                try:  # checks every shape before it allocates the kernel
+                    kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays, one_step)
+                except ValueError as exc:
+                    raise DataError(f"round {number}: {exc}") from None
+            if not np.all(np.isfinite(kernel.theta)):  # every array, in one check
+                key = next(k for k, arr in kernel.arrays.items() if not np.all(np.isfinite(arr)))
                 raise DataError(f"round {number}: array {key} is not finite")
+            learner.kernel = kernel
             rounds.append(BoostRound(alpha=float(alpha), learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
@@ -171,15 +175,51 @@ def _typed(value, kind: type):
     return value
 
 
+# the Python type of a float in a model file of each format version, as its
+# writer wrote it; type() is exact, so a JSON true (an int subclass) is neither
+_FLOAT_KINDS = {1: {str}, 2: {int, float}}
+
+
+def _read_kernel(stored: dict, input_dim: int, hidden_dim: int, one_step: bool,
+                 version: int):
+    """The kernel of a learner's stored arrays, read in one pass, or None.
+
+    The arrays' cells are gathered in theta's order (lstm.array_shapes),
+    each array a list of its length and each W or U row a list of its width,
+    then scanned once for exact types (_FLOAT_KINDS of the version) and
+    converted once, straight into the new kernel's theta. None when any of
+    that fails: load_model then reads the arrays per key, as _floats, which
+    names the array at fault. The lengths are checked before the kernel is
+    allocated, so hidden_dim alone never sizes an allocation.
+    """
+    cells = []
+    try:
+        for key, shape in array_shapes(input_dim, hidden_dim, one_step).items():
+            arr = stored[key]
+            if type(arr) is not list or len(arr) != shape[0]:
+                return None
+            if len(shape) == 2:  # rows of lists of the width, by set
+                if set(map(type, arr)) != {list} or set(map(len, arr)) != {shape[1]}:
+                    return None
+                arr = chain.from_iterable(arr)
+            cells += arr
+        if not set(map(type, cells)) <= _FLOAT_KINDS[version]:
+            return None
+        kernel = PackedLstm(input_dim, hidden_dim, one_step)
+        kernel.theta[:] = cells
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return None
+    return kernel
+
+
 def _floats(value, version: int, what: str) -> np.ndarray:
     """value, a model file's float, list or matrix of floats, as a float64
-    array. A float is a JSON number in v2 and a string in v1, as each writer
-    wrote it; type() is exact, so a JSON true (an int subclass) is neither.
-    Anything else raises DataError naming what."""
+    array. A float is of a _FLOAT_KINDS type of the version; anything else
+    raises DataError naming what."""
     arr = np.array(value, dtype=float)
     cells = ([value] if arr.ndim == 0 else value if arr.ndim == 1
              else list(chain.from_iterable(value)))
-    kinds = {str} if version == 1 else {int, float}
+    kinds = _FLOAT_KINDS[version]
     if not set(map(type, cells)) <= kinds:
         bad = next(v for v in cells if type(v) not in kinds)
         raise DataError(f"{what}: {bad!r} is not a {'string' if version == 1 else 'number'}")

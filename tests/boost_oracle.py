@@ -7,8 +7,9 @@ textbook error/vote/update arithmetic. Shares only the convention, not the
 code, with the production path, so trajectories can be compared bit for bit.
 
 OracleStump wraps oracle_best_stump in the weak-learner interface
-boost_train takes (fit, predict, and stump_factory for the factory), so
-the checks that boost stumps run this one stump search.
+boost_train and ensemble_predict take (fit, predict and predict_all, and
+stump_factory for the factory), so the checks that boost stumps run this
+one stump search.
 """
 
 import math
@@ -65,6 +66,11 @@ class OracleStump:
         """One -1/+1 vote per row of the (N, D) matrix X."""
         column = np.asarray(X)[:, self.feature]
         return np.where(column >= self.threshold, self.polarity, -self.polarity)
+
+    @staticmethod
+    def predict_all(stumps, X) -> np.ndarray:
+        """The (K, N) votes of K stumps on the rows of X, row k being stumps[k]'s."""
+        return np.array([stump.predict(X) for stump in stumps])
 
 
 def stump_factory(seed: int) -> OracleStump:

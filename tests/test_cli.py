@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from vrboost.errors import DataError
 from vrboost.lstm import GATES, PackedLstm, step_dim
 from vrboost.metrics import f1_score
 from vrboost.model import load_model, save_model
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 FAST_TRAIN = ["--synth-n", "120", "--signal", "4.0", "--rounds", "2",
               "--epochs", "4", "--hidden-dim", "6", "--seed", "3"]
@@ -206,6 +209,16 @@ def test_config_file_unknown_key_is_usage_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("momentum = 0.9\n")
     assert _run(["train", "--config", cfg, "--out-dir", tmp_path / "x"]) == 2
+
+
+def test_config_file_that_is_not_utf8_is_usage_error_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"\xff")
+    out = tmp_path / "out"
+    assert _run(["train", "--config", cfg, "--out-dir", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (f"usage error: {cfg}: not UTF-8 text "
+                                       f"(invalid start byte)\n")
+    assert not out.exists()
 
 
 def test_config_value_outside_choices_is_usage_error_before_any_work(tmp_path, capsys):
@@ -468,6 +481,24 @@ def _drop_live_b_output(doc):
     del doc["rounds"][0]["learner"]["arrays"]["b_output"]
 
 
+def _lengthen_w_candidate_row(doc):
+    doc["rounds"][1]["learner"]["arrays"]["W_candidate"][3].append(0.25)
+
+
+def _nest_b_output(doc):
+    arrays = doc["rounds"][1]["learner"]["arrays"]
+    arrays["b_output"] = [[v] for v in arrays["b_output"]]
+
+
+def _add_unknown_array(doc):
+    arrays = doc["rounds"][0]["learner"]["arrays"]
+    arrays["W_peephole"] = arrays["W_input"]
+
+
+def _drop_w_head(doc):
+    del doc["rounds"][1]["learner"]["arrays"]["w_head"]
+
+
 INVALID_MODELS = {
     "input_dim_8_single": _drop_last_input_column,
     "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
@@ -503,22 +534,63 @@ INVALID_MODELS = {
     "v2_single_stores_dead_array": _add_dead_u_forget,
     "v2_single_lacks_live_array": _drop_live_b_output,
     "format_version_3": _set(["format_version"], 3),
+    # the edges of the one-pass array read, whose lines EXACT_MODEL_ERRORS pins
+    "w_input_bool": _set(["rounds", 0, "learner", "arrays", "W_input", 1, 2], True),
+    "w_candidate_row_too_long": _lengthen_w_candidate_row,
+    "v2_b_input_string": _set(["rounds", 0, "learner", "arrays", "b_input", 4], "0.5"),
+    "b_output_nested": _nest_b_output,
+    "v2_unknown_array": _add_unknown_array,
+    "v2_lacks_w_head": _drop_w_head,
+    "w_output_row_a_number": _set(["rounds", 1, "learner", "arrays", "W_output", 2], 0.5),
+    "b_candidate_a_number": _set(["rounds", 0, "learner", "arrays", "b_candidate"], 0.5),
     # a hidden_dim the arrays do not fit must not size an allocation: with
     # H = 20000 the kernel alone would be 12.8 GB
     "hidden_dim_20000": _set(["rounds", 1, "learner", "hidden_dim"], 20000),
 }
 
+_RAGGED = ("ValueError('setting an array element with a sequence. The requested array has "
+           "an inhomogeneous shape after 1 dimensions. The detected shape was (6,) + "
+           "inhomogeneous part.')")
+
+# the whole error line of each case that rejects a learner's arrays:
+# load_model hands a learner its one-pass read refuses to the per-key read,
+# which names the fault; {model} is the model file's path
+EXACT_MODEL_ERRORS = {
+    "b_candidate_a_number": "round 1: array b_candidate has shape (), expected (6,)",
+    "b_head_null": "round 1: array b_head: None is not a number",
+    "b_output_nested": "round 2: array b_output has shape (6, 1), expected (6,)",
+    "head_bias_nan": "round 1: array b_head is not finite",
+    "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
+    "v2_b_input_string": "round 1: array b_input: '0.5' is not a number",
+    "v2_lacks_w_head": "round 2: arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
+                       "'b_head', 'b_input', 'b_output'] are not the 'single' arrays "
+                       "['W_candidate', 'W_input', 'W_output', 'b_candidate', 'b_head', "
+                       "'b_input', 'b_output', 'w_head']",
+    "v2_unknown_array": "round 1: arrays ['W_candidate', 'W_input', 'W_output', 'W_peephole', "
+                        "'b_candidate', 'b_head', 'b_input', 'b_output', 'w_head'] are not the "
+                        "'single' arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
+                        "'b_head', 'b_input', 'b_output', 'w_head']",
+    "w_candidate_row_too_long": "malformed model file {model}: " + _RAGGED,
+    "w_input_bool": "round 1: array W_input: True is not a number",
+    "w_input_ragged_row": "malformed model file {model}: " + _RAGGED,
+    "w_output_row_a_number": "malformed model file {model}: " + _RAGGED,
+    "weight_bool": "round 1: array w_head: True is not a number",
+    "v2_weight_string": "round 2: array W_output: '0.5' is not a number",
+    "weight_inf": "round 2: array W_input is not finite",
+    "weight_not_a_number": "malformed model file {model}: "
+                           "ValueError(\"could not convert string to float: 'abc'\")",
+    "weight_overflows_float64": "malformed model file {model}: "
+                                "OverflowError('int too large to convert to float')",
+}
+
 # the error message of a case, where the test checks it
 INVALID_MODEL_MESSAGES = {
-    "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
     "standardizer_constant_disagrees_with_std": "'constant': [True, False, False]}: need "
                                                 "indices [0, 1, 2], finite means, finite stds "
                                                 ">= 0 and each constant flag std == 0",
     "standardizer_indices_permuted": "{'indices': [1, 0, 2], ",
     "alpha_bool": "round 1: alpha: True is not a number",
     "mean_bool": "standardizer: means: True is not a number",
-    "weight_bool": "round 1: array w_head: True is not a number",
-    "v2_weight_string": "round 2: array W_output: '0.5' is not a number",
 }
 
 # no case may build a kernel larger than the trained ones
@@ -555,6 +627,61 @@ def test_invalid_model_is_rejected_at_load_with_exit_3(tmp_path, trained, case, 
     err = capsys.readouterr().err
     assert "usage error" not in err
     assert INVALID_MODEL_MESSAGES.get(case, "") in err
+    if case in EXACT_MODEL_ERRORS:
+        assert err == "error: " + EXACT_MODEL_ERRORS[case].format(model=model) + "\n"
+
+
+def _v1_fixture(mode):
+    return json.loads((FIXTURES / f"model_v1_{mode}.json").read_text())
+
+
+# edits of the format v1 fixtures, each with its whole error line as the
+# per-key read printed it (None: the file still loads); {model} is the path
+V1_MODEL_EDITS = {
+    "weight_a_number": ("single", _set(["rounds", 0, "learner", "arrays", "W_input", 0, 0],
+                                       0.5),
+                        "round 1: array W_input: 0.5 is not a string"),
+    "lacks_b_output": ("single", lambda doc: doc["rounds"][1]["learner"]["arrays"].pop(
+        "b_output"), "malformed model file {model}: KeyError('b_output')"),
+    "weight_bool": ("unrolled", _set(["rounds", 1, "learner", "arrays", "W_output", 2, 0],
+                                     True),
+                    "round 2: array W_output: True is not a string"),
+    "u_row_ragged": ("unrolled", lambda doc: doc["rounds"][0]["learner"]["arrays"][
+        "U_forget"][1].pop(), "malformed model file {model}: ValueError('setting an array "
+                              "element with a sequence. The requested array has an "
+                              "inhomogeneous shape after 1 dimensions. The detected shape "
+                              "was (3,) + inhomogeneous part.')"),
+    "weight_unparsable": ("unrolled", _set(["rounds", 1, "learner", "arrays", "b_forget", 0],
+                                           "zero"),
+                          "malformed model file {model}: "
+                          "ValueError(\"could not convert string to float: 'zero'\")"),
+    "w_head_overflows": ("unrolled", _set(["rounds", 0, "learner", "arrays", "w_head", 2],
+                                          "1e400"),
+                         "round 1: array w_head is not finite"),
+    # a `single` learner's v1 forget gate and U are never read
+    "single_dead_u_ragged": ("single", lambda doc: doc["rounds"][2]["learner"]["arrays"][
+        "U_input"][0].pop(), None),
+    "single_dead_b_forget_a_number": ("single", _set(["rounds", 0, "learner", "arrays",
+                                                      "b_forget", 1], 0.5), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(V1_MODEL_EDITS))
+def test_an_edited_v1_model_fails_or_predicts_as_the_per_key_read_does(tmp_path, case, capsys):
+    mode, edit, line = V1_MODEL_EDITS[case]
+    doc = _v1_fixture(mode)
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
+                 "--out", "preds.csv", "--out-dir", tmp_path])
+    if line is None:
+        assert code == 0
+        assert (tmp_path / "preds.csv").read_bytes() == \
+            (FIXTURES / f"v1_preds_{mode}.csv").read_bytes()
+    else:
+        assert code == 3
+        assert capsys.readouterr().err == "error: " + line.format(model=model) + "\n"
 
 
 def test_zero_std_on_constant_column_loads(tmp_path, trained):
@@ -780,15 +907,15 @@ def test_an_infinite_learning_rate_is_a_usage_error_before_anything_is_written(t
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_a_learning_rate_that_overflows_the_head_logit_is_exit_4_with_no_model(tmp_path,
-                                                                                capsys):
-    # the head logit reaches +-inf, where the clamped loss would stay finite
+def test_a_learning_rate_that_overflows_the_head_logit_is_exit_4_with_no_model(tmp_path):
+    # the head logit reaches +-inf, where the clamped loss would stay finite;
+    # stderr is the one error line, with no numpy overflow warning before it
     out = tmp_path / "out"
     assert _run(["gen-data", "--n", 80, "--seed", 1, "--out-dir", tmp_path]) == 0
-    assert _run(["train", "--data", tmp_path / "synthetic.csv", "--lr", 1e308, "--rounds", 2,
-                 "--epochs", 1, "--out-dir", out]) == cli.EXIT_TRAINING
-    assert "training error: non-finite head logit" in capsys.readouterr().err
+    proc = _cli_process(["train", "--data", tmp_path / "synthetic.csv", "--lr", 1e308,
+                         "--rounds", 2, "--epochs", 1, "--out-dir", out])
+    assert proc.returncode == cli.EXIT_TRAINING
+    assert proc.stderr == "training error: non-finite head logit at epoch 1, example 9\n"
     assert not (out / "model.json").exists()
 
 

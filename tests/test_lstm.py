@@ -361,7 +361,7 @@ def test_training_rejects_a_matrix_that_is_not_whole_steps(shape, input_dim):
                            TrainConfig(max_epochs=1), input_dim)
 
 
-@pytest.mark.filterwarnings("ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # the SGD loop prints none
 def test_training_reports_non_finite_loss():
     X, labels = _toy_examples(5, 2)
     X[2] = [np.inf, 1.0]
@@ -370,7 +370,7 @@ def test_training_reports_non_finite_loss():
         train_weak_learner(X, labels, weights, TrainConfig(max_epochs=2, hidden_dim=2), 2)
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("mode", ["single", "unrolled"])
 def test_training_reports_a_head_logit_that_overflows(mode):
     # at lr 1e308 w_head overflows; PROB_CLAMP would keep the loss finite
@@ -378,6 +378,21 @@ def test_training_reports_a_head_logit_that_overflows(mode):
     cfg = TrainConfig(max_epochs=1, hidden_dim=16, initial_lr=1e308)
     with pytest.raises(TrainingError, match="non-finite head logit at epoch 1"):
         train_weak_learner(X, labels, np.full(20, 0.05), cfg, step_dim(mode, 2))
+
+
+def test_a_parameter_that_overflows_in_the_last_update_is_a_training_error(monkeypatch):
+    # no forward() follows the last update, so no logit can report it
+    update = PackedLstm.clip_and_update
+
+    def overflowing(self, lr, max_norm):
+        clipped = update(self, lr, max_norm)
+        self.theta[0] = np.inf
+        return clipped
+
+    monkeypatch.setattr(PackedLstm, "clip_and_update", overflowing)
+    X, labels = _toy_examples(1, 2)
+    with pytest.raises(TrainingError, match="non-finite parameter after the last update"):
+        train_weak_learner(X, labels, np.ones(1), TrainConfig(max_epochs=1, hidden_dim=2), 2)
 
 
 def test_step_dim_modes():

@@ -6,7 +6,8 @@ flat rows of T*D features; the oracle takes the same row as a list of T
 steps, list(row.reshape(-1, D)). The batched
 forward_rows() is compared with the per-row forward() under the drift policy
 of vrboost.lstm: logits within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|),
-equal votes.
+equal votes; forward_stack() with each kernel's forward_rows(), its stack of
+one, row for row, under the same policy where a row is not bit-equal.
 """
 
 import math
@@ -15,18 +16,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lstm_oracle import (backward, clip_gradient, clip_norm, copied, forward_sequence,
                          four_gate, oracle_train, squared_norm)
 from vrboost import lstm
-from vrboost.boosting import LstmWeakLearner
+from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.lstm import (_CLIP_GUARD_MAX, _CLIP_GUARD_MIN, GATES, ROW_LOGIT_DRIFT,
                           SCORE_BLOCK_ROWS, PackedLstm, TrainConfig, grad_check, init_params,
                           param_keys, step_dim, train_weak_learner)
-from vrboost.numerics import Rng
+from vrboost.numerics import Rng, sigmoid
 
 
 def _examples(n, features, seed):
@@ -552,6 +553,88 @@ def test_forward_rows_rejects_a_row_width_that_is_not_whole_steps():
     for shape in ((4, 8), (4, 0), (9,)):
         with pytest.raises(ValueError, match="forward_rows"):
             kernel.forward_rows(np.zeros(shape))
+
+
+# --- the stacked scorer ----------------------------------------------------------
+
+def _drawn_kernels(hiddens, mode, seed):
+    """One kernel of each hidden_dim in hiddens, of the form mode trains, every
+    entry uniform(-1.5, 1.5)."""
+    rng = Rng(seed)
+    kernels = []
+    for hidden in hiddens:
+        kernel = PackedLstm(step_dim(mode, 9), hidden, one_step=mode == "single")
+        kernel.theta[:] = rng.uniform_array(kernel.theta.shape, -1.5, 1.5)
+        kernels.append(kernel)
+    return kernels
+
+
+@settings(max_examples=60)
+@given(mode=st.sampled_from(["single", "unrolled"]),
+       pool=st.lists(st.integers(1, 32), min_size=1, max_size=3, unique=True),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_stacked_rows_match_each_kernels_stack_of_one(mode, pool, seed, data):
+    # K kernels mixing up to three hidden_dims, each shape stacked on its own
+    hiddens = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    rows_per_block = lstm.block_rows(max(hiddens.count(h) for h in pool))
+    n = data.draw(st.one_of(
+        st.integers(0, 600),
+        st.builds(lambda m, off: min(max(m * rows_per_block + off, 0), 600),
+                  st.integers(0, 600 // rows_per_block), st.integers(-1, 1))))
+    kernels = _drawn_kernels(hiddens, mode, seed)
+    X = Rng(seed + 1).uniform_array((n, 9), -3.0, 3.0)
+    probs, logits = lstm.forward_stack(kernels, X)
+    assert probs.shape == logits.shape == (len(kernels), n)
+    votes = []
+    for kernel, prob, logit in zip(kernels, probs, logits):
+        one_prob, one_logit = kernel.forward_rows(X)
+        votes.append(np.where(one_prob >= 0.5, 1, -1))
+        assert np.array_equal(prob >= 0.5, one_prob >= 0.5)
+        if logit.tobytes() == one_logit.tobytes():
+            continue
+        # a gemm sums a row by its place in the block: within the drift policy
+        event("a stacked logit is not bit-equal to the stack of one")
+        scale = float(np.sum(np.abs(kernel.w_head))) + abs(float(kernel.b_head[0]))
+        for row in np.nonzero(logit != one_logit)[0]:
+            kernel.forward(X[row])
+            assert abs(logit[row] - kernel.trace.logit) <= ROW_LOGIT_DRIFT * scale
+    alphas = Rng(seed + 2).uniform_array((len(kernels),), 0.05, 2.0).tolist()
+    rounds = []
+    for a, kernel in zip(alphas, kernels):
+        learner = LstmWeakLearner(TrainConfig(hidden_dim=kernel.hidden_dim), mode)
+        learner.kernel = kernel
+        rounds.append(BoostRound(alpha=a, learner=learner))
+    labels, margins = ensemble_predict(Ensemble(rounds=rounds), X)
+    want = [math.fsum(a * int(v[row]) for a, v in zip(alphas, votes)) for row in range(n)]
+    assert margins.tolist() == want
+    assert labels.tolist() == [1 if m > 0 else 0 for m in want]
+
+
+@pytest.mark.parametrize("mode", ["single", "unrolled"])
+def test_no_stacked_gemm_is_larger_than_one_kernels_at_the_block_rows(monkeypatch, mode):
+    # BLAS starts threads above a gemm size, and the benchmark counts the CPU
+    # time of every thread: a stack of K kernels takes SCORE_BLOCK_ROWS // K
+    # rows per block. The activations see each block as (gates, K, H, rows).
+    dim, hidden = step_dim(mode, 9), 3
+    seen = []
+
+    def recording(z, out=None, work=None):
+        if np.ndim(z) == 4:
+            seen.append(np.shape(z))
+        return sigmoid(z, out, work)
+
+    monkeypatch.setattr(lstm, "sigmoid", recording)
+    for k in [*range(1, 65), SCORE_BLOCK_ROWS + 44]:
+        seen.clear()
+        lstm.forward_stack(_drawn_kernels([hidden] * k, mode, k), np.zeros((300, 9)))
+        assert seen
+        for gates, stack, h, rows in seen:
+            assert stack <= min(k, SCORE_BLOCK_ROWS) and h == hidden
+            # step 0 is one (3KH, D) @ (D, rows) gemm, a later step a
+            # (4KH, D) @ (D, rows) one and K (4H, H) @ (H, rows) ones
+            m = (3 if gates == 2 else 4) * stack * h
+            assert m * rows * dim <= (m // stack) * SCORE_BLOCK_ROWS * dim
+            assert 4 * h * rows * h <= 4 * h * SCORE_BLOCK_ROWS * h
 
 
 # --- the one-step form ---------------------------------------------------------
