@@ -152,7 +152,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TrainingError, UsageError
-from .numerics import Rng, sigmoid
+from .numerics import ONE, ZERO, Rng, sigmoid, sigmoid_core
 
 GATES = ("forget", "input", "output", "candidate")
 # a one-step kernel's gates: at T = 1 the forget gate multiplies c_0 = 0
@@ -323,7 +323,9 @@ class Trace:
     dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k; the
     forget block of step 0's row stays 0, and dpre0 is the rest of that row.
     first_step, forward_steps and backward_steps hold each step's views, so
-    the step loops slice nothing; work is sigmoid's scratch.
+    the step loops slice nothing; first_step's work and sig_work are
+    sigmoid_core's (2, n) scratch buffers with their two halves, for step 0's
+    two sigmoid gates and a later step's three.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, steps: int):
@@ -339,10 +341,12 @@ class Trace:
         self.f, self.i, self.o = (self.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(3))
         self.g = self.mult[:steps, h_dim:2 * h_dim]
         self.tanh_c = self.mult[:steps, 2 * h_dim:n_sig]
-        self.uh, fc_ig, self.work = np.empty((4, h_dim)), np.empty(2 * h_dim), np.empty(n_sig)
+        self.uh, fc_ig = np.empty((4, h_dim)), np.empty(2 * h_dim)
+        work0, work = np.empty((2, 2 * h_dim)), np.empty((2, n_sig))
+        self.sig_work = (work, work[0], work[1])
         z = self.pre[0, h_dim:]  # step 0's input, output and candidate gates
         self.first_step = (z, z.reshape(3, h_dim), z[:2 * h_dim], z[2 * h_dim:],
-                           self.gates[0, h_dim:n_sig], self.work[:2 * h_dim], self.g[0],
+                           self.gates[0, h_dim:n_sig], work0, work0[0], work0[1], self.g[0],
                            self.i[0], self.c[1], self.o[0], self.tanh_c[0], self.h[1])
         self.forward_steps = []  # steps 1 .. T-1, in forward()'s unpacking order
         for t in range(1, steps):
@@ -456,6 +460,7 @@ class PackedLstm:
                                if block is not None)
         # 1 - delta: the margin below max_norm^2 where the quick sum decides
         self._clip_keep = 1.0 - 4 * (grad.size + 2) * 2.0 ** -53
+        self._dlogit = np.zeros(())  # backward()'s dL/dlogit, a 0-d operand (see numerics)
         return grad
 
     @functools.cached_property
@@ -518,32 +523,35 @@ class PackedLstm:
             need = f"forward: {{needs}} a row of {{width}} features, got {len(x)}"
             trace = self.trace = Trace(d, self.hidden_dim, self._steps(len(x), need))
         trace.x = x
-        W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
         if d == 1:  # a one-step kernel has no forget rows: it fills pre from the input gate on
-            np.multiply(x[:, None], self._w_col, out=trace.pre[:, -len(b):])
-        z, z3, z_sig, z_cand, sig, work, g, i, c, o, tanh_c, h = trace.first_step
-        if d > 1:
-            np.matmul(self._W0, x[:d], out=z3)
+            np.multiply(x[:, None], self._w_col, out=trace.pre[:, -len(self.b):])
+        z, z3, z_sig, z_cand, sig, work, low, neg, g, i, c, o, tanh_c, h = trace.first_step
+        if d > 1:  # at T = 1, x is step 0
+            np.matmul(self._W0, x if trace.steps == 1 else x[:d], out=z3)
         z += self._b0
-        sigmoid(z_sig, sig, work)
+        sigmoid_core(z_sig, sig, work, low, neg)
         np.tanh(z_cand, out=g)
         np.multiply(i, g, out=c)
         np.tanh(c, out=tanh_c)
         np.multiply(o, tanh_c, out=h)
-        for t, z, z4, z_sig, z_cand, sig, g, fi, cg, fc_ig, fc, ig, c, o, tanh_c, h_prev, h \
-                in trace.forward_steps:
-            if d > 1:
-                np.matmul(W3, x[t * d:(t + 1) * d], out=z4)
-            np.matmul(U3, h_prev, out=uh)
-            z4 += uh  # (W x + U h) + b, the reference's order
-            z += b
-            sigmoid(z_sig, sig, trace.work)
-            np.tanh(z_cand, out=g)
-            np.multiply(fi, cg, out=fc_ig)  # [f, i] * [c_prev, g]
-            np.add(fc, ig, out=c)
-            np.tanh(c, out=tanh_c)
-            np.multiply(o, tanh_c, out=h)
-        trace.logit = float(self.w_head @ trace.h_last) + float(self.b_head[0])
+        if trace.forward_steps:
+            W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
+            work, low, neg = trace.sig_work
+            for t, z, z4, z_sig, z_cand, sig, g, fi, cg, fc_ig, fc, ig, c, o, tanh_c, h_prev, h \
+                    in trace.forward_steps:
+                if d > 1:
+                    np.matmul(W3, x[t * d:(t + 1) * d], out=z4)
+                np.matmul(U3, h_prev, out=uh)
+                z4 += uh  # (W x + U h) + b, the reference's order
+                z += b
+                sigmoid_core(z_sig, sig, work, low, neg)
+                np.tanh(z_cand, out=g)
+                np.multiply(fi, cg, out=fc_ig)  # [f, i] * [c_prev, g]
+                np.add(fc, ig, out=c)
+                np.tanh(c, out=tanh_c)
+                np.multiply(o, tanh_c, out=h)
+        # ndarray.dot of two vectors is the ddot that @ reaches, without its dispatch
+        trace.logit = float(self.w_head.dot(trace.h_last)) + float(self.b_head[0])
         trace.prob = sigmoid(trace.logit)
         return trace.prob
 
@@ -570,13 +578,14 @@ class PackedLstm:
         grad = self.grad  # first: building grad builds _g_gates
         gW, gU, gb = self._g_gates
         trace = self.trace
-        dlogit = w * (trace.prob - y)
+        dlogit = self._dlogit
+        dlogit[()] = w * (trace.prob - y)
         np.multiply(dlogit, trace.h_last, out=self._g_w_head)
         self._g_b_head[0] = dlogit
         sig, one_minus_sig, g_tanh_c, one_minus_sq, mult_i = trace.factor_views
-        np.subtract(1.0, sig, out=one_minus_sig)
+        np.subtract(ONE, sig, out=one_minus_sig)
         np.square(g_tanh_c, out=one_minus_sq)  # g^2, tanh(c)^2
-        np.subtract(1.0, one_minus_sq, out=one_minus_sq)
+        np.subtract(ONE, one_minus_sq, out=one_minus_sq)
         np.copyto(mult_i, trace.i)
         dh, dc, ddc, ud, ud_rows = trace.dh, trace.dc, trace.ddc, trace.ud, trace.ud_rows
         np.multiply(dlogit, self.w_head, out=dh)
@@ -607,21 +616,25 @@ class PackedLstm:
             np.add.reduce(trace.w_terms, axis=0, initial=0.0, out=gW)
             np.multiply(trace.dpre_cols[:-1], trace.h_prev_rows, out=trace.u_terms)
             np.add.reduce(trace.u_terms, axis=0, initial=0.0, out=gU)  # 0 at T = 1
-        grad += 0.0  # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
+        # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
+        np.add(grad, ZERO, out=grad)
 
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
 
-        Returns whether the gradient was clipped. One dot product decides
-        most updates: below max_norm^2 * _clip_keep the exact ordered norm
-        cannot exceed max_norm (see the module docstring), so the update
-        needs no norm. Otherwise, and when max_norm^2 may not be a normal
-        float, the exact norm decides, summed as the reference sums it.
+        lr is a float or a 0-d float64 array, which numpy takes with less
+        overhead (see numerics); train_weak_learner passes each epoch's rate
+        as one. Returns whether the gradient was clipped. One dot product,
+        grad.dot(grad), decides most updates: below max_norm^2 * _clip_keep
+        the exact ordered norm cannot exceed max_norm (see the module
+        docstring), so the update needs no norm. Otherwise, and when
+        max_norm^2 may not be a normal float, the exact norm decides, summed
+        as the reference sums it.
         """
         grad = self.grad  # first: building grad builds _work
         sq = self._work
         if (_CLIP_GUARD_MIN <= max_norm <= _CLIP_GUARD_MAX
-                and float(np.dot(grad, grad)) < max_norm * max_norm * self._clip_keep):
+                and grad.dot(grad) < max_norm * max_norm * self._clip_keep):
             np.multiply(grad, lr, out=sq)
             self.theta -= sq
             return False
@@ -836,20 +849,23 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     rng = Rng(cfg.seed)
     kernel = init_params(input_dim, cfg.hidden_dim, rng, one_step=X.shape[1] == input_dim)
     curve = LossCurve()
+    rows = list(X)  # the row views, taken once and not per update
+    forward, backward, clip_and_update = kernel.forward, kernel.backward, kernel.clip_and_update
     # an overflow is caught by the checks below, not printed as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             lr = learning_rate(cfg, epoch)
+            step_lr = np.array(lr)  # a 0-d operand for clip_and_update
             order = list(range(n))
             rng.shuffle(order)
             epoch_losses = []
             for idx in order:
                 y, w = labels[idx], norm_w[idx]
-                epoch_losses.append(weighted_loss(kernel.forward(X[idx]), y, w))
+                epoch_losses.append(weighted_loss(forward(rows[idx]), y, w))
                 if not math.isfinite(kernel.trace.logit):
                     raise TrainingError(f"non-finite head logit at epoch {epoch}, example {idx}")
-                kernel.backward(y, w)
-                kernel.clip_and_update(lr, cfg.grad_clip)
+                backward(y, w)
+                clip_and_update(step_lr, cfg.grad_clip)
             curve.losses.append(math.fsum(epoch_losses) / n)
             curve.learning_rates.append(lr)
     if not np.all(np.isfinite(kernel.theta)):  # the last updates' overflow, which no logit saw

@@ -128,6 +128,8 @@ def load_model(path: str) -> ModelBundle:
                 raise DataError(f"unsupported learner type {learner_doc['type']!r}")
             input_dim = _typed(learner_doc["input_dim"], int)
             hidden_dim = _typed(learner_doc["hidden_dim"], int)
+            if hidden_dim < 1:
+                raise DataError(f"round {number}: hidden_dim {hidden_dim} must be >= 1")
             if input_dim != dim:
                 raise DataError(f"round {number}: input_dim {input_dim} does not fit "
                                 f"sequence_mode {sequence_mode!r}, whose steps have "

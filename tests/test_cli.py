@@ -546,6 +546,8 @@ INVALID_MODELS = {
     # a hidden_dim the arrays do not fit must not size an allocation: with
     # H = 20000 the kernel alone would be 12.8 GB
     "hidden_dim_20000": _set(["rounds", 1, "learner", "hidden_dim"], 20000),
+    "hidden_dim_0": _set(["rounds", 0, "learner", "hidden_dim"], 0),
+    "hidden_dim_minus_1": _set(["rounds", 0, "learner", "hidden_dim"], -1),
 }
 
 _RAGGED = ("ValueError('setting an array element with a sequence. The requested array has "
@@ -561,6 +563,8 @@ EXACT_MODEL_ERRORS = {
     "b_output_nested": "round 2: array b_output has shape (6, 1), expected (6,)",
     "head_bias_nan": "round 1: array b_head is not finite",
     "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
+    "hidden_dim_0": "round 1: hidden_dim 0 must be >= 1",
+    "hidden_dim_minus_1": "round 1: hidden_dim -1 must be >= 1",
     "v2_b_input_string": "round 1: array b_input: '0.5' is not a number",
     "v2_lacks_w_head": "round 2: arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
                        "'b_head', 'b_input', 'b_output'] are not the 'single' arrays "

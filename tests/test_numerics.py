@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from vrboost.numerics import Rng, sigmoid
+from vrboost.numerics import MINUS_ONE, ONE, ZERO, Rng, sigmoid, sigmoid_core
 
 # first outputs of the splitmix64 reference routine for seed 1234567,
 # cross-checked against an independent transcription of the published
@@ -232,7 +232,7 @@ EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201
 def test_sigmoid_array_is_bit_equal_to_the_formula(z):
     want = _formula_sigmoid(z).tobytes()
     assert sigmoid(z).tobytes() == want
-    out, work = np.empty_like(z), np.empty_like(z)
+    out, work = np.empty_like(z), np.empty((2,) + z.shape)
     assert sigmoid(z, out) is out and out.tobytes() == want
     aliased = z.copy()
     assert sigmoid(aliased, aliased, work) is aliased and aliased.tobytes() == want
@@ -240,6 +240,34 @@ def test_sigmoid_array_is_bit_equal_to_the_formula(z):
 
 def test_sigmoid_array_of_nan_is_nan():
     assert np.isnan(sigmoid(np.array([math.nan, -math.nan]))).all()
+
+
+@settings(max_examples=60)
+@given(z=arrays(np.float64, st.integers(1, 300),
+                elements=st.one_of(st.floats(), st.sampled_from(EDGES))),
+       aliased=st.booleans())
+def test_sigmoid_core_is_bit_equal_to_the_formula(z, aliased):
+    # the training kernel's entry: one exp over both halves of work, NaN kept
+    nan = np.isnan(z)
+    want = _formula_sigmoid(z)
+    work = np.empty((2,) + z.shape)
+    x = z.copy()
+    out = x if aliased else np.empty_like(z)
+    assert sigmoid_core(x, out, work, work[0], work[1]) is out
+    assert np.isnan(out[nan]).all()
+    assert out[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_the_operand_constants_are_read_only_0d_float64():
+    for constant, value in ((ZERO, 0.0), (ONE, 1.0), (MINUS_ONE, -1.0)):
+        assert constant.shape == () and constant.dtype == np.float64
+        assert float(constant).hex() == value.hex()  # ZERO is +0.0
+        assert not constant.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            constant[()] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            np.add(constant, 1.0, out=constant)
+        assert float(constant).hex() == value.hex()
 
 
 @settings(max_examples=60)
