@@ -127,7 +127,7 @@ path.
 The clip guard. clip_and_update() clips by the exact ordered norm: the
 squares of grad, each key's own pairwise sum, the sums added in
 param_keys() order, then sqrt(s) > max_norm. Most updates are not clipped,
-so it first takes q = dot(grad, grad), summed in whatever order BLAS picks.
+so it first takes q = grad.dot(grad), summed in whatever order BLAS picks.
 q and s sum the same n squares, each through at most n - 1 additions, so
 each lies within gamma_n = nu/(1 - nu) of the true sum, relatively, plus
 n * 2^-1075 for squares that underflow, with u = 2^-53 (Higham 2002,
@@ -143,6 +143,19 @@ path would not clip either. Such an update takes theta -= lr * grad at
 once, the exact path's unclipped update; every other one, a NaN or inf q
 included, takes the exact path as it was. The flag and theta thus never
 depend on q's order, and no artifact sees it.
+
+The fixed cost of a step. Per-example SGD is sequential, so an update costs
+about its number of numpy calls times a call's fixed cost, and the step is
+cut to fewer and cheaper calls that keep every float operation and its
+order. The gate sigmoids call numerics.sigmoid_core with Trace's pre-built
+(2, n) work buffers: min(z, 0) and -|z| are written side by side and one exp
+takes both, with no checks on the way. A constant operand is a 0-d array
+(numerics' 0-d operand rule), as are dL/dlogit and the learning rate. The
+head logit is w_head.dot(h_T), the ddot that `@` reaches without matmul's
+dispatch, and the training loop takes its rows as one list of views per
+learner. On a 2-core VM at H=16, D=9 (medians of 10 alternating runs of
+train_weak_learner on 350 rows) a one-step update went from 13.4 to 11.3 us
+and an unrolled one from 87.4 to 79.7 us.
 """
 
 import functools
@@ -411,7 +424,7 @@ class PackedLstm:
     forward() returns the probability its forward_sequence() returns,
     backward() writes the gradient its backward() returns, and
     clip_and_update() clips by the norm of the dict of per-key gradients,
-    summed in param_keys() order; an update whose dot(grad, grad) lies more
+    summed in param_keys() order; an update whose grad.dot(grad) lies more
     than delta = 4(n + 2) 2^-53 below max_norm^2 skips that norm, which
     then cannot exceed max_norm (see the module docstring), so its flag and
     update are the norm's. Every entry sees the
