@@ -10,9 +10,9 @@ call, which a 0-d array skips. On a 2-core VM (numpy 2.4) a call on a 16- to
 497-entry array took 0.36-0.39 us with a Python float and 0.23-0.24 us with
 a 0-d array. The bits cannot change: a Python float operand of a float64
 array is taken as the float64 of the same value, which is what the 0-d array
-holds, so the ufunc runs the same float64 loop on the same two values. The
-kernel keeps its per-update scalars, dL/dlogit and the epoch's learning
-rate, in 0-d arrays for the same reason.
+holds, so the ufunc runs the same float64 loop on the same two values. For
+the same reason the kernel keeps dL/dlogit in a 0-d array, and
+lstm.train_weak_learner passes each epoch's learning rate as one.
 """
 
 import math
