@@ -18,7 +18,7 @@ init_params() fills them and train_weak_learner() trains and returns the
 kernel itself. Per-example SGD and grad_check's finite-difference audit run
 forward(), one example at a time; every prediction (each boosting round's
 in-sample predict, the train report, evaluate and predict) runs
-forward_stack() over a matrix of rows, for one kernel (forward_rows()) or
+forward_stack() over a matrix of rows, for one kernel (the stack of one) or
 for all the learners of an ensemble at once.
 
 Step 0 is the one-step cell. Every row starts from h_0 = c_0 = 0, where
@@ -80,12 +80,13 @@ there by default, and initial=0.0 states it; a closing grad += 0.0 gives
 the head's gradient, and a one-step kernel's, the same +0.0 start.
 dh_prev = sum_g U_g^T dpre_g stays per step and per gate.
 
-forward_rows() is not bit-identical, for the same reason: a row of a gemm is
-not summed like a per-row gemv. Drift policy: a row's forward_rows() logit
-is within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|), with ROW_LOGIT_DRIFT
-= 16 eps, of its forward() logit, and equal logits give equal probabilities
-through the same sigmoid. Measured: over 56,000 learner-rows of 16 trained
-models (8 seeds, both sequence modes) 58% of logits were bit-equal, the
+The stack of one, forward_stack([kernel], X), is not bit-identical, for the
+same reason: a row of a gemm is not summed like a per-row gemv. Drift
+policy: a row's stack-of-one logit is within ROW_LOGIT_DRIFT * (sum|w_head|
++ |b_head|), with ROW_LOGIT_DRIFT = 16 eps, of its forward() logit, and
+equal logits give equal probabilities through the same sigmoid. Measured:
+over 56,000 learner-rows of 16 trained models (8 seeds, both sequence
+modes) 58% of logits were bit-equal, the
 largest difference was 1.1e-16 (0.21 eps * (sum|w_head| + |b_head|)) and the
 smallest |logit| 3.3e-6; over 36,000 rows of initial and uniform(-1.5, 1.5)
 cells with H from 1 to 32 the largest was 1.52 eps * (sum|w_head| + |b_head|).
@@ -102,7 +103,7 @@ Appleyard, Kocisky & Blunsom 2016, here across learners). The stacked W and
 b are laid out gate by gate, (G, K, H), so a block's state is (G, K, H,
 rows), G = 3 at step 0 and 4 after it, and each activation reads one
 contiguous slice; each kernel keeps its own (4H, H) @ (H, rows) product for
-U. forward_rows() is forward_stack() of one kernel, so one code scores a
+U. A single learner is scored as the stack of one, so one code scores a
 single learner and an ensemble. A block holds block_rows(K) =
 SCORE_BLOCK_ROWS // K rows: a stacked gemm is K times one kernel's in its
 gate dimension, and a gemm above a size threshold makes OpenBLAS start its
@@ -114,10 +115,10 @@ in 256-row blocks took 1.76-1.87 ms of process CPU time per 1000-row
 ensemble_predict, about its wall time, against 1.71-1.75 ms in 28-row
 blocks: that build kept one thread, and the rule bounds the gemm for any
 build and core count.) A stacked logit is bit-equal to the kernel's own
-forward_rows() logit when BLAS sums its row alike in both blocks. A row's
+stack-of-one logit when BLAS sums its row alike in both blocks. A row's
 sum can depend on where the row sits in its block and on the block's
 length, so the stacked logits fall under the drift policy above. Measured
-against each kernel's forward_rows(): 2.3% of 773,090 rows of 120 stacks
+against each kernel's stack of one: 2.3% of 773,090 rows of 120 stacks
 of uniform(-1.5, 1.5) cells (K from 1 to 12, H from 1 to 32, both forms)
 and 0.6% of 144,189 rows of 5 trained models were not bit-equal, the
 largest difference 1.42 eps * (sum|w_head| + |b_head|), and no vote
@@ -147,15 +148,29 @@ depend on q's order, and no artifact sees it.
 The fixed cost of a step. Per-example SGD is sequential, so an update costs
 about its number of numpy calls times a call's fixed cost, and the step is
 cut to fewer and cheaper calls that keep every float operation and its
-order. The gate sigmoids call numerics.sigmoid_core with Trace's pre-built
-(2, n) work buffers: min(z, 0) and -|z| are written side by side and one exp
-takes both, with no checks on the way. A constant operand is a 0-d array
-(numerics' 0-d operand rule), as are dL/dlogit and the learning rate. The
-head logit is w_head.dot(h_T), the ddot that `@` reaches without matmul's
-dispatch, and the training loop takes its rows as one list of views per
-learner. On a 2-core VM at H=16, D=9 (medians of 10 alternating runs of
-train_weak_learner on 350 rows) a one-step update went from 13.4 to 11.3 us
-and an unrolled one from 87.4 to 79.7 us.
+order. A kernel binds its step once per row width, when it builds the Trace
+(_bind_step): forward and backward are closures over the trace's views, the
+parameter and gradient views and the work buffers, with the row's shape
+settled into flags. A call reads no attribute but the trace's x and prob,
+unpacks no per-call tuple, and calls its ufuncs by local names with the
+output passed positionally (numerics' positional-out rule); a copy is a
+slice assignment, not np.copyto, whose Python dispatch took 0.16 us against
+0.05 us. PackedLstm.forward() checks the row's width and calls the bound
+forward, and backward() the bound backward, so grad_check, the tests and
+train_weak_learner, which takes the bound pair once per learner and drops
+it with the trace, run one code. The gate sigmoids call
+numerics.sigmoid_core with pre-built (2, n) work buffers: min(z, 0) and -|z|
+are written side by side and one exp takes both, with no checks on the way.
+A constant operand is a 0-d array (numerics' 0-d operand rule), as are
+dL/dlogit and the learning rate. The head logit is w_head.dot(h_T), the ddot
+that `@` reaches without matmul's dispatch; weighted_loss takes only its
+label's log, and the training loop takes its rows as one list of views per
+learner. So one update makes six Python calls at T = 1: forward,
+sigmoid_core, the head's sigmoid, weighted_loss, backward and
+clip_and_update. On a 2-core VM at H=16, D=9 (medians of 10 alternating runs
+of train_weak_learner on 350 rows, 6 epochs one-step and 1 unrolled) a
+one-step update went from 11.4 to 9.4 us and an unrolled one from 81.9 to
+72.9 us.
 """
 
 import functools
@@ -173,7 +188,7 @@ ONE_STEP_GATES = GATES[1:]
 
 PROB_CLAMP = 1e-12
 
-# rows per block of one kernel's forward_rows; a stack of K kernels takes
+# rows per block of the stack of one; a stack of K kernels takes
 # SCORE_BLOCK_ROWS // K (block_rows), so the per-step temporaries stay
 # (4, K, H, 256 // K) however many rows a file has
 SCORE_BLOCK_ROWS = 256
@@ -201,12 +216,15 @@ def param_keys(one_step: bool = False) -> tuple:
 
 
 def weighted_loss(prob: float, y: int, w: float) -> float:
-    """Binary cross-entropy scaled by the sample weight w.
+    """Binary cross-entropy scaled by the sample weight w, for a label y of 0 or 1.
 
-    prob is clamped away from 0 and 1 before the logarithms.
+    prob is clamped away from 0 and 1 before the logarithm. Only the label's
+    log is taken: w * (-y log p - (1 - y) log(1 - p)) has the same bits, as
+    the other term is 0 times a finite log, a signed zero, and -log of a
+    clamped p or 1 - p is positive, which adding or subtracting a zero keeps.
     """
     p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)
-    return w * (-y * math.log(p) - (1 - y) * math.log(1.0 - p))
+    return w * -math.log(p if y else 1.0 - p)
 
 
 @dataclass
@@ -320,8 +338,8 @@ def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
 
 
 class Trace:
-    """forward()'s record of one T-step row, laid out for backward(), with
-    backward()'s work buffers. A kernel keeps one, as kernel.trace.
+    """forward()'s record of one T-step row, laid out for backward(). A kernel
+    keeps one, as kernel.trace, with the step bound over it (_bind_step).
 
     gates (T, 4H): step t's [f, i, o, 1], its sigmoid gates and a block of
     ones. mult (T+1, 4H): step t's [c_prev, g, tanh(c), i], the factors
@@ -334,16 +352,11 @@ class Trace:
 
     factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
     dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k; the
-    forget block of step 0's row stays 0, and dpre0 is the rest of that row.
-    first_step, forward_steps and backward_steps hold each step's views, so
-    the step loops slice nothing; first_step's work and sig_work are
-    sigmoid_core's (2, n) scratch buffers with their two halves, for step 0's
-    two sigmoid gates and a later step's three.
+    forget block of step 0's row stays 0.
     """
 
-    def __init__(self, input_dim: int, hidden_dim: int, steps: int):
-        d, h_dim = input_dim, hidden_dim
-        n_sig = 3 * h_dim
+    def __init__(self, hidden_dim: int, steps: int):
+        h_dim = hidden_dim
         self.steps, self.x, self.logit, self.prob = steps, None, None, None
         self.pre = np.empty((steps, 4 * h_dim))
         self.gates = np.ones((steps, 4 * h_dim))  # forward() never writes the ones, nor f[0]
@@ -353,53 +366,169 @@ class Trace:
         self.c = self.mult[:, :h_dim]
         self.f, self.i, self.o = (self.gates[:, k * h_dim:(k + 1) * h_dim] for k in range(3))
         self.g = self.mult[:steps, h_dim:2 * h_dim]
-        self.tanh_c = self.mult[:steps, 2 * h_dim:n_sig]
-        self.uh, fc_ig = np.empty((4, h_dim)), np.empty(2 * h_dim)
-        work0, work = np.empty((2, 2 * h_dim)), np.empty((2, n_sig))
-        self.sig_work = (work, work[0], work[1])
-        z = self.pre[0, h_dim:]  # step 0's input, output and candidate gates
-        self.first_step = (z, z.reshape(3, h_dim), z[:2 * h_dim], z[2 * h_dim:],
-                           self.gates[0, h_dim:n_sig], work0, work0[0], work0[1], self.g[0],
-                           self.i[0], self.c[1], self.o[0], self.tanh_c[0], self.h[1])
-        self.forward_steps = []  # steps 1 .. T-1, in forward()'s unpacking order
-        for t in range(1, steps):
-            z = self.pre[t]
-            self.forward_steps.append((
-                t, z, z.reshape(4, h_dim), z[:n_sig], z[n_sig:], self.gates[t, :n_sig], self.g[t],
-                self.gates[t, :2 * h_dim], self.mult[t, :2 * h_dim], fc_ig, fc_ig[:h_dim],
-                fc_ig[h_dim:], self.c[t + 1], self.o[t], self.tanh_c[t], self.h[t], self.h[t + 1]))
-
+        self.tanh_c = self.mult[:steps, 2 * h_dim:3 * h_dim]
         self.factors = np.empty((steps, 5 * h_dim))
         self.dpre = np.zeros((steps, 4 * h_dim))
-        self.dpre0 = self.dpre[steps - 1, h_dim:]
-        self.dpre0_col = self.dpre0[:, None]
-        self.dpre_cols = self.dpre[:, :, None]
-        self.h_prev_rows = self.h[steps - 1:0:-1, None, :]  # h_prev of steps T-1 .. 1
+
+
+def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
+    """The kernel's SGD step over trace, (forward(x), backward(y, w)): the
+    bodies of PackedLstm.forward() and backward() for rows of trace.steps
+    steps, without forward()'s width check.
+
+    Every view a step reads or writes, of the kernel's parameters and
+    gradient and of trace's buffers, and every work buffer, is taken here
+    once, and so is each choice the row's shape makes. A call then makes its
+    numpy calls and reads no attribute but trace's x and prob; the ufuncs are
+    local names and take their output positionally (numerics' positional-out
+    rule). Step 0, the one-step cell, is written out in both closures; the
+    later steps run in a loop over their views, which is empty at T = 1. The
+    closures hold no reference to the kernel and trace none to them, so
+    dropping kernel.trace and kernel._step frees them and the buffers.
+    """
+    add, multiply, subtract, square, tanh, matmul, add_reduce = (
+        np.add, np.multiply, np.subtract, np.square, np.tanh, np.matmul, np.add.reduce)
+    d, h_dim, steps, one_step = kernel.input_dim, kernel.hidden_dim, trace.steps, kernel.one_step
+    n_sig = 3 * h_dim
+    one_row, all_inputs = steps == 1, d == 1
+    W3, b, w_head, b_head = kernel._W3, kernel.b, kernel.w_head, kernel.b_head
+    pre, gates, mult, h, factors, dpre = (trace.pre, trace.gates, trace.mult, trace.h,
+                                          trace.factors, trace.dpre)
+    f, i, o, c, g, tanh_c, h_last = (trace.f, trace.i, trace.o, trace.c, trace.g, trace.tanh_c,
+                                     trace.h_last)
+    U3 = kernel._U3
+    UT3 = None if one_step else U3.transpose(0, 2, 1)
+    # D=1: W_g x_t is x_t times W's column, so the input products of all T
+    # steps are one multiply (step 0's forget entries among them, never
+    # read); a one-step kernel has no forget rows and fills pre from the
+    # input gate on. At D>1 each step makes the per-gate W_g @ x_t.
+    w_col, pre_in = kernel.W[:, 0], pre[:, -len(b):]
+    # step 0's gates, the last three blocks of either form: input, output, candidate
+    W0, b0 = W3[-3:], b[-3 * h_dim:]
+    z0 = pre[0, h_dim:]
+    z0_3, z0_sig, z0_cand = z0.reshape(3, h_dim), z0[:2 * h_dim], z0[2 * h_dim:]
+    sig0, g0, i0, c1, o0, tanh_c0, h1 = (gates[0, h_dim:n_sig], g[0], i[0], c[1], o[0],
+                                         tanh_c[0], h[1])
+    # sigmoid_core's (2, n) scratch buffers with their two halves, for step
+    # 0's two sigmoid gates and a later step's three
+    work0, work = np.empty((2, 2 * h_dim)), np.empty((2, n_sig))
+    (low0, neg0), (low, neg) = work0, work
+    uh, fc_ig = np.empty((4, h_dim)), np.empty(2 * h_dim)
+    fc, ig = fc_ig[:h_dim], fc_ig[h_dim:]
+    forward_steps = []  # steps 1 .. T-1, in forward()'s unpacking order
+    for t in range(1, steps):
+        z = pre[t]
+        forward_steps.append((
+            slice(t * d, (t + 1) * d), z, z.reshape(4, h_dim), z[:n_sig], z[n_sig:],
+            gates[t, :n_sig], g[t], gates[t, :2 * h_dim], mult[t, :2 * h_dim], c[t + 1], o[t],
+            tanh_c[t], h[t], h[t + 1]))
+
+    def forward(x):
+        trace.x = x
+        if all_inputs:
+            multiply(x[:, None], w_col, pre_in)
+        else:  # at T = 1, x is step 0
+            matmul(W0, x if one_row else x[:d], z0_3)
+        add(z0, b0, z0)
+        sigmoid_core(z0_sig, sig0, work0, low0, neg0)
+        tanh(z0_cand, g0)
+        multiply(i0, g0, c1)
+        tanh(c1, tanh_c0)
+        multiply(o0, tanh_c0, h1)
+        for xt, z, z4, z_sig, z_cand, sig, g_t, fi, cg, c_t, o_t, tanh_c_t, h_prev, h_t \
+                in forward_steps:
+            if not all_inputs:
+                matmul(W3, x[xt], z4)
+            matmul(U3, h_prev, uh)
+            z4 += uh  # (W x + U h) + b, the reference's order
+            z += b
+            sigmoid_core(z_sig, sig, work, low, neg)
+            tanh(z_cand, g_t)
+            multiply(fi, cg, fc_ig)  # [f, i] * [c_prev, g]
+            add(fc, ig, c_t)
+            tanh(c_t, tanh_c_t)
+            multiply(o_t, tanh_c_t, h_t)
+        # ndarray.dot of two vectors is the ddot that @ reaches, without its dispatch
+        trace.logit = logit = float(w_head.dot(h_last)) + float(b_head[0])
+        trace.prob = prob = sigmoid(logit)
+        return prob
+
+    grad = kernel.grad
+    gW, gU, gb, g_w_head, g_b_head = _named_blocks(grad, d, h_dim, one_step)
+    dlogit = np.zeros(())  # dL/dlogit, a 0-d operand (see numerics)
+    # the views the factors are formed through, and i copied into
+    sig_all, one_minus_sig = gates[:, :n_sig], factors[:, :n_sig]
+    g_tanh_c, one_minus_sq, mult_i = (mult[:steps, h_dim:n_sig], factors[:, n_sig:],
+                                      mult[:steps, n_sig:])
+    dh, dc, ddc = np.empty(h_dim), np.empty(h_dim), np.empty(h_dim)
+    ud = np.empty((4, h_dim, 1))
+    ud_rows = ud[..., 0]
+    # dc of step T-1 is (dh*o)*(1-tanh(c)^2) of its o and factor views
+    o_last, one_minus_tc2_last = o[steps - 1], factors[steps - 1, 4 * h_dim:]
+    backward_steps = []  # steps T-1 .. 1, in backward()'s unpacking order
+    for t in range(steps - 1, 0, -1):
+        row = dpre[steps - 1 - t]
+        # with f, and step t-1's o and 1-tanh(c)^2, which form that step's dc
+        backward_steps.append((
+            tanh_c[t], mult[t].reshape(4, h_dim), gates[t], factors[t, :4 * h_dim], row,
+            row.reshape(4, h_dim), row[2 * h_dim:n_sig], row.reshape(4, h_dim, 1), f[t],
+            o[t - 1], factors[t - 1, 4 * h_dim:]))
+    # step 0's views start at the input gate
+    row0 = dpre[steps - 1]
+    dp0 = row0[h_dim:]
+    m0, s0, one_minus0 = (mult[0, h_dim:].reshape(3, h_dim), gates[0, h_dim:],
+                          factors[0, h_dim:4 * h_dim])
+    dp0_3, dp0_o, dp0_col = dp0.reshape(3, h_dim), row0[2 * h_dim:n_sig], dp0[:, None]
+    if not one_step:
         # the outer products each gradient sums, written in dpre's row order
-        self.w_terms = np.empty((steps, 4 * h_dim, d))
-        self.u_terms = np.empty((steps - 1, 4 * h_dim, h_dim))
-        self.dh, self.dc, self.ddc = np.empty(h_dim), np.empty(h_dim), np.empty(h_dim)
-        self.ud = np.empty((4, h_dim, 1))
-        self.ud_rows = self.ud[..., 0]
-        # the views backward() forms the factors through, and copies i into
-        self.factor_views = (self.gates[:, :n_sig], self.factors[:, :n_sig],
-                             self.mult[:steps, h_dim:n_sig], self.factors[:, n_sig:],
-                             self.mult[:steps, n_sig:])
-        # dc of step T-1 is (dh*o)*(1-tanh(c)^2) of its o and factor views
-        self.last_dc = (self.o[steps - 1], self.factors[steps - 1, 4 * h_dim:])
-        self.backward_steps = []  # (t, views in backward()'s unpacking order), t descending
-        for t in range(steps - 1, -1, -1):
-            row = self.dpre[steps - 1 - t]
-            lo = 0 if t else h_dim  # step 0's views start at the input gate
-            dp = row[lo:]
-            # with f, and step t-1's o and 1-tanh(c)^2, which form that step's dc
-            back = (None,) * 3
-            if t:
-                back = (self.f[t], self.o[t - 1], self.factors[t - 1, 4 * h_dim:])
-            self.backward_steps.append((
-                t, (self.tanh_c[t], self.mult[t, lo:].reshape(-1, h_dim), self.gates[t, lo:],
-                    self.factors[t, lo:4 * h_dim], dp, dp.reshape(-1, h_dim),
-                    row[2 * h_dim:n_sig], row.reshape(4, h_dim, 1)) + back))
+        dpre_cols = dpre[:, :, None]
+        h_prev_rows = h[steps - 1:0:-1, None, :]  # h_prev of steps T-1 .. 1
+        w_terms = np.empty((steps, 4 * h_dim, d))
+        u_terms = np.empty((steps - 1, 4 * h_dim, h_dim))
+
+    def backward(y, w):
+        dlogit[()] = w * (trace.prob - y)
+        multiply(dlogit, h_last, g_w_head)
+        g_b_head[0] = dlogit
+        subtract(ONE, sig_all, one_minus_sig)
+        square(g_tanh_c, one_minus_sq)  # g^2, tanh(c)^2
+        subtract(ONE, one_minus_sq, one_minus_sq)
+        mult_i[...] = i
+        multiply(dlogit, w_head, dh)
+        multiply(dh, o_last, dc)
+        multiply(dc, one_minus_tc2_last, dc)
+        for tanh_c_t, m4, s, one_minus, dp, dp4, dp_o, dp3, f_t, o_prev, one_minus_tc2_prev \
+                in backward_steps:
+            multiply(m4, dc, dp4)
+            multiply(dh, tanh_c_t, dp_o)  # the output gate's block takes dh
+            dp *= s
+            dp *= one_minus
+            # dh and dc of step t-1: U_g.T @ d_g per gate, added to zeros in GATES order
+            matmul(UT3, dp3, ud)
+            add_reduce(ud_rows, axis=0, initial=0.0, out=dh)
+            multiply(dc, f_t, dc)
+            multiply(dh, o_prev, ddc)
+            multiply(ddc, one_minus_tc2_prev, ddc)
+            add(dc, ddc, dc)  # dc*f + (dh*o)*(1-tanh(c)^2)
+        # step 0 forms no dh_prev, which is never used
+        multiply(m0, dc, dp0_3)
+        multiply(dh, tanh_c0, dp0_o)
+        multiply(dp0, s0, dp0)
+        multiply(dp0, one_minus0, dp0)
+        if one_step:  # one row, so each sum is its one term
+            gb[...] = dp0
+            multiply(dp0_col, trace.x, gW)
+        else:
+            xs = trace.x.reshape(steps, d)
+            add_reduce(dpre, axis=0, initial=0.0, out=gb)
+            multiply(dpre_cols, xs[::-1, None, :], w_terms)
+            add_reduce(w_terms, axis=0, initial=0.0, out=gW)
+            multiply(dpre_cols[:-1], h_prev_rows, u_terms)
+            add_reduce(u_terms, axis=0, initial=0.0, out=gU)  # 0 at T = 1
+        # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
+        add(grad, ZERO, grad)
+
+    return forward, backward
 
 
 class PackedLstm:
@@ -410,7 +539,8 @@ class PackedLstm:
     layout. `arrays` holds the param_keys() views of theta: W_<gate> (H, D),
     U_<gate> (H, H), b_<gate> (H,), w_head (H,) and b_head (1,), which is
     what a model file stores; `grads` holds the same per-key views of grad,
-    and `trace` the Trace of the last forward(), which backward() differentiates.
+    and `trace` the Trace of the last forward(), which backward() differentiates;
+    both run the step bound over it (_bind_step).
 
     Step 0 of every row is the one-step cell (see the module docstring), so
     it reads neither the forget gate's parameters nor any U. A one-step
@@ -448,24 +578,16 @@ class PackedLstm:
         # the row's position, so products are batched over a gate axis:
         # numpy then makes the reference's per-gate BLAS call for each gate
         self._W3 = self.W.reshape(-1, h, d)
-        self._w_col = self.W[:, 0]  # D=1: W_g @ x_t is x_t * this column
-        # step 0's gates, the last three blocks of either form: input, output, candidate
-        self._W0, self._b0 = self._W3[-3:], self.b[-3 * h:]
-        self._U3 = self._UT3 = None
-        if not one_step:
-            self._U3 = self.U.reshape(4, h, h)
-            self._UT3 = self._U3.transpose(0, 2, 1)
-        self.trace = None
+        self._U3 = None if one_step else self.U.reshape(4, h, h)
+        self.trace = self._step = None
 
     @functools.cached_property
     def grad(self) -> np.ndarray:
-        """The gradient vector, zero until backward(). Built on first use, with
-        the views backward() writes through and clip_and_update()'s work
-        buffer, as scoring reads none of them."""
+        """The gradient vector, zero until backward(). Built on first use, when
+        the first forward() binds the step, with clip_and_update()'s work
+        buffer, as scoring reads neither."""
         d, h, one_step = self.input_dim, self.hidden_dim, self.one_step
         grad, self._work = np.zeros(self.theta.size), np.zeros(self.theta.size)
-        gW, gU, gb, self._g_w_head, self._g_b_head = _named_blocks(grad, d, h, one_step)
-        self._g_gates = (gW, gU, gb)
         # squared gradient, then lr * gradient; one row per gate, so one
         # reduction gives the per-key sums of each kind
         sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h, one_step)
@@ -473,7 +595,6 @@ class PackedLstm:
                                if block is not None)
         # 1 - delta: the margin below max_norm^2 where the quick sum decides
         self._clip_keep = 1.0 - 4 * (grad.size + 2) * 2.0 ** -53
-        self._dlogit = np.zeros(())  # backward()'s dL/dlogit, a 0-d operand (see numerics)
         return grad
 
     @functools.cached_property
@@ -518,61 +639,31 @@ class PackedLstm:
             raise ValueError(need.format(width=f"T*{d}", needs="need"))
         return steps
 
+    def _bind(self, steps: int) -> tuple:
+        """A new self.trace for rows of `steps` steps and the step bound over
+        it (_bind_step), kept as self._step = (forward, backward) and returned."""
+        self.trace = Trace(self.hidden_dim, steps)
+        self._step = _bind_step(self, self.trace)
+        return self._step
+
     def forward(self, x: np.ndarray) -> float:
         """Run the cell from a zero state over the flat float64 row x of T*D
         features, step t being x[t*D:(t+1)*D]; sigmoid head on h_T.
 
-        Returns the probability of class 1 and records the row in self.trace,
-        which is rebuilt, and the row's width checked, only when the width
-        changes. Step 0 is the one-step cell. At D=1 every step's input
-        product W_g x_t is one product per entry, so all T are taken at once
-        (step 0's forget entries among them, never read); at D>1 each step
-        makes the per-gate W_g @ x_t. Raises ValueError when x is empty or
-        its length is not a multiple of D, or not D for a one-step kernel.
+        Returns the probability of class 1 and records the row in self.trace.
+        The row's width is checked, and the trace and the step bound over it
+        rebuilt, only when the width changes. Step 0 is the one-step cell. At
+        D=1 every step's input product W_g x_t is one product per entry, so
+        all T are taken at once (step 0's forget entries among them, never
+        read); at D>1 each step makes the per-gate W_g @ x_t. Raises
+        ValueError when x is empty or its length is not a multiple of D, or
+        not D for a one-step kernel.
         """
-        d = self.input_dim
         trace = self.trace
         if trace is None or len(x) != len(trace.x):
             need = f"forward: {{needs}} a row of {{width}} features, got {len(x)}"
-            trace = self.trace = Trace(d, self.hidden_dim, self._steps(len(x), need))
-        trace.x = x
-        if d == 1:  # a one-step kernel has no forget rows: it fills pre from the input gate on
-            np.multiply(x[:, None], self._w_col, out=trace.pre[:, -len(self.b):])
-        z, z3, z_sig, z_cand, sig, work, low, neg, g, i, c, o, tanh_c, h = trace.first_step
-        if d > 1:  # at T = 1, x is step 0
-            np.matmul(self._W0, x if trace.steps == 1 else x[:d], out=z3)
-        z += self._b0
-        sigmoid_core(z_sig, sig, work, low, neg)
-        np.tanh(z_cand, out=g)
-        np.multiply(i, g, out=c)
-        np.tanh(c, out=tanh_c)
-        np.multiply(o, tanh_c, out=h)
-        if trace.forward_steps:
-            W3, U3, b, uh = self._W3, self._U3, self.b, trace.uh
-            work, low, neg = trace.sig_work
-            for t, z, z4, z_sig, z_cand, sig, g, fi, cg, fc_ig, fc, ig, c, o, tanh_c, h_prev, h \
-                    in trace.forward_steps:
-                if d > 1:
-                    np.matmul(W3, x[t * d:(t + 1) * d], out=z4)
-                np.matmul(U3, h_prev, out=uh)
-                z4 += uh  # (W x + U h) + b, the reference's order
-                z += b
-                sigmoid_core(z_sig, sig, work, low, neg)
-                np.tanh(z_cand, out=g)
-                np.multiply(fi, cg, out=fc_ig)  # [f, i] * [c_prev, g]
-                np.add(fc, ig, out=c)
-                np.tanh(c, out=tanh_c)
-                np.multiply(o, tanh_c, out=h)
-        # ndarray.dot of two vectors is the ddot that @ reaches, without its dispatch
-        trace.logit = float(self.w_head.dot(trace.h_last)) + float(self.b_head[0])
-        trace.prob = sigmoid(trace.logit)
-        return trace.prob
-
-    def forward_rows(self, X) -> tuple:
-        """Head probabilities and logits of the N rows of X, each run from a
-        zero state: forward_stack() of this kernel alone."""
-        probs, logits = forward_stack([self], X)
-        return probs[0], logits[0]
+            self._bind(self._steps(len(x), need))
+        return self._step[0](x)
 
     def backward(self, y: int, w: float) -> None:
         """BPTT of weighted_loss of the last forward() into self.grad, from self.trace.
@@ -588,49 +679,7 @@ class PackedLstm:
         docstring). A one-step kernel's one row needs no sums: its dpre is
         the b gradient and dpre x^T the W gradient.
         """
-        grad = self.grad  # first: building grad builds _g_gates
-        gW, gU, gb = self._g_gates
-        trace = self.trace
-        dlogit = self._dlogit
-        dlogit[()] = w * (trace.prob - y)
-        np.multiply(dlogit, trace.h_last, out=self._g_w_head)
-        self._g_b_head[0] = dlogit
-        sig, one_minus_sig, g_tanh_c, one_minus_sq, mult_i = trace.factor_views
-        np.subtract(ONE, sig, out=one_minus_sig)
-        np.square(g_tanh_c, out=one_minus_sq)  # g^2, tanh(c)^2
-        np.subtract(ONE, one_minus_sq, out=one_minus_sq)
-        np.copyto(mult_i, trace.i)
-        dh, dc, ddc, ud, ud_rows = trace.dh, trace.dc, trace.ddc, trace.ud, trace.ud_rows
-        np.multiply(dlogit, self.w_head, out=dh)
-        o, one_minus_tc2 = trace.last_dc
-        np.multiply(dh, o, out=dc)
-        dc *= one_minus_tc2
-        for t, (tanh_c, m4, s, one_minus, dp, dp4, dp_o, dp3, f, o_prev,
-                one_minus_tc2_prev) in trace.backward_steps:
-            np.multiply(m4, dc, out=dp4)
-            np.multiply(dh, tanh_c, out=dp_o)  # the output gate's block takes dh
-            dp *= s
-            dp *= one_minus
-            if t:  # dh and dc of step t-1
-                # U_g.T @ d_g per gate, added to zeros in GATES order
-                np.matmul(self._UT3, dp3, out=ud)
-                np.add.reduce(ud_rows, axis=0, initial=0.0, out=dh)
-                dc *= f
-                np.multiply(dh, o_prev, out=ddc)
-                ddc *= one_minus_tc2_prev
-                dc += ddc  # dc*f + (dh*o)*(1-tanh(c)^2)
-        if self.one_step:  # one row, so each sum is its one term
-            np.copyto(gb, trace.dpre0)
-            np.multiply(trace.dpre0_col, trace.x, out=gW)
-        else:
-            xs = trace.x.reshape(trace.steps, self.input_dim)
-            np.add.reduce(trace.dpre, axis=0, initial=0.0, out=gb)
-            np.multiply(trace.dpre_cols, xs[::-1, None, :], out=trace.w_terms)
-            np.add.reduce(trace.w_terms, axis=0, initial=0.0, out=gW)
-            np.multiply(trace.dpre_cols[:-1], trace.h_prev_rows, out=trace.u_terms)
-            np.add.reduce(trace.u_terms, axis=0, initial=0.0, out=gU)  # 0 at T = 1
-        # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
-        np.add(grad, ZERO, out=grad)
+        self._step[1](y, w)
 
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
@@ -648,7 +697,7 @@ class PackedLstm:
         sq = self._work
         if (_CLIP_GUARD_MIN <= max_norm <= _CLIP_GUARD_MAX
                 and grad.dot(grad) < max_norm * max_norm * self._clip_keep):
-            np.multiply(grad, lr, out=sq)
+            np.multiply(grad, lr, sq)
             self.theta -= sq
             return False
         np.multiply(grad, grad, out=sq)
@@ -716,7 +765,7 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
     """
     first, k = kernels[0], len(kernels)
     d, h_dim = first.input_dim, first.hidden_dim
-    need = f"forward_rows: need an (N, {{width}}) matrix, got shape {X.shape}"
+    need = f"forward_stack: need an (N, {{width}}) matrix, got shape {X.shape}"
     steps = first._steps(X.shape[1] if X.ndim == 2 else 0, need)
     W, U, b, w_head, b_head = _named_blocks(np.array([kernel.theta for kernel in kernels]),
                                             d, h_dim, first.one_step)
@@ -863,7 +912,8 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     kernel = init_params(input_dim, cfg.hidden_dim, rng, one_step=X.shape[1] == input_dim)
     curve = LossCurve()
     rows = list(X)  # the row views, taken once and not per update
-    forward, backward, clip_and_update = kernel.forward, kernel.backward, kernel.clip_and_update
+    forward, backward = kernel._bind(X.shape[1] // input_dim)  # rows of one width
+    trace, clip_and_update, max_norm = kernel.trace, kernel.clip_and_update, cfg.grad_clip
     # an overflow is caught by the checks below, not printed as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
@@ -875,13 +925,14 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
             for idx in order:
                 y, w = labels[idx], norm_w[idx]
                 epoch_losses.append(weighted_loss(forward(rows[idx]), y, w))
-                if not math.isfinite(kernel.trace.logit):
+                if not math.isfinite(trace.logit):
                     raise TrainingError(f"non-finite head logit at epoch {epoch}, example {idx}")
                 backward(y, w)
-                clip_and_update(step_lr, cfg.grad_clip)
+                clip_and_update(step_lr, max_norm)
             curve.losses.append(math.fsum(epoch_losses) / n)
             curve.learning_rates.append(lr)
     if not np.all(np.isfinite(kernel.theta)):  # the last updates' overflow, which no logit saw
         raise TrainingError("non-finite parameter after the last update")
-    kernel.trace = None  # 98 kB at T=9, H=16, of no use to a learner that only scores
+    # the trace and its bound step, 98 kB at T=9, H=16, of no use to a learner that only scores
+    kernel.trace = kernel._step = None
     return kernel, curve

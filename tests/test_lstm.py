@@ -1,11 +1,14 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lstm_oracle import LstmState, copied, forward_sequence, forward_step, oracle_train
 from vrboost.errors import TrainingError, UsageError
-from vrboost.lstm import (GATES, PackedLstm, TrainConfig, grad_check,
+from vrboost.lstm import (GATES, PROB_CLAMP, PackedLstm, TrainConfig, grad_check,
                           init_params, learning_rate, param_keys,
                           step_dim, train_weak_learner, weighted_loss)
 from vrboost.numerics import Rng
@@ -197,6 +200,31 @@ def test_weighted_loss_values():
 def test_weighted_loss_clamps():
     assert math.isfinite(weighted_loss(0.0, 1, 1.0))
     assert math.isfinite(weighted_loss(1.0, 0, 3.0))
+
+
+def _two_log_loss(prob, y, w):
+    """Weighted binary cross-entropy with both logs taken, as the formula reads."""
+    p = min(max(prob, PROB_CLAMP), 1.0 - PROB_CLAMP)
+    return w * (-y * math.log(p) - (1 - y) * math.log(1.0 - p))
+
+
+# p at 0 and 1, and at and next to each PROB_CLAMP edge
+_PROB_EDGES = [0.0, 1.0, 0.5, PROB_CLAMP, 1.0 - PROB_CLAMP] + [
+    math.nextafter(edge, to) for edge in (PROB_CLAMP, 1.0 - PROB_CLAMP) for to in (0.0, 1.0)]
+# w at 0, at the smallest and largest subnormals and at the smallest normal
+_WEIGHT_EDGES = [0.0, 5e-324, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min]
+
+
+@settings(max_examples=300)
+@given(prob=st.one_of(st.sampled_from(_PROB_EDGES), st.floats(0.0, 1.0)),
+       y=st.sampled_from([0, 1]),
+       w=st.one_of(st.sampled_from(_WEIGHT_EDGES), st.floats(0.0, 2.0 ** -1000),
+                   st.floats(0.0, 1e6)))
+@example(prob=0.0, y=0, w=0.0)
+@example(prob=1.0, y=1, w=5e-324)
+def test_weighted_loss_has_the_bits_of_the_two_log_formula(prob, y, w):
+    # the label's log alone: the other term is 0 * a finite log, a signed zero
+    assert weighted_loss(prob, y, w).hex() == _two_log_loss(prob, y, w).hex()
 
 
 def test_backward_zero_weight_gives_zero_gradient():

@@ -4,13 +4,18 @@ Training is compared with the dict-based loop in lstm_oracle.py; single
 steps are compared with forward_sequence() and backward(). The kernel takes
 flat rows of T*D features; the oracle takes the same row as a list of T
 steps, list(row.reshape(-1, D)). The batched
-forward_rows() is compared with the per-row forward() under the drift policy
-of vrboost.lstm: logits within ROW_LOGIT_DRIFT * (sum|w_head| + |b_head|),
-equal votes; forward_stack() with each kernel's forward_rows(), its stack of
-one, row for row, under the same policy where a row is not bit-equal.
+forward_stack() of one kernel is compared with the per-row forward() under
+the drift policy of vrboost.lstm: logits within ROW_LOGIT_DRIFT *
+(sum|w_head| + |b_head|), equal votes; forward_stack() of K kernels with each
+kernel's stack of one, row for row, under the same policy where a row is not
+bit-equal.
 """
 
+import gc
 import math
+import sys
+import weakref
+from collections import Counter
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -26,7 +31,8 @@ from vrboost import lstm
 from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.lstm import (_CLIP_GUARD_MAX, _CLIP_GUARD_MIN, GATES, ROW_LOGIT_DRIFT,
                           SCORE_BLOCK_ROWS, PackedLstm, TrainConfig, grad_check, init_params,
-                          param_keys, step_dim, train_weak_learner)
+                          learning_rate, param_keys, step_dim, train_weak_learner,
+                          weighted_loss)
 from vrboost.numerics import Rng, sigmoid
 
 
@@ -254,6 +260,107 @@ def test_a_trained_kernel_keeps_no_trace():
     X, labels = _examples(10, 9, 2)
     kernel, _ = train_weak_learner(X, labels, np.ones(10), TrainConfig(max_epochs=1), 9)
     assert kernel.trace is None
+
+
+def _public_train(X, labels, weights, cfg, input_dim):
+    """train_weak_learner's schedule, one call of each public method per
+    example: forward, weighted_loss, backward, clip_and_update. Returns the
+    kernel, the loss curve and the number of clipped updates."""
+    n = len(X)
+    norm_w = (np.asarray(weights, dtype=float) * n / math.fsum(weights)).tolist()
+    rng = Rng(cfg.seed)
+    kernel = init_params(input_dim, cfg.hidden_dim, rng, one_step=X.shape[1] == input_dim)
+    losses, clipped = [], 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        lr = learning_rate(cfg, epoch)
+        order = list(range(n))
+        rng.shuffle(order)
+        epoch_losses = []
+        for idx in order:
+            y, w = int(labels[idx]), norm_w[idx]
+            epoch_losses.append(weighted_loss(kernel.forward(X[idx]), y, w))
+            kernel.backward(y, w)
+            clipped += kernel.clip_and_update(lr, cfg.grad_clip)
+        losses.append(math.fsum(epoch_losses) / n)
+    return kernel, losses, clipped
+
+
+@settings(max_examples=40, deadline=None)
+@given(input_dim=st.sampled_from([6, 1, 2, 3]), clip=st.booleans(), hidden=st.integers(1, 8),
+       seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+def test_bound_training_loop_equals_the_public_methods(input_dim, clip, hidden, seed, data):
+    # rows of 6 features: one step of D=6 trains a one-step kernel, and 6, 3
+    # or 2 steps of D=1, 2 or 3 a four-gate one. At grad_clip 1e-3 every
+    # update is clipped (|dL/db_head| >= 0.25 * |p - y| > 1e-3 at these
+    # weights and inits), at 1e6 none is
+    n = data.draw(st.integers(1, 10))
+    X = data.draw(arrays(np.float64, (n, 6), elements=st.floats(-3.0, 3.0)))
+    labels = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    weights = data.draw(arrays(np.float64, n, elements=st.floats(0.5, 2.0)))
+    cfg = TrainConfig(max_epochs=2, hidden_dim=hidden, seed=seed, initial_lr=0.5,
+                      lr_drop_period=1, grad_clip=1e-3 if clip else 1e6)
+    kernel, curve = train_weak_learner(X, labels, weights, cfg, input_dim)
+    want, want_losses, clipped = _public_train(X, labels, weights, cfg, input_dim)
+    assert kernel.one_step == want.one_step == (input_dim == 6)
+    assert kernel.theta.tobytes() == want.theta.tobytes()
+    assert curve.losses == want_losses
+    assert clipped == (2 * n if clip else 0)
+
+
+def test_training_frees_its_trace_and_bound_step(monkeypatch):
+    # with the collector off, only reference counts free them: the trained
+    # kernel must hold no path to its last trace or to the closures over it,
+    # and they none to each other in a cycle (98 kB a learner at T=9, H=16)
+    freed = []
+    bind = lstm._bind_step
+
+    def recording(kernel, trace):
+        pair = bind(kernel, trace)
+        freed.extend(weakref.ref(obj) for obj in (trace, *pair))
+        return pair
+
+    monkeypatch.setattr(lstm, "_bind_step", recording)
+    X, labels = _examples(10, 9, 2)
+    kernels = []
+    gc.disable()
+    try:
+        for input_dim in (9, 1):
+            kernel, _ = train_weak_learner(X, labels, np.ones(10),
+                                           TrainConfig(max_epochs=1, hidden_dim=4), input_dim)
+            kernels.append(kernel)
+        assert len(freed) == 6
+        assert [ref() for ref in freed] == [None] * 6
+    finally:
+        gc.enable()
+    assert [kernel.one_step for kernel in kernels] == [True, False]
+
+
+@pytest.mark.parametrize("input_dim,frames", [(9, 6), (1, 14)])
+def test_an_sgd_update_makes_only_its_python_calls(input_dim, frames):
+    # an update's Python frames: the bound forward, one sigmoid_core per step
+    # (1 or 9 steps), the head's sigmoid, weighted_loss, the bound backward
+    # and clip_and_update, whose quick sum decides at grad_clip 1e6. One more
+    # row adds one update, so the difference of two runs counts it exactly
+    def calls(n):
+        X, labels = _examples(n, 9, 4)
+        names = []
+
+        def profile(frame, event, arg):
+            if event == "call":
+                names.append(frame.f_code.co_name)
+
+        cfg = TrainConfig(max_epochs=1, hidden_dim=4, grad_clip=1e6)
+        sys.setprofile(profile)
+        try:
+            train_weak_learner(X, labels, np.ones(n), cfg, input_dim)
+        finally:
+            sys.setprofile(None)
+        return Counter(names)
+
+    two, three = calls(2), calls(3)
+    assert not two - three
+    update = three - two
+    assert sum(update.values()) == frames, update
 
 
 def _placed(X, row_offset):
@@ -509,11 +616,11 @@ def test_learner_predict_thresholds_reference_probability():
 
 
 def _assert_rows_within_drift_of_forward(kernel, X):
-    """forward_rows() of X against forward() of each row, per the drift policy."""
+    """The stack of one of X against forward() of each row, per the drift policy."""
     scale = float(np.sum(np.abs(kernel.w_head))) + abs(float(kernel.b_head[0]))
-    probs, logits = kernel.forward_rows(X)
-    assert probs.shape == logits.shape == (len(X),)
-    for x, prob, logit in zip(X, probs.tolist(), logits.tolist()):
+    probs, logits = lstm.forward_stack([kernel], X)
+    assert probs.shape == logits.shape == (1, len(X))
+    for x, prob, logit in zip(X, probs[0].tolist(), logits[0].tolist()):
         want_prob = kernel.forward(x)
         want_logit = float(kernel.w_head @ kernel.trace.h_last) + float(kernel.b_head[0])
         assert abs(logit - want_logit) <= ROW_LOGIT_DRIFT * scale
@@ -551,8 +658,8 @@ def test_forward_rows_within_drift_for_drawn_cells(hidden, step_dim, n, seed, da
 def test_forward_rows_rejects_a_row_width_that_is_not_whole_steps():
     kernel = PackedLstm(9, 3)
     for shape in ((4, 8), (4, 0), (9,)):
-        with pytest.raises(ValueError, match="forward_rows"):
-            kernel.forward_rows(np.zeros(shape))
+        with pytest.raises(ValueError, match="forward_stack"):
+            lstm.forward_stack([kernel], np.zeros(shape))
 
 
 # --- the stacked scorer ----------------------------------------------------------
@@ -587,7 +694,7 @@ def test_stacked_rows_match_each_kernels_stack_of_one(mode, pool, seed, data):
     assert probs.shape == logits.shape == (len(kernels), n)
     votes = []
     for kernel, prob, logit in zip(kernels, probs, logits):
-        one_prob, one_logit = kernel.forward_rows(X)
+        (one_prob,), (one_logit,) = lstm.forward_stack([kernel], X)
         votes.append(np.where(one_prob >= 0.5, 1, -1))
         assert np.array_equal(prob >= 0.5, one_prob >= 0.5)
         if logit.tobytes() == one_logit.tobytes():
@@ -702,8 +809,8 @@ def test_one_step_kernel_runs_rows_of_one_step_only():
     for width in (6, 2):
         with pytest.raises(ValueError, match="forward: a one-step kernel"):
             kernel.forward(np.zeros(width))
-        with pytest.raises(ValueError, match=r"forward_rows: need an \(N, 3\) matrix"):
-            kernel.forward_rows(np.zeros((4, width)))
+        with pytest.raises(ValueError, match=r"forward_stack: need an \(N, 3\) matrix"):
+            lstm.forward_stack([kernel], np.zeros((4, width)))
     with pytest.raises(ValueError, match="unknown array 'U_input'"):
         PackedLstm.from_arrays(3, 2, {"U_input": np.zeros((2, 2))}, one_step=True)
     with pytest.raises(ValueError, match="unknown array 'b_forget'"):
@@ -737,7 +844,7 @@ def test_step_zero_reads_no_forget_gate_parameter_and_no_u(dim, hidden):
             four.arrays[key][...] = np.nan
         X = rng.uniform_array((7, dim), -2.0, 2.0)
         X[case % 2::2, rng.randint(0, dim - 1)] = 0.0  # exact zeros, whose products may be -0.0
-        for a, b in zip(four.forward_rows(X), one.forward_rows(X)):
+        for a, b in zip(lstm.forward_stack([four], X), lstm.forward_stack([one], X)):
             assert a.tobytes() == b.tobytes()
         x, y, w = X[case], rng.randint(0, 1), rng.uniform(0.5, 2.0)
         assert np.float64(four.forward(x)).tobytes() == np.float64(one.forward(x)).tobytes()

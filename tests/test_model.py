@@ -16,7 +16,7 @@ from vrboost import data as data_mod
 from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.cli import main
 from vrboost.data import N_FEATURES, NUMERIC_FEATURE_INDICES, Standardizer, TargetSpec
-from vrboost.lstm import PackedLstm, TrainConfig, param_keys
+from vrboost.lstm import PackedLstm, TrainConfig, forward_stack, param_keys
 from vrboost.model import ModelBundle, load_model, save_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,8 +123,8 @@ def test_v1_dead_arrays_do_not_change_a_logit(mode):
         full = PackedLstm.from_arrays(
             learner["input_dim"], learner["hidden_dim"],
             {k: np.array(v, dtype=float) for k, v in learner["arrays"].items()})
-        want = full.forward_rows(X)[1]
-        got = r.learner.kernel.forward_rows(X)[1]
+        want = forward_stack([full], X)[1]
+        got = forward_stack([r.learner.kernel], X)[1]
         assert got.tobytes() == want.tobytes()
 
 
