@@ -62,38 +62,39 @@ kernel's Trace, which backward() reads: gates (T, 4H) holds each step's
 [f, i, o, 1] (f[0] stays 1), mult (T+1, 4H) its [c_prev, g, tanh(c), i] and
 h (T+1, H) the hidden states from h_0 = 0. At D=1 the input products of all
 T steps are one multiply. backward() first forms [1-f, 1-i, 1-o, 1-g^2,
-1-tanh(c)^2] for all steps, then per step builds dpre from
-[dc, dc, dh, dc] * mult[t], * gates[t] and * those factors, which is the
-reference's association, ((dc*c_prev)*f)*(1-f) and so on, and the next dc as
-dc*f + (dh*o)*(1-tanh(c)^2). The last step's dc is (dh*o)*(1-tanh(c)^2)
-itself, where the reference adds it to a zero dc: again only the sign of a
-zero can differ. It keeps
-dpre's rows in a (T, 4H) buffer, row k holding step T-1-k. The W, b and U
-gradients are then one axis-0 np.add.reduce each over those rows (times
-x_t or h_prev for W and U), with initial=0.0. These reductions are exact:
-an axis-0 reduction of a C-contiguous array adds its rows one after the
-other, so each entry is 0.0 + s_{T-1} + ... + s_0, the reference's
-accumulation into a zeroed gradient in its reverse loop. Starting from
-+0.0, not from the first row, keeps a sum of -0.0 products (x_t = 0.0, as
-in unrolled mode's one-hot steps) at +0.0; numpy's add reduction also starts
-there by default, and initial=0.0 states it; a closing grad += 0.0 gives
-the head's gradient, and a one-step kernel's, the same +0.0 start.
-dh_prev = sum_g U_g^T dpre_g stays per step and per gate.
+1-tanh(c)^2] for all steps. Its reverse loop multiplies only contiguous
+vectors of one length, broadcasting none, through one 5H buffer
+E = [dc, dc, dh, dc, dc]. Step t's dpre row is mult[t] * E[:4H] =
+[c_prev*dc, g*dc, tanh(c)*dh, i*dc], times gates[t], times its factors;
+step 0's, from the input gate on, is mult[0, H:] * E[H:4H]. dh_prev =
+sum_g U_g^T dpre_g, per step and per gate, goes into E[2H:3H]. E[2H:] times
+gates' flat window [o_{t-1}, 1, f_t] (see Trace) is [dh*o_{t-1}, dc,
+dc*f_t]; its first block times 1-tanh(c_{t-1})^2, plus its last, is step
+t-1's dc, copied into E's dc blocks. These are the reference's operations
+in its association, ((dc*c_prev)*f)*(1-f), dc*f + (dh*o)*(1-tanh(c)^2) and
+so on, with at most a product's or a sum's two operands swapped, which IEEE
+arithmetic gives the same bits; the candidate block's factor 1 is exact.
+The last step's dc is (dh*o)*(1-tanh(c)^2) itself, where the reference
+adds it to a zero dc: only the sign of a zero can differ. dpre's rows stay
+in a (T, 4H) buffer, row k holding step T-1-k, and the W, b and U gradients
+are one axis-0 np.add.reduce each over those rows (times x_t or h_prev for
+W and U), with initial=0.0. These reductions are exact: an axis-0
+reduction of a C-contiguous array adds its rows one after the other, so
+each entry is 0.0 + s_{T-1} + ... + s_0, the reference's accumulation into
+a zeroed gradient in its reverse loop. Starting from +0.0 keeps a sum of
+-0.0 products (x_t = 0.0, as in unrolled mode's one-hot steps) at +0.0, and
+a closing grad += 0.0 gives the head's gradient, and a one-step kernel's,
+the same start, so no gradient entry is -0.0 and the sign of a zero in
+dpre reaches none.
 
 The stack of one, forward_stack([kernel], X), is not bit-identical, for the
 same reason: a row of a gemm is not summed like a per-row gemv. Drift
 policy: a row's stack-of-one logit is within ROW_LOGIT_DRIFT * (sum|w_head|
 + |b_head|), with ROW_LOGIT_DRIFT = 16 eps, of its forward() logit, and
-equal logits give equal probabilities through the same sigmoid. Measured:
-over 56,000 learner-rows of 16 trained models (8 seeds, both sequence
-modes) 58% of logits were bit-equal, the
-largest difference was 1.1e-16 (0.21 eps * (sum|w_head| + |b_head|)) and the
-smallest |logit| 3.3e-6; over 36,000 rows of initial and uniform(-1.5, 1.5)
-cells with H from 1 to 32 the largest was 1.52 eps * (sum|w_head| + |b_head|).
-A vote (probability >= 0.5) can only differ for a row whose logit lies
-within the bound of 0; none did, and train, predict and evaluate wrote
-byte-identical files to the per-row path on all 16 of those runs.
-tests/test_lstm_kernel.py asserts the bound and the votes.
+equal logits give equal probabilities through the same sigmoid. A vote
+(probability >= 0.5) can only differ for a row whose logit lies within the
+bound of 0. tests/test_lstm_kernel.py asserts the bound and the votes;
+README's "Where the time goes" gives the measured drift.
 
 The stacked scorer. forward_stack() scores the rows of X under K kernels
 at once, which is how an ensemble votes: kernels of one shape are stacked
@@ -110,20 +111,11 @@ gate dimension, and a gemm above a size threshold makes OpenBLAS start its
 threads, whose CPU time adds up with the caller's. Shrunk so, no gemm is
 larger than one kernel's at SCORE_BLOCK_ROWS, the size scoring has always
 run; a stack holds at most SCORE_BLOCK_ROWS kernels, so a block has a row
-at least. (On a 2-core VM with OpenBLAS 0.3.31, a 9-kernel stack at H=16
-in 256-row blocks took 1.76-1.87 ms of process CPU time per 1000-row
-ensemble_predict, about its wall time, against 1.71-1.75 ms in 28-row
-blocks: that build kept one thread, and the rule bounds the gemm for any
-build and core count.) A stacked logit is bit-equal to the kernel's own
-stack-of-one logit when BLAS sums its row alike in both blocks. A row's
-sum can depend on where the row sits in its block and on the block's
-length, so the stacked logits fall under the drift policy above. Measured
-against each kernel's stack of one: 2.3% of 773,090 rows of 120 stacks
-of uniform(-1.5, 1.5) cells (K from 1 to 12, H from 1 to 32, both forms)
-and 0.6% of 144,189 rows of 5 trained models were not bit-equal, the
-largest difference 1.42 eps * (sum|w_head| + |b_head|), and no vote
-differed; train, predict and evaluate wrote the files of the per-kernel
-path.
+at least; the rule bounds the gemm for any BLAS build and core count. A
+stacked logit is bit-equal to the kernel's own stack-of-one logit when BLAS
+sums its row alike in both blocks. A row's sum can depend on where the row
+sits in its block and on the block's length, so the stacked logits fall
+under the drift policy above.
 
 The clip guard. clip_and_update() clips by the exact ordered norm: the
 squares of grad, each key's own pairwise sum, the sums added in
@@ -146,31 +138,31 @@ included, takes the exact path as it was. The flag and theta thus never
 depend on q's order, and no artifact sees it.
 
 The fixed cost of a step. Per-example SGD is sequential, so an update costs
-about its number of numpy calls times a call's fixed cost, and the step is
-cut to fewer and cheaper calls that keep every float operation and its
-order. A kernel binds its step once per row width, when it builds the Trace
-(_bind_step): forward and backward are closures over the trace's views, the
-parameter and gradient views and the work buffers, with the row's shape
-settled into flags. A call reads no attribute but the trace's x and prob,
-unpacks no per-call tuple, and calls its ufuncs by local names with the
-output passed positionally (numerics' positional-out rule); a copy is a
-slice assignment, not np.copyto, whose Python dispatch took 0.16 us against
-0.05 us. PackedLstm.forward() checks the row's width and calls the bound
-forward, and backward() the bound backward, so grad_check, the tests and
-train_weak_learner, which takes the bound pair once per learner and drops
-it with the trace, run one code. The gate sigmoids call
-numerics.sigmoid_core with pre-built (2, n) work buffers: min(z, 0) and -|z|
-are written side by side and one exp takes both, with no checks on the way.
-A constant operand is a 0-d array (numerics' 0-d operand rule), as are
-dL/dlogit and the learning rate. The head logit is w_head.dot(h_T), the ddot
-that `@` reaches without matmul's dispatch; weighted_loss takes only its
-label's log, and the training loop takes its rows as one list of views per
-learner. So one update makes six Python calls at T = 1: forward,
-sigmoid_core, the head's sigmoid, weighted_loss, backward and
-clip_and_update. On a 2-core VM at H=16, D=9 (medians of 10 alternating runs
-of train_weak_learner on 350 rows, 6 epochs one-step and 1 unrolled) a
-one-step update went from 11.4 to 9.4 us and an unrolled one from 81.9 to
-72.9 us.
+about its number of numpy calls times a call's fixed cost; the step makes
+few and cheap calls and keeps every float operation and its order. A kernel
+binds its step once per row width, when it builds the Trace (_bind_step),
+and its clip and update once, on the first update (_bind_update): closures
+over the views of the trace, the parameters, the gradient and the work
+buffers, with the row's shape settled into flags. A call reads no attribute
+but the trace's x and prob, unpacks no per-call tuple, and calls its ufuncs
+by local names with the output passed positionally (numerics'
+positional-out rule); a copy is a slice assignment, not np.copyto, whose
+Python dispatch costs more than the copy. The closures hold arrays and
+floats, never the kernel, so a kernel and its closures form no reference
+cycle. PackedLstm.forward() checks the row's width and calls the bound
+forward, backward() the bound backward and clip_and_update() the bound
+update, so grad_check, the tests and train_weak_learner, which takes the
+three once per learner and drops the trace and step at its end, run one
+code. The gate sigmoids call numerics.sigmoid_core with pre-built (2, n)
+work buffers: min(z, 0) and -|z| are written side by side and one exp takes
+both, with no checks on the way. A constant operand is a 0-d array
+(numerics' 0-d operand rule), as are dL/dlogit and the learning rate. The
+head logit is w_head.dot(h_T), the ddot that `@` reaches without matmul's
+dispatch; weighted_loss takes only its label's log, and the training loop
+takes its rows as one list of views per learner. So one update makes six
+Python calls at T = 1: forward, sigmoid_core, the head's sigmoid,
+weighted_loss, backward and the update. README's "Where the time goes"
+gives the measured costs.
 """
 
 import functools
@@ -353,6 +345,10 @@ class Trace:
     factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
     dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k; the
     forget block of step 0's row stays 0.
+
+    gates is C-contiguous, so row t-1's o block lies 2H entries before row
+    t's f block, with row t-1's ones between: its flat entries 4Ht-2H ..
+    4Ht+H are [o_{t-1}, 1, f_t], the window that backward() reads.
     """
 
     def __init__(self, hidden_dim: int, steps: int):
@@ -376,15 +372,12 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     bodies of PackedLstm.forward() and backward() for rows of trace.steps
     steps, without forward()'s width check.
 
-    Every view a step reads or writes, of the kernel's parameters and
-    gradient and of trace's buffers, and every work buffer, is taken here
-    once, and so is each choice the row's shape makes. A call then makes its
-    numpy calls and reads no attribute but trace's x and prob; the ufuncs are
-    local names and take their output positionally (numerics' positional-out
-    rule). Step 0, the one-step cell, is written out in both closures; the
-    later steps run in a loop over their views, which is empty at T = 1. The
-    closures hold no reference to the kernel and trace none to them, so
-    dropping kernel.trace and kernel._step frees them and the buffers.
+    Every view a step reads or writes and every work buffer is taken here
+    once, and so is each choice the row's shape makes (the module
+    docstring's fixed cost of a step). Step 0, the one-step cell, is written
+    out in both closures; the later steps run in a loop over their views,
+    empty at T = 1. The closures hold no reference to the kernel and trace
+    none to them, so dropping kernel.trace and kernel._step frees them.
     """
     add, multiply, subtract, square, tanh, matmul, add_reduce = (
         np.add, np.multiply, np.subtract, np.square, np.tanh, np.matmul, np.add.reduce)
@@ -394,8 +387,7 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     W3, b, w_head, b_head = kernel._W3, kernel.b, kernel.w_head, kernel.b_head
     pre, gates, mult, h, factors, dpre = (trace.pre, trace.gates, trace.mult, trace.h,
                                           trace.factors, trace.dpre)
-    f, i, o, c, g, tanh_c, h_last = (trace.f, trace.i, trace.o, trace.c, trace.g, trace.tanh_c,
-                                     trace.h_last)
+    i, o, c, g, tanh_c, h_last = trace.i, trace.o, trace.c, trace.g, trace.tanh_c, trace.h_last
     U3 = kernel._U3
     UT3 = None if one_step else U3.transpose(0, 2, 1)
     # D=1: W_g x_t is x_t times W's column, so the input products of all T
@@ -440,8 +432,8 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
             if not all_inputs:
                 matmul(W3, x[xt], z4)
             matmul(U3, h_prev, uh)
-            z4 += uh  # (W x + U h) + b, the reference's order
-            z += b
+            add(z4, uh, z4)  # (W x + U h) + b, the reference's order
+            add(z, b, z)
             sigmoid_core(z_sig, sig, work, low, neg)
             tanh(z_cand, g_t)
             multiply(fi, cg, fc_ig)  # [f, i] * [c_prev, g]
@@ -460,25 +452,31 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     sig_all, one_minus_sig = gates[:, :n_sig], factors[:, :n_sig]
     g_tanh_c, one_minus_sq, mult_i = (mult[:steps, h_dim:n_sig], factors[:, n_sig:],
                                       mult[:steps, n_sig:])
-    dh, dc, ddc = np.empty(h_dim), np.empty(h_dim), np.empty(h_dim)
+    # the multipliers [dc, dc, dh, dc, dc]: E[:4H] pairs with a mult row,
+    # E[H:4H] with step 0's, E[2H:] with a gates window (see the module docstring)
+    E = np.empty(5 * h_dim)
+    dc, dc1, dh, dc3, dc4 = (E[k * h_dim:(k + 1) * h_dim] for k in range(5))
+    E_row, E_step0, E_window = E[:4 * h_dim], E[h_dim:4 * h_dim], E[2 * h_dim:]
+    # [dh*o_prev, dc, dc*f] of one step
+    dc_terms = np.empty(3 * h_dim)
+    dho, dcf = dc_terms[:h_dim], dc_terms[2 * h_dim:]
     ud = np.empty((4, h_dim, 1))
     ud_rows = ud[..., 0]
     # dc of step T-1 is (dh*o)*(1-tanh(c)^2) of its o and factor views
     o_last, one_minus_tc2_last = o[steps - 1], factors[steps - 1, 4 * h_dim:]
+    flat_gates = gates.reshape(-1)
     backward_steps = []  # steps T-1 .. 1, in backward()'s unpacking order
     for t in range(steps - 1, 0, -1):
         row = dpre[steps - 1 - t]
-        # with f, and step t-1's o and 1-tanh(c)^2, which form that step's dc
+        # with [o_{t-1}, 1, f_t] and step t-1's 1-tanh(c)^2, which form that step's dc
         backward_steps.append((
-            tanh_c[t], mult[t].reshape(4, h_dim), gates[t], factors[t, :4 * h_dim], row,
-            row.reshape(4, h_dim), row[2 * h_dim:n_sig], row.reshape(4, h_dim, 1), f[t],
-            o[t - 1], factors[t - 1, 4 * h_dim:]))
+            mult[t], gates[t], factors[t, :4 * h_dim], row, row.reshape(4, h_dim, 1),
+            flat_gates[4 * h_dim * t - 2 * h_dim:4 * h_dim * t + h_dim],
+            factors[t - 1, 4 * h_dim:]))
     # step 0's views start at the input gate
-    row0 = dpre[steps - 1]
-    dp0 = row0[h_dim:]
-    m0, s0, one_minus0 = (mult[0, h_dim:].reshape(3, h_dim), gates[0, h_dim:],
-                          factors[0, h_dim:4 * h_dim])
-    dp0_3, dp0_o, dp0_col = dp0.reshape(3, h_dim), row0[2 * h_dim:n_sig], dp0[:, None]
+    dp0 = dpre[steps - 1, h_dim:]
+    m0, s0, one_minus0 = mult[0, h_dim:], gates[0, h_dim:], factors[0, h_dim:4 * h_dim]
+    dp0_col = dp0[:, None]
     if not one_step:
         # the outer products each gradient sums, written in dpre's row order
         dpre_cols = dpre[:, :, None]
@@ -497,22 +495,20 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
         multiply(dlogit, w_head, dh)
         multiply(dh, o_last, dc)
         multiply(dc, one_minus_tc2_last, dc)
-        for tanh_c_t, m4, s, one_minus, dp, dp4, dp_o, dp3, f_t, o_prev, one_minus_tc2_prev \
-                in backward_steps:
-            multiply(m4, dc, dp4)
-            multiply(dh, tanh_c_t, dp_o)  # the output gate's block takes dh
-            dp *= s
-            dp *= one_minus
+        dc1[...] = dc3[...] = dc4[...] = dc
+        for m, s, one_minus, dp, dp3, window, one_minus_tc2_prev in backward_steps:
+            multiply(m, E_row, dp)  # [c_prev*dc, g*dc, tanh(c)*dh, i*dc]
+            multiply(dp, s, dp)
+            multiply(dp, one_minus, dp)
             # dh and dc of step t-1: U_g.T @ d_g per gate, added to zeros in GATES order
             matmul(UT3, dp3, ud)
             add_reduce(ud_rows, axis=0, initial=0.0, out=dh)
-            multiply(dc, f_t, dc)
-            multiply(dh, o_prev, ddc)
-            multiply(ddc, one_minus_tc2_prev, ddc)
-            add(dc, ddc, dc)  # dc*f + (dh*o)*(1-tanh(c)^2)
+            multiply(E_window, window, dc_terms)
+            multiply(dho, one_minus_tc2_prev, dho)
+            add(dcf, dho, dc)  # dc*f + (dh*o)*(1-tanh(c)^2)
+            dc1[...] = dc3[...] = dc4[...] = dc
         # step 0 forms no dh_prev, which is never used
-        multiply(m0, dc, dp0_3)
-        multiply(dh, tanh_c0, dp0_o)
+        multiply(m0, E_step0, dp0)  # [g*dc, tanh(c)*dh, i*dc]
         multiply(dp0, s0, dp0)
         multiply(dp0, one_minus0, dp0)
         if one_step:  # one row, so each sum is its one term
@@ -539,30 +535,25 @@ class PackedLstm:
     layout. `arrays` holds the param_keys() views of theta: W_<gate> (H, D),
     U_<gate> (H, H), b_<gate> (H,), w_head (H,) and b_head (1,), which is
     what a model file stores; `grads` holds the same per-key views of grad,
-    and `trace` the Trace of the last forward(), which backward() differentiates;
-    both run the step bound over it (_bind_step).
+    and `trace` the Trace of the last forward(), which backward()
+    differentiates, both through the step bound over it (_bind_step).
 
-    Step 0 of every row is the one-step cell (see the module docstring), so
-    it reads neither the forget gate's parameters nor any U. A one-step
-    kernel (one_step=True) runs rows of that one step only and holds only
-    what they read: W (3H, D) and b (3H) of ONE_STEP_GATES and the head,
-    3H(D + 1) + H + 1 entries, with param_keys(one_step=True) as its arrays.
-    Its backward() closes without the sums over steps: its one dpre row is
-    the b gradient and dpre x^T the W gradient.
+    A one-step kernel (one_step=True) runs rows of one step only and holds
+    only what step 0 reads (see the module docstring): W (3H, D) and b (3H)
+    of ONE_STEP_GATES and the head, with param_keys(one_step=True) as its
+    arrays.
 
     Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
     forward() returns the probability its forward_sequence() returns,
     backward() writes the gradient its backward() returns, and
     clip_and_update() clips by the norm of the dict of per-key gradients,
-    summed in param_keys() order; an update whose grad.dot(grad) lies more
-    than delta = 4(n + 2) 2^-53 below max_norm^2 skips that norm, which
-    then cannot exceed max_norm (see the module docstring), so its flag and
-    update are the norm's. Every entry sees the
-    same floating-point operations in the same order; only the number of
-    numpy calls differs. A one-step kernel's entries equal the reference's
-    live entries; the reference's dead gradients are exact zeros, so its
-    dead parameters keep their initial values and its clip norm adds only
-    +0.0 for them.
+    summed in param_keys() order, or skips that norm where it cannot exceed
+    max_norm (the module docstring's clip guard). Every entry sees the
+    reference's floating-point operations in its order, up to the two
+    operands of a product or a sum; only the number of numpy calls differs.
+    A one-step kernel's entries equal the reference's live entries; the
+    reference's dead gradients are exact zeros, so its dead parameters keep
+    their initial values and its clip norm adds only +0.0 for them.
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, one_step: bool = False):
@@ -584,18 +575,17 @@ class PackedLstm:
     @functools.cached_property
     def grad(self) -> np.ndarray:
         """The gradient vector, zero until backward(). Built on first use, when
-        the first forward() binds the step, with clip_and_update()'s work
-        buffer, as scoring reads neither."""
-        d, h, one_step = self.input_dim, self.hidden_dim, self.one_step
-        grad, self._work = np.zeros(self.theta.size), np.zeros(self.theta.size)
-        # squared gradient, then lr * gradient; one row per gate, so one
-        # reduction gives the per-key sums of each kind
-        sW, sU, sb, self._sq_w_head, self._sq_b_head = _named_blocks(self._work, d, h, one_step)
-        self._sq_gates = tuple(block.reshape(len(self._W3), -1) for block in (sW, sU, sb)
-                               if block is not None)
+        the first forward() binds the step, as scoring never reads it."""
+        grad = np.zeros(self.theta.size)
         # 1 - delta: the margin below max_norm^2 where the quick sum decides
         self._clip_keep = 1.0 - 4 * (grad.size + 2) * 2.0 ** -53
         return grad
+
+    @functools.cached_property
+    def _update(self):
+        """clip_and_update()'s body bound over theta and grad (_bind_update),
+        built on the first update."""
+        return _bind_update(self)
 
     @functools.cached_property
     def grads(self) -> dict:
@@ -652,12 +642,9 @@ class PackedLstm:
 
         Returns the probability of class 1 and records the row in self.trace.
         The row's width is checked, and the trace and the step bound over it
-        rebuilt, only when the width changes. Step 0 is the one-step cell. At
-        D=1 every step's input product W_g x_t is one product per entry, so
-        all T are taken at once (step 0's forget entries among them, never
-        read); at D>1 each step makes the per-gate W_g @ x_t. Raises
-        ValueError when x is empty or its length is not a multiple of D, or
-        not D for a one-step kernel.
+        rebuilt, only when the width changes. Raises ValueError when x is
+        empty or its length is not a multiple of D, or not D for a one-step
+        kernel.
         """
         trace = self.trace
         if trace is None or len(x) != len(trace.x):
@@ -666,58 +653,69 @@ class PackedLstm:
         return self._step[0](x)
 
     def backward(self, y: int, w: float) -> None:
-        """BPTT of weighted_loss of the last forward() into self.grad, from self.trace.
-
-        The factors that do not depend on dh or dc are formed for all T steps
-        before the reverse loop, which then does only the recurrent work: dc,
-        the four gates' dpre from [dc, dc, dh, dc] times the multiplier row
-        [c_prev, g, tanh(c), i], then times [f, i, o, 1] and
-        [1-f, 1-i, 1-o, 1-g^2], and dh_prev = sum_g U_g^T dpre_g. Step 0, the
-        one-step cell, forms the input, output and candidate blocks only and
-        no dh_prev, which is never used. The loop keeps each dpre row; W, b
-        and U gradients are one reduction each afterwards (see the module
-        docstring). A one-step kernel's one row needs no sums: its dpre is
-        the b gradient and dpre x^T the W gradient.
-        """
+        """BPTT of weighted_loss of the last forward() into self.grad, from
+        self.trace, as the module docstring's time-batched BPTT lays it out."""
         self._step[1](y, w)
 
     def clip_and_update(self, lr: float, max_norm: float) -> bool:
         """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
 
         lr is a float or a 0-d float64 array, which numpy takes with less
-        overhead (see numerics); train_weak_learner passes each epoch's rate
-        as one. Returns whether the gradient was clipped. One dot product,
-        grad.dot(grad), decides most updates: below max_norm^2 * _clip_keep
-        the exact ordered norm cannot exceed max_norm (see the module
-        docstring), so the update needs no norm. Otherwise, and when
-        max_norm^2 may not be a normal float, the exact norm decides, summed
-        as the reference sums it.
+        overhead (see numerics). Returns whether the gradient was clipped.
+        grad.dot(grad) below max_norm^2 * _clip_keep decides most updates
+        unclipped; otherwise the exact ordered norm decides (the module
+        docstring's clip guard).
         """
-        grad = self.grad  # first: building grad builds _work
-        sq = self._work
-        if (_CLIP_GUARD_MIN <= max_norm <= _CLIP_GUARD_MAX
-                and grad.dot(grad) < max_norm * max_norm * self._clip_keep):
-            np.multiply(grad, lr, sq)
-            self.theta -= sq
-            return False
-        np.multiply(grad, grad, out=sq)
+        return self._update(lr, max_norm)
+
+
+def _bind_update(kernel: PackedLstm):
+    """kernel.clip_and_update() over kernel's theta and grad, as one
+    closure update(lr, max_norm) -> clipped: the quick path, which calls
+    the exact path's closure when the quick sum cannot decide.
+
+    The closures hold arrays and floats only, never the kernel or one of its
+    bound methods: kernel._update holds them, so that would be a reference
+    cycle, which only the garbage collector frees.
+    """
+    multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
+    theta, grad, keep = kernel.theta, kernel.grad, kernel._clip_keep  # building grad sets keep
+    dot, low, high = grad.dot, _CLIP_GUARD_MIN, _CLIP_GUARD_MAX
+    sq = np.zeros(theta.size)  # the squared gradient, then lr * gradient
+    # one row per gate, so one reduction gives the per-key sums of each kind
+    sW, sU, sb, sq_w_head, sq_b_head = _named_blocks(sq, kernel.input_dim, kernel.hidden_dim,
+                                                     kernel.one_step)
+    sq_gates = tuple(block.reshape(len(kernel._W3), -1) for block in (sW, sU, sb)
+                     if block is not None)
+
+    def exact(lr, max_norm):
+        multiply(grad, grad, sq)
         # each key's own pairwise sum, added in param_keys() order: W, U, b
         # (W, b one-step) per gate, then the head (b_head's sum is its single
         # square). A one-step kernel's missing keys would add +0.0.
-        sums = [np.add.reduce(block, axis=1).tolist() for block in self._sq_gates]
+        sums = [add_reduce(block, axis=1).tolist() for block in sq_gates]
         total = 0.0
         for per_gate in zip(*sums):
             for s in per_gate:
                 total += s
-        total += float(np.add.reduce(self._sq_w_head))
-        total += float(self._sq_b_head[0])
+        total += float(add_reduce(sq_w_head))
+        total += float(sq_b_head[0])
         norm = math.sqrt(total)
         clipped = norm > max_norm
         if clipped:
-            self.grad *= max_norm / norm
-        np.multiply(self.grad, lr, out=sq)
-        self.theta -= sq
+            multiply(grad, max_norm / norm, grad)
+        multiply(grad, lr, sq)
+        subtract(theta, sq, theta)
         return clipped
+
+    def update(lr, max_norm):
+        if low <= max_norm <= high and dot(grad) < max_norm * max_norm * keep:
+            multiply(grad, lr, sq)
+            subtract(theta, sq, theta)
+            return False
+        return exact(lr, max_norm)
+
+    return update
 
 
 def block_rows(stack_size: int) -> int:
@@ -913,12 +911,12 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     curve = LossCurve()
     rows = list(X)  # the row views, taken once and not per update
     forward, backward = kernel._bind(X.shape[1] // input_dim)  # rows of one width
-    trace, clip_and_update, max_norm = kernel.trace, kernel.clip_and_update, cfg.grad_clip
+    trace, update, max_norm = kernel.trace, kernel._update, cfg.grad_clip
     # an overflow is caught by the checks below, not printed as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):
             lr = learning_rate(cfg, epoch)
-            step_lr = np.array(lr)  # a 0-d operand for clip_and_update
+            step_lr = np.array(lr)  # a 0-d operand for the update
             order = list(range(n))
             rng.shuffle(order)
             epoch_losses = []
@@ -928,7 +926,7 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
                 if not math.isfinite(trace.logit):
                     raise TrainingError(f"non-finite head logit at epoch {epoch}, example {idx}")
                 backward(y, w)
-                clip_and_update(step_lr, max_norm)
+                update(step_lr, max_norm)
             curve.losses.append(math.fsum(epoch_losses) / n)
             curve.learning_rates.append(lr)
     if not np.all(np.isfinite(kernel.theta)):  # the last updates' overflow, which no logit saw

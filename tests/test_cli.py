@@ -437,7 +437,7 @@ def test_predict_leaves_loaded_kernels_without_gradient_buffers(tmp_path, traine
     kernels = [r.learner.kernel for r in loaded[0].ensemble.rounds]
     assert kernels
     for kernel in kernels:
-        assert not {"grad", "grads", "_work"} & set(vars(kernel))
+        assert not {"grad", "grads", "_update"} & set(vars(kernel))
 
 
 # --- load-time model validation ---------------------------------------------

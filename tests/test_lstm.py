@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lstm_oracle import LstmState, copied, forward_sequence, forward_step, oracle_train
+from vrboost import lstm
 from vrboost.errors import TrainingError, UsageError
 from vrboost.lstm import (GATES, PROB_CLAMP, PackedLstm, TrainConfig, grad_check,
                           init_params, learning_rate, param_keys,
@@ -409,15 +410,21 @@ def test_training_reports_a_head_logit_that_overflows(mode):
 
 
 def test_a_parameter_that_overflows_in_the_last_update_is_a_training_error(monkeypatch):
-    # no forward() follows the last update, so no logit can report it
-    update = PackedLstm.clip_and_update
+    # no forward() follows the last update, so no logit can report it; the
+    # training loop calls the update the kernel binds (lstm._bind_update)
+    bind = lstm._bind_update
 
-    def overflowing(self, lr, max_norm):
-        clipped = update(self, lr, max_norm)
-        self.theta[0] = np.inf
-        return clipped
+    def overflowing_bind(kernel):
+        update, theta = bind(kernel), kernel.theta
 
-    monkeypatch.setattr(PackedLstm, "clip_and_update", overflowing)
+        def overflowing(lr, max_norm):
+            clipped = update(lr, max_norm)
+            theta[0] = np.inf
+            return clipped
+
+        return overflowing
+
+    monkeypatch.setattr(lstm, "_bind_update", overflowing_bind)
     X, labels = _toy_examples(1, 2)
     with pytest.raises(TrainingError, match="non-finite parameter after the last update"):
         train_weak_learner(X, labels, np.ones(1), TrainConfig(max_epochs=1, hidden_dim=2), 2)

@@ -335,6 +335,32 @@ def test_training_frees_its_trace_and_bound_step(monkeypatch):
     assert [kernel.one_step for kernel in kernels] == [True, False]
 
 
+def test_a_dropped_kernel_is_freed_by_reference_counts():
+    # kernel._update holds the bound update, closures over the kernel's
+    # arrays: one that held the kernel or a bound method of it would make a
+    # cycle, which only the collector frees, so every learner a training ends
+    # with would outlive its last reference until a collection
+    X, labels = _examples(10, 9, 2)
+    refs = []
+    gc.disable()
+    try:
+        for input_dim in (9, 1):
+            kernel, _ = train_weak_learner(X, labels, np.ones(10),
+                                           TrainConfig(max_epochs=1, hidden_dim=4), input_dim)
+            refs.append(weakref.ref(kernel))
+            del kernel
+        kernel = init_params(9, 4, Rng(3))
+        kernel.forward(X[0])
+        kernel.backward(1, 1.0)
+        assert not kernel.clip_and_update(0.1, 1e6)  # the quick sum decides
+        assert kernel.clip_and_update(0.1, 1e-6)  # the exact norm decides and clips
+        refs.append(weakref.ref(kernel))
+        del kernel
+        assert [ref() for ref in refs] == [None] * 3
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("input_dim,frames", [(9, 6), (1, 14)])
 def test_an_sgd_update_makes_only_its_python_calls(input_dim, frames):
     # an update's Python frames: the bound forward, one sigmoid_core per step
@@ -361,6 +387,29 @@ def test_an_sgd_update_makes_only_its_python_calls(input_dim, frames):
     assert not two - three
     update = three - two
     assert sum(update.values()) == frames, update
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.integers(1, 9), dim=st.sampled_from([1, 2, 9]), hidden=st.integers(1, 16),
+       seed=st.integers(0, 2 ** 32 - 1), y=st.integers(0, 1), w=st.floats(0.1, 3.0),
+       data=st.data())
+def test_backward_equals_oracle_bytes_at_every_step_count(steps, dim, hidden, seed, y, w, data):
+    # backward() reads dc * f_t and dh * o_{t-1} through one window of the
+    # flat gates buffer at every step t >= 1; saturated gates (|x| up to 30)
+    # and exact zeros make +-0.0 factors, whose sign a gradient byte shows
+    one_step = data.draw(st.booleans()) if steps == 1 else False
+    x = data.draw(arrays(np.float64, steps * dim,
+                         elements=st.one_of(st.just(0.0), st.floats(-30.0, 30.0))))
+    kernel = init_params(dim, hidden, Rng(seed), one_step)
+    params = four_gate(kernel)
+    want_prob, cache = forward_sequence(params, list(x.reshape(-1, dim)))
+    want = backward(params, cache, y, w)
+    assert kernel.forward(x) == want_prob
+    kernel.backward(y, w)
+    _assert_same_bits(kernel.grads, {key: want[key] for key in kernel.grads})
+    dead = [key for key in param_keys() if key not in kernel.grads]
+    _assert_same_bits({key: want[key] for key in dead},
+                      {key: np.zeros_like(want[key]) for key in dead})
 
 
 def _placed(X, row_offset):
