@@ -191,10 +191,9 @@ def write_lines(path, lines) -> None:
     the old name is unlinked, the path is created afresh with O_EXCL, and
     the new file gets the old one's group and exact permission bits. ext4
     with its default `auto_da_alloc` flushes a file truncated to zero when
-    it is closed; on a 2-vCPU VM that made a 600-byte rewrite cost about
-    50 ms of wall time and 0.3 ms of CPU, against 0.01 ms of both for unlink
-    and create. A reader that has the old file open keeps reading the whole
-    old file.
+    it is closed, which makes a small rewrite wait on the disk (README's
+    "Where the time goes" gives the cost); an unlink and a create do not. A
+    reader that has the old file open keeps reading the whole old file.
 
     Every other case takes the truncating open(path, "w"): no file at the
     path, a symlink (its target is written), a hard-linked file, a file of

@@ -50,7 +50,8 @@ sequence mode.
 
 forward() and backward() are bit-identical to the per-gate reference cell
 kept in tests/lstm_oracle.py: same probabilities, gradients and trained
-parameters to the last bit (tests/test_lstm_kernel.py checks this). Matrix
+parameters to the last bit (tests/test_lstm_kernel.py checks this), and a
+one-step kernel's entries are the reference's live entries. Matrix
 products stay per gate because BLAS sums a row of a stacked product in an
 order that depends on the row's position.
 
@@ -528,32 +529,15 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
 
 
 class PackedLstm:
-    """The cell's parameters in one float64 vector, with the training step.
+    """The cell's parameters in one float64 vector, with the training step
+    (the module docstring gives the layout, the one-step form and the
+    contract with tests/lstm_oracle.py).
 
-    theta holds W (4H, D), U (4H, H) and b (4H), each stacking its gate
-    blocks in GATES order, then w_head (H) and b_head (1); grad has the same
-    layout. `arrays` holds the param_keys() views of theta: W_<gate> (H, D),
-    U_<gate> (H, H), b_<gate> (H,), w_head (H,) and b_head (1,), which is
-    what a model file stores; `grads` holds the same per-key views of grad,
-    and `trace` the Trace of the last forward(), which backward()
-    differentiates, both through the step bound over it (_bind_step).
-
-    A one-step kernel (one_step=True) runs rows of one step only and holds
-    only what step 0 reads (see the module docstring): W (3H, D) and b (3H)
-    of ONE_STEP_GATES and the head, with param_keys(one_step=True) as its
-    arrays.
-
-    Contract: bit-identical to the per-gate reference in tests/lstm_oracle.py.
-    forward() returns the probability its forward_sequence() returns,
-    backward() writes the gradient its backward() returns, and
-    clip_and_update() clips by the norm of the dict of per-key gradients,
-    summed in param_keys() order, or skips that norm where it cannot exceed
-    max_norm (the module docstring's clip guard). Every entry sees the
-    reference's floating-point operations in its order, up to the two
-    operands of a product or a sum; only the number of numpy calls differs.
-    A one-step kernel's entries equal the reference's live entries; the
-    reference's dead gradients are exact zeros, so its dead parameters keep
-    their initial values and its clip norm adds only +0.0 for them.
+    theta is that vector and grad the gradient of the same layout. `arrays`
+    holds the param_keys(one_step) views of theta, which a model file
+    stores, and `grads` the same views of grad; `trace` is the Trace of the
+    last forward(), which backward() differentiates, both through the step
+    bound over it (_bind_step).
     """
 
     def __init__(self, input_dim: int, hidden_dim: int, one_step: bool = False):
@@ -592,30 +576,6 @@ class PackedLstm:
         """The param_keys() views of grad."""
         h = self.hidden_dim
         return _key_views(*_named_blocks(self.grad, self.input_dim, h, self.one_step), h)
-
-    @classmethod
-    def from_arrays(cls, input_dim: int, hidden_dim: int, arrays: dict,
-                    one_step: bool = False) -> "PackedLstm":
-        """A kernel holding a copy of arrays, keyed per param_keys(one_step);
-        the arrays it is not given stay zero.
-
-        Raises ValueError on an unknown key or an array of the wrong shape,
-        before allocating anything, so the dimensions alone never size an
-        allocation that the arrays do not fit.
-        """
-        shapes = array_shapes(input_dim, hidden_dim, one_step)
-        checked = {}
-        for key, arr in arrays.items():
-            if key not in shapes:
-                raise ValueError(f"unknown array {key!r}")
-            arr, shape = np.asarray(arr, dtype=float), shapes[key]
-            if arr.shape != shape:
-                raise ValueError(f"array {key} has shape {arr.shape}, expected {shape}")
-            checked[key] = arr
-        kernel = cls(input_dim, hidden_dim, one_step)
-        for key, arr in checked.items():
-            kernel.arrays[key][...] = arr
-        return kernel
 
     def _steps(self, width: int, need: str) -> int:
         """The steps T of a row of width features: width must be T*D with
@@ -736,6 +696,12 @@ def forward_stack(kernels, X) -> tuple:
     SCORE_BLOCK_ROWS kernels; a shape's first kernel checks the width of X.
     Raises ValueError when X is not an (N, T*D) matrix of that kernel's D,
     or of D itself for a one-step kernel.
+
+    A finite weight can overflow a product to an inf pre-activation, which
+    saturates its gate exactly at the limit (a sigmoid gives 0 or 1, tanh
+    +-1), or an inf logit, whose probability is 0 or 1; numpy's overflow
+    warning is off for that. Its invalid-value warning stays on, so that a
+    NaN still shows.
     """
     X = np.asarray(X, dtype=float)
     logits = np.empty((len(kernels), X.shape[0] if X.ndim == 2 else 0))
@@ -743,10 +709,11 @@ def forward_stack(kernels, X) -> tuple:
     for index, kernel in enumerate(kernels):
         by_shape.setdefault((kernel.input_dim, kernel.hidden_dim, kernel.one_step),
                             []).append(index)
-    for members in by_shape.values():
-        for first in range(0, len(members), SCORE_BLOCK_ROWS):
-            stack = members[first:first + SCORE_BLOCK_ROWS]
-            logits[stack] = _stack_logits([kernels[k] for k in stack], X)
+    with np.errstate(over="ignore"):
+        for members in by_shape.values():
+            for first in range(0, len(members), SCORE_BLOCK_ROWS):
+                stack = members[first:first + SCORE_BLOCK_ROWS]
+                logits[stack] = _stack_logits([kernels[k] for k in stack], X)
     return sigmoid(logits), logits
 
 

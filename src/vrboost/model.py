@@ -8,7 +8,9 @@ lstm.param_keys(one_step=True), an `unrolled` one all 14 param_keys().
 Format v1 (every float as a string of 17 significant digits, all 14 arrays
 per learner) still loads; the arrays a one-step kernel lacks are ignored.
 load_model checks everything scoring relies on, so a model that does not fit
-its data fails before any row is scored.
+its data fails before any row is scored. A learner's arrays have one reader,
+_read_kernel, which builds its kernel or raises the DataError naming the
+array at fault.
 """
 
 import json
@@ -85,7 +87,8 @@ def load_model(path: str) -> ModelBundle:
     reads that form's arrays: a `single` learner's one-step kernel has no
     forget gate, which multiplies a zero cell state, and no U, which
     multiply a zero hidden state. A v2 learner must store exactly those
-    arrays; a v1 learner's others are ignored.
+    arrays; a v1 learner's others are ignored. A round's alpha is checked
+    before its arrays, which _read_kernel reads.
 
     Everything scoring relies on is checked here, so that a model which does
     not fit its data fails before any row is scored: each learner's input
@@ -138,23 +141,12 @@ def load_model(path: str) -> ModelBundle:
             if version == 2 and set(stored) != set(keys):
                 raise DataError(f"round {number}: arrays {sorted(stored)} are not the "
                                 f"{sequence_mode!r} arrays {sorted(keys)}")
-            kernel = _read_kernel(stored, input_dim, hidden_dim, one_step, version)
-            if kernel is None:  # read per key, which names what is wrong
-                arrays = {key: _floats(stored[key], version, f"round {number}: array {key}")
-                          for key in keys}
             alpha = _floats(entry["alpha"], version, f"round {number}: alpha")
             if alpha.shape or not np.isfinite(alpha):
                 raise DataError(f"round {number}: alpha {entry['alpha']!r} is not a finite number")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
-            if kernel is None:
-                try:  # checks every shape before it allocates the kernel
-                    kernel = PackedLstm.from_arrays(input_dim, hidden_dim, arrays, one_step)
-                except ValueError as exc:
-                    raise DataError(f"round {number}: {exc}") from None
-            if not np.all(np.isfinite(kernel.theta)):  # every array, in one check
-                key = next(k for k, arr in kernel.arrays.items() if not np.all(np.isfinite(arr)))
-                raise DataError(f"round {number}: array {key} is not finite")
-            learner.kernel = kernel
+            learner.kernel = _read_kernel(stored, input_dim, hidden_dim, one_step, version,
+                                          number)
             rounds.append(BoostRound(alpha=float(alpha), learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
@@ -183,34 +175,49 @@ _FLOAT_KINDS = {1: {str}, 2: {int, float}}
 
 
 def _read_kernel(stored: dict, input_dim: int, hidden_dim: int, one_step: bool,
-                 version: int):
-    """The kernel of a learner's stored arrays, read in one pass, or None.
+                 version: int, number: int) -> PackedLstm:
+    """The kernel of round number's stored arrays; raises DataError naming
+    the array at fault.
 
-    The arrays' cells are gathered in theta's order (lstm.array_shapes),
-    each array a list of its length and each W or U row a list of its width,
-    then scanned once for exact types (_FLOAT_KINDS of the version) and
-    converted once, straight into the new kernel's theta. None when any of
-    that fails: load_model then reads the arrays per key, as _floats, which
-    names the array at fault. The lengths are checked before the kernel is
-    allocated, so hidden_dim alone never sizes an allocation.
+    One pass reads a learner as save_model writes it: the arrays' cells are
+    gathered in theta's order (lstm.array_shapes), each array a list of its
+    length and each W or U row a list of its width, then scanned once for
+    exact types (_FLOAT_KINDS of the version) and converted once, straight
+    into the new kernel's theta. A learner that pass refuses is read again
+    per key in param_keys(one_step) order through _floats, which names a
+    cell of the wrong type; then each array's shape is checked, and only then
+    is the kernel allocated and filled, so hidden_dim alone never sizes an
+    allocation. Either way every entry must be finite.
     """
+    shapes = array_shapes(input_dim, hidden_dim, one_step)
     cells = []
     try:
-        for key, shape in array_shapes(input_dim, hidden_dim, one_step).items():
+        for key, shape in shapes.items():
             arr = stored[key]
             if type(arr) is not list or len(arr) != shape[0]:
-                return None
+                raise ValueError(key)
             if len(shape) == 2:  # rows of lists of the width, by set
                 if set(map(type, arr)) != {list} or set(map(len, arr)) != {shape[1]}:
-                    return None
+                    raise ValueError(key)
                 arr = chain.from_iterable(arr)
             cells += arr
         if not set(map(type, cells)) <= _FLOAT_KINDS[version]:
-            return None
+            raise TypeError(version)
         kernel = PackedLstm(input_dim, hidden_dim, one_step)
         kernel.theta[:] = cells
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return None
+    except (KeyError, TypeError, ValueError, OverflowError):  # read per key
+        arrays = {key: _floats(stored[key], version, f"round {number}: array {key}")
+                  for key in param_keys(one_step)}
+        for key, arr in arrays.items():
+            if arr.shape != shapes[key]:
+                raise DataError(f"round {number}: array {key} has shape {arr.shape}, "
+                                f"expected {shapes[key]}") from None
+        kernel = PackedLstm(input_dim, hidden_dim, one_step)
+        for key, arr in arrays.items():
+            kernel.arrays[key][...] = arr
+    if not np.all(np.isfinite(kernel.theta)):  # every array, in one check
+        key = next(k for k, arr in kernel.arrays.items() if not np.all(np.isfinite(arr)))
+        raise DataError(f"round {number}: array {key} is not finite")
     return kernel
 
 

@@ -6,21 +6,19 @@ same seed produces the same stream on every platform and Python build.
 The 0-d operand rule. A ufunc call of the per-example SGD step whose other
 operand is a constant takes ZERO, ONE or MINUS_ONE, read-only 0-d float64
 arrays, not a Python float: numpy converts a Python float operand on every
-call, which a 0-d array skips. On a 2-core VM (numpy 2.4) a call on a 16- to
-497-entry array took 0.36-0.39 us with a Python float and 0.23-0.24 us with
-a 0-d array. The bits cannot change: a Python float operand of a float64
-array is taken as the float64 of the same value, which is what the 0-d array
-holds, so the ufunc runs the same float64 loop on the same two values. For
-the same reason the kernel keeps dL/dlogit in a 0-d array, and
-lstm.train_weak_learner passes each epoch's learning rate as one.
+call, which a 0-d array skips (README's "Where the time goes" gives the
+measured costs of this rule and the next). The bits cannot change: a Python
+float operand of a float64 array is taken as the float64 of the same value,
+which is what the 0-d array holds, so the ufunc runs the same float64 loop
+on the same two values. For the same reason the kernel keeps dL/dlogit in a
+0-d array, and lstm.train_weak_learner passes each epoch's learning rate as
+one.
 
 The positional-out rule. A ufunc call of the per-example SGD step passes
 its output array as the argument after its inputs, not as out=, which numpy
-parses on every call: on the same VM a call on a 16-entry array took
-0.19-0.21 us with out= and 0.16-0.18 us with a positional output. It is the
-same output, so the bits cannot change. np.minimum and np.maximum keep out=:
-numpy 2.4 deprecates a positional third argument to them, and its warning
-check made such a call take 0.63 us.
+parses on every call. It is the same output, so the bits cannot change.
+np.minimum and np.maximum keep out=: numpy 2.4 deprecates a positional third
+argument to them, and its warning check costs more than out= saves.
 """
 
 import math

@@ -61,13 +61,21 @@ def copied(arrays: dict) -> dict:
     return {key: np.array(arr) for key, arr in arrays.items()}
 
 
+def packed(input_dim: int, hidden_dim: int, arrays: dict,
+           one_step: bool = False) -> PackedLstm:
+    """A new PackedLstm holding a copy of arrays, some of its
+    param_keys(one_step) arrays by key; the others stay zero."""
+    kernel = PackedLstm(input_dim, hidden_dim, one_step)
+    for key, arr in arrays.items():
+        kernel.arrays[key][...] = arr
+    return kernel
+
+
 def four_gate(kernel) -> dict:
     """The oracle's dict of a kernel's arrays, all 14 param_keys(): those a
     one-step kernel lacks are zero, which a one-step row never reads, as its
     forget gate multiplies c_0 = 0 and every U the zero h_0."""
-    arrays = copied(PackedLstm(kernel.input_dim, kernel.hidden_dim).arrays)
-    arrays.update(copied(kernel.arrays))
-    return arrays
+    return copied(packed(kernel.input_dim, kernel.hidden_dim, kernel.arrays).arrays)
 
 
 def forward_step(params: dict, x_t: np.ndarray, state: LstmState):

@@ -499,6 +499,11 @@ def _drop_w_head(doc):
     del doc["rounds"][1]["learner"]["arrays"]["w_head"]
 
 
+def _nan_alpha_and_bool_weight(doc):
+    _set(["rounds", 0, "alpha"], float("nan"))(doc)
+    _set(["rounds", 0, "learner", "arrays", "W_input", 1, 2], True)(doc)
+
+
 INVALID_MODELS = {
     "input_dim_8_single": _drop_last_input_column,
     "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
@@ -541,6 +546,13 @@ INVALID_MODELS = {
     "b_output_nested": _nest_b_output,
     "v2_unknown_array": _add_unknown_array,
     "v2_lacks_w_head": _drop_w_head,
+    # the trained model is a v2 `single` model of hidden_dim 6
+    "v2_single_stores_u_input": _set(["rounds", 0, "learner", "arrays", "U_input"],
+                                     [[0.0] * 6] * 6),
+    "v2_single_stores_b_forget": _set(["rounds", 0, "learner", "arrays", "b_forget"],
+                                      [1.0] * 6),
+    # alpha is checked before the arrays, so it is the fault named
+    "alpha_nan_and_w_input_bool": _nan_alpha_and_bool_weight,
     "w_output_row_a_number": _set(["rounds", 1, "learner", "arrays", "W_output", 2], 0.5),
     "b_candidate_a_number": _set(["rounds", 0, "learner", "arrays", "b_candidate"], 0.5),
     # a hidden_dim the arrays do not fit must not size an allocation: with
@@ -554,10 +566,21 @@ _RAGGED = ("ValueError('setting an array element with a sequence. The requested 
            "an inhomogeneous shape after 1 dimensions. The detected shape was (6,) + "
            "inhomogeneous part.')")
 
-# the whole error line of each case that rejects a learner's arrays:
-# load_model hands a learner its one-pass read refuses to the per-key read,
-# which names the fault; {model} is the model file's path
+# the whole error line of each case that rejects a learner's arrays: a
+# learner that the one-pass read refuses is read again per key, which names
+# the fault; {model} is the model file's path
 EXACT_MODEL_ERRORS = {
+    "alpha_nan_and_w_input_bool": "round 1: alpha nan is not a finite number",
+    "v2_single_stores_u_input": "round 1: arrays ['U_input', 'W_candidate', 'W_input', "
+                                "'W_output', 'b_candidate', 'b_head', 'b_input', 'b_output', "
+                                "'w_head'] are not the 'single' arrays ['W_candidate', "
+                                "'W_input', 'W_output', 'b_candidate', 'b_head', 'b_input', "
+                                "'b_output', 'w_head']",
+    "v2_single_stores_b_forget": "round 1: arrays ['W_candidate', 'W_input', 'W_output', "
+                                 "'b_candidate', 'b_forget', 'b_head', 'b_input', "
+                                 "'b_output', 'w_head'] are not the 'single' arrays "
+                                 "['W_candidate', 'W_input', 'W_output', 'b_candidate', "
+                                 "'b_head', 'b_input', 'b_output', 'w_head']",
     "b_candidate_a_number": "round 1: array b_candidate has shape (), expected (6,)",
     "b_head_null": "round 1: array b_head: None is not a number",
     "b_output_nested": "round 2: array b_output has shape (6, 1), expected (6,)",

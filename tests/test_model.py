@@ -3,15 +3,19 @@ files written before v2 still score as they did, and the benchmark's
 independent reader parses what save_model writes."""
 
 import importlib.util
+import io
 import json
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from lstm_oracle import packed
 from vrboost import data as data_mod
 from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.cli import main
@@ -37,7 +41,7 @@ def bundles(draw):
         one_step = mode == "single"  # the kernel form fit() trains in this mode
         template = PackedLstm(STEP_DIMS[mode], hidden_dim, one_step).arrays
         learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), mode)
-        learner.kernel = PackedLstm.from_arrays(STEP_DIMS[mode], hidden_dim, {
+        learner.kernel = packed(STEP_DIMS[mode], hidden_dim, {
             key: draw(arrays(np.float64, like.shape, elements=FINITE))
             for key, like in template.items()}, one_step)
         rounds.append(BoostRound(alpha=draw(FINITE), learner=learner))
@@ -120,7 +124,7 @@ def test_v1_dead_arrays_do_not_change_a_logit(mode):
     doc = json.loads(path.read_text())
     for entry, r in zip(doc["rounds"], bundle.ensemble.rounds, strict=True):
         learner = entry["learner"]
-        full = PackedLstm.from_arrays(
+        full = packed(
             learner["input_dim"], learner["hidden_dim"],
             {k: np.array(v, dtype=float) for k, v in learner["arrays"].items()})
         want = forward_stack([full], X)[1]
@@ -174,3 +178,80 @@ def test_bench_reference_scores_a_saved_model_as_predict_does(tmp_path, mode):
     labels = np.array([int(line[2]) for line in lines])
     assert np.array_equal(labels, ref.labels)
     assert np.all(np.abs(margins - ref.margins) <= model.margin_tolerance)
+
+
+# --- mutated model files -----------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A directory holding the v1 fixtures' v2 re-saves, v2_<mode>.json."""
+    root = tmp_path_factory.mktemp("fuzz")
+    for mode in MODES:
+        save_model(load_model(FIXTURES / f"model_v1_{mode}.json"), root / f"v2_{mode}.json")
+    return root
+
+
+def _nodes(node, path=()):
+    """The path of every node below node, as a tuple of keys and indices."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _nodes(child, path + (key,))
+
+
+def _mutated(doc, edits):
+    """doc after each edit (where, delete, value): where is a node's path, or
+    an index into the paths of the document as it stands; the node is
+    deleted (a dict key, or a list item popped) or set to value."""
+    for where, delete, value in edits:
+        paths = list(_nodes(doc))
+        *parents, last = where if isinstance(where, tuple) else paths[where % len(paths)]
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        if delete:
+            parent.pop(last)
+        else:
+            parent[last] = value
+    return doc
+
+
+# floats as v2 writes them and as v1 does, as text, among the leaves
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3) | st.floats()
+    | st.floats().map(repr) | st.sampled_from([1e308, -1e308, "1e308", "-1e308"]),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=4)
+EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), JSON_VALUES),
+                 min_size=1, max_size=3)
+
+
+@settings(max_examples=1000)
+@given(base=st.sampled_from([f"{v}_{mode}" for v in ("v1", "v2") for mode in MODES]),
+       edits=EDITS)
+@example(base="v2_unrolled",
+         edits=[(("rounds", 0, "learner", "arrays", "W_input", 0, 0), False, 1e308)])
+def test_a_mutated_model_file_predicts_or_fails_in_one_line(fuzz_dir, base, edits):
+    # the v1 fixtures and their v2 re-saves with nodes set to JSON values,
+    # deleted or popped: predict exits 0 or 3 with at most one stderr line,
+    # and numpy warns of nothing (pytest would take a warning off stderr)
+    path = (FIXTURES / f"model_{base}.json" if base.startswith("v1")
+            else fuzz_dir / f"{base}.json")
+    model, out = fuzz_dir / "mutated.json", fuzz_dir / "preds.csv"
+    for written in (model, out):  # unlinked: rewriting a file in place can wait on the disk
+        written.unlink(missing_ok=True)
+    model.write_text(json.dumps(_mutated(json.loads(path.read_text()), edits)))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
+                     "--out", out.name, "--out-dir", fuzz_dir])
+    lines = err.getvalue().splitlines()
+    event(f"exit {code}")
+    assert code in (0, 3), err.getvalue()
+    assert out.exists() == (code == 0)
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
