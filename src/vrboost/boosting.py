@@ -97,12 +97,14 @@ class Ensemble:
 
 @dataclass
 class RoundLog:
-    """One accepted round: weighted error, vote, and the distribution after its update."""
+    """One accepted round: weighted error, vote, the distribution after its
+    update, and its learner's in-sample votes, one -1/+1 per training row."""
 
     round: int
     epsilon: float
     alpha: float
     weights: np.ndarray
+    votes: np.ndarray
 
 
 def boost_train(X, labels, cfg: BoostConfig, learner_factory):
@@ -113,7 +115,10 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     fit(X, signed_labels, weights) and predict(X) -> one -1/+1 vote per row
     of X, whose class scores an ensemble with predict_all(learners, X) ->
     (K, N) votes, row k being learners[k].predict(X); round t gets seed
-    cfg.seed + t. A round with weighted error >= 0.5
+    cfg.seed + t. Each accepted round's RoundLog keeps its learner's votes on
+    X, from which vote_predict gives ensemble_predict's answer on X at no
+    further scoring for a learner whose votes do not depend on the other
+    rows of X. A round with weighted error >= 0.5
     is discarded and the distribution reset to uniform (the attempt still
     counts); error at or below EPSILON_FLOOR is accepted with clamped error
     and stops early.
@@ -146,50 +151,51 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
         rounds.append(BoostRound(alpha=a, learner=learner))
         if eps <= EPSILON_FLOOR:
             # perfect learner: keep the distribution it was trained on and stop
-            log.append(RoundLog(len(rounds), eps, a, d.copy()))
+            log.append(RoundLog(len(rounds), eps, a, d.copy(), preds))
             break
         d = update_weights(d, a, preds, truths)
-        log.append(RoundLog(len(rounds), eps, a, d.copy()))
+        log.append(RoundLog(len(rounds), eps, a, d.copy(), preds))
     if not rounds:
         raise TrainingError("no weak learner beat chance")
     return Ensemble(rounds=rounds), log
 
 
-def _votes(ensemble: Ensemble, X) -> list:
-    """Each row's votes alpha_t * h_t(x), in round order, one list per row of
-    the (N, D) matrix X, from one predict_all call of the learners' class."""
+def _votes(ensemble: Ensemble, X) -> np.ndarray:
+    """The (K, N) -1/+1 votes of the K rounds' learners on the rows of the
+    (N, D) matrix X, from one predict_all call of the learners' class."""
     if not ensemble.rounds:
         raise ValueError("empty ensemble: no rounds to vote")
-    X = np.asarray(X, dtype=float)
     learners = [r.learner for r in ensemble.rounds]
-    votes = type(learners[0]).predict_all(learners, X)
-    alphas = np.array([r.alpha for r in ensemble.rounds])
-    return (alphas[:, None] * votes).T.tolist()
+    return type(learners[0]).predict_all(learners, np.asarray(X, dtype=float))
 
 
-def ensemble_predict(ensemble: Ensemble, X) -> tuple:
-    """Return (labels in {0,1}, margins), one of each per row of the (N, D) matrix X.
+def vote_predict(alphas, votes) -> tuple:
+    """Return (labels in {0,1}, margins) of the (K, N) -1/+1 votes of K
+    learners under their K alphas, one of each per column.
 
     A row's margin is math.fsum of alpha_t * h_t(x) over the rounds, so it
     does not depend on the round order; a positive margin maps to the
     positive label, a tie (0) to the negative.
     """
-    margins = np.array([math.fsum(row) for row in _votes(ensemble, X)])
+    rows = (np.array(alphas)[:, None] * np.asarray(votes)).T.tolist()  # alpha_t * h_t(x)
+    margins = np.array([math.fsum(row) for row in rows])
     labels = np.where(margins > 0, POSITIVE, NEGATIVE)
     return labels, margins
+
+
+def ensemble_predict(ensemble: Ensemble, X) -> tuple:
+    """Return (labels in {0,1}, margins), one of each per row of the (N, D)
+    matrix X: vote_predict of the rounds' votes on X."""
+    return vote_predict([r.alpha for r in ensemble.rounds], _votes(ensemble, X))
 
 
 def staged_train_error(ensemble: Ensemble, X, labels) -> list:
     """Unweighted error on the rows of X, labels in {0,1}, of every prefix of
     the ensemble's rounds: the k-th is that of ensemble_predict on the first
-    k rounds, whose margins it sums as ensemble_predict does."""
-    votes = _votes(ensemble, X)
-    errors = []
-    for k in range(1, len(ensemble.rounds) + 1):
-        margins = np.array([math.fsum(row[:k]) for row in votes])
-        preds = np.where(margins > 0, POSITIVE, NEGATIVE)
-        errors.append(float(np.sum(preds != labels)) / len(votes))
-    return errors
+    k rounds, from one scoring of X."""
+    alphas, votes = [r.alpha for r in ensemble.rounds], _votes(ensemble, X)
+    return [float(np.sum(vote_predict(alphas[:k], votes[:k])[0] != labels)) / votes.shape[1]
+            for k in range(1, len(alphas) + 1)]
 
 
 class LstmWeakLearner:

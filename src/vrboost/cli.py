@@ -23,7 +23,7 @@ import traceback
 import numpy as np
 
 from . import data as data_mod
-from .boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory
+from .boosting import BoostConfig, boost_train, ensemble_predict, lstm_factory, vote_predict
 from .errors import DataError, TrainingError, UsageError
 from .lstm import GATES, SEQUENCE_MODES, TrainConfig, grad_check, init_params
 from .metrics import confusion, correct_incorrect, scores
@@ -39,8 +39,8 @@ EXIT_INTERNAL = 70  # EX_SOFTWARE of sysexits.h
 
 # --- commands ---------------------------------------------------------------
 
-def _evaluate_split(bundle: ModelBundle, X, truths) -> dict:
-    preds, _ = ensemble_predict(bundle.ensemble, X)
+def _report_block(preds, truths) -> dict:
+    """The report block of the {0,1} labels preds against the truths."""
     cm = confusion(preds, truths)
     report = scores(cm)
     correct, incorrect = correct_incorrect(cm)
@@ -121,9 +121,14 @@ def cmd_train(opts: dict) -> int:
 
     bundle = ModelBundle(ensemble=ensemble, target=target,
                          standardizer=standardizer, sequence_mode=sequence_mode)
+    # the train split's labels from the rounds' in-sample votes: a row's
+    # logits depend on the row alone (lstm.forward_stack), so these are
+    # ensemble_predict's labels on X_train, which evaluate reproduces
+    train_preds, _ = vote_predict([entry.alpha for entry in log],
+                                  [entry.votes for entry in log])
     report = {
-        "train": _evaluate_split(bundle, X_train, labels[train_idx]),
-        "test": _evaluate_split(bundle, X_test, labels[test_idx]),
+        "train": _report_block(train_preds, labels[train_idx]),
+        "test": _report_block(ensemble_predict(ensemble, X_test)[0], labels[test_idx]),
     }
 
     join = lambda name: _out_path(opts, name)
@@ -160,8 +165,8 @@ def cmd_evaluate(opts: dict) -> int:
     out_path = _out_path(opts, opts["out"])
     bundle = load_model(opts["model"])
     table = data_mod.load_csv(opts["data"])
-    block = _evaluate_split(bundle, _standardized(bundle, table),
-                            data_mod.encode_labels(table, bundle.target))
+    preds, _ = ensemble_predict(bundle.ensemble, _standardized(bundle, table))
+    block = _report_block(preds, data_mod.encode_labels(table, bundle.target))
     os.makedirs(opts["out_dir"], exist_ok=True)
     data_mod.write_lines(out_path, [json.dumps({"eval": block}, indent=2)])
     print(_score_line("eval", block))

@@ -340,11 +340,24 @@ def fit_standardizer(X) -> Standardizer:
 
 def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
     """A copy of the matrix X with the numeric columns z-scored, column by
-    column; one-hot and constant (std 0) columns untouched."""
+    column; one-hot and constant (std 0) columns untouched.
+
+    Raises DataError naming the first feature whose z-score overflows
+    float64, which a finite X, mean and std can make.
+    """
     out = np.array(X, dtype=float)
-    for idx, mu, sd in zip(NUMERIC_FEATURE_INDICES, standardizer.means, standardizer.stds):
-        if sd != 0.0:
-            out[:, idx] = (out[:, idx] - mu) / sd
+    scaled = []
+    with np.errstate(over="ignore"):  # checked just below
+        for idx, mu, sd in zip(NUMERIC_FEATURE_INDICES, standardizer.means.tolist(),
+                               standardizer.stds.tolist()):
+            if sd != 0.0:
+                out[:, idx] = (out[:, idx] - mu) / sd
+                scaled.append((idx, mu, sd))
+    if not np.isfinite(out).all():
+        for idx, mu, sd in scaled:
+            if not np.isfinite(out[:, idx]).all():
+                raise DataError(f"standardizer: the z-score of feature {idx} overflows "
+                                f"float64 (mean {mu!r}, std {sd!r})")
     return out
 
 

@@ -17,9 +17,9 @@ views of that vector, param_keys(), which a model file stores;
 init_params() fills them and train_weak_learner() trains and returns the
 kernel itself. Per-example SGD and grad_check's finite-difference audit run
 forward(), one example at a time; every prediction (each boosting round's
-in-sample predict, the train report, evaluate and predict) runs
-forward_stack() over a matrix of rows, for one kernel (the stack of one) or
-for all the learners of an ensemble at once.
+in-sample predict, whose votes the train report reuses, the test report,
+evaluate and predict) runs forward_stack() over a matrix of rows, for one
+kernel (the stack of one) or for all the learners of an ensemble at once.
 
 Step 0 is the one-step cell. Every row starts from h_0 = c_0 = 0, where
 the forget gate would multiply c_0 and every U would multiply h_0 (Gers,
@@ -76,17 +76,22 @@ in its association, ((dc*c_prev)*f)*(1-f), dc*f + (dh*o)*(1-tanh(c)^2) and
 so on, with at most a product's or a sum's two operands swapped, which IEEE
 arithmetic gives the same bits; the candidate block's factor 1 is exact.
 The last step's dc is (dh*o)*(1-tanh(c)^2) itself, where the reference
-adds it to a zero dc: only the sign of a zero can differ. dpre's rows stay
-in a (T, 4H) buffer, row k holding step T-1-k, and the W, b and U gradients
-are one axis-0 np.add.reduce each over those rows (times x_t or h_prev for
-W and U), with initial=0.0. These reductions are exact: an axis-0
-reduction of a C-contiguous array adds its rows one after the other, so
-each entry is 0.0 + s_{T-1} + ... + s_0, the reference's accumulation into
-a zeroed gradient in its reverse loop. Starting from +0.0 keeps a sum of
--0.0 products (x_t = 0.0, as in unrolled mode's one-hot steps) at +0.0, and
-a closing grad += 0.0 gives the head's gradient, and a one-step kernel's,
-the same start, so no gradient entry is -0.0 and the sign of a zero in
-dpre reaches none.
+adds it to a zero dc: only the sign of a zero can differ. dh_prev is the
+three adds ((U_f^T d_f + U_i^T d_i) + U_o^T d_o) + U_g^T d_g, where the
+reference starts from a zero dh: again only the sign of a zero can differ.
+dpre's rows stay in a (T, 4H) buffer, row k holding step T-1-k, and the W,
+b and U gradients are one axis-0 np.add.reduce each, with initial=0.0, over
+those rows and their outer products with x_t or h_prev, laid out with the
+4H axis inner: (T-1, H, 4H) terms h_prev (x) dpre_k reduced into U's
+gradient seen transposed, (H, 4H), and at D=1 (T, 4H) terms dpre_k * x_t
+reduced into W's one column (at D>1, (T, 4H, D) terms dpre_k (x) x_t).
+These reductions are exact: an axis-0 reduction adds the rows of its
+C-contiguous terms one after the other, so each entry is 0.0 + s_{T-1} +
+... + s_0, the reference's accumulation into a zeroed gradient in its
+reverse loop. Starting from +0.0 keeps a sum of -0.0 products (x_t = 0.0,
+as in unrolled mode's one-hot steps) at +0.0, and a closing grad += 0.0
+gives the head's gradient, and a one-step kernel's, the same start, so no
+gradient entry is -0.0 and the sign of a zero in dpre or dh reaches none.
 
 The stack of one, forward_stack([kernel], X), is not bit-identical, for the
 same reason: a row of a gemm is not summed like a per-row gemv. Drift
@@ -106,17 +111,27 @@ b are laid out gate by gate, (G, K, H), so a block's state is (G, K, H,
 rows), G = 3 at step 0 and 4 after it, and each activation reads one
 contiguous slice; each kernel keeps its own (4H, H) @ (H, rows) product for
 U. A single learner is scored as the stack of one, so one code scores a
-single learner and an ensemble. A block holds block_rows(K) =
-SCORE_BLOCK_ROWS // K rows: a stacked gemm is K times one kernel's in its
-gate dimension, and a gemm above a size threshold makes OpenBLAS start its
-threads, whose CPU time adds up with the caller's. Shrunk so, no gemm is
-larger than one kernel's at SCORE_BLOCK_ROWS, the size scoring has always
-run; a stack holds at most SCORE_BLOCK_ROWS kernels, so a block has a row
-at least; the rule bounds the gemm for any BLAS build and core count. A
-stacked logit is bit-equal to the kernel's own stack-of-one logit when BLAS
-sums its row alike in both blocks. A row's sum can depend on where the row
-sits in its block and on the block's length, so the stacked logits fall
-under the drift policy above.
+single learner and an ensemble. A block holds block_rows(K) rows,
+SCORE_BLOCK_ROWS // K rounded down to a multiple of SCORE_COLUMN_GROUP: a
+stacked gemm is K times one kernel's in its gate dimension, and a gemm above
+a size threshold makes OpenBLAS start its threads, whose CPU time adds up
+with the caller's. Shrunk so, no gemm is larger than one kernel's at
+SCORE_BLOCK_ROWS, the size scoring has always run; a stack holds at most
+MAX_STACK = 32 kernels, so a block has a column group at least; the rule
+bounds the gemm for any BLAS build and core count. At D=1 an input product
+is a broadcast multiply, each entry the one product w*x, which a k=1 gemm
+would sum as 0 + w*x: a zero's sign aside, the same value.
+
+A row's logits depend on the row and the kernels alone. This BLAS build's
+gemm sums a column of its output alike in every full group of
+SCORE_COLUMN_GROUP columns, and otherwise by where the column sits and how
+long its block is; so every block holds whole groups, the tail block padded
+with zero rows whose logits are dropped. A row then has the same logit bits
+scored alone, in any slice of X and in any stack, its kernel's stack of one
+included, so the train report can take each boosting round's in-sample
+votes as the ensemble's. This is the build's property, not a promise of
+every BLAS: tests/test_lstm_kernel.py asserts it, so that a build without
+it shows.
 
 The clip guard. clip_and_update() clips by the exact ordered norm: the
 squares of grad, each key's own pairwise sum, the sums added in
@@ -181,10 +196,13 @@ ONE_STEP_GATES = GATES[1:]
 
 PROB_CLAMP = 1e-12
 
-# rows per block of the stack of one; a stack of K kernels takes
+# rows per block of the stack of one; a stack of K kernels takes about
 # SCORE_BLOCK_ROWS // K (block_rows), so the per-step temporaries stay
 # (4, K, H, 256 // K) however many rows a file has
 SCORE_BLOCK_ROWS = 256
+# a block holds whole groups of columns, a stack one group at least (module docstring)
+SCORE_COLUMN_GROUP = 8
+MAX_STACK = SCORE_BLOCK_ROWS // SCORE_COLUMN_GROUP
 
 # bound on |forward_stack() logit - forward() logit| per unit of
 # sum|w_head| + |b_head|; see the module docstring
@@ -462,7 +480,7 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     dc_terms = np.empty(3 * h_dim)
     dho, dcf = dc_terms[:h_dim], dc_terms[2 * h_dim:]
     ud = np.empty((4, h_dim, 1))
-    ud_rows = ud[..., 0]
+    ud_f, ud_i, ud_o, ud_g = ud[..., 0]
     # dc of step T-1 is (dh*o)*(1-tanh(c)^2) of its o and factor views
     o_last, one_minus_tc2_last = o[steps - 1], factors[steps - 1, 4 * h_dim:]
     flat_gates = gates.reshape(-1)
@@ -479,11 +497,15 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     m0, s0, one_minus0 = mult[0, h_dim:], gates[0, h_dim:], factors[0, h_dim:4 * h_dim]
     dp0_col = dp0[:, None]
     if not one_step:
-        # the outer products each gradient sums, written in dpre's row order
-        dpre_cols = dpre[:, :, None]
-        h_prev_rows = h[steps - 1:0:-1, None, :]  # h_prev of steps T-1 .. 1
-        w_terms = np.empty((steps, 4 * h_dim, d))
-        u_terms = np.empty((steps - 1, 4 * h_dim, h_dim))
+        # the outer products each gradient sums, in dpre's row order, the
+        # 4H axis inner where it can be: U's (H, 4H) and, at D=1, W's (4H,)
+        h_prev_cols, dpre_rows = h[steps - 1:0:-1, :, None], dpre[:-1, None, :]
+        u_terms, gU_T = np.empty((steps - 1, h_dim, 4 * h_dim)), gU.T
+        if all_inputs:
+            w_terms, gW_out = np.empty((steps, 4 * h_dim)), gW[:, 0]
+        else:
+            dpre_cols = dpre[:, :, None]
+            w_terms, gW_out = np.empty((steps, 4 * h_dim, d)), gW
 
     def backward(y, w):
         dlogit[()] = w * (trace.prob - y)
@@ -501,9 +523,11 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
             multiply(m, E_row, dp)  # [c_prev*dc, g*dc, tanh(c)*dh, i*dc]
             multiply(dp, s, dp)
             multiply(dp, one_minus, dp)
-            # dh and dc of step t-1: U_g.T @ d_g per gate, added to zeros in GATES order
+            # dh and dc of step t-1: U_g.T @ d_g per gate, added in GATES order
             matmul(UT3, dp3, ud)
-            add_reduce(ud_rows, axis=0, initial=0.0, out=dh)
+            add(ud_f, ud_i, dh)
+            add(dh, ud_o, dh)
+            add(dh, ud_g, dh)
             multiply(E_window, window, dc_terms)
             multiply(dho, one_minus_tc2_prev, dho)
             add(dcf, dho, dc)  # dc*f + (dh*o)*(1-tanh(c)^2)
@@ -516,12 +540,14 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
             gb[...] = dp0
             multiply(dp0_col, trace.x, gW)
         else:
-            xs = trace.x.reshape(steps, d)
             add_reduce(dpre, axis=0, initial=0.0, out=gb)
-            multiply(dpre_cols, xs[::-1, None, :], w_terms)
-            add_reduce(w_terms, axis=0, initial=0.0, out=gW)
-            multiply(dpre_cols[:-1], h_prev_rows, u_terms)
-            add_reduce(u_terms, axis=0, initial=0.0, out=gU)  # 0 at T = 1
+            if all_inputs:
+                multiply(dpre, trace.x[::-1, None], w_terms)
+            else:
+                multiply(dpre_cols, trace.x.reshape(steps, d)[::-1, None, :], w_terms)
+            add_reduce(w_terms, axis=0, initial=0.0, out=gW_out)
+            multiply(h_prev_cols, dpre_rows, u_terms)
+            add_reduce(u_terms, axis=0, initial=0.0, out=gU_T)  # 0 at T = 1
         # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
         add(grad, ZERO, grad)
 
@@ -679,11 +705,12 @@ def _bind_update(kernel: PackedLstm):
 
 
 def block_rows(stack_size: int) -> int:
-    """Rows per block of a stack of 1 to SCORE_BLOCK_ROWS kernels:
-    SCORE_BLOCK_ROWS // stack_size. A stacked gemm is stack_size times one
-    kernel's in its gate dimension, so none is larger than one kernel's at
-    SCORE_BLOCK_ROWS rows; a larger gemm can make BLAS start its threads."""
-    return SCORE_BLOCK_ROWS // stack_size
+    """Rows per block of a stack of 1 to MAX_STACK kernels: SCORE_BLOCK_ROWS
+    // stack_size, rounded down to a multiple of SCORE_COLUMN_GROUP. A
+    stacked gemm is stack_size times one kernel's in its gate dimension, so
+    none is larger than one kernel's at SCORE_BLOCK_ROWS rows; a larger gemm
+    can make BLAS start its threads."""
+    return SCORE_BLOCK_ROWS // stack_size // SCORE_COLUMN_GROUP * SCORE_COLUMN_GROUP
 
 
 def forward_stack(kernels, X) -> tuple:
@@ -692,8 +719,9 @@ def forward_stack(kernels, X) -> tuple:
     from a zero state.
 
     X is (N, T*D), in the module docstring's row layout. Kernels of one
-    shape, (input_dim, hidden_dim, one_step), run as one stack of at most
-    SCORE_BLOCK_ROWS kernels; a shape's first kernel checks the width of X.
+    shape, (input_dim, hidden_dim, one_step), run in stacks of at most
+    MAX_STACK kernels; a shape's first kernel checks the width of X. A row's
+    logits depend on the row and the kernels alone (module docstring).
     Raises ValueError when X is not an (N, T*D) matrix of that kernel's D,
     or of D itself for a one-step kernel.
 
@@ -703,7 +731,7 @@ def forward_stack(kernels, X) -> tuple:
     warning is off for that. Its invalid-value warning stays on, so that a
     NaN still shows.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.ascontiguousarray(X, dtype=float)
     logits = np.empty((len(kernels), X.shape[0] if X.ndim == 2 else 0))
     by_shape = {}
     for index, kernel in enumerate(kernels):
@@ -711,8 +739,8 @@ def forward_stack(kernels, X) -> tuple:
                             []).append(index)
     with np.errstate(over="ignore"):
         for members in by_shape.values():
-            for first in range(0, len(members), SCORE_BLOCK_ROWS):
-                stack = members[first:first + SCORE_BLOCK_ROWS]
+            for first in range(0, len(members), MAX_STACK):
+                stack = members[first:first + MAX_STACK]
                 logits[stack] = _stack_logits([kernels[k] for k in stack], X)
     return sigmoid(logits), logits
 
@@ -721,12 +749,14 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
     """The (K, N) head logits of the rows of X under K kernels of one shape.
 
     Rows go through the stack block_rows(K) at a time, so the working set
-    does not grow with N. Within a block the state is held transposed and
-    gate by gate, (G, K, H, rows), so that each activation reads one
-    contiguous slice. Step 0 is the one-step cell, one (3KH, rows) gemm of
-    the stacked input, output and candidate blocks; each later step is one
-    (4KH, rows) gemm with each kernel's own (4H, H) @ (H, rows) product
-    U @ h added, then b, as in forward().
+    does not grow with N; the tail block is padded with zero rows to whole
+    column groups, whose logits are dropped. Within a block the state is
+    held transposed and gate by gate, (G, K, H, rows), so that each
+    activation reads one contiguous slice. Step 0 is the one-step cell, the
+    stacked input, output and candidate blocks' (3KH, rows) input products;
+    each later step takes the (4KH, rows) ones with each kernel's own
+    (4H, H) @ (H, rows) product U @ h added, then b, as in forward(). At
+    D=1 an input product is a (G, 1) * (1, rows) broadcast multiply.
     """
     first, k = kernels[0], len(kernels)
     d, h_dim = first.input_dim, first.hidden_dim
@@ -737,35 +767,41 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
     # gate by gate: row (g, j, r) of the stacked W is row r of gate g of
     # kernels[j]; step 0 takes the last three gates, input, output, candidate
     gates = W.shape[1] // h_dim
+    n, group = X.shape[0], SCORE_COLUMN_GROUP
     rows_per_block = block_rows(k)
     W = W.reshape(k, gates, h_dim, d).transpose(1, 0, 2, 3).reshape(gates * k * h_dim, d)
     # b repeated over a block's columns: a block's few columns make adding a
     # broadcast column dearer than adding an array of the block's shape
     b = b.reshape(k, gates, h_dim).transpose(1, 0, 2).reshape(gates * k * h_dim, 1)
-    b = np.repeat(b, min(rows_per_block, X.shape[0]), axis=1)
+    b = np.repeat(b, min(rows_per_block, -(-n // group) * group), axis=1)
     W0, b0 = W[-3 * k * h_dim:], b[-3 * k * h_dim:]
+    input_product = np.multiply if d == 1 else np.matmul
     w_head = w_head[:, None, :]
-    logits = np.empty((k, X.shape[0]))
-    for start in range(0, X.shape[0], rows_per_block):
-        block = X[start:start + rows_per_block].T
-        rows = block.shape[1]
-        z = W0 @ block[:d]
-        z += b0[:, :rows]
-        z = z.reshape(3, k, h_dim, rows)
+    logits = np.empty((k, n))
+    for start in range(0, n, rows_per_block):
+        block = X[start:start + rows_per_block]
+        rows = len(block)
+        if rows % group:
+            block = np.concatenate([block, np.zeros((-rows % group, X.shape[1]))])
+        block = block.T
+        cols = block.shape[1]
+        z = input_product(W0, block[:d])
+        z += b0[:, :cols]
+        z = z.reshape(3, k, h_dim, cols)
         sigmoid(z[:2], z[:2])  # in place: activations overwrite z
         np.tanh(z[2], out=z[2])
         c = z[0] * z[2]
-        h = z[1] * np.tanh(c)  # (K, H, rows)
+        h = z[1] * np.tanh(c)  # (K, H, cols)
         for t in range(1, steps):
-            z = W @ block[t * d:(t + 1) * d]
-            z4 = z.reshape(4, k, h_dim, rows)
-            z4 += np.matmul(U, h).reshape(k, 4, h_dim, rows).transpose(1, 0, 2, 3)
-            z += b[:, :rows]
+            z = input_product(W, block[t * d:(t + 1) * d])
+            z4 = z.reshape(4, k, h_dim, cols)
+            z4 += np.matmul(U, h).reshape(k, 4, h_dim, cols).transpose(1, 0, 2, 3)
+            z += b[:, :cols]
             sigmoid(z4[:3], z4[:3])
             np.tanh(z4[3], out=z4[3])
             c = z4[0] * c + z4[1] * z4[3]
             h = z4[2] * np.tanh(c)
-        logits[:, start:start + rows] = np.matmul(w_head, h)[:, 0]
+        logits[:, start:start + rows] = np.matmul(w_head, h)[:, 0, :rows]
     logits += b_head
     return logits
 

@@ -14,6 +14,7 @@ array at fault.
 """
 
 import json
+import math
 from itertools import chain
 from dataclasses import dataclass
 
@@ -94,7 +95,8 @@ def load_model(path: str) -> ModelBundle:
     not fit its data fails before any row is scored: each learner's input
     dimension must be the step length of its sequence mode, every alpha,
     weight and mean finite, and the label convention the one boost_train
-    writes. The standardizer's indices must be exactly NUMERIC_FEATURE_INDICES,
+    writes, and the alphas' absolute sum finite, which bounds every margin.
+    The standardizer's indices must be exactly NUMERIC_FEATURE_INDICES,
     its stds finite and >= 0, and each constant flag std == 0. Every float
     must be a JSON number in v2 and a string in v1, flags JSON booleans, and
     counts, indices, the threshold and the labels JSON integers.
@@ -150,6 +152,11 @@ def load_model(path: str) -> ModelBundle:
             rounds.append(BoostRound(alpha=float(alpha), learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
+        try:  # a margin is a sum of +-alpha, so it stays finite
+            math.fsum(abs(r.alpha) for r in rounds)
+        except OverflowError:
+            raise DataError(f"the absolute sum of the {len(rounds)} alphas overflows "
+                            f"float64") from None
         convention = doc["label_convention"]
         labels = (_typed(convention["positive"], int), _typed(convention["negative"], int))
         if labels != (POSITIVE, NEGATIVE):

@@ -297,16 +297,27 @@ def trained(tmp_path_factory):
     return root, data_path, out
 
 
-def test_evaluate_reproduces_train_block(tmp_path, trained):
-    _, _, out = trained
-    report_path = tmp_path / "eval.json"
-    code = _run(["evaluate", "--model", out / "model.json",
-                 "--data", out / "train_split.csv", "--out", report_path.name,
-                 "--out-dir", tmp_path])
-    assert code == 0
-    eval_block = json.loads(report_path.read_text())["eval"]
-    train_block = json.loads((out / "report.json").read_text())["train"]
-    assert eval_block == train_block
+@pytest.fixture(scope="module")
+def trained_unrolled_stratified(trained, tmp_path_factory):
+    root, data_path, _ = trained
+    out = tmp_path_factory.mktemp("trained_unrolled") / "run"
+    assert _run(["train", "--data", data_path, "--sequence-mode", "unrolled", "--stratified",
+                 "--rounds", 3, "--epochs", 4, "--hidden-dim", 5, "--seed", 4,
+                 "--out-dir", out]) == 0
+    return root, data_path, out
+
+
+def test_evaluate_reproduces_train_block(tmp_path, trained, trained_unrolled_stratified):
+    # train's report reuses the rounds' in-sample votes, evaluate scores anew
+    for _, _, out in (trained, trained_unrolled_stratified):
+        report_path = tmp_path / f"eval_{out.parent.name}.json"
+        code = _run(["evaluate", "--model", out / "model.json",
+                     "--data", out / "train_split.csv", "--out", report_path.name,
+                     "--out-dir", tmp_path])
+        assert code == 0
+        eval_block = json.loads(report_path.read_text())["eval"]
+        train_block = json.loads((out / "report.json").read_text())["train"]
+        assert eval_block == train_block
 
 
 def test_evaluate_single_class_data_succeeds_silently(tmp_path, trained):
@@ -504,6 +515,11 @@ def _nan_alpha_and_bool_weight(doc):
     _set(["rounds", 0, "learner", "arrays", "W_input", 1, 2], True)(doc)
 
 
+def _overflow_alpha_sum(doc):
+    for entry in doc["rounds"]:
+        entry["alpha"] = 1e308
+
+
 INVALID_MODELS = {
     "input_dim_8_single": _drop_last_input_column,
     "input_dim_9_unrolled": _set(["sequence_mode"], "unrolled"),
@@ -560,6 +576,8 @@ INVALID_MODELS = {
     "hidden_dim_20000": _set(["rounds", 1, "learner", "hidden_dim"], 20000),
     "hidden_dim_0": _set(["rounds", 0, "learner", "hidden_dim"], 0),
     "hidden_dim_minus_1": _set(["rounds", 0, "learner", "hidden_dim"], -1),
+    # each alpha is finite, their sum is not: a margin could overflow
+    "alphas_sum_overflows": _overflow_alpha_sum,
 }
 
 _RAGGED = ("ValueError('setting an array element with a sequence. The requested array has "
@@ -588,6 +606,7 @@ EXACT_MODEL_ERRORS = {
     "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
     "hidden_dim_0": "round 1: hidden_dim 0 must be >= 1",
     "hidden_dim_minus_1": "round 1: hidden_dim -1 must be >= 1",
+    "alphas_sum_overflows": "the absolute sum of the 2 alphas overflows float64",
     "v2_b_input_string": "round 1: array b_input: '0.5' is not a number",
     "v2_lacks_w_head": "round 2: arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
                        "'b_head', 'b_input', 'b_output'] are not the 'single' arrays "

@@ -233,6 +233,10 @@ EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), JSON_VALUES),
        edits=EDITS)
 @example(base="v2_unrolled",
          edits=[(("rounds", 0, "learner", "arrays", "W_input", 0, 0), False, 1e308)])
+# two finite alphas whose sum overflows, and a z-score that overflows
+@example(base="v2_single", edits=[(("rounds", k, "alpha"), False, 1e308) for k in (0, 1)])
+@example(base="v2_unrolled", edits=[(("standardizer", "means", 0), False, -1.7e308),
+                                    (("standardizer", "stds", 0), False, 0.5)])
 def test_a_mutated_model_file_predicts_or_fails_in_one_line(fuzz_dir, base, edits):
     # the v1 fixtures and their v2 re-saves with nodes set to JSON values,
     # deleted or popped: predict exits 0 or 3 with at most one stderr line,
@@ -255,3 +259,22 @@ def test_a_mutated_model_file_predicts_or_fails_in_one_line(fuzz_dir, base, edit
     assert out.exists() == (code == 0)
     assert len(lines) <= 1 and "Traceback" not in err.getvalue(), err.getvalue()
     assert not caught, [str(w.message) for w in caught]
+
+
+def test_a_z_score_that_overflows_fails_predict_in_one_line(fuzz_dir, tmp_path):
+    # each moment is finite, (age - mean) / std is not
+    doc = json.loads((fuzz_dir / "v2_single.json").read_text())
+    doc["standardizer"]["means"][0], doc["standardizer"]["stds"][0] = -1.7e308, 0.5
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
+                     "--out", "preds.csv", "--out-dir", tmp_path])
+    assert code == 3
+    assert err.getvalue() == ("error: standardizer: the z-score of feature 0 overflows "
+                              "float64 (mean -1.7e+308, std 0.5)\n")
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "preds.csv").exists()
