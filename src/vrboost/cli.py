@@ -113,8 +113,8 @@ def cmd_train(opts: dict) -> int:
     train_idx, test_idx = data_mod.split_indices(
         len(X), opts["ratio"], seed, labels, opts["stratified"])
     standardizer = data_mod.fit_standardizer(X[train_idx])
-    X_train = data_mod.apply_standardizer(standardizer, X[train_idx])
-    X_test = data_mod.apply_standardizer(standardizer, X[test_idx])
+    X_train = data_mod.apply_standardizer(standardizer, X[train_idx], train_idx)
+    X_test = data_mod.apply_standardizer(standardizer, X[test_idx], test_idx)
 
     ensemble, log = boost_train(X_train, labels[train_idx], boost_cfg,
                                 lstm_factory(train_cfg, sequence_mode))

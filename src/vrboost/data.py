@@ -338,14 +338,17 @@ def fit_standardizer(X) -> Standardizer:
     return Standardizer(means=np.array(means), stds=np.array(stds))
 
 
-def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
+def apply_standardizer(standardizer: Standardizer, X, rows=None) -> np.ndarray:
     """A copy of the matrix X with the numeric columns z-scored, column by
     column; one-hot and constant (std 0) columns untouched.
 
-    Raises DataError naming the first feature whose z-score overflows
-    float64, which a finite X, mean and std can make.
+    rows gives each row of X its 0-based index among its table's data rows
+    (default 0 .. N-1), which names a row in an error. Raises DataError
+    naming the first row, and its first feature, whose z-score overflows
+    float64, which a finite value, mean and std can make.
     """
-    out = np.array(X, dtype=float)
+    src = np.asarray(X, dtype=float)
+    out = src.copy()
     scaled = []
     with np.errstate(over="ignore"):  # checked just below
         for idx, mu, sd in zip(NUMERIC_FEATURE_INDICES, standardizer.means.tolist(),
@@ -354,10 +357,13 @@ def apply_standardizer(standardizer: Standardizer, X) -> np.ndarray:
                 out[:, idx] = (out[:, idx] - mu) / sd
                 scaled.append((idx, mu, sd))
     if not np.isfinite(out).all():
-        for idx, mu, sd in scaled:
-            if not np.isfinite(out[:, idx]).all():
-                raise DataError(f"standardizer: the z-score of feature {idx} overflows "
-                                f"float64 (mean {mu!r}, std {sd!r})")
+        bad = ~np.isfinite(out[:, [idx for idx, _, _ in scaled]])
+        if bad.any():
+            r, k = np.argwhere(bad)[0].tolist()  # row-major: first row, then its feature
+            idx, mu, sd = scaled[k]
+            row = r if rows is None else int(rows[r])
+            raise DataError(f"data row {row + 1}: the z-score of feature {idx}, "
+                            f"({float(src[r, idx])!r} - {mu!r}) / {sd!r}, overflows float64")
     return out
 
 

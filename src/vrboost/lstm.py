@@ -82,9 +82,9 @@ reference starts from a zero dh: again only the sign of a zero can differ.
 dpre's rows stay in a (T, 4H) buffer, row k holding step T-1-k, and the W,
 b and U gradients are one axis-0 np.add.reduce each, with initial=0.0, over
 those rows and their outer products with x_t or h_prev, laid out with the
-4H axis inner: (T-1, H, 4H) terms h_prev (x) dpre_k reduced into U's
-gradient seen transposed, (H, 4H), and at D=1 (T, 4H) terms dpre_k * x_t
-reduced into W's one column (at D>1, (T, 4H, D) terms dpre_k (x) x_t).
+4H axis inner: (T-1, H, 4H) terms h_prev (x) dpre_k and (T, D, 4H) terms
+x_t (x) dpre_k, reduced into U's and W's gradients seen transposed, (H, 4H)
+and (D, 4H).
 These reductions are exact: an axis-0 reduction adds the rows of its
 C-contiguous terms one after the other, so each entry is 0.0 + s_{T-1} +
 ... + s_0, the reference's accumulation into a zeroed gradient in its
@@ -122,16 +122,29 @@ bounds the gemm for any BLAS build and core count. At D=1 an input product
 is a broadcast multiply, each entry the one product w*x, which a k=1 gemm
 would sum as 0 + w*x: a zero's sign aside, the same value.
 
-A row's logits depend on the row and the kernels alone. This BLAS build's
-gemm sums a column of its output alike in every full group of
-SCORE_COLUMN_GROUP columns, and otherwise by where the column sits and how
-long its block is; so every block holds whole groups, the tail block padded
-with zero rows whose logits are dropped. A row then has the same logit bits
-scored alone, in any slice of X and in any stack, its kernel's stack of one
-included, so the train report can take each boosting round's in-sample
-votes as the ensemble's. This is the build's property, not a promise of
-every BLAS: tests/test_lstm_kernel.py asserts it, so that a build without
-it shows.
+A row's logits depend on the row and the kernels alone. A gemm kernel
+sums an output entry by where it sits among the kernel's register blocks:
+entries in full blocks alike, those of a remainder block (the last few
+columns of a width, or rows of a height, that is not a whole number of
+blocks) in another order. So every block of rows holds whole groups of
+SCORE_COLUMN_GROUP columns, the tail block padded with zero rows whose
+logits are dropped; and at D>1 each stacked W is padded with zero rows to
+whole groups as well, their products dropped, as its height 3KH or 4KH
+depends on the stack (the per-kernel U and head products do not). A row
+then has the same logit bits scored alone, in any slice of X and in any
+stack, its kernel's stack of one included, so the train report can take
+each boosting round's in-sample votes as the ensemble's. This holds for
+the gemm kernels whose blocks divide SCORE_COLUMN_GROUP, not for every
+BLAS: OpenBLAS built with DYNAMIC_ARCH, as numpy's wheels are, picks the
+kernel at run time from the CPU (or OPENBLAS_CORETYPE). Forced through
+OPENBLAS_CORETYPE on one AMD EPYC, the SkylakeX, Haswell (also Zen's) and
+Sandybridge kernels hold it at 1, 2, 4 and 8 threads; the Nehalem kernel
+holds it at 1 thread only (its threaded gemm splits a block), and the
+Katmai one fails the oracle tests too. tests/test_lstm_kernel.py's
+row-independence test is its only guard, and so the only guard of
+tests/test_cli.py's test_evaluate_reproduces_train_block contract: on a
+kernel without the property both fail, and a train vote whose logit lies
+near 0 can differ from evaluate's.
 
 The clip guard. clip_and_update() clips by the exact ordered norm: the
 squares of grad, each key's own pairwise sum, the sums added in
@@ -497,15 +510,12 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     m0, s0, one_minus0 = mult[0, h_dim:], gates[0, h_dim:], factors[0, h_dim:4 * h_dim]
     dp0_col = dp0[:, None]
     if not one_step:
-        # the outer products each gradient sums, in dpre's row order, the
-        # 4H axis inner where it can be: U's (H, 4H) and, at D=1, W's (4H,)
+        # the outer products each gradient sums, in dpre's row order, with
+        # the 4H axis inner: U's (H, 4H) and W's (D, 4H), both seen transposed
         h_prev_cols, dpre_rows = h[steps - 1:0:-1, :, None], dpre[:-1, None, :]
         u_terms, gU_T = np.empty((steps - 1, h_dim, 4 * h_dim)), gU.T
-        if all_inputs:
-            w_terms, gW_out = np.empty((steps, 4 * h_dim)), gW[:, 0]
-        else:
-            dpre_cols = dpre[:, :, None]
-            w_terms, gW_out = np.empty((steps, 4 * h_dim, d)), gW
+        x_shape, all_dpre_rows = (steps, d, 1), dpre[:, None, :]
+        w_terms, gW_T = np.empty((steps, d, 4 * h_dim)), gW.T
 
     def backward(y, w):
         dlogit[()] = w * (trace.prob - y)
@@ -541,11 +551,8 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
             multiply(dp0_col, trace.x, gW)
         else:
             add_reduce(dpre, axis=0, initial=0.0, out=gb)
-            if all_inputs:
-                multiply(dpre, trace.x[::-1, None], w_terms)
-            else:
-                multiply(dpre_cols, trace.x.reshape(steps, d)[::-1, None, :], w_terms)
-            add_reduce(w_terms, axis=0, initial=0.0, out=gW_out)
+            multiply(trace.x.reshape(x_shape)[::-1], all_dpre_rows, w_terms)
+            add_reduce(w_terms, axis=0, initial=0.0, out=gW_T)
             multiply(h_prev_cols, dpre_rows, u_terms)
             add_reduce(u_terms, axis=0, initial=0.0, out=gU_T)  # 0 at T = 1
         # the reference's sums start from a zeroed gradient: -0.0 becomes +0.0
@@ -756,7 +763,8 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
     stacked input, output and candidate blocks' (3KH, rows) input products;
     each later step takes the (4KH, rows) ones with each kernel's own
     (4H, H) @ (H, rows) product U @ h added, then b, as in forward(). At
-    D=1 an input product is a (G, 1) * (1, rows) broadcast multiply.
+    D=1 an input product is a (G, 1) * (1, rows) broadcast multiply; at
+    D>1 a gemm whose stacked W is padded with zero rows to whole groups.
     """
     first, k = kernels[0], len(kernels)
     d, h_dim = first.input_dim, first.hidden_dim
@@ -774,8 +782,19 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
     # broadcast column dearer than adding an array of the block's shape
     b = b.reshape(k, gates, h_dim).transpose(1, 0, 2).reshape(gates * k * h_dim, 1)
     b = np.repeat(b, min(rows_per_block, -(-n // group) * group), axis=1)
-    W0, b0 = W[-3 * k * h_dim:], b[-3 * k * h_dim:]
-    input_product = np.multiply if d == 1 else np.matmul
+    m0, m = 3 * k * h_dim, gates * k * h_dim
+    W0, b0 = W[-m0:], b[-m0:]
+    if d == 1:
+        input_product = np.multiply
+    else:
+        # zero rows pad each stacked W to whole groups, their products dropped:
+        # a gemm kernel can sum the rows of its remainder in another order,
+        # and which rows those are would depend on K
+        input_product = np.matmul
+        if m0 % group:
+            W0 = np.concatenate([W0, np.zeros((-m0 % group, d))])
+        if m % group:
+            W = np.concatenate([W, np.zeros((-m % group, d))])
     w_head = w_head[:, None, :]
     logits = np.empty((k, n))
     for start in range(0, n, rows_per_block):
@@ -785,7 +804,7 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
             block = np.concatenate([block, np.zeros((-rows % group, X.shape[1]))])
         block = block.T
         cols = block.shape[1]
-        z = input_product(W0, block[:d])
+        z = input_product(W0, block[:d])[:m0]
         z += b0[:, :cols]
         z = z.reshape(3, k, h_dim, cols)
         sigmoid(z[:2], z[:2])  # in place: activations overwrite z
@@ -793,7 +812,7 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
         c = z[0] * z[2]
         h = z[1] * np.tanh(c)  # (K, H, cols)
         for t in range(1, steps):
-            z = input_product(W, block[t * d:(t + 1) * d])
+            z = input_product(W, block[t * d:(t + 1) * d])[:m]
             z4 = z.reshape(4, k, h_dim, cols)
             z4 += np.matmul(U, h).reshape(k, 4, h_dim, cols).transpose(1, 0, 2, 3)
             z += b[:, :cols]

@@ -39,12 +39,26 @@ class ModelBundle:
     sequence_mode: str
 
 
+def _alpha_sum_overflows(rounds) -> bool:
+    """Whether the absolute sum of the rounds' alphas overflows float64. A
+    margin is a sum of +-alpha, so it stays finite when this sum does."""
+    try:
+        math.fsum(abs(r.alpha) for r in rounds)
+    except OverflowError:
+        return True
+    return False
+
+
 def save_model(bundle: ModelBundle, path: str) -> None:
     """Format v2: compact JSON, floats as JSON numbers, each kernel's own arrays.
 
     Raises ValueError for a learner that is not an LSTM, or whose kernel is
-    not the form its sequence mode trains and load_model builds."""
+    not the form its sequence mode trains and load_model builds, and for
+    alphas whose absolute sum overflows, which load_model refuses."""
     std = bundle.standardizer
+    if _alpha_sum_overflows(bundle.ensemble.rounds):
+        raise ValueError(f"save_model: the absolute sum of the "
+                         f"{len(bundle.ensemble.rounds)} alphas overflows float64")
     one_step = step_dim(bundle.sequence_mode, data_mod.N_FEATURES) == data_mod.N_FEATURES
     rounds = []
     for r in bundle.ensemble.rounds:
@@ -152,11 +166,9 @@ def load_model(path: str) -> ModelBundle:
             rounds.append(BoostRound(alpha=float(alpha), learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
-        try:  # a margin is a sum of +-alpha, so it stays finite
-            math.fsum(abs(r.alpha) for r in rounds)
-        except OverflowError:
+        if _alpha_sum_overflows(rounds):
             raise DataError(f"the absolute sum of the {len(rounds)} alphas overflows "
-                            f"float64") from None
+                            f"float64")
         convention = doc["label_convention"]
         labels = (_typed(convention["positive"], int), _typed(convention["negative"], int))
         if labels != (POSITIVE, NEGATIVE):

@@ -183,6 +183,30 @@ def test_train_split_with_empty_test_side_is_exit_3_before_training(tmp_path, mo
     assert not out.exists()
 
 
+def test_train_names_the_data_row_of_a_test_row_whose_z_score_overflows(tmp_path,
+                                                                         monkeypatch, capsys):
+    # the training side's durations barely differ, so its std is tiny and one
+    # test-side duration of 1e300 has no finite z-score
+    monkeypatch.setattr("vrboost.cli.boost_train", None)  # never reached
+    durations = [30.0 + i * 1e-12 for i in range(20)]
+    table = data_mod.Table(columns={
+        "Age": [20 + i for i in range(20)], "Gender": ["Male"] * 20,
+        "VRHeadset": ["HTC Vive"] * 20, "Duration": durations,
+        "MotionSickness": [5] * 20, "ImmersionLevel": [1 + i % 5 for i in range(20)]})
+    spec = data_mod.TargetSpec("ImmersionLevel", 4)
+    X, labels = data_mod.encode(table, spec), data_mod.encode_labels(table, spec)
+    train_idx, test_idx = data_mod.split_indices(20, 0.7, 0, labels, False)
+    row = int(test_idx[-1])
+    durations[row] = 1e300
+    standardizer = data_mod.fit_standardizer(X[train_idx])
+    mu, sd = standardizer.means[1].item(), standardizer.stds[1].item()
+    path = tmp_path / "extreme.csv"
+    data_mod.write_csv(table, path)
+    assert _run(["train", "--data", path, "--seed", 0, "--out-dir", tmp_path / "out"]) == 3
+    assert capsys.readouterr().err == (f"error: data row {row + 1}: the z-score of feature 1, "
+                                       f"(1e+300 - {mu!r}) / {sd!r}, overflows float64\n")
+
+
 def test_train_unwritable_out_dir_is_exit_5(tmp_path):
     code = _run(["train", *FAST_TRAIN, "--out-dir", "/dev/null/nested"])
     assert code == 5

@@ -30,9 +30,9 @@ from lstm_oracle import (backward, clip_gradient, clip_norm, copied, forward_seq
 from vrboost import lstm
 from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
 from vrboost.lstm import (_CLIP_GUARD_MAX, _CLIP_GUARD_MIN, GATES, MAX_STACK, ROW_LOGIT_DRIFT,
-                          SCORE_BLOCK_ROWS, PackedLstm, TrainConfig, grad_check, init_params,
-                          learning_rate, param_keys, step_dim, train_weak_learner,
-                          weighted_loss)
+                          SCORE_BLOCK_ROWS, SCORE_COLUMN_GROUP, PackedLstm, TrainConfig,
+                          grad_check, init_params, learning_rate, param_keys, step_dim,
+                          train_weak_learner, weighted_loss)
 from vrboost.numerics import Rng, sigmoid
 
 
@@ -767,7 +767,8 @@ def test_a_rows_logits_are_bit_equal_alone_in_any_slice_and_any_stack(mode, hidd
                                                                        seed, data):
     # a block holds whole column groups and its tail is padded to one, so a
     # row's sums do not depend on the other rows or the other kernels; this
-    # is the BLAS build's property, so another build shows here if it lacks it
+    # is a property of the gemm kernel OpenBLAS picks at run time from the
+    # CPU, so a kernel that lacks it shows here (the lstm module docstring)
     kernels = _drawn_kernels([hidden] * k, mode, seed)
     X = Rng(seed + 1).uniform_array((n, 9), -3.0, 3.0)
     _, logits = lstm.forward_stack(kernels, X)
@@ -805,9 +806,12 @@ def test_no_stacked_gemm_is_larger_than_one_kernels_at_the_block_rows(monkeypatc
         for gates, stack, h, rows in seen:
             assert stack <= min(k, MAX_STACK) and h == hidden
             # step 0 is one (3KH, D) @ (D, rows) gemm, a later step a
-            # (4KH, D) @ (D, rows) one and K (4H, H) @ (H, rows) ones
+            # (4KH, D) @ (D, rows) one and K (4H, H) @ (H, rows) ones; at
+            # D>1 a stacked W's height is padded to whole column groups
             m = (3 if gates == 2 else 4) * stack * h
-            assert m * rows * dim <= (m // stack) * SCORE_BLOCK_ROWS * dim
+            group = 1 if dim == 1 else SCORE_COLUMN_GROUP
+            padded = lambda height: -(-height // group) * group
+            assert padded(m) * rows * dim <= padded(m // stack) * SCORE_BLOCK_ROWS * dim
             assert 4 * h * rows * h <= 4 * h * SCORE_BLOCK_ROWS * h
 
 

@@ -44,7 +44,9 @@ def bundles(draw):
         learner.kernel = packed(STEP_DIMS[mode], hidden_dim, {
             key: draw(arrays(np.float64, like.shape, elements=FINITE))
             for key, like in template.items()}, one_step)
-        rounds.append(BoostRound(alpha=draw(FINITE), learner=learner))
+        # 2 alphas of at most 1e307 sum finitely, as save_model and load_model need
+        alpha = draw(st.floats(min_value=-1e307, max_value=1e307))
+        rounds.append(BoostRound(alpha=alpha, learner=learner))
     n = len(NUMERIC_FEATURE_INDICES)
     standardizer = Standardizer(
         means=draw(arrays(np.float64, n, elements=FINITE)),
@@ -86,6 +88,22 @@ def test_save_model_rejects_a_kernel_of_the_other_form(tmp_path, mode):
                          target=TargetSpec(), standardizer=Standardizer(
                              means=np.zeros(3), stds=np.ones(3)), sequence_mode=mode)
     with pytest.raises(ValueError, match=f"save_model: a '{mode}' learner needs a"):
+        save_model(bundle, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_save_model_rejects_alphas_whose_absolute_sum_overflows(tmp_path):
+    # the writer refuses what load_model would: 1e308 + |-1e308| is beyond float64
+    rounds = []
+    for alpha in (1e308, -1e308):
+        learner = LstmWeakLearner(TrainConfig(hidden_dim=2), "single")
+        learner.kernel = PackedLstm(STEP_DIMS["single"], 2, one_step=True)
+        rounds.append(BoostRound(alpha=alpha, learner=learner))
+    bundle = ModelBundle(ensemble=Ensemble(rounds=rounds), target=TargetSpec(),
+                         standardizer=Standardizer(means=np.zeros(3), stds=np.ones(3)),
+                         sequence_mode="single")
+    with pytest.raises(ValueError, match="^save_model: the absolute sum of the 2 alphas "
+                                         "overflows float64$"):
         save_model(bundle, tmp_path / "model.json")
     assert not (tmp_path / "model.json").exists()
 
@@ -274,7 +292,35 @@ def test_a_z_score_that_overflows_fails_predict_in_one_line(fuzz_dir, tmp_path):
         code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
                      "--out", "preds.csv", "--out-dir", tmp_path])
     assert code == 3
-    assert err.getvalue() == ("error: standardizer: the z-score of feature 0 overflows "
-                              "float64 (mean -1.7e+308, std 0.5)\n")
+    assert err.getvalue() == ("error: data row 1: the z-score of feature 0, "
+                              "(18.0 - -1.7e+308) / 0.5, overflows float64\n")
+    assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "preds.csv").exists()
+
+
+def test_a_csv_value_whose_z_score_overflows_fails_predict_naming_its_row(fuzz_dir, tmp_path):
+    # the model's moments are ordinary; the data rows' values make the overflow
+    doc = json.loads((fuzz_dir / "v2_single.json").read_text())
+    doc["standardizer"]["stds"][:2] = [0.5, 0.25]
+    mean_age = doc["standardizer"]["means"][0]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    lines = (FIXTURES / "v1_score.csv").read_text().splitlines()
+    for number, column, value in ((4, 3, "1e308"), (3, 0, "17" + "0" * 307)):
+        cells = lines[number].split(",")
+        cells[column] = value
+        lines[number] = ",".join(cells)
+    data = tmp_path / "extreme.csv"
+    data.write_text("\n".join(lines) + "\n")
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+            redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = _run(["predict", "--model", model, "--data", data,
+                     "--out", "preds.csv", "--out-dir", tmp_path])
+    # data rows 3 (Age) and 4 (Duration) both overflow: the first is named
+    assert code == 3
+    assert err.getvalue() == (f"error: data row 3: the z-score of feature 0, "
+                              f"(1.7e+308 - {mean_age!r}) / 0.5, overflows float64\n")
     assert not caught, [str(w.message) for w in caught]
     assert not (tmp_path / "preds.csv").exists()
