@@ -48,12 +48,18 @@ end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
 of its rows, from data.encode to the kernel; step_dim() gives D for a
 sequence mode.
 
-forward() and backward() are bit-identical to the per-gate reference cell
-kept in tests/lstm_oracle.py: same probabilities, gradients and trained
-parameters to the last bit (tests/test_lstm_kernel.py checks this), and a
-one-step kernel's entries are the reference's live entries. Matrix
-products stay per gate because BLAS sums a row of a stacked product in an
-order that depends on the row's position.
+forward() and backward() are bit-identical to the reference cell kept in
+tests/lstm_oracle.py: same probabilities, gradients and trained parameters
+to the last bit (tests/test_lstm_kernel.py checks this), and a one-step
+kernel's entries are the reference's live entries. Both take a later step's
+recurrent products whole: U h_{t-1} is one (4H, H) gemv, and so is dh_prev
+= U^T dpre, the reference's from its four U blocks concatenated in GATES
+order. W products stay per gate: step 0 and the one-step kernel multiply a
+(3H, D) block, whose rows sit at other positions than in the reference's
+(4H, D) one, and BLAS sums a row of a stacked product in an order that
+depends on the row's position. A whole-matrix product differs from the
+per-gate one by rounding only, by how much depending on the BLAS kernel
+(README's "Where the time goes").
 
 Time-batched BPTT. Each time step of forward() and backward() does only the
 recurrent work; what does not depend on the recurrence is done once over
@@ -68,7 +74,7 @@ vectors of one length, broadcasting none, through one 5H buffer
 E = [dc, dc, dh, dc, dc]. Step t's dpre row is mult[t] * E[:4H] =
 [c_prev*dc, g*dc, tanh(c)*dh, i*dc], times gates[t], times its factors;
 step 0's, from the input gate on, is mult[0, H:] * E[H:4H]. dh_prev =
-sum_g U_g^T dpre_g, per step and per gate, goes into E[2H:3H]. E[2H:] times
+U^T dpre, one gemv per step, is written straight into E[2H:3H]. E[2H:] times
 gates' flat window [o_{t-1}, 1, f_t] (see Trace) is [dh*o_{t-1}, dc,
 dc*f_t]; its first block times 1-tanh(c_{t-1})^2, plus its last, is step
 t-1's dc, copied into E's dc blocks. These are the reference's operations
@@ -77,8 +83,8 @@ so on, with at most a product's or a sum's two operands swapped, which IEEE
 arithmetic gives the same bits; the candidate block's factor 1 is exact.
 The last step's dc is (dh*o)*(1-tanh(c)^2) itself, where the reference
 adds it to a zero dc: only the sign of a zero can differ. dh_prev is the
-three adds ((U_f^T d_f + U_i^T d_i) + U_o^T d_o) + U_g^T d_g, where the
-reference starts from a zero dh: again only the sign of a zero can differ.
+gemv's output, where the reference adds it to a zero dh: again only the
+sign of a zero can differ.
 dpre's rows stay in a (T, 4H) buffer, row k holding step T-1-k, and the W,
 b and U gradients are one axis-0 np.add.reduce each, with initial=0.0, over
 those rows and their outer products with x_t or h_prev, laid out with the
@@ -187,7 +193,8 @@ work buffers: min(z, 0) and -|z| are written side by side and one exp takes
 both, with no checks on the way. A constant operand is a 0-d array
 (numerics' 0-d operand rule), as are dL/dlogit and the learning rate. The
 head logit is w_head.dot(h_T), the ddot that `@` reaches without matmul's
-dispatch; weighted_loss takes only its label's log, and the training loop
+dispatch, and a later step's U h_{t-1} and U^T dpre are one ndarray.dot
+gemv each; weighted_loss takes only its label's log, and the training loop
 takes its rows as one list of views per learner. So one update makes six
 Python calls at T = 1: forward, sigmoid_core, the head's sigmoid,
 weighted_loss, backward and the update. README's "Where the time goes"
@@ -420,8 +427,9 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     pre, gates, mult, h, factors, dpre = (trace.pre, trace.gates, trace.mult, trace.h,
                                           trace.factors, trace.dpre)
     i, o, c, g, tanh_c, h_last = trace.i, trace.o, trace.c, trace.g, trace.tanh_c, trace.h_last
-    U3 = kernel._U3
-    UT3 = None if one_step else U3.transpose(0, 2, 1)
+    # a later step's one recurrent product each way, U h_prev and U^T dpre, as
+    # (4H, H) gemvs; ndarray.dot reaches BLAS without matmul's dispatch
+    U_dot, UT_dot = (None, None) if one_step else (kernel.U.dot, kernel.U.T.dot)
     # D=1: W_g x_t is x_t times W's column, so the input products of all T
     # steps are one multiply (step 0's forget entries among them, never
     # read); a one-step kernel has no forget rows and fills pre from the
@@ -437,7 +445,7 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     # 0's two sigmoid gates and a later step's three
     work0, work = np.empty((2, 2 * h_dim)), np.empty((2, n_sig))
     (low0, neg0), (low, neg) = work0, work
-    uh, fc_ig = np.empty((4, h_dim)), np.empty(2 * h_dim)
+    uh, fc_ig = np.empty(4 * h_dim), np.empty(2 * h_dim)
     fc, ig = fc_ig[:h_dim], fc_ig[h_dim:]
     forward_steps = []  # steps 1 .. T-1, in forward()'s unpacking order
     for t in range(1, steps):
@@ -463,8 +471,8 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
                 in forward_steps:
             if not all_inputs:
                 matmul(W3, x[xt], z4)
-            matmul(U3, h_prev, uh)
-            add(z4, uh, z4)  # (W x + U h) + b, the reference's order
+            U_dot(h_prev, uh)
+            add(z, uh, z)  # (W x + U h) + b, the reference's order
             add(z, b, z)
             sigmoid_core(z_sig, sig, work, low, neg)
             tanh(z_cand, g_t)
@@ -492,8 +500,6 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     # [dh*o_prev, dc, dc*f] of one step
     dc_terms = np.empty(3 * h_dim)
     dho, dcf = dc_terms[:h_dim], dc_terms[2 * h_dim:]
-    ud = np.empty((4, h_dim, 1))
-    ud_f, ud_i, ud_o, ud_g = ud[..., 0]
     # dc of step T-1 is (dh*o)*(1-tanh(c)^2) of its o and factor views
     o_last, one_minus_tc2_last = o[steps - 1], factors[steps - 1, 4 * h_dim:]
     flat_gates = gates.reshape(-1)
@@ -502,7 +508,7 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
         row = dpre[steps - 1 - t]
         # with [o_{t-1}, 1, f_t] and step t-1's 1-tanh(c)^2, which form that step's dc
         backward_steps.append((
-            mult[t], gates[t], factors[t, :4 * h_dim], row, row.reshape(4, h_dim, 1),
+            mult[t], gates[t], factors[t, :4 * h_dim], row,
             flat_gates[4 * h_dim * t - 2 * h_dim:4 * h_dim * t + h_dim],
             factors[t - 1, 4 * h_dim:]))
     # step 0's views start at the input gate
@@ -529,15 +535,12 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
         multiply(dh, o_last, dc)
         multiply(dc, one_minus_tc2_last, dc)
         dc1[...] = dc3[...] = dc4[...] = dc
-        for m, s, one_minus, dp, dp3, window, one_minus_tc2_prev in backward_steps:
+        for m, s, one_minus, dp, window, one_minus_tc2_prev in backward_steps:
             multiply(m, E_row, dp)  # [c_prev*dc, g*dc, tanh(c)*dh, i*dc]
             multiply(dp, s, dp)
             multiply(dp, one_minus, dp)
-            # dh and dc of step t-1: U_g.T @ d_g per gate, added in GATES order
-            matmul(UT3, dp3, ud)
-            add(ud_f, ud_i, dh)
-            add(dh, ud_o, dh)
-            add(dh, ud_g, dh)
+            # dh and dc of step t-1: dh is U^T dpre, written into E's dh block
+            UT_dot(dp, dh)
             multiply(E_window, window, dc_terms)
             multiply(dho, one_minus_tc2_prev, dho)
             add(dcf, dho, dc)  # dc*f + (dh*o)*(1-tanh(c)^2)
@@ -582,11 +585,12 @@ class PackedLstm:
         self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h,
                                                                          one_step)
         self.arrays = _key_views(self.W, self.U, self.b, self.w_head, self.b_head, h)
-        # BLAS sums a row of one (4H, .) product in an order that depends on
-        # the row's position, so products are batched over a gate axis:
-        # numpy then makes the reference's per-gate BLAS call for each gate
+        # W products are batched over a gate axis, so that numpy makes the
+        # reference's per-gate BLAS call for each gate: step 0 and a one-step
+        # kernel multiply a (3H, D) block, whose rows sit at other positions
+        # than in a (4H, D) one, and BLAS sums a row of a stacked product in
+        # an order that depends on the row's position (module docstring)
         self._W3 = self.W.reshape(-1, h, d)
-        self._U3 = None if one_step else self.U.reshape(4, h, h)
         self.trace = self._step = None
 
     @functools.cached_property
@@ -845,7 +849,7 @@ def init_params(input_dim: int, hidden_dim: int, rng: Rng,
         kernel._W3[...] = W3[1:]
     else:
         kernel._W3[...] = W3
-        kernel._U3[...] = draws[:, h * d:].reshape(len(GATES), h, h)
+        kernel.U[...] = draws[:, h * d:].reshape(-1, h)
         kernel.arrays["b_forget"][...] = 1.0
     kernel.w_head[...] = rng.uniform_array((h,), -lim, lim)
     return kernel

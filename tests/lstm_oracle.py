@@ -1,8 +1,12 @@
-"""The per-gate LSTM reference cell and its dict-based SGD loop.
+"""The LSTM reference cell and its dict-based SGD loop.
 
-forward_step, forward_sequence and backward work gate by gate on a plain
-dict of the 14 param_keys() arrays, one `W @ x + U @ h + b` per gate; none
-of them calls the packed kernel. oracle_train runs them
+forward_step, forward_sequence and backward work on a plain dict of the 14
+param_keys() arrays, one `W @ x + U h + b` per gate; none of them calls the
+packed kernel. The recurrent products are whole-matrix: U_all, the four U
+blocks concatenated in GATES order, gives each step's U h as U_all @ h, one
+(4H, H) product whose gate blocks are added, and dh_prev as zero plus
+U_all.T @ dpre_all, dpre's four blocks concatenated. W products stay per
+gate. oracle_train runs them
 per example: forward_sequence -> backward -> clip over the dict of
 gradients -> per-key update, with the same weight normalization, RNG draws,
 shuffle and loss curve as train_weak_learner, on its own copy of the
@@ -78,12 +82,19 @@ def four_gate(kernel) -> dict:
     return copied(packed(kernel.input_dim, kernel.hidden_dim, kernel.arrays).arrays)
 
 
+def stacked_u(params: dict) -> np.ndarray:
+    """U_all (4H, H): the four U blocks of params, concatenated in GATES order."""
+    return np.concatenate([params[f"U_{gate}"] for gate in GATES])
+
+
 def forward_step(params: dict, x_t: np.ndarray, state: LstmState):
     """One cell update; returns the new state and the step's forward trace."""
     x_t = np.asarray(x_t, dtype=float)
+    uh = stacked_u(params) @ state.h
+    h_dim = len(state.h)
     pre = {}
-    for gate in GATES:
-        pre[gate] = (params[f"W_{gate}"] @ x_t + params[f"U_{gate}"] @ state.h
+    for k, gate in enumerate(GATES):
+        pre[gate] = (params[f"W_{gate}"] @ x_t + uh[k * h_dim:(k + 1) * h_dim]
                      + params[f"b_{gate}"])
     f = sigmoid(pre["forget"])
     i = sigmoid(pre["input"])
@@ -125,6 +136,7 @@ def backward(params: dict, cache: StepCache, y: int, w: float) -> dict:
     grads["b_head"] += dlogit
     dh = dlogit * params["w_head"]
     dc = np.zeros_like(dh)
+    U_all = stacked_u(params)
     for rec in reversed(cache.steps):
         f = rec.gate["forget"]
         i = rec.gate["input"]
@@ -141,14 +153,12 @@ def backward(params: dict, cache: StepCache, y: int, w: float) -> dict:
             "output": do * o * (1.0 - o),
             "candidate": dg * (1.0 - g ** 2),
         }
-        dh_prev = np.zeros_like(dh)
         for gate in GATES:
             d = dpre[gate]
             grads[f"W_{gate}"] += np.outer(d, rec.x)
             grads[f"U_{gate}"] += np.outer(d, rec.h_prev)
             grads[f"b_{gate}"] += d
-            dh_prev += params[f"U_{gate}"].T @ d
-        dh = dh_prev
+        dh = np.zeros_like(dh) + U_all.T @ np.concatenate([dpre[gate] for gate in GATES])
         dc = dc * f
     return grads
 

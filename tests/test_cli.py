@@ -802,7 +802,7 @@ def test_csv_field_over_the_size_limit_is_exit_3_naming_file_and_line(tmp_path, 
     assert not any((tmp_path / "out").rglob("*"))  # no output file
 
 
-# --- predict against the per-gate reference cell -----------------------------
+# --- predict against the reference cell -------------------------------------
 
 @pytest.mark.parametrize("mode", ["single", "unrolled"])
 def test_predict_matches_per_row_oracle_and_ignores_row_order(tmp_path, mode):

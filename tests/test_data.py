@@ -1,11 +1,15 @@
 import ast
+import csv
+import io
 import math
 import os
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -501,6 +505,116 @@ def test_gen_synthetic_by_column_is_the_per_record_generator(seed, n, signal):
 def test_majority_rate():
     assert majority_rate([1, 1, 1, 0]) == 0.75
     assert majority_rate([0, 0, 1, 1]) == 0.5
+
+
+# --- drawn CSV bytes through predict -----------------------------------------
+
+MODEL_V1_SINGLE = Path(__file__).resolve().parent / "fixtures" / "model_v1_single.json"
+
+# a field load_csv accepts, per column
+_VALID_FIELDS = {
+    "Age": st.integers(0, 99).map(str),
+    "Gender": st.sampled_from(GENDERS),
+    "VRHeadset": st.sampled_from(HEADSETS),
+    "Duration": st.floats(0.0, 100.0).map(repr),
+    "MotionSickness": st.integers(*SCORE_RANGES["MotionSickness"]).map(str),
+    "ImmersionLevel": st.integers(*SCORE_RANGES["ImmersionLevel"]).map(str),
+}
+# a field it may refuse: huge integers (past float64, and past int()'s 4300
+# digits), any float's repr, padding, quotes, commas and line breaks (which
+# csv.writer quotes into a multi-line field), NUL, a field over the csv
+# module's size limit and free text
+_HUGE_FIELD = "x" * (csv.field_size_limit() + 1)
+_ODD_FIELDS = st.one_of(
+    st.integers(-10 ** 400, 10 ** 400).map(str),
+    st.sampled_from(["1" * 5000, "17" + "0" * 307, "-0", " 7 ", "", '"', 'a"b', "x\ny",
+                     "1,2", "\r", "\x00", "male", "\ufeffAge", _HUGE_FIELD]),
+    st.floats().map(repr),
+    st.text(max_size=6),
+)
+# bytes that are not UTF-8: a lone continuation byte, a bad lead, a surrogate's encoding
+_NOT_UTF8 = st.sampled_from([b"\x80", b"\xff", b"\xc3(", b"\xed\xa0\x80"])
+
+
+@st.composite
+def _csv_bytes(draw):
+    """A CSV file's bytes: a header of the schema's columns in drawn order,
+    the optional target column sometimes absent, rows of valid fields with
+    odd fields, wrong field counts and blank rows mixed in, written by
+    csv.writer (quoting as needed or always, LF or CRLF) with raw lines
+    between; then maybe a BOM in front and a non-UTF-8 byte somewhere."""
+    header = draw(st.permutations(COLUMNS))
+    if draw(st.booleans()):
+        header = [name for name in header if name != "ImmersionLevel"]
+    if draw(st.integers(0, 9)) == 0:
+        header[draw(st.integers(0, len(header) - 1))] = draw(_ODD_FIELDS)
+    buf = io.StringIO()
+    writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
+                        lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
+    writer.writerow(header)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["valid", "valid", "odd field", "wrong count", "blank",
+                                     "raw"]))
+        row = [draw(_VALID_FIELDS.get(name, st.just("0"))) for name in header]
+        if kind == "odd field":
+            row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_FIELDS)
+        elif kind == "wrong count":
+            cut = draw(st.integers(0, len(row) + 2))
+            row = row[:cut] if cut < len(row) else row + ["1"] * (cut - len(row) + 1)
+        elif kind == "blank":
+            row = []
+        if kind == "raw":
+            buf.write(draw(st.text(max_size=20)) + "\n")
+        else:
+            writer.writerow(row)
+    raw = buf.getvalue().encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(_NOT_UTF8) + raw[at:]
+    return raw
+
+
+@pytest.fixture(scope="module")
+def csv_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv_fuzz")
+
+
+_GOOD_ROW = b"40,Male,HTC Vive,13.5,8,5\n"
+
+
+@settings(max_examples=300)
+@given(raw=_csv_bytes())
+@example(raw=b"\xef\xbb\xbf" + HEADER.encode() + b"\n" + _GOOD_ROW)  # a BOM
+@example(raw=HEADER.encode() + b'\n"40","Male","HTC\nVive",13.5,8,5\n')  # a multi-line field
+@example(raw=HEADER.encode() + b"\n\n" + _GOOD_ROW + b"\n\r\n")  # blank rows
+@example(raw=HEADER.encode() + b"\n40,Male,HTC Vive,13.5,8\n")  # a field short
+@example(raw=HEADER.encode() + b"\n" + b"1" * 400 + b",Male,HTC Vive,13.5,8,5\n")  # a huge Age
+@example(raw=HEADER.encode() + b"\n40,M\xe4le,HTC Vive,13.5,8,5\n")  # Latin-1, not UTF-8
+@example(raw=(HEADER + "\n40," + _HUGE_FIELD + ",HTC Vive,13.5,8,5\n").encode())  # csv.Error
+def test_drawn_csv_bytes_predict_or_fail_in_one_line(csv_fuzz_dir, raw):
+    # predict exits 0 with its one stdout line and nothing on stderr, or 3
+    # with one stderr line; no traceback, no warning and no output file on 3
+    data, out = csv_fuzz_dir / "data.csv", csv_fuzz_dir / "preds.csv"
+    for written in (data, out):  # unlinked: rewriting a file in place can wait on the disk
+        written.unlink(missing_ok=True)
+    data.write_bytes(raw)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr), \
+            redirect_stdout(stdout):
+        warnings.simplefilter("always")
+        code = cli.main(["predict", "--model", str(MODEL_V1_SINGLE), "--data", str(data),
+                         "--out", out.name, "--out-dir", str(csv_fuzz_dir)])
+    event(f"exit {code}")
+    assert code in (0, 3), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    lines = (stdout if code == 0 else stderr).getvalue().splitlines()
+    assert len(lines) == 1, (stdout.getvalue(), stderr.getvalue())
+    assert (stderr if code == 0 else stdout).getvalue() == ""
+    assert lines[0].startswith("wrote " if code == 0 else "error: ")
+    assert out.exists() == (code == 0)
+    assert not caught, [str(w.message) for w in caught]
 
 
 # --- write_lines: replace, do not truncate ----------------------------------
