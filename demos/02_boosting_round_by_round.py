@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict,
-                              staged_train_error, weighted_error)
+from vrboost.boosting import (BoostConfig, boost_train, ensemble_predict, vote_predict,
+                              weighted_error)
 
 
 class Stump:
@@ -63,7 +63,10 @@ for entry, r in zip(log, ensemble.rounds):
     print("weights:", " ".join(f"{w:.3f}" for w in entry.weights))
 
 # The exponential-loss bound prod 2*sqrt(eps(1-eps)) caps the training error.
-staged = staged_train_error(ensemble, X, labels)
+# Each round's log keeps its stump's votes on X, so no stump predicts again.
+alphas, votes = [e.alpha for e in log], [e.votes for e in log]
+staged = [float(np.sum(vote_predict(alphas[:k], votes[:k])[0] != labels)) / len(labels)
+          for k in range(1, len(log) + 1)]
 bound = math.prod(2 * math.sqrt(e.epsilon * (1 - e.epsilon)) for e in log)
 print("\nstaged training error:", [f"{e:.2f}" for e in staged])
 print(f"bound {bound:.4f} >= final error {staged[-1]:.4f}")

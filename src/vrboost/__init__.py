@@ -7,8 +7,8 @@ generator, and classification metrics.
 
 from .boosting import (BoostConfig, Ensemble, LstmWeakLearner, alpha,
                        boost_train, ensemble_predict, init_weights,
-                       lstm_factory, staged_train_error, update_weights,
-                       vote_predict, weighted_error)
+                       lstm_factory, update_weights, vote_predict,
+                       weighted_error)
 from .data import (Standardizer, Table, TargetSpec, apply_standardizer, encode,
                    encode_labels, fit_standardizer, gen_synthetic, load_csv,
                    majority_rate, split_indices, synthetic_bayes_rate, write_csv)

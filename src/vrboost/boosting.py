@@ -116,12 +116,12 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     of X, whose class scores an ensemble with predict_all(learners, X) ->
     (K, N) votes, row k being learners[k].predict(X); round t gets seed
     cfg.seed + t. Each accepted round's RoundLog keeps its learner's votes on
-    X, from which vote_predict gives ensemble_predict's answer on X at no
-    further scoring for a learner whose votes do not depend on the other
-    rows of X. A round with weighted error >= 0.5
-    is discarded and the distribution reset to uniform (the attempt still
-    counts); error at or below EPSILON_FLOOR is accepted with clamped error
-    and stops early.
+    X, from which vote_predict gives ensemble_predict's answer on X, or on
+    any prefix of the rounds, at no further scoring for a learner whose
+    votes do not depend on the other rows of X. A round with weighted error
+    >= 0.5 is discarded and the distribution reset to uniform (the attempt
+    still counts); error at or below EPSILON_FLOOR is accepted with clamped
+    error and stops early.
 
     Returns (Ensemble, list of RoundLog).
     """
@@ -160,15 +160,6 @@ def boost_train(X, labels, cfg: BoostConfig, learner_factory):
     return Ensemble(rounds=rounds), log
 
 
-def _votes(ensemble: Ensemble, X) -> np.ndarray:
-    """The (K, N) -1/+1 votes of the K rounds' learners on the rows of the
-    (N, D) matrix X, from one predict_all call of the learners' class."""
-    if not ensemble.rounds:
-        raise ValueError("empty ensemble: no rounds to vote")
-    learners = [r.learner for r in ensemble.rounds]
-    return type(learners[0]).predict_all(learners, np.asarray(X, dtype=float))
-
-
 def vote_predict(alphas, votes) -> tuple:
     """Return (labels in {0,1}, margins) of the (K, N) -1/+1 votes of K
     learners under their K alphas, one of each per column.
@@ -185,17 +176,13 @@ def vote_predict(alphas, votes) -> tuple:
 
 def ensemble_predict(ensemble: Ensemble, X) -> tuple:
     """Return (labels in {0,1}, margins), one of each per row of the (N, D)
-    matrix X: vote_predict of the rounds' votes on X."""
-    return vote_predict([r.alpha for r in ensemble.rounds], _votes(ensemble, X))
-
-
-def staged_train_error(ensemble: Ensemble, X, labels) -> list:
-    """Unweighted error on the rows of X, labels in {0,1}, of every prefix of
-    the ensemble's rounds: the k-th is that of ensemble_predict on the first
-    k rounds, from one scoring of X."""
-    alphas, votes = [r.alpha for r in ensemble.rounds], _votes(ensemble, X)
-    return [float(np.sum(vote_predict(alphas[:k], votes[:k])[0] != labels)) / votes.shape[1]
-            for k in range(1, len(alphas) + 1)]
+    matrix X: vote_predict of the rounds' (K, N) votes on X, from one
+    predict_all call of the learners' class."""
+    if not ensemble.rounds:
+        raise ValueError("empty ensemble: no rounds to vote")
+    learners = [r.learner for r in ensemble.rounds]
+    votes = type(learners[0]).predict_all(learners, np.asarray(X, dtype=float))
+    return vote_predict([r.alpha for r in ensemble.rounds], votes)
 
 
 class LstmWeakLearner:

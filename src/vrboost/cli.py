@@ -304,8 +304,9 @@ def _coerce(row: tuple, raw: str):
 
 
 def _read_config_file(path: str, rows: dict) -> dict:
-    """Parse `key = value` lines; '#' starts a comment; keys may use '-' or '_'."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Parse `key = value` lines; '#' starts a comment; keys may use '-' or
+    '_'. The text is UTF-8, a BOM in front skipped, as load_csv reads CSVs."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             lines = fh.readlines()
         except UnicodeDecodeError as exc:
@@ -319,6 +320,8 @@ def _read_config_file(path: str, rows: dict) -> dict:
             raise UsageError(f"{path}:{line_no}: expected 'key = value'")
         key, raw = (part.strip() for part in text.split("=", 1))
         key = key.replace("-", "_")
+        if key == "config":
+            raise UsageError(f"{path}:{line_no}: a config file cannot name another one")
         if key not in rows:
             raise UsageError(f"{path}:{line_no}: unknown option {key!r}")
         try:

@@ -1,204 +1,99 @@
 """LSTM binary classifier trained with per-sample weights by BPTT.
 
-The cell is the standard four-gate LSTM: forget, input, and output gates
-through sigmoids, a tanh candidate vector, cell state c_t = f*c + i*g and
-hidden state h_t = o*tanh(c_t). A scalar sigmoid head on the final hidden
-state produces the class probability. Training is per-example SGD on
-weighted binary cross-entropy with a step-decay learning-rate schedule and
-per-update L2 gradient clipping.
+The cell is the standard four-gate LSTM: forget, input and output gates
+through sigmoids, a tanh candidate g, c_t = f*c + i*g and h_t = o*tanh(c_t).
+A scalar sigmoid head on the last hidden state gives the class probability.
+Training is per-example SGD on weighted binary cross-entropy, with a
+step-decay learning rate and per-update L2 gradient clipping.
 
-PackedLstm is the cell and the one form of its parameters: one contiguous
-float64 vector holding W (4H, D), U (4H, H) and b (4H) with the gate blocks
-stacked in GATES order, then w_head (H) and b_head (1), plus a gradient
-buffer of the same layout, so an update is one clip over the whole vector
-and one `theta -= lr * grad`. The gradient buffer is built on first use, so
-a kernel that only scores holds theta alone. Its `arrays` are the per-key
-views of that vector, param_keys(), which a model file stores;
-init_params() fills them and train_weak_learner() trains and returns the
-kernel itself. Per-example SGD and grad_check's finite-difference audit run
-forward(), one example at a time; every prediction (each boosting round's
-in-sample predict, whose votes the train report reuses, the test report,
-evaluate and predict) runs forward_stack() over a matrix of rows, for one
-kernel (the stack of one) or for all the learners of an ensemble at once.
-
-Step 0 is the one-step cell. Every row starts from h_0 = c_0 = 0, where
-the forget gate would multiply c_0 and every U would multiply h_0 (Gers,
-Schmidhuber & Cummins 2000, "Learning to forget"). So step 0 of every row,
-in forward(), backward() and forward_stack() alike, computes only the input,
-output and candidate gates' W x + b, sets c_1 = i*g and reads no U; its
-forget block of dpre stays 0. The reference's U @ h_0 adds +0.0, which
-changes no sum whose bias term is not -0.0, and SGD never makes one; its
-f*c_0 + i*g adds +0.0 to i*g, which can change only the sign of a zero c_1.
-tanh(c_1) then reaches the logit through a sum that takes it as +-0 either
-way, and the gradients through sums that start from +0.0. The forget gate
-and U thus act from step 1 on: on rows of one step their gradients are
-exact zeros and they never train. A kernel built with one_step=True holds
-only what such rows read, W (3H, D) and b (3H) of ONE_STEP_GATES and the
-head, 3H(D + 1) + H + 1 entries (497 of the four-gate 1681 at H=16, D=9),
-and its arrays are param_keys(one_step=True), the ones a `single` model
-stores. It runs the same forward(), backward() and forward_stack(), on rows
-of one step only; its backward() closes without the sums over steps, its
-one dpre row being the b gradient and dpre x^T the W gradient.
-train_weak_learner() builds it for rows of one step and load_model() for
-`single` models; rows of more than one step, and the `gradcheck` command's
-audit, take the four-gate form.
-
-Row layout: an example is one flat float64 row of T steps of D features laid
-end to end, step t being row[t*D:(t+1)*D]. A dataset is the (N, T*D) matrix
-of its rows, from data.encode to the kernel; step_dim() gives D for a
+Row layout. An example is one flat float64 row of T steps of D features laid
+end to end, step t being row[t*D:(t+1)*D]; a dataset is the (N, T*D) matrix
+of its rows, from data.encode to the kernel. step_dim() gives D for a
 sequence mode.
 
-forward() and backward() are bit-identical to the reference cell kept in
-tests/lstm_oracle.py: same probabilities, gradients and trained parameters
-to the last bit (tests/test_lstm_kernel.py checks this), and a one-step
-kernel's entries are the reference's live entries. Both take a later step's
-recurrent products whole: U h_{t-1} is one (4H, H) gemv, and so is dh_prev
-= U^T dpre, the reference's from its four U blocks concatenated in GATES
-order. W products stay per gate: step 0 and the one-step kernel multiply a
-(3H, D) block, whose rows sit at other positions than in the reference's
-(4H, D) one, and BLAS sums a row of a stacked product in an order that
-depends on the row's position. A whole-matrix product differs from the
-per-gate one by rounding only, by how much depending on the BLAS kernel
-(README's "Where the time goes").
+PackedLstm holds the parameters in one float64 vector theta, W (4H, D),
+U (4H, H) and b (4H) with the gate blocks in GATES order, then w_head (H)
+and b_head (1), and its gradient in a vector of the same layout, so an
+update is one clip over the whole vector and one theta -= lr * grad. Its
+`arrays`, the param_keys() views of theta, are what a model file stores.
+forward() runs one row, for per-example SGD and grad_check; forward_stack()
+runs a matrix of rows under one kernel or a whole ensemble, and does all
+scoring.
 
-Time-batched BPTT. Each time step of forward() and backward() does only the
-recurrent work; what does not depend on the recurrence is done once over
-the whole (T, .) trace (after Appleyard, Kocisky & Blunsom 2016, "Optimizing
-Performance of Recurrent Neural Networks on GPUs"). forward() writes the
-kernel's Trace, which backward() reads: gates (T, 4H) holds each step's
-[f, i, o, 1] (f[0] stays 1), mult (T+1, 4H) its [c_prev, g, tanh(c), i] and
-h (T+1, H) the hidden states from h_0 = 0. At D=1 the input products of all
-T steps are one multiply. backward() first forms [1-f, 1-i, 1-o, 1-g^2,
-1-tanh(c)^2] for all steps. Its reverse loop multiplies only contiguous
-vectors of one length, broadcasting none, through one 5H buffer
-E = [dc, dc, dh, dc, dc]. Step t's dpre row is mult[t] * E[:4H] =
-[c_prev*dc, g*dc, tanh(c)*dh, i*dc], times gates[t], times its factors;
-step 0's, from the input gate on, is mult[0, H:] * E[H:4H]. dh_prev =
-U^T dpre, one gemv per step, is written straight into E[2H:3H]. E[2H:] times
-gates' flat window [o_{t-1}, 1, f_t] (see Trace) is [dh*o_{t-1}, dc,
-dc*f_t]; its first block times 1-tanh(c_{t-1})^2, plus its last, is step
-t-1's dc, copied into E's dc blocks. These are the reference's operations
-in its association, ((dc*c_prev)*f)*(1-f), dc*f + (dh*o)*(1-tanh(c)^2) and
-so on, with at most a product's or a sum's two operands swapped, which IEEE
-arithmetic gives the same bits; the candidate block's factor 1 is exact.
-The last step's dc is (dh*o)*(1-tanh(c)^2) itself, where the reference
-adds it to a zero dc: only the sign of a zero can differ. dh_prev is the
-gemv's output, where the reference adds it to a zero dh: again only the
-sign of a zero can differ.
-dpre's rows stay in a (T, 4H) buffer, row k holding step T-1-k, and the W,
-b and U gradients are one axis-0 np.add.reduce each, with initial=0.0, over
-those rows and their outer products with x_t or h_prev, laid out with the
-4H axis inner: (T-1, H, 4H) terms h_prev (x) dpre_k and (T, D, 4H) terms
-x_t (x) dpre_k, reduced into U's and W's gradients seen transposed, (H, 4H)
-and (D, 4H).
-These reductions are exact: an axis-0 reduction adds the rows of its
-C-contiguous terms one after the other, so each entry is 0.0 + s_{T-1} +
-... + s_0, the reference's accumulation into a zeroed gradient in its
-reverse loop. Starting from +0.0 keeps a sum of -0.0 products (x_t = 0.0,
-as in unrolled mode's one-hot steps) at +0.0, and a closing grad += 0.0
-gives the head's gradient, and a one-step kernel's, the same start, so no
-gradient entry is -0.0 and the sign of a zero in dpre or dh reaches none.
+The one-step form. Every row starts from h_0 = c_0 = 0, where the forget
+gate would multiply c_0 and U would multiply h_0 (Gers, Schmidhuber &
+Cummins 2000, "Learning to forget"). So step 0 of every row computes only
+the input, output and candidate gates' W x + b and sets c_1 = i*g. The
+reference's U @ h_0 and f*c_0 add +0.0, which can change only the sign of a
+zero, and no logit or gradient sees that sign. On rows of one step the
+forget gate's and U's gradients are exact zeros, so a kernel built with
+one_step=True holds only W (3H, D) and b (3H) of ONE_STEP_GATES and the
+head, param_keys(one_step=True), which a `single` model stores.
+train_weak_learner() and load_model() build it for rows of one step; longer
+rows and the `gradcheck` command take the four-gate form.
 
-The stack of one, forward_stack([kernel], X), is not bit-identical, for the
-same reason: a row of a gemm is not summed like a per-row gemv. Drift
-policy: a row's stack-of-one logit is within ROW_LOGIT_DRIFT * (sum|w_head|
-+ |b_head|), with ROW_LOGIT_DRIFT = 16 eps, of its forward() logit, and
-equal logits give equal probabilities through the same sigmoid. A vote
-(probability >= 0.5) can only differ for a row whose logit lies within the
-bound of 0. tests/test_lstm_kernel.py asserts the bound and the votes;
-README's "Where the time goes" gives the measured drift.
+Bit-identity with the reference. forward() and backward() give the
+probabilities, gradients and trained parameters of the reference cell in
+tests/lstm_oracle.py to the last bit (tests/test_lstm_kernel.py), and a
+one-step kernel's entries are the reference's live ones. A later step's
+recurrent products are whole: U h_{t-1} is one (4H, H) gemv, and so is
+dh_prev = U^T dpre, the reference's from its four U blocks concatenated in
+GATES order. W products stay per gate: BLAS sums a row of a stacked product
+in an order that depends on the row's position, and step 0's (3H, D) block
+puts rows where the reference's (4H, D) one does not. backward() does what
+does not depend on the recurrence once over all T steps (after Appleyard,
+Kocisky & Blunsom 2016, "Optimizing Performance of Recurrent Neural
+Networks on GPUs") in the reference's association, at most with the two
+operands of a product or a sum swapped, which IEEE arithmetic gives the
+same bits; where the reference adds to a zero dc or dh, only the sign of a
+zero can differ. The W, b and U gradients are axis-0 np.add.reduce sums
+with initial=0.0, which add C-contiguous rows one after the other, 0.0 +
+s_{T-1} + ... + s_0: the reference's accumulation into a zeroed gradient.
+A closing grad += 0.0 turns -0.0 into +0.0, as that zeroed start does, so
+the sign of a zero in dpre or dh reaches no gradient entry.
 
-The stacked scorer. forward_stack() scores the rows of X under K kernels
-at once, which is how an ensemble votes: kernels of one shape are stacked
-so that each block of rows takes one gemm and one pass of each activation
-for all K, not K of each (the batching across independent products of
-Appleyard, Kocisky & Blunsom 2016, here across learners). The stacked W and
-b are laid out gate by gate, (G, K, H), so a block's state is (G, K, H,
-rows), G = 3 at step 0 and 4 after it, and each activation reads one
-contiguous slice; each kernel keeps its own (4H, H) @ (H, rows) product for
-U. A single learner is scored as the stack of one, so one code scores a
-single learner and an ensemble. A block holds block_rows(K) rows,
-SCORE_BLOCK_ROWS // K rounded down to a multiple of SCORE_COLUMN_GROUP: a
-stacked gemm is K times one kernel's in its gate dimension, and a gemm above
-a size threshold makes OpenBLAS start its threads, whose CPU time adds up
-with the caller's. Shrunk so, no gemm is larger than one kernel's at
-SCORE_BLOCK_ROWS, the size scoring has always run; a stack holds at most
-MAX_STACK = 32 kernels, so a block has a column group at least; the rule
-bounds the gemm for any BLAS build and core count. At D=1 an input product
-is a broadcast multiply, each entry the one product w*x, which a k=1 gemm
-would sum as 0 + w*x: a zero's sign aside, the same value.
+Row independence. forward_stack() gives a row the same logit bits scored
+alone, in any slice of X and in any stack of kernels, so the train report
+can take each boosting round's in-sample votes as the ensemble's. A gemm
+sums the entries of a remainder register block (the last columns of a
+width, or rows of a height, that fill no whole block) in another order than
+those of full blocks, so each block of rows holds whole groups of
+SCORE_COLUMN_GROUP columns, the tail padded with zero rows, and at D>1 each
+stacked W is padded with zero rows to whole groups. This holds for the BLAS
+kernels whose blocks divide SCORE_COLUMN_GROUP, not for every BLAS (README's
+"Where the time goes" lists the OpenBLAS kernels checked); the
+row-independence test of tests/test_lstm_kernel.py is its only guard.
+forward_stack() is not bit-identical to forward(): a row of a gemm is not
+summed like a gemv.
 
-A row's logits depend on the row and the kernels alone. A gemm kernel
-sums an output entry by where it sits among the kernel's register blocks:
-entries in full blocks alike, those of a remainder block (the last few
-columns of a width, or rows of a height, that is not a whole number of
-blocks) in another order. So every block of rows holds whole groups of
-SCORE_COLUMN_GROUP columns, the tail block padded with zero rows whose
-logits are dropped; and at D>1 each stacked W is padded with zero rows to
-whole groups as well, their products dropped, as its height 3KH or 4KH
-depends on the stack (the per-kernel U and head products do not). A row
-then has the same logit bits scored alone, in any slice of X and in any
-stack, its kernel's stack of one included, so the train report can take
-each boosting round's in-sample votes as the ensemble's. This holds for
-the gemm kernels whose blocks divide SCORE_COLUMN_GROUP, not for every
-BLAS: OpenBLAS built with DYNAMIC_ARCH, as numpy's wheels are, picks the
-kernel at run time from the CPU (or OPENBLAS_CORETYPE). Forced through
-OPENBLAS_CORETYPE on one AMD EPYC, the SkylakeX, Haswell (also Zen's) and
-Sandybridge kernels hold it at 1, 2, 4 and 8 threads; the Nehalem kernel
-holds it at 1 thread only (its threaded gemm splits a block), and the
-Katmai one fails the oracle tests too. tests/test_lstm_kernel.py's
-row-independence test is its only guard, and so the only guard of
-tests/test_cli.py's test_evaluate_reproduces_train_block contract: on a
-kernel without the property both fail, and a train vote whose logit lies
-near 0 can differ from evaluate's.
-
-The clip guard. clip_and_update() clips by the exact ordered norm: the
+The clip guard. clip_and_update clips by the exact ordered norm: the
 squares of grad, each key's own pairwise sum, the sums added in
 param_keys() order, then sqrt(s) > max_norm. Most updates are not clipped,
 so it first takes q = grad.dot(grad), summed in whatever order BLAS picks.
-q and s sum the same n squares, each through at most n - 1 additions, so
-each lies within gamma_n = nu/(1 - nu) of the true sum, relatively, plus
-n * 2^-1075 for squares that underflow, with u = 2^-53 (Higham 2002,
-"Accuracy and Stability of Numerical Algorithms", 3.1 and 4.2). Let
-m = max_norm lie in [2^-511, 2^511], so that m^2 is a normal float and the
-underflow term is at most n u m^2. Then q < m^2 (1 - delta), with
+q and s sum the same n squares, each within gamma_n = nu/(1 - nu) of the
+true sum, relatively, plus n * 2^-1075 for squares that underflow, with
+u = 2^-53 (Higham 2002, "Accuracy and Stability of Numerical Algorithms",
+3.1 and 4.2). For m = max_norm in [2^-511, 2^511], m^2 is a normal float
+and the underflow term is at most n u m^2. Then q < m^2 (1 - delta), with
 delta = 4(n + 2)u, gives s <= m^2: both sums' errors and the threshold's
 own three roundings take 4(n + 1)u of delta to first order, and the whole
 bound leaves s at least 4u m^2 below m^2 for any n up to 4 * 10^7
 (tests/test_lstm_kernel.py evaluates it). So sqrt(s) <= m, and as m is a
-float and sqrt is correctly rounded, so is the computed norm: the exact
-path would not clip either. Such an update takes theta -= lr * grad at
-once, the exact path's unclipped update; every other one, a NaN or inf q
-included, takes the exact path as it was. The flag and theta thus never
-depend on q's order, and no artifact sees it.
+float and sqrt is correctly rounded, the exact path would not clip either:
+such an update takes theta -= lr * grad at once. Every other one, a NaN or
+inf q included, takes the exact path, so the flag and theta never depend
+on q's order.
 
 The fixed cost of a step. Per-example SGD is sequential, so an update costs
-about its number of numpy calls times a call's fixed cost; the step makes
-few and cheap calls and keeps every float operation and its order. A kernel
-binds its step once per row width, when it builds the Trace (_bind_step),
-and its clip and update once, on the first update (_bind_update): closures
-over the views of the trace, the parameters, the gradient and the work
-buffers, with the row's shape settled into flags. A call reads no attribute
-but the trace's x and prob, unpacks no per-call tuple, and calls its ufuncs
-by local names with the output passed positionally (numerics'
-positional-out rule); a copy is a slice assignment, not np.copyto, whose
-Python dispatch costs more than the copy. The closures hold arrays and
-floats, never the kernel, so a kernel and its closures form no reference
-cycle. PackedLstm.forward() checks the row's width and calls the bound
-forward, backward() the bound backward and clip_and_update() the bound
-update, so grad_check, the tests and train_weak_learner, which takes the
-three once per learner and drops the trace and step at its end, run one
-code. The gate sigmoids call numerics.sigmoid_core with pre-built (2, n)
-work buffers: min(z, 0) and -|z| are written side by side and one exp takes
-both, with no checks on the way. A constant operand is a 0-d array
-(numerics' 0-d operand rule), as are dL/dlogit and the learning rate. The
-head logit is w_head.dot(h_T), the ddot that `@` reaches without matmul's
-dispatch, and a later step's U h_{t-1} and U^T dpre are one ndarray.dot
-gemv each; weighted_loss takes only its label's log, and the training loop
-takes its rows as one list of views per learner. So one update makes six
-Python calls at T = 1: forward, sigmoid_core, the head's sigmoid,
-weighted_loss, backward and the update. README's "Where the time goes"
-gives the measured costs.
+about its number of numpy calls times a call's fixed cost. A kernel binds
+its step once per row width (_bind_step) and its clip and update once
+(_bind_update), as closures over the views and work buffers they use: a
+call reads no attribute but the trace's x and prob, and calls its ufuncs by
+local names with the output positional (numerics' positional-out rule). The
+closures hold arrays and floats, never the kernel, so a kernel is freed by
+reference counts. One update at T = 1 makes six Python calls: forward,
+sigmoid_core, the head's sigmoid, weighted_loss, backward and
+clip_and_update. README's "Where the time goes" gives the costs.
 """
 
 import functools
@@ -216,20 +111,12 @@ ONE_STEP_GATES = GATES[1:]
 
 PROB_CLAMP = 1e-12
 
-# rows per block of the stack of one; a stack of K kernels takes about
-# SCORE_BLOCK_ROWS // K (block_rows), so the per-step temporaries stay
-# (4, K, H, 256 // K) however many rows a file has
+# the scorer's block rule (block_rows) and row independence (module docstring)
 SCORE_BLOCK_ROWS = 256
-# a block holds whole groups of columns, a stack one group at least (module docstring)
 SCORE_COLUMN_GROUP = 8
 MAX_STACK = SCORE_BLOCK_ROWS // SCORE_COLUMN_GROUP
 
-# bound on |forward_stack() logit - forward() logit| per unit of
-# sum|w_head| + |b_head|; see the module docstring
-ROW_LOGIT_DRIFT = 16 * np.finfo(float).eps
-
-# the max_norm range where PackedLstm.clip_and_update's quick sum may decide:
-# max_norm^2 is then a normal float, so the bound in the module docstring holds
+# the max_norm range where the clip guard's quick sum may decide (module docstring)
 _CLIP_GUARD_MIN, _CLIP_GUARD_MAX = 2.0 ** -511, 2.0 ** 511
 
 
@@ -319,9 +206,7 @@ def step_dim(mode: str, width: int) -> int:
 
 def array_shapes(input_dim: int, hidden_dim: int, one_step: bool = False) -> dict:
     """The shape of each param_keys(one_step) array, keyed in the order the
-    arrays lie in a kernel's theta: each gate's W (H, D), then each gate's U
-    (H, H) (none one-step), then each gate's b (H,), then w_head (H,) and
-    b_head (1,)."""
+    arrays lie in a kernel's theta: every W, every U, every b, then the head."""
     d, h = input_dim, hidden_dim
     gates = ONE_STEP_GATES if one_step else GATES
     shapes = {f"W_{gate}": (h, d) for gate in gates}
@@ -369,25 +254,17 @@ def _key_views(W, U, b, w_head, b_head, hidden_dim: int) -> dict:
 
 
 class Trace:
-    """forward()'s record of one T-step row, laid out for backward(). A kernel
-    keeps one, as kernel.trace, with the step bound over it (_bind_step).
+    """forward()'s record of one T-step row, laid out for backward(); a
+    kernel keeps one as kernel.trace.
 
-    gates (T, 4H): step t's [f, i, o, 1], its sigmoid gates and a block of
-    ones. mult (T+1, 4H): step t's [c_prev, g, tanh(c), i], the factors
-    dpre's first product takes; row T holds c_T in its first block, and the i
-    block is copied from gates by backward(). h (T+1, H): h[0] = 0 and h[t+1]
-    the hidden state after step t. c (T+1, H), g and tanh_c (T, H) and f, i,
-    o (T, H) are named views of those buffers, h_last is h[T]; x is the row
-    forward() ran and logit and prob its head's output. Step 0 is the one-step
-    cell (see the module docstring): it computes no forget gate, so f[0] stays 1.
-
-    factors (T, 5H) holds [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and
-    dpre (T, 4H) the pre-activation gradients, row k holding step T-1-k; the
-    forget block of step 0's row stays 0.
-
-    gates is C-contiguous, so row t-1's o block lies 2H entries before row
-    t's f block, with row t-1's ones between: its flat entries 4Ht-2H ..
-    4Ht+H are [o_{t-1}, 1, f_t], the window that backward() reads.
+    gates (T, 4H) holds step t's [f, i, o, 1] (f[0] stays 1: step 0 has no
+    forget gate), mult (T+1, 4H) its [c_prev, g, tanh(c), i], the factors of
+    dpre's first product (row T holds c_T; backward() copies i from gates),
+    and h (T+1, H) the hidden states from h[0] = 0. factors (T, 5H) holds
+    [1-f, 1-i, 1-o, 1-g^2, 1-tanh(c)^2] per step and dpre (T, 4H) the
+    pre-activation gradients, row k holding step T-1-k. gates is
+    C-contiguous, so its flat entries 4Ht-2H .. 4Ht+H are [o_{t-1}, 1, f_t],
+    the window through which backward() forms step t-1's dc.
     """
 
     def __init__(self, hidden_dim: int, steps: int):
@@ -409,15 +286,8 @@ class Trace:
 def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     """The kernel's SGD step over trace, (forward(x), backward(y, w)): the
     bodies of PackedLstm.forward() and backward() for rows of trace.steps
-    steps, without forward()'s width check.
-
-    Every view a step reads or writes and every work buffer is taken here
-    once, and so is each choice the row's shape makes (the module
-    docstring's fixed cost of a step). Step 0, the one-step cell, is written
-    out in both closures; the later steps run in a loop over their views,
-    empty at T = 1. The closures hold no reference to the kernel and trace
-    none to them, so dropping kernel.trace and kernel._step frees them.
-    """
+    steps, without forward()'s width check. Step 0 is written out in both;
+    the later steps loop over views taken here once."""
     add, multiply, subtract, square, tanh, matmul, add_reduce = (
         np.add, np.multiply, np.subtract, np.square, np.tanh, np.matmul, np.add.reduce)
     d, h_dim, steps, one_step = kernel.input_dim, kernel.hidden_dim, trace.steps, kernel.one_step
@@ -492,8 +362,9 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
     sig_all, one_minus_sig = gates[:, :n_sig], factors[:, :n_sig]
     g_tanh_c, one_minus_sq, mult_i = (mult[:steps, h_dim:n_sig], factors[:, n_sig:],
                                       mult[:steps, n_sig:])
-    # the multipliers [dc, dc, dh, dc, dc]: E[:4H] pairs with a mult row,
-    # E[H:4H] with step 0's, E[2H:] with a gates window (see the module docstring)
+    # the multipliers [dc, dc, dh, dc, dc]: E[:4H] times a mult row is
+    # [c_prev*dc, g*dc, tanh(c)*dh, i*dc], E[H:4H] pairs with step 0's row
+    # and E[2H:] times a gates window is [dh*o_{t-1}, dc, dc*f_t]
     E = np.empty(5 * h_dim)
     dc, dc1, dh, dc3, dc4 = (E[k * h_dim:(k + 1) * h_dim] for k in range(5))
     E_row, E_step0, E_window = E[:4 * h_dim], E[h_dim:4 * h_dim], E[2 * h_dim:]
@@ -565,16 +436,10 @@ def _bind_step(kernel: "PackedLstm", trace: Trace) -> tuple:
 
 
 class PackedLstm:
-    """The cell's parameters in one float64 vector, with the training step
-    (the module docstring gives the layout, the one-step form and the
-    contract with tests/lstm_oracle.py).
-
-    theta is that vector and grad the gradient of the same layout. `arrays`
-    holds the param_keys(one_step) views of theta, which a model file
-    stores, and `grads` the same views of grad; `trace` is the Trace of the
-    last forward(), which backward() differentiates, both through the step
-    bound over it (_bind_step).
-    """
+    """The cell's parameters in one float64 vector theta, with the training
+    step (the module docstring gives the layout and the one-step form).
+    `arrays` and `grads` are the param_keys(one_step) views of theta and
+    grad; `trace` is the Trace of the last forward()."""
 
     def __init__(self, input_dim: int, hidden_dim: int, one_step: bool = False):
         if input_dim < 1 or hidden_dim < 1:
@@ -585,11 +450,7 @@ class PackedLstm:
         self.W, self.U, self.b, self.w_head, self.b_head = _named_blocks(self.theta, d, h,
                                                                          one_step)
         self.arrays = _key_views(self.W, self.U, self.b, self.w_head, self.b_head, h)
-        # W products are batched over a gate axis, so that numpy makes the
-        # reference's per-gate BLAS call for each gate: step 0 and a one-step
-        # kernel multiply a (3H, D) block, whose rows sit at other positions
-        # than in a (4H, D) one, and BLAS sums a row of a stacked product in
-        # an order that depends on the row's position (module docstring)
+        # W by gate, (G, H, D): one BLAS product per gate, as the reference makes
         self._W3 = self.W.reshape(-1, h, d)
         self.trace = self._step = None
 
@@ -603,9 +464,11 @@ class PackedLstm:
         return grad
 
     @functools.cached_property
-    def _update(self):
-        """clip_and_update()'s body bound over theta and grad (_bind_update),
-        built on the first update."""
+    def clip_and_update(self):
+        """update(lr, max_norm) -> clipped: scale grad to L2 norm max_norm if
+        above it (the module docstring's clip guard), then theta -= lr *
+        grad. lr is a float or a 0-d float64 array. Bound on first use
+        (_bind_update)."""
         return _bind_update(self)
 
     @functools.cached_property
@@ -634,15 +497,11 @@ class PackedLstm:
         return self._step
 
     def forward(self, x: np.ndarray) -> float:
-        """Run the cell from a zero state over the flat float64 row x of T*D
-        features, step t being x[t*D:(t+1)*D]; sigmoid head on h_T.
-
-        Returns the probability of class 1 and records the row in self.trace.
-        The row's width is checked, and the trace and the step bound over it
-        rebuilt, only when the width changes. Raises ValueError when x is
-        empty or its length is not a multiple of D, or not D for a one-step
-        kernel.
-        """
+        """The probability of class 1 of the flat float64 row x of T*D
+        features, from a zero state; the row is recorded in self.trace. The
+        trace and the step bound over it are rebuilt when the width changes.
+        Raises ValueError when x is empty or its length is not a multiple of
+        D, or not D for a one-step kernel."""
         trace = self.trace
         if trace is None or len(x) != len(trace.x):
             need = f"forward: {{needs}} a row of {{width}} features, got {len(x)}"
@@ -650,31 +509,14 @@ class PackedLstm:
         return self._step[0](x)
 
     def backward(self, y: int, w: float) -> None:
-        """BPTT of weighted_loss of the last forward() into self.grad, from
-        self.trace, as the module docstring's time-batched BPTT lays it out."""
+        """BPTT of weighted_loss of the last forward() into self.grad."""
         self._step[1](y, w)
-
-    def clip_and_update(self, lr: float, max_norm: float) -> bool:
-        """Scale grad to L2 norm max_norm if above it, then theta -= lr * grad.
-
-        lr is a float or a 0-d float64 array, which numpy takes with less
-        overhead (see numerics). Returns whether the gradient was clipped.
-        grad.dot(grad) below max_norm^2 * _clip_keep decides most updates
-        unclipped; otherwise the exact ordered norm decides (the module
-        docstring's clip guard).
-        """
-        return self._update(lr, max_norm)
 
 
 def _bind_update(kernel: PackedLstm):
-    """kernel.clip_and_update() over kernel's theta and grad, as one
-    closure update(lr, max_norm) -> clipped: the quick path, which calls
-    the exact path's closure when the quick sum cannot decide.
-
-    The closures hold arrays and floats only, never the kernel or one of its
-    bound methods: kernel._update holds them, so that would be a reference
-    cycle, which only the garbage collector frees.
-    """
+    """kernel.clip_and_update: the quick path, which calls the exact one when
+    the quick sum cannot decide. The closures hold no kernel or bound method
+    of it: the kernel holds them, and a cycle would wait for the collector."""
     multiply, subtract, add_reduce = np.multiply, np.subtract, np.add.reduce
     theta, grad, keep = kernel.theta, kernel.grad, kernel._clip_keep  # building grad sets keep
     dot, low, high = grad.dot, _CLIP_GUARD_MIN, _CLIP_GUARD_MAX
@@ -719,8 +561,9 @@ def block_rows(stack_size: int) -> int:
     """Rows per block of a stack of 1 to MAX_STACK kernels: SCORE_BLOCK_ROWS
     // stack_size, rounded down to a multiple of SCORE_COLUMN_GROUP. A
     stacked gemm is stack_size times one kernel's in its gate dimension, so
-    none is larger than one kernel's at SCORE_BLOCK_ROWS rows; a larger gemm
-    can make BLAS start its threads."""
+    none is larger than one kernel's at SCORE_BLOCK_ROWS rows, however many
+    rows a file has; a larger gemm can make BLAS start its threads, whose CPU
+    time adds to the caller's. MAX_STACK leaves a block one column group."""
     return SCORE_BLOCK_ROWS // stack_size // SCORE_COLUMN_GROUP * SCORE_COLUMN_GROUP
 
 
@@ -729,12 +572,10 @@ def forward_stack(kernels, X) -> tuple:
     each of the K kernels, row k of either being kernels[k]'s; each row runs
     from a zero state.
 
-    X is (N, T*D), in the module docstring's row layout. Kernels of one
-    shape, (input_dim, hidden_dim, one_step), run in stacks of at most
-    MAX_STACK kernels; a shape's first kernel checks the width of X. A row's
-    logits depend on the row and the kernels alone (module docstring).
-    Raises ValueError when X is not an (N, T*D) matrix of that kernel's D,
-    or of D itself for a one-step kernel.
+    Kernels of one shape, (input_dim, hidden_dim, one_step), run in stacks
+    of at most MAX_STACK, so that each block of rows takes one gemm and one
+    pass of each activation for all of them. Raises ValueError when X is not
+    an (N, T*D) matrix of a kernel's D, or of D itself for a one-step kernel.
 
     A finite weight can overflow a product to an inf pre-activation, which
     saturates its gate exactly at the limit (a sigmoid gives 0 or 1, tanh
@@ -757,19 +598,12 @@ def forward_stack(kernels, X) -> tuple:
 
 
 def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
-    """The (K, N) head logits of the rows of X under K kernels of one shape.
-
-    Rows go through the stack block_rows(K) at a time, so the working set
-    does not grow with N; the tail block is padded with zero rows to whole
-    column groups, whose logits are dropped. Within a block the state is
-    held transposed and gate by gate, (G, K, H, rows), so that each
-    activation reads one contiguous slice. Step 0 is the one-step cell, the
-    stacked input, output and candidate blocks' (3KH, rows) input products;
-    each later step takes the (4KH, rows) ones with each kernel's own
-    (4H, H) @ (H, rows) product U @ h added, then b, as in forward(). At
-    D=1 an input product is a (G, 1) * (1, rows) broadcast multiply; at
-    D>1 a gemm whose stacked W is padded with zero rows to whole groups.
-    """
+    """The (K, N) head logits of the rows of X under K kernels of one shape,
+    block_rows(K) rows at a time. A block's state is held transposed and
+    gate by gate, (G, K, H, rows), so that each activation reads one
+    contiguous slice; each kernel adds its own (4H, H) @ (H, rows) U h, then
+    b, as forward() does. At D=1 an input product is a broadcast multiply,
+    each entry the one product w*x that a k=1 gemm would sum as 0 + w*x."""
     first, k = kernels[0], len(kernels)
     d, h_dim = first.input_dim, first.hidden_dim
     need = f"forward_stack: need an (N, {{width}}) matrix, got shape {X.shape}"
@@ -791,9 +625,7 @@ def _stack_logits(kernels, X: np.ndarray) -> np.ndarray:
     if d == 1:
         input_product = np.multiply
     else:
-        # zero rows pad each stacked W to whole groups, their products dropped:
-        # a gemm kernel can sum the rows of its remainder in another order,
-        # and which rows those are would depend on K
+        # zero rows pad each stacked W to whole groups (row independence)
         input_product = np.matmul
         if m0 % group:
             W0 = np.concatenate([W0, np.zeros((-m0 % group, d))])
@@ -937,7 +769,7 @@ def train_weak_learner(X: np.ndarray, labels, weights, cfg: TrainConfig, input_d
     curve = LossCurve()
     rows = list(X)  # the row views, taken once and not per update
     forward, backward = kernel._bind(X.shape[1] // input_dim)  # rows of one width
-    trace, update, max_norm = kernel.trace, kernel._update, cfg.grad_clip
+    trace, update, max_norm = kernel.trace, kernel.clip_and_update, cfg.grad_clip
     # an overflow is caught by the checks below, not printed as a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, cfg.max_epochs + 1):

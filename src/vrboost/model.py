@@ -2,15 +2,11 @@
 
 Format v2, the one save_model writes, is compact JSON with every float a JSON
 number: Python writes the shortest text that round-trips a float64 exactly.
-Each learner stores its kernel's arrays, which are the ones its sequence mode
-trains: a `single` learner's kernel is one-step and holds only
-lstm.param_keys(one_step=True), an `unrolled` one all 14 param_keys().
-Format v1 (every float as a string of 17 significant digits, all 14 arrays
-per learner) still loads; the arrays a one-step kernel lacks are ignored.
-load_model checks everything scoring relies on, so a model that does not fit
-its data fails before any row is scored. A learner's arrays have one reader,
-_read_kernel, which builds its kernel or raises the DataError naming the
-array at fault.
+Each learner stores the arrays of the kernel its sequence mode trains: a
+`single` learner lstm.param_keys(one_step=True), an `unrolled` one all 14
+param_keys(). Format v1 (every float as a string of 17 significant digits,
+all 14 arrays per learner) still loads; the arrays a one-step kernel lacks
+are ignored.
 """
 
 import json
@@ -98,22 +94,16 @@ def save_model(bundle: ModelBundle, path: str) -> None:
 def load_model(path: str) -> ModelBundle:
     """Inverse of save_model, for format v1 and v2. Any malformed content raises DataError.
 
-    Each learner is packed into the kernel form its sequence mode trains and
-    reads that form's arrays: a `single` learner's one-step kernel has no
-    forget gate, which multiplies a zero cell state, and no U, which
-    multiply a zero hidden state. A v2 learner must store exactly those
-    arrays; a v1 learner's others are ignored. A round's alpha is checked
-    before its arrays, which _read_kernel reads.
-
     Everything scoring relies on is checked here, so that a model which does
     not fit its data fails before any row is scored: each learner's input
-    dimension must be the step length of its sequence mode, every alpha,
-    weight and mean finite, and the label convention the one boost_train
-    writes, and the alphas' absolute sum finite, which bounds every margin.
-    The standardizer's indices must be exactly NUMERIC_FEATURE_INDICES,
-    its stds finite and >= 0, and each constant flag std == 0. Every float
-    must be a JSON number in v2 and a string in v1, flags JSON booleans, and
-    counts, indices, the threshold and the labels JSON integers.
+    dimension must be the step length of its sequence mode, a v2 learner
+    must store exactly its kernel form's arrays, every alpha, weight and
+    mean must be finite, the alphas' absolute sum too (it bounds every
+    margin), and the label convention the one boost_train writes. The
+    standardizer's indices must be exactly NUMERIC_FEATURE_INDICES, its stds
+    finite and >= 0, and each constant flag std == 0. Every float must be a
+    JSON number in v2 and a string in v1, flags JSON booleans, and counts,
+    indices, the threshold and the labels JSON integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -195,18 +185,14 @@ _FLOAT_KINDS = {1: {str}, 2: {int, float}}
 
 def _read_kernel(stored: dict, input_dim: int, hidden_dim: int, one_step: bool,
                  version: int, number: int) -> PackedLstm:
-    """The kernel of round number's stored arrays; raises DataError naming
-    the array at fault.
+    """The kernel of round number's stored arrays, each finite; raises
+    DataError naming the array at fault.
 
-    One pass reads a learner as save_model writes it: the arrays' cells are
-    gathered in theta's order (lstm.array_shapes), each array a list of its
-    length and each W or U row a list of its width, then scanned once for
-    exact types (_FLOAT_KINDS of the version) and converted once, straight
-    into the new kernel's theta. A learner that pass refuses is read again
-    per key in param_keys(one_step) order through _floats, which names a
-    cell of the wrong type; then each array's shape is checked, and only then
-    is the kernel allocated and filled, so hidden_dim alone never sizes an
-    allocation. Either way every entry must be finite.
+    One pass reads a learner as save_model writes it, its cells gathered in
+    theta's order (lstm.array_shapes) and converted once. A learner that
+    pass refuses is read again per key through _floats, which names the cell
+    at fault, and its shapes are checked before the kernel is allocated, so
+    hidden_dim alone never sizes an allocation.
     """
     shapes = array_shapes(input_dim, hidden_dim, one_step)
     cells = []

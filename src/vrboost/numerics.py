@@ -5,20 +5,16 @@ same seed produces the same stream on every platform and Python build.
 
 The 0-d operand rule. A ufunc call of the per-example SGD step whose other
 operand is a constant takes ZERO, ONE or MINUS_ONE, read-only 0-d float64
-arrays, not a Python float: numpy converts a Python float operand on every
-call, which a 0-d array skips (README's "Where the time goes" gives the
-measured costs of this rule and the next). The bits cannot change: a Python
-float operand of a float64 array is taken as the float64 of the same value,
-which is what the 0-d array holds, so the ufunc runs the same float64 loop
-on the same two values. For the same reason the kernel keeps dL/dlogit in a
-0-d array, and lstm.train_weak_learner passes each epoch's learning rate as
-one.
+arrays: numpy converts a Python float operand on every call, which a 0-d
+array skips. The bits cannot change, as numpy takes a Python float operand
+of a float64 array as the float64 of the same value. For the same reason the
+kernel keeps dL/dlogit and the learning rate in 0-d arrays.
 
-The positional-out rule. A ufunc call of the per-example SGD step passes
-its output array as the argument after its inputs, not as out=, which numpy
-parses on every call. It is the same output, so the bits cannot change.
+The positional-out rule. A ufunc call of the per-example SGD step passes its
+output after its inputs, not as out=, which numpy parses on every call.
 np.minimum and np.maximum keep out=: numpy 2.4 deprecates a positional third
 argument to them, and its warning check costs more than out= saves.
+README's "Where the time goes" gives the measured costs of both rules.
 """
 
 import math
@@ -41,17 +37,15 @@ def _constant(value: float) -> np.ndarray:
 ZERO, ONE, MINUS_ONE = _constant(0.0), _constant(1.0), _constant(-1.0)
 
 
-def sigmoid(z, out=None, work=None):
-    """Logistic function 1 / (1 + exp(-z)); a float for a scalar z, else an array.
+def sigmoid(z, out=None):
+    """Logistic function 1 / (1 + exp(-z)); a float for a scalar z, else an
+    array, written into out if given (out may be z).
 
-    Never passes a positive argument to exp(), so sigmoid(-500) returns a
-    tiny positive number instead of underflowing to 0 through
-    1 / (1 + exp(500)). An array takes no masks: it is sigmoid_core's
-    exp(min(z, 0)) / (1 + exp(-|z|)), whose numerator is exp(0) = 1 where
-    z >= 0 and exp(z) elsewhere, so each entry takes the scalar branch's
-    operations. out, if given, receives the array result and may be z
-    itself; work, if given, is a float64 buffer of shape (2,) + z.shape,
-    so that a call with both allocates nothing.
+    Never passes a positive argument to exp(), so sigmoid(-500) is a tiny
+    positive number, not 0 through 1 / (1 + exp(500)). An array is
+    sigmoid_core's exp(min(z, 0)) / (1 + exp(-|z|)), whose numerator is
+    exp(0) = 1 where z >= 0 and exp(z) elsewhere: each entry takes the
+    scalar branch's operations.
     """
     if isinstance(z, float):  # numpy float64 scalars included
         # Python floats around np.exp: the same IEEE operations, without
@@ -63,8 +57,7 @@ def sigmoid(z, out=None, work=None):
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         return sigmoid(float(z))
-    if work is None:
-        work = np.empty((2,) + z.shape)
+    work = np.empty((2,) + z.shape)
     return sigmoid_core(z, out, work, work[0], work[1])
 
 

@@ -10,11 +10,16 @@ OracleStump wraps oracle_best_stump in the weak-learner interface
 boost_train and ensemble_predict take (fit, predict and predict_all, and
 stump_factory for the factory), so the checks that boost stumps run this
 one stump search.
+
+staged_train_error is the tests' scorer of every prefix of an ensemble's
+rounds; it applies the package's vote rule, vote_predict, to one scoring.
 """
 
 import math
 
 import numpy as np
+
+from vrboost.boosting import vote_predict
 
 # 1-D datasets (<= 10 points) used for the exact-trajectory comparisons
 FIXTURES = {
@@ -107,6 +112,19 @@ def oracle_boost(X, labels01, rounds, epsilon_floor=1e-10):
         entries.append({"epsilon": err, "alpha": a, "weights": d.copy(),
                         "stump": stump, "preds": preds})
     return entries
+
+
+def staged_train_error(ensemble, X, labels) -> list:
+    """Unweighted error on the rows of X, labels in {0,1}, of every prefix of
+    the ensemble's rounds: the k-th is that of ensemble_predict on the first
+    k rounds, from one predict_all call. Raises ValueError for an empty
+    ensemble, as ensemble_predict does."""
+    if not ensemble.rounds:
+        raise ValueError("empty ensemble: no rounds to vote")
+    learners, alphas = [r.learner for r in ensemble.rounds], [r.alpha for r in ensemble.rounds]
+    votes = type(learners[0]).predict_all(learners, np.asarray(X, dtype=float))
+    return [float(np.sum(vote_predict(alphas[:k], votes[:k])[0] != labels)) / votes.shape[1]
+            for k in range(1, len(alphas) + 1)]
 
 
 def oracle_margins(entries, X):

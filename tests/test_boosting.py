@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boost_oracle import FIXTURES as ORACLE_FIXTURES
-from boost_oracle import OracleStump, oracle_boost, oracle_margins, stump_factory
+from boost_oracle import (OracleStump, oracle_boost, oracle_margins, staged_train_error,
+                          stump_factory)
 from vrboost.boosting import (BoostConfig, BoostRound, Ensemble, LstmWeakLearner,
                               alpha, boost_train, ensemble_predict, init_weights,
-                              lstm_factory, staged_train_error, to_signed,
-                              update_weights, weighted_error)
+                              lstm_factory, to_signed, update_weights, weighted_error)
 from vrboost.errors import DataError, TrainingError
 from vrboost.lstm import TrainConfig
 from vrboost.numerics import Rng

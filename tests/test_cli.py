@@ -1,16 +1,19 @@
 import builtins
 import hashlib
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from lstm_oracle import forward_sequence, four_gate
@@ -268,6 +271,24 @@ def test_config_sequence_mode_outside_choices_is_usage_error_before_training(
     assert not out.exists()
 
 
+def test_config_file_with_a_bom_sets_its_first_key(tmp_path, capsys):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_bytes(b"\xef\xbb\xbfn = 30\n")
+    assert _run(["gen-data", "--config", cfg, "--out-dir", tmp_path]) == 0
+    assert capsys.readouterr().out.startswith("wrote 30 records")
+
+
+def test_config_file_that_names_a_config_file_is_usage_error(tmp_path, capsys):
+    # the named file would never be read, so the line cannot take effect
+    cfg = tmp_path / "outer.cfg"
+    cfg.write_text("n = 30\nconfig = missing.cfg\n")
+    out = tmp_path / "out"
+    assert _run(["gen-data", "--config", cfg, "--out-dir", out]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == (f"usage error: {cfg}:2: a config file cannot name "
+                                       f"another one\n")
+    assert not out.exists()
+
+
 _TRAIN_TABLE = {row[0]: row for row in option_rows("train").values() if row[0] != "config"}
 _TEXT = st.text(alphabet="abcXYZ019._/", min_size=1, max_size=12)
 
@@ -305,6 +326,131 @@ def test_config_file_and_flags_resolve_alike(tmp_path_factory, values):
     assert from_file.pop("config") == str(cfg) and from_flags.pop("config") is None
     assert from_file == from_flags
     assert from_flags == {**{name: row[1] for name, row in _TRAIN_TABLE.items()}, **values}
+
+
+# --- config-file fuzzer -------------------------------------------------------
+# Drawn config files through --config for gen-data, predict and train. Every
+# path a file can name is a fixed name: a fixture, a missing file beside the
+# fixtures, or an output name under --out-dir, as tier-1 may run as root. The
+# sizes are bounded, as a drawn hidden_dim = 10**5 would ask for tens of GB.
+
+_SIZE_BOUNDS = {"n": 60, "synth_n": 60, "rounds": 3, "epochs": 2, "hidden_dim": 8}
+_NOT_AN_INT = st.text(alphabet="abxyz ._-+e", max_size=6)  # no digit: never a size
+_FREE = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r\n"),
+                max_size=10)
+_BOOL_WORDS = st.sampled_from(["1", "0", "true", "False", "YES", "no", "On", "off", "maybe",
+                               ""])
+_NOT_UTF8 = st.sampled_from([b"\x80", b"\xff", b"\xc3(", b"\xed\xa0\x80"])
+
+
+# the values each path option may take, the first a file that works
+_CONFIG_PATHS = {
+    "out": ["out.csv", "", "missing/out.csv"],
+    "data": [str(FIXTURES / name) for name in ("v1_score.csv", "missing.csv",
+                                               "model_v1_single.json")],
+    "model": [str(FIXTURES / name) for name in ("model_v1_single.json", "model_v1_unrolled.json",
+                                                "missing.json", "v1_score.csv")],
+    "config": [str(FIXTURES / "missing.cfg")],
+}
+
+
+def _or(valid, junk):
+    """valid three times in four, else junk."""
+    return st.integers(0, 3).flatmap(lambda k: junk if k == 0 else valid)
+
+
+def _config_value(name, row):
+    _, default, _, *choices = row
+    if name in _CONFIG_PATHS:
+        return st.sampled_from(_CONFIG_PATHS[name])
+    if choices:
+        return _or(st.sampled_from(choices[0]), _FREE)
+    if isinstance(default, bool):
+        return _BOOL_WORDS
+    if name in _SIZE_BOUNDS:
+        return _or(st.integers(-1, _SIZE_BOUNDS[name]).map(str), _NOT_AN_INT)
+    if isinstance(default, int):
+        return _or(st.integers().map(str), _FREE)
+    if isinstance(default, float):
+        return _or(st.floats().map(repr), _FREE)
+    return _FREE
+
+
+@st.composite
+def _config_file(draw, command):
+    """(command, the bytes of a config file for it). The file first sets each
+    size its command reads and predict's model and data, then draws lines:
+    known keys with drawn values in either spelling, unknown keys, lines
+    without '=', comments and blanks; LF or CRLF, maybe a BOM in front and
+    a non-UTF-8 byte somewhere."""
+    rows = option_rows(command)
+    lines = [f"{name} = {draw(st.integers(1, bound))}"
+             for name, bound in _SIZE_BOUNDS.items() if name in rows]
+    if command == "predict":
+        lines += [f"{name} = {_CONFIG_PATHS[name][0]}" for name in ("model", "data")]
+    unknown = st.text(st.characters(blacklist_categories=("Cs",),
+                                    blacklist_characters="\r\n=#"), max_size=8)
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["known"] * 8 + ["config", "unknown", "no '='", "comment",
+                                                     "blank"]))
+        if kind in ("known", "config"):
+            name = "config" if kind == "config" else draw(st.sampled_from(
+                sorted(set(rows) - {"config"})))
+            key = name.replace("_", "-") if draw(st.booleans()) else name
+            line = f"{key} = {draw(_config_value(name, rows[name]))}"
+        elif kind == "unknown":
+            key = draw(unknown)
+            if key.strip().replace("-", "_") in rows:
+                key += "x"  # no option name ends in x
+            line = f"{key} = {draw(_FREE)}"
+        elif kind == "no '='":
+            line = draw(unknown)
+        elif kind == "comment":
+            line = "# " + draw(_FREE)
+        else:
+            line = ""
+        if draw(st.integers(0, 4)) == 0:
+            line += " # " + draw(_FREE)
+        lines.append(line)
+    raw = (draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n").encode("utf-8")
+    if draw(st.booleans()):
+        raw = b"\xef\xbb\xbf" + raw
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(_NOT_UTF8) + raw[at:]
+    return command, raw
+
+
+@pytest.fixture(scope="module")
+def config_fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("config_fuzz")
+
+
+@settings(max_examples=300)
+@given(drawn=st.sampled_from(["gen-data", "predict", "train"]).flatmap(_config_file))
+@example(drawn=("gen-data", b"\xef\xbb\xbfn = 30\n"))  # a BOM before the first key
+@example(drawn=("train", b"synth_n = 40\r\nrounds = 1\r\nepochs = 1\r\nconfig = x.cfg\r\n"))
+def test_drawn_config_files_run_or_fail_in_one_line(config_fuzz_dir, drawn):
+    # each command exits 0 with nothing on stderr, or 2, 3, 4 or 5 with one
+    # stderr line; no traceback and no warning either way
+    command, raw = drawn
+    cfg = config_fuzz_dir / "drawn.cfg"
+    cfg.unlink(missing_ok=True)  # rewriting a file in place can wait on the disk
+    cfg.write_bytes(raw)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr), \
+            redirect_stdout(stdout):
+        warnings.simplefilter("always")
+        code = cli.main([command, "--config", str(cfg),
+                         "--out-dir", str(config_fuzz_dir / "out")])
+    event(f"{command} exit {code}")
+    assert code in (0, 2, 3, 4, 5), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert stderr.getvalue() == "" and stdout.getvalue()
+    else:
+        assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+    assert not caught, [str(w.message) for w in caught]
 
 
 # --- evaluate / predict -----------------------------------------------------
@@ -472,7 +618,7 @@ def test_predict_leaves_loaded_kernels_without_gradient_buffers(tmp_path, traine
     kernels = [r.learner.kernel for r in loaded[0].ensemble.rounds]
     assert kernels
     for kernel in kernels:
-        assert not {"grad", "grads", "_update"} & set(vars(kernel))
+        assert not {"grad", "grads", "clip_and_update"} & set(vars(kernel))
 
 
 # --- load-time model validation ---------------------------------------------

@@ -232,10 +232,10 @@ EDGES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.225073858507201
 def test_sigmoid_array_is_bit_equal_to_the_formula(z):
     want = _formula_sigmoid(z).tobytes()
     assert sigmoid(z).tobytes() == want
-    out, work = np.empty_like(z), np.empty((2,) + z.shape)
+    out = np.empty_like(z)
     assert sigmoid(z, out) is out and out.tobytes() == want
     aliased = z.copy()
-    assert sigmoid(aliased, aliased, work) is aliased and aliased.tobytes() == want
+    assert sigmoid(aliased, aliased) is aliased and aliased.tobytes() == want
 
 
 def test_sigmoid_array_of_nan_is_nan():
