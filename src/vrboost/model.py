@@ -1,12 +1,10 @@
 """The model file: a versioned JSON bundle of the ensemble and its preprocessing.
 
-Format v2, the one save_model writes, is compact JSON with every float a JSON
-number: Python writes the shortest text that round-trips a float64 exactly.
-Each learner stores the arrays of the kernel its sequence mode trains: a
-`single` learner lstm.param_keys(one_step=True), an `unrolled` one all 14
-param_keys(). Format v1 (every float as a string of 17 significant digits,
-all 14 arrays per learner) still loads; the arrays a one-step kernel lacks
-are ignored.
+Format v2, the one save_model writes and load_model reads, is compact JSON
+with every float a JSON number: Python writes the shortest text that
+round-trips a float64 exactly. Each learner stores the arrays of the kernel
+its sequence mode trains: a `single` learner lstm.param_keys(one_step=True),
+an `unrolled` one all 14 param_keys().
 """
 
 import json
@@ -22,7 +20,6 @@ from .errors import DataError
 from .lstm import PackedLstm, TrainConfig, array_shapes, param_keys, step_dim
 
 MODEL_FORMAT_VERSION = 2
-READABLE_FORMAT_VERSIONS = (1, 2)
 
 
 @dataclass
@@ -92,18 +89,19 @@ def save_model(bundle: ModelBundle, path: str) -> None:
 
 
 def load_model(path: str) -> ModelBundle:
-    """Inverse of save_model, for format v1 and v2. Any malformed content raises DataError.
+    """Inverse of save_model. Any malformed content raises DataError.
 
     Everything scoring relies on is checked here, so that a model which does
     not fit its data fails before any row is scored: each learner's input
-    dimension must be the step length of its sequence mode, a v2 learner
-    must store exactly its kernel form's arrays, every alpha, weight and
+    dimension must be the step length of its sequence mode, a learner must
+    store exactly its kernel form's arrays, every alpha, weight and
     mean must be finite, the alphas' absolute sum too (it bounds every
     margin), and the label convention the one boost_train writes. The
     standardizer's indices must be exactly NUMERIC_FEATURE_INDICES, its stds
     finite and >= 0, and each constant flag std == 0. Every float must be a
-    JSON number in v2 and a string in v1, flags JSON booleans, and counts,
-    indices, the threshold and the labels JSON integers.
+    JSON number, an integer beyond float64 counting as not finite, flags
+    JSON booleans, and counts, indices, the threshold and the labels JSON
+    integers.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -112,13 +110,13 @@ def load_model(path: str) -> ModelBundle:
         raise DataError(f"could not parse model file {path}: {exc}") from None
     try:
         version = _typed(doc["format_version"], int)
-        if version not in READABLE_FORMAT_VERSIONS:
+        if version != MODEL_FORMAT_VERSION:
             raise DataError(f"unsupported model format version {version!r}")
         target = data_mod.TargetSpec(target_column=doc["target"]["column"],
                                      threshold=_typed(doc["target"]["threshold"], int))
         std_doc, numeric = doc["standardizer"], list(data_mod.NUMERIC_FEATURE_INDICES)
-        means = _floats(std_doc["means"], version, "standardizer: means")
-        stds = _floats(std_doc["stds"], version, "standardizer: stds")
+        means = _floats(std_doc["means"], "standardizer: means")
+        stds = _floats(std_doc["stds"], "standardizer: stds")
         if ([_typed(i, int) for i in std_doc["indices"]] != numeric
                 or not means.shape == stds.shape == (len(numeric),)
                 or not np.all(np.isfinite(means) & np.isfinite(stds) & (stds >= 0))
@@ -144,15 +142,14 @@ def load_model(path: str) -> ModelBundle:
                                 f"sequence_mode {sequence_mode!r}, whose steps have "
                                 f"{dim} features")
             stored = learner_doc["arrays"]
-            if version == 2 and set(stored) != set(keys):
+            if set(stored) != set(keys):
                 raise DataError(f"round {number}: arrays {sorted(stored)} are not the "
                                 f"{sequence_mode!r} arrays {sorted(keys)}")
-            alpha = _floats(entry["alpha"], version, f"round {number}: alpha")
+            alpha = _floats(entry["alpha"], f"round {number}: alpha")
             if alpha.shape or not np.isfinite(alpha):
                 raise DataError(f"round {number}: alpha {entry['alpha']!r} is not a finite number")
             learner = LstmWeakLearner(TrainConfig(hidden_dim=hidden_dim), sequence_mode)
-            learner.kernel = _read_kernel(stored, input_dim, hidden_dim, one_step, version,
-                                          number)
+            learner.kernel = _read_kernel(stored, input_dim, hidden_dim, one_step, number)
             rounds.append(BoostRound(alpha=float(alpha), learner=learner))
         if not rounds:
             raise DataError("model file contains no rounds")
@@ -178,63 +175,65 @@ def _typed(value, kind: type):
     return value
 
 
-# the Python type of a float in a model file of each format version, as its
-# writer wrote it; type() is exact, so a JSON true (an int subclass) is neither
-_FLOAT_KINDS = {1: {str}, 2: {int, float}}
+# the Python types of a float in a model file; type() is exact, so a JSON true
+# (an int subclass) is neither
+_NUMBER = {int, float}
+# the least int that float() refuses: the midpoint of the largest float64 and
+# 2**1024, which rounds to even, up
+_INT_BEYOND_FLOAT64 = 2 ** 1024 - 2 ** 970
 
 
 def _read_kernel(stored: dict, input_dim: int, hidden_dim: int, one_step: bool,
-                 version: int, number: int) -> PackedLstm:
+                 number: int) -> PackedLstm:
     """The kernel of round number's stored arrays, each finite; raises
-    DataError naming the array at fault.
+    DataError naming the round and the array at fault.
 
-    One pass reads a learner as save_model writes it, its cells gathered in
-    theta's order (lstm.array_shapes) and converted once. A learner that
-    pass refuses is read again per key through _floats, which names the cell
-    at fault, and its shapes are checked before the kernel is allocated, so
-    hidden_dim alone never sizes an allocation.
+    One pass walks lstm.array_shapes in theta's order. Each array must be a
+    list of its length and each row a list of its width, checked before the
+    kernel is allocated, so hidden_dim alone never sizes an allocation. The
+    cells are gathered in one list, their types scanned once, and converted
+    once into theta; only a failed scan looks for the array at fault.
     """
     shapes = array_shapes(input_dim, hidden_dim, one_step)
-    cells = []
-    try:
-        for key, shape in shapes.items():
-            arr = stored[key]
-            if type(arr) is not list or len(arr) != shape[0]:
-                raise ValueError(key)
-            if len(shape) == 2:  # rows of lists of the width, by set
-                if set(map(type, arr)) != {list} or set(map(len, arr)) != {shape[1]}:
-                    raise ValueError(key)
-                arr = chain.from_iterable(arr)
-            cells += arr
-        if not set(map(type, cells)) <= _FLOAT_KINDS[version]:
-            raise TypeError(version)
-        kernel = PackedLstm(input_dim, hidden_dim, one_step)
-        kernel.theta[:] = cells
-    except (KeyError, TypeError, ValueError, OverflowError):  # read per key
-        arrays = {key: _floats(stored[key], version, f"round {number}: array {key}")
-                  for key in param_keys(one_step)}
-        for key, arr in arrays.items():
-            if arr.shape != shapes[key]:
-                raise DataError(f"round {number}: array {key} has shape {arr.shape}, "
-                                f"expected {shapes[key]}") from None
-        kernel = PackedLstm(input_dim, hidden_dim, one_step)
-        for key, arr in arrays.items():
-            kernel.arrays[key][...] = arr
+    cells, ends = [], []  # ends[i]: where array i's cells end in cells
+    for key, shape in shapes.items():
+        arr = stored[key]
+        rows = len(shape) == 2
+        if (type(arr) is not list or len(arr) != shape[0] or rows and (
+                set(map(type, arr)) != {list} or set(map(len, arr)) != {shape[1]})):
+            raise DataError(f"round {number}: array {key} is not of shape {shape}")
+        cells += chain.from_iterable(arr) if rows else arr
+        ends.append(len(cells))
+    if not set(map(type, cells)) <= _NUMBER:
+        at = next(i for i, v in enumerate(cells) if type(v) not in _NUMBER)
+        key = next(k for k, end in zip(shapes, ends) if at < end)
+        raise DataError(f"round {number}: array {key}: {cells[at]!r} is not a number")
+    kernel = PackedLstm(input_dim, hidden_dim, one_step)
+    _fill(kernel.theta, cells)
     if not np.all(np.isfinite(kernel.theta)):  # every array, in one check
         key = next(k for k, arr in kernel.arrays.items() if not np.all(np.isfinite(arr)))
         raise DataError(f"round {number}: array {key} is not finite")
     return kernel
 
 
-def _floats(value, version: int, what: str) -> np.ndarray:
-    """value, a model file's float, list or matrix of floats, as a float64
-    array. A float is of a _FLOAT_KINDS type of the version; anything else
-    raises DataError naming what."""
-    arr = np.array(value, dtype=float)
-    cells = ([value] if arr.ndim == 0 else value if arr.ndim == 1
-             else list(chain.from_iterable(value)))
-    kinds = _FLOAT_KINDS[version]
-    if not set(map(type, cells)) <= kinds:
-        bad = next(v for v in cells if type(v) not in kinds)
-        raise DataError(f"{what}: {bad!r} is not a {'string' if version == 1 else 'number'}")
-    return arr
+def _floats(value, what: str) -> np.ndarray:
+    """value, a model file's number or list of numbers, as a float64 array.
+    A cell that is not a JSON number raises DataError naming what."""
+    cells = value if type(value) is list else [value]
+    if not set(map(type, cells)) <= _NUMBER:
+        bad = next(v for v in cells if type(v) not in _NUMBER)
+        raise DataError(f"{what}: {bad!r} is not a number")
+    arr = _fill(np.empty(len(cells)), cells)
+    return arr if cells is value else arr[0]
+
+
+def _fill(out: np.ndarray, cells: list) -> np.ndarray:
+    """out, with cells, ints and floats, written in as float64s; an int beyond
+    float64, which numpy refuses to convert, as inf, so that it counts as not
+    finite."""
+    try:
+        out[:] = cells
+    except OverflowError:
+        out[:] = [math.inf if type(v) is int and abs(v) >= _INT_BEYOND_FLOAT64 else v
+                  for v in cells]
+    return out

@@ -346,10 +346,10 @@ _NOT_UTF8 = st.sampled_from([b"\x80", b"\xff", b"\xc3(", b"\xed\xa0\x80"])
 # the values each path option may take, the first a file that works
 _CONFIG_PATHS = {
     "out": ["out.csv", "", "missing/out.csv"],
-    "data": [str(FIXTURES / name) for name in ("v1_score.csv", "missing.csv",
-                                               "model_v1_single.json")],
-    "model": [str(FIXTURES / name) for name in ("model_v1_single.json", "model_v1_unrolled.json",
-                                                "missing.json", "v1_score.csv")],
+    "data": [str(FIXTURES / name) for name in ("score.csv", "missing.csv",
+                                               "model_v2_single.json")],
+    "model": [str(FIXTURES / name) for name in ("model_v2_single.json", "model_v2_unrolled.json",
+                                                "missing.json", "score.csv")],
     "config": [str(FIXTURES / "missing.cfg")],
 }
 
@@ -668,7 +668,7 @@ def _lengthen_w_candidate_row(doc):
 
 def _nest_b_output(doc):
     arrays = doc["rounds"][1]["learner"]["arrays"]
-    arrays["b_output"] = [[v] for v in arrays["b_output"]]
+    arrays["b_output"] = [[0.5] for _ in arrays["b_output"]]
 
 
 def _add_unknown_array(doc):
@@ -711,6 +711,12 @@ INVALID_MODELS = {
     "weight_bool": _set(["rounds", 0, "learner", "arrays", "w_head", 1], True),
     "v2_weight_string": _set(["rounds", 1, "learner", "arrays", "W_output", 0, 2], "0.5"),
     "alpha_list": _set(["rounds", 0, "alpha"], [0.5]),
+    # alpha, means and stds take the arrays' type rule: a cell that is not a
+    # JSON number is named, an int beyond float64 is not finite
+    "alpha_not_a_number": _set(["rounds", 1, "alpha"], "abc"),
+    "alpha_overflows_float64": _set(["rounds", 0, "alpha"], 10**400),
+    "std_not_a_number": _set(["standardizer", "stds", 1], "abc"),
+    "mean_overflows_float64": _set(["standardizer", "means", 2], 10**400),
     "weight_overflows_float64": _set(["rounds", 0, "learner", "arrays", "b_head", 0], 10**400),
     "standardizer_lengths_differ": _set(["standardizer", "constant"], [False, False]),
     "label_convention_both_1": _set(["label_convention", "negative"], 1),
@@ -724,6 +730,7 @@ INVALID_MODELS = {
     "input_dim_float": _set(["rounds", 0, "learner", "input_dim"], 9.0),
     "v2_single_stores_dead_array": _add_dead_u_forget,
     "v2_single_lacks_live_array": _drop_live_b_output,
+    "format_version_1": _set(["format_version"], 1),
     "format_version_3": _set(["format_version"], 3),
     # the edges of the one-pass array read, whose lines EXACT_MODEL_ERRORS pins
     "w_input_bool": _set(["rounds", 0, "learner", "arrays", "W_input", 1, 2], True),
@@ -750,53 +757,47 @@ INVALID_MODELS = {
     "alphas_sum_overflows": _overflow_alpha_sum,
 }
 
-_RAGGED = ("ValueError('setting an array element with a sequence. The requested array has "
-           "an inhomogeneous shape after 1 dimensions. The detected shape was (6,) + "
-           "inhomogeneous part.')")
+_SINGLE_ARRAYS = ("['W_candidate', 'W_input', 'W_output', 'b_candidate', 'b_head', "
+                  "'b_input', 'b_output', 'w_head']")
 
-# the whole error line of each case that rejects a learner's arrays: a
-# learner that the one-pass read refuses is read again per key, which names
-# the fault; {model} is the model file's path
+# the whole error line of each case whose line the test pins
 EXACT_MODEL_ERRORS = {
     "alpha_nan_and_w_input_bool": "round 1: alpha nan is not a finite number",
+    "alpha_not_a_number": "round 2: alpha: 'abc' is not a number",
+    "alpha_overflows_float64": f"round 1: alpha {10**400!r} is not a finite number",
+    "std_not_a_number": "standardizer: stds: 'abc' is not a number",
+    "format_version_1": "unsupported model format version 1",
     "v2_single_stores_u_input": "round 1: arrays ['U_input', 'W_candidate', 'W_input', "
                                 "'W_output', 'b_candidate', 'b_head', 'b_input', 'b_output', "
-                                "'w_head'] are not the 'single' arrays ['W_candidate', "
-                                "'W_input', 'W_output', 'b_candidate', 'b_head', 'b_input', "
-                                "'b_output', 'w_head']",
+                                "'w_head'] are not the 'single' arrays " + _SINGLE_ARRAYS,
     "v2_single_stores_b_forget": "round 1: arrays ['W_candidate', 'W_input', 'W_output', "
                                  "'b_candidate', 'b_forget', 'b_head', 'b_input', "
                                  "'b_output', 'w_head'] are not the 'single' arrays "
-                                 "['W_candidate', 'W_input', 'W_output', 'b_candidate', "
-                                 "'b_head', 'b_input', 'b_output', 'w_head']",
-    "b_candidate_a_number": "round 1: array b_candidate has shape (), expected (6,)",
+                                 + _SINGLE_ARRAYS,
+    "b_candidate_a_number": "round 1: array b_candidate is not of shape (6,)",
     "b_head_null": "round 1: array b_head: None is not a number",
-    "b_output_nested": "round 2: array b_output has shape (6, 1), expected (6,)",
+    "b_output_nested": "round 2: array b_output: [0.5] is not a number",
     "head_bias_nan": "round 1: array b_head is not finite",
-    "hidden_dim_20000": "round 2: array W_input has shape (6, 9), expected (20000, 9)",
+    "hidden_dim_20000": "round 2: array W_input is not of shape (20000, 9)",
     "hidden_dim_0": "round 1: hidden_dim 0 must be >= 1",
     "hidden_dim_minus_1": "round 1: hidden_dim -1 must be >= 1",
     "alphas_sum_overflows": "the absolute sum of the 2 alphas overflows float64",
     "v2_b_input_string": "round 1: array b_input: '0.5' is not a number",
     "v2_lacks_w_head": "round 2: arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
                        "'b_head', 'b_input', 'b_output'] are not the 'single' arrays "
-                       "['W_candidate', 'W_input', 'W_output', 'b_candidate', 'b_head', "
-                       "'b_input', 'b_output', 'w_head']",
+                       + _SINGLE_ARRAYS,
     "v2_unknown_array": "round 1: arrays ['W_candidate', 'W_input', 'W_output', 'W_peephole', "
                         "'b_candidate', 'b_head', 'b_input', 'b_output', 'w_head'] are not the "
-                        "'single' arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
-                        "'b_head', 'b_input', 'b_output', 'w_head']",
-    "w_candidate_row_too_long": "malformed model file {model}: " + _RAGGED,
+                        "'single' arrays " + _SINGLE_ARRAYS,
+    "w_candidate_row_too_long": "round 2: array W_candidate is not of shape (6, 9)",
     "w_input_bool": "round 1: array W_input: True is not a number",
-    "w_input_ragged_row": "malformed model file {model}: " + _RAGGED,
-    "w_output_row_a_number": "malformed model file {model}: " + _RAGGED,
+    "w_input_ragged_row": "round 1: array W_input is not of shape (6, 9)",
+    "w_output_row_a_number": "round 2: array W_output is not of shape (6, 9)",
     "weight_bool": "round 1: array w_head: True is not a number",
     "v2_weight_string": "round 2: array W_output: '0.5' is not a number",
     "weight_inf": "round 2: array W_input is not finite",
-    "weight_not_a_number": "malformed model file {model}: "
-                           "ValueError(\"could not convert string to float: 'abc'\")",
-    "weight_overflows_float64": "malformed model file {model}: "
-                                "OverflowError('int too large to convert to float')",
+    "weight_not_a_number": "round 1: array W_output: 'abc' is not a number",
+    "weight_overflows_float64": "round 1: array b_head is not finite",
 }
 
 # the error message of a case, where the test checks it
@@ -807,6 +808,7 @@ INVALID_MODEL_MESSAGES = {
     "standardizer_indices_permuted": "{'indices': [1, 0, 2], ",
     "alpha_bool": "round 1: alpha: True is not a number",
     "mean_bool": "standardizer: means: True is not a number",
+    "mean_overflows_float64": "need indices [0, 1, 2], finite means, finite stds >= 0",
 }
 
 # no case may build a kernel larger than the trained ones
@@ -844,60 +846,54 @@ def test_invalid_model_is_rejected_at_load_with_exit_3(tmp_path, trained, case, 
     assert "usage error" not in err
     assert INVALID_MODEL_MESSAGES.get(case, "") in err
     if case in EXACT_MODEL_ERRORS:
-        assert err == "error: " + EXACT_MODEL_ERRORS[case].format(model=model) + "\n"
+        assert err == "error: " + EXACT_MODEL_ERRORS[case] + "\n"
 
 
-def _v1_fixture(mode):
-    return json.loads((FIXTURES / f"model_v1_{mode}.json").read_text())
+def _pop(path):
+    def edit(doc):
+        *parents, last = path
+        node = doc
+        for step in parents:
+            node = node[step]
+        node.pop(last)
+    return edit
 
 
-# edits of the format v1 fixtures, each with its whole error line as the
-# per-key read printed it (None: the file still loads); {model} is the path
-V1_MODEL_EDITS = {
-    "weight_a_number": ("single", _set(["rounds", 0, "learner", "arrays", "W_input", 0, 0],
-                                       0.5),
-                        "round 1: array W_input: 0.5 is not a string"),
-    "lacks_b_output": ("single", lambda doc: doc["rounds"][1]["learner"]["arrays"].pop(
-        "b_output"), "malformed model file {model}: KeyError('b_output')"),
-    "weight_bool": ("unrolled", _set(["rounds", 1, "learner", "arrays", "W_output", 2, 0],
-                                     True),
-                    "round 2: array W_output: True is not a string"),
-    "u_row_ragged": ("unrolled", lambda doc: doc["rounds"][0]["learner"]["arrays"][
-        "U_forget"][1].pop(), "malformed model file {model}: ValueError('setting an array "
-                              "element with a sequence. The requested array has an "
-                              "inhomogeneous shape after 1 dimensions. The detected shape "
-                              "was (3,) + inhomogeneous part.')"),
-    "weight_unparsable": ("unrolled", _set(["rounds", 1, "learner", "arrays", "b_forget", 0],
-                                           "zero"),
-                          "malformed model file {model}: "
-                          "ValueError(\"could not convert string to float: 'zero'\")"),
-    "w_head_overflows": ("unrolled", _set(["rounds", 0, "learner", "arrays", "w_head", 2],
-                                          "1e400"),
-                         "round 1: array w_head is not finite"),
-    # a `single` learner's v1 forget gate and U are never read
-    "single_dead_u_ragged": ("single", lambda doc: doc["rounds"][2]["learner"]["arrays"][
-        "U_input"][0].pop(), None),
-    "single_dead_b_forget_a_number": ("single", _set(["rounds", 0, "learner", "arrays",
-                                                      "b_forget", 1], 0.5), None),
+# edits of the committed fixtures, each with its whole error line; the
+# unrolled ones reach the U arrays and the forget gate, which the trained
+# `single` model of INVALID_MODELS lacks
+FIXTURE_MODEL_EDITS = {
+    "lacks_b_output": ("single", _pop(["rounds", 1, "learner", "arrays", "b_output"]),
+                       "round 2: arrays ['W_candidate', 'W_input', 'W_output', 'b_candidate', "
+                       "'b_head', 'b_input', 'w_head'] are not the 'single' arrays "
+                       + _SINGLE_ARRAYS),
+    "u_forget_ragged_row": ("unrolled", _pop(["rounds", 0, "learner", "arrays", "U_forget", 1,
+                                              2]),
+                            "round 1: array U_forget is not of shape (3, 3)"),
+    "u_output_bool": ("unrolled", _set(["rounds", 1, "learner", "arrays", "U_output", 2, 0],
+                                       True),
+                      "round 2: array U_output: True is not a number"),
+    "b_forget_not_a_number": ("unrolled", _set(["rounds", 1, "learner", "arrays", "b_forget",
+                                                0], "zero"),
+                              "round 2: array b_forget: 'zero' is not a number"),
+    "b_forget_overflows": ("unrolled", _set(["rounds", 0, "learner", "arrays", "b_forget", 2],
+                                            10**400),
+                           "round 1: array b_forget is not finite"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(V1_MODEL_EDITS))
-def test_an_edited_v1_model_fails_or_predicts_as_the_per_key_read_does(tmp_path, case, capsys):
-    mode, edit, line = V1_MODEL_EDITS[case]
-    doc = _v1_fixture(mode)
+@pytest.mark.parametrize("case", sorted(FIXTURE_MODEL_EDITS))
+def test_an_edited_fixture_model_fails_in_one_line(tmp_path, case, capsys):
+    mode, edit, line = FIXTURE_MODEL_EDITS[case]
+    doc = json.loads((FIXTURES / f"model_v2_{mode}.json").read_text())
     edit(doc)
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
-    code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
+    code = _run(["predict", "--model", model, "--data", FIXTURES / "score.csv",
                  "--out", "preds.csv", "--out-dir", tmp_path])
-    if line is None:
-        assert code == 0
-        assert (tmp_path / "preds.csv").read_bytes() == \
-            (FIXTURES / f"v1_preds_{mode}.csv").read_bytes()
-    else:
-        assert code == 3
-        assert capsys.readouterr().err == "error: " + line.format(model=model) + "\n"
+    assert code == 3
+    assert capsys.readouterr().err == "error: " + line + "\n"
+    assert not (tmp_path / "preds.csv").exists()
 
 
 def test_zero_std_on_constant_column_loads(tmp_path, trained):

@@ -509,7 +509,7 @@ def test_majority_rate():
 
 # --- drawn CSV bytes through predict -----------------------------------------
 
-MODEL_V1_SINGLE = Path(__file__).resolve().parent / "fixtures" / "model_v1_single.json"
+MODEL_V2_SINGLE = Path(__file__).resolve().parent / "fixtures" / "model_v2_single.json"
 
 # a field load_csv accepts, per column
 _VALID_FIELDS = {
@@ -537,24 +537,27 @@ _NOT_UTF8 = st.sampled_from([b"\x80", b"\xff", b"\xc3(", b"\xed\xa0\x80"])
 
 
 @st.composite
-def _csv_bytes(draw):
+def _csv_bytes(draw, max_rows=5, clean=False):
     """A CSV file's bytes: a header of the schema's columns in drawn order,
-    the optional target column sometimes absent, rows of valid fields with
-    odd fields, wrong field counts and blank rows mixed in, written by
-    csv.writer (quoting as needed or always, LF or CRLF) with raw lines
-    between; then maybe a BOM in front and a non-UTF-8 byte somewhere."""
+    the optional target column sometimes absent, up to max_rows rows of
+    valid fields with odd fields, wrong field counts and blank rows mixed
+    in, written by csv.writer (quoting as needed or always, LF or CRLF) with
+    raw lines between; then maybe a BOM in front and a non-UTF-8 byte
+    somewhere. A clean file has every column and valid rows only, and stays
+    UTF-8."""
     header = draw(st.permutations(COLUMNS))
-    if draw(st.booleans()):
+    if not clean and draw(st.booleans()):
         header = [name for name in header if name != "ImmersionLevel"]
-    if draw(st.integers(0, 9)) == 0:
+    if not clean and draw(st.integers(0, 9)) == 0:
         header[draw(st.integers(0, len(header) - 1))] = draw(_ODD_FIELDS)
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])),
                         lineterminator=draw(st.sampled_from(["\n", "\r\n"])))
     writer.writerow(header)
-    for _ in range(draw(st.integers(0, 5))):
-        kind = draw(st.sampled_from(["valid", "valid", "odd field", "wrong count", "blank",
-                                     "raw"]))
+    kinds = ["valid"] if clean else ["valid", "valid", "odd field", "wrong count", "blank",
+                                     "raw"]
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(kinds))
         row = [draw(_VALID_FIELDS.get(name, st.just("0"))) for name in header]
         if kind == "odd field":
             row[draw(st.integers(0, len(row) - 1))] = draw(_ODD_FIELDS)
@@ -570,7 +573,7 @@ def _csv_bytes(draw):
     raw = buf.getvalue().encode("utf-8")
     if draw(st.booleans()):
         raw = b"\xef\xbb\xbf" + raw
-    if draw(st.integers(0, 4)) == 0:
+    if not clean and draw(st.integers(0, 4)) == 0:
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + draw(_NOT_UTF8) + raw[at:]
     return raw
@@ -604,7 +607,7 @@ def test_drawn_csv_bytes_predict_or_fail_in_one_line(csv_fuzz_dir, raw):
     with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr), \
             redirect_stdout(stdout):
         warnings.simplefilter("always")
-        code = cli.main(["predict", "--model", str(MODEL_V1_SINGLE), "--data", str(data),
+        code = cli.main(["predict", "--model", str(MODEL_V2_SINGLE), "--data", str(data),
                          "--out", out.name, "--out-dir", str(csv_fuzz_dir)])
     event(f"exit {code}")
     assert code in (0, 3), stderr.getvalue()
@@ -614,6 +617,56 @@ def test_drawn_csv_bytes_predict_or_fail_in_one_line(csv_fuzz_dir, raw):
     assert (stderr if code == 0 else stdout).getvalue() == ""
     assert lines[0].startswith("wrote " if code == 0 else "error: ")
     assert out.exists() == (code == 0)
+    assert not caught, [str(w.message) for w in caught]
+
+
+# --- drawn CSV bytes through train -------------------------------------------
+# split, encode, standardize and boost on drawn files: clean ones half the
+# time, so that most draws reach the boosting rounds. The sizes are bounded
+# so that an example trains in milliseconds.
+
+_TRAIN_CSV = st.booleans().flatmap(lambda clean: _csv_bytes(max_rows=30, clean=clean))
+
+
+# a train split whose Durations are 10, 20, 1e308 and 1e-308: a finite mean
+# and population std, but the squared deviations overflow
+_STD_OVERFLOW_CSV = (HEADER + "\n" + "".join(
+    f"{age},Male,HTC Vive,{duration},3,{level}\n" for age, duration, level in zip(
+        (20, 25, 30, 35, 40), ("10", "20", "1e308", "1e-308", "15"), (1, 5, 1, 5, 1)))).encode()
+
+
+@settings(max_examples=150)
+@given(raw=_TRAIN_CSV, mode=st.sampled_from(["single", "unrolled"]), stratified=st.booleans(),
+       rounds=st.integers(1, 2), hidden_dim=st.integers(1, 2), seed=st.integers(0, 3))
+@example(raw=_STD_OVERFLOW_CSV, mode="single", stratified=False, rounds=1, hidden_dim=1,
+         seed=0)  # exits 3: "std inf"
+def test_drawn_csv_bytes_train_or_fail_in_one_line(csv_fuzz_dir, raw, mode, stratified, rounds,
+                                                    hidden_dim, seed):
+    # train exits 0 with nothing on stderr and every artifact written, or 3
+    # (a data fault) or 4 (a training fault) with one stderr line and no
+    # model; no traceback and no warning either way
+    data, out = csv_fuzz_dir / "train.csv", csv_fuzz_dir / "train_run"
+    data.unlink(missing_ok=True)
+    data.write_bytes(raw)
+    for written in out.glob("*"):
+        written.unlink()
+    argv = ["train", "--data", str(data), "--sequence-mode", mode, "--rounds", str(rounds),
+            "--epochs", "1", "--hidden-dim", str(hidden_dim), "--seed", str(seed),
+            "--out-dir", str(out)] + ["--stratified"] * stratified
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stderr(stderr), \
+            redirect_stdout(stdout):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    event(f"exit {code}")
+    assert code in (0, 3, 4), stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+    if code == 0:
+        assert stderr.getvalue() == ""
+    else:
+        assert len(stderr.getvalue().splitlines()) == 1, stderr.getvalue()
+        assert stderr.getvalue().startswith("error: " if code == 3 else "training error: ")
+    assert (out / "model.json").exists() == (code == 0)
     assert not caught, [str(w.message) for w in caught]
 
 

@@ -1,5 +1,5 @@
-"""The model file: save_model and load_model are exact inverses, format v1
-files written before v2 still score as they did, and the benchmark's
+"""The model file: save_model and load_model are exact inverses, the
+committed fixtures score as they always did, and the benchmark's
 independent reader parses what save_model writes."""
 
 import importlib.util
@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lstm_oracle import packed
-from vrboost import data as data_mod
-from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner, ensemble_predict
+from vrboost.boosting import BoostRound, Ensemble, LstmWeakLearner
 from vrboost.cli import main
 from vrboost.data import N_FEATURES, NUMERIC_FEATURE_INDICES, Standardizer, TargetSpec
-from vrboost.lstm import PackedLstm, TrainConfig, forward_stack, param_keys
+from vrboost.lstm import PackedLstm, TrainConfig, param_keys
 from vrboost.model import ModelBundle, load_model, save_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,62 +107,33 @@ def test_save_model_rejects_alphas_whose_absolute_sum_overflows(tmp_path):
     assert not (tmp_path / "model.json").exists()
 
 
-# --- format v1 files, written by the v1 writer ----------------------------------
-# model_v1_<mode>.json: `gen-data --n 100 --seed 21 --signal 6.0`, then `train
+# --- the committed format v2 fixtures ---------------------------------------------
+# model_v2_<mode>.json: `gen-data --n 100 --seed 21 --signal 6.0`, then `train
 # --sequence-mode <mode> --stratified --rounds 3 --epochs 8 --hidden-dim 3 --lr 0.1
-# --seed 4`; v1_preds_<mode>.csv: that model's `predict` on v1_score.csv
-# (`gen-data --n 30 --seed 22 --signal 6.0`).
+# --seed 4`, as written by the format v1 writer and re-saved by save_model;
+# preds_<mode>.csv: that model's `predict` on score.csv (`gen-data --n 30 --seed
+# 22 --signal 6.0`), as the v1 code wrote it.
 
 def _run(argv):
     return main([str(a) for a in argv])
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_v1_model_predicts_as_the_v1_code_did(tmp_path, mode):
-    assert _run(["predict", "--model", FIXTURES / f"model_v1_{mode}.json",
-                 "--data", FIXTURES / "v1_score.csv", "--out", "preds.csv",
+def test_fixture_model_predicts_its_committed_bytes(tmp_path, mode):
+    assert _run(["predict", "--model", FIXTURES / f"model_v2_{mode}.json",
+                 "--data", FIXTURES / "score.csv", "--out", "preds.csv",
                  "--out-dir", tmp_path]) == 0
     assert (tmp_path / "preds.csv").read_bytes() == \
-        (FIXTURES / f"v1_preds_{mode}.csv").read_bytes()
-
-
-def _score_matrix(bundle: ModelBundle) -> np.ndarray:
-    table = data_mod.load_csv(FIXTURES / "v1_score.csv")
-    return data_mod.apply_standardizer(bundle.standardizer,
-                                       data_mod.encode(table, bundle.target))
+        (FIXTURES / f"preds_{mode}.csv").read_bytes()
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_v1_dead_arrays_do_not_change_a_logit(mode):
-    # every array of the v1 file packed, against the live ones with the rest at zero
-    path = FIXTURES / f"model_v1_{mode}.json"
-    bundle = load_model(path)
-    X = _score_matrix(bundle)
-    doc = json.loads(path.read_text())
-    for entry, r in zip(doc["rounds"], bundle.ensemble.rounds, strict=True):
-        learner = entry["learner"]
-        full = packed(
-            learner["input_dim"], learner["hidden_dim"],
-            {k: np.array(v, dtype=float) for k, v in learner["arrays"].items()})
-        want = forward_stack([full], X)[1]
-        got = forward_stack([r.learner.kernel], X)[1]
-        assert got.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_v1_model_resaved_as_v2_scores_identically_and_round_trips(tmp_path, mode):
-    v1 = load_model(FIXTURES / f"model_v1_{mode}.json")
-    first, second = tmp_path / "first.json", tmp_path / "second.json"
-    save_model(v1, first)
-    v2 = load_model(first)
-    assert json.loads(first.read_text())["format_version"] == 2
-    X = _score_matrix(v1)
-    for got, want in zip(ensemble_predict(v2.ensemble, X), ensemble_predict(v1.ensemble, X)):
-        assert got.tobytes() == want.tobytes()
-    save_model(v2, second)
-    assert second.read_bytes() == first.read_bytes()
-    stored = json.loads(first.read_text())["rounds"][0]["learner"]["arrays"]
-    assert list(stored) == list(param_keys(one_step=mode == "single"))
+def test_fixture_model_resaves_to_its_own_bytes(tmp_path, mode):
+    path = FIXTURES / f"model_v2_{mode}.json"
+    save_model(load_model(path), tmp_path / "model.json")
+    assert (tmp_path / "model.json").read_bytes() == path.read_bytes()
+    for entry in json.loads(path.read_text())["rounds"]:
+        assert list(entry["learner"]["arrays"]) == list(param_keys(one_step=mode == "single"))
 
 
 # --- the benchmark's independent reader -------------------------------------------
@@ -202,11 +172,8 @@ def test_bench_reference_scores_a_saved_model_as_predict_does(tmp_path, mode):
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A directory holding the v1 fixtures' v2 re-saves, v2_<mode>.json."""
-    root = tmp_path_factory.mktemp("fuzz")
-    for mode in MODES:
-        save_model(load_model(FIXTURES / f"model_v1_{mode}.json"), root / f"v2_{mode}.json")
-    return root
+    """A directory for the fuzzer's mutated model and its predictions."""
+    return tmp_path_factory.mktemp("fuzz")
 
 
 def _nodes(node, path=()):
@@ -235,7 +202,7 @@ def _mutated(doc, edits):
     return doc
 
 
-# floats as v2 writes them and as v1 does, as text, among the leaves
+# floats as JSON numbers and as text among the leaves
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=3) | st.floats()
     | st.floats().map(repr) | st.sampled_from([1e308, -1e308, "1e308", "-1e308"]),
@@ -247,7 +214,7 @@ EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), JSON_VALUES),
 
 
 @settings(max_examples=1000)
-@given(base=st.sampled_from([f"{v}_{mode}" for v in ("v1", "v2") for mode in MODES]),
+@given(base=st.sampled_from([f"v2_{mode}" for mode in MODES]),
        edits=EDITS)
 @example(base="v2_unrolled",
          edits=[(("rounds", 0, "learner", "arrays", "W_input", 0, 0), False, 1e308)])
@@ -256,11 +223,10 @@ EDITS = st.lists(st.tuples(st.integers(0, 10 ** 6), st.booleans(), JSON_VALUES),
 @example(base="v2_unrolled", edits=[(("standardizer", "means", 0), False, -1.7e308),
                                     (("standardizer", "stds", 0), False, 0.5)])
 def test_a_mutated_model_file_predicts_or_fails_in_one_line(fuzz_dir, base, edits):
-    # the v1 fixtures and their v2 re-saves with nodes set to JSON values,
-    # deleted or popped: predict exits 0 or 3 with at most one stderr line,
-    # and numpy warns of nothing (pytest would take a warning off stderr)
-    path = (FIXTURES / f"model_{base}.json" if base.startswith("v1")
-            else fuzz_dir / f"{base}.json")
+    # the committed fixtures with nodes set to JSON values, deleted or
+    # popped: predict exits 0 or 3 with at most one stderr line, and numpy
+    # warns of nothing (pytest would take a warning off stderr)
+    path = FIXTURES / f"model_{base}.json"
     model, out = fuzz_dir / "mutated.json", fuzz_dir / "preds.csv"
     for written in (model, out):  # unlinked: rewriting a file in place can wait on the disk
         written.unlink(missing_ok=True)
@@ -269,7 +235,7 @@ def test_a_mutated_model_file_predicts_or_fails_in_one_line(fuzz_dir, base, edit
     with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
             redirect_stdout(io.StringIO()):
         warnings.simplefilter("always")
-        code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
+        code = _run(["predict", "--model", model, "--data", FIXTURES / "score.csv",
                      "--out", out.name, "--out-dir", fuzz_dir])
     lines = err.getvalue().splitlines()
     event(f"exit {code}")
@@ -279,9 +245,9 @@ def test_a_mutated_model_file_predicts_or_fails_in_one_line(fuzz_dir, base, edit
     assert not caught, [str(w.message) for w in caught]
 
 
-def test_a_z_score_that_overflows_fails_predict_in_one_line(fuzz_dir, tmp_path):
+def test_a_z_score_that_overflows_fails_predict_in_one_line(tmp_path):
     # each moment is finite, (age - mean) / std is not
-    doc = json.loads((fuzz_dir / "v2_single.json").read_text())
+    doc = json.loads((FIXTURES / "model_v2_single.json").read_text())
     doc["standardizer"]["means"][0], doc["standardizer"]["stds"][0] = -1.7e308, 0.5
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
@@ -289,7 +255,7 @@ def test_a_z_score_that_overflows_fails_predict_in_one_line(fuzz_dir, tmp_path):
     with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
             redirect_stdout(io.StringIO()):
         warnings.simplefilter("always")
-        code = _run(["predict", "--model", model, "--data", FIXTURES / "v1_score.csv",
+        code = _run(["predict", "--model", model, "--data", FIXTURES / "score.csv",
                      "--out", "preds.csv", "--out-dir", tmp_path])
     assert code == 3
     assert err.getvalue() == ("error: data row 1: the z-score of feature 0, "
@@ -298,14 +264,14 @@ def test_a_z_score_that_overflows_fails_predict_in_one_line(fuzz_dir, tmp_path):
     assert not (tmp_path / "preds.csv").exists()
 
 
-def test_a_csv_value_whose_z_score_overflows_fails_predict_naming_its_row(fuzz_dir, tmp_path):
+def test_a_csv_value_whose_z_score_overflows_fails_predict_naming_its_row(tmp_path):
     # the model's moments are ordinary; the data rows' values make the overflow
-    doc = json.loads((fuzz_dir / "v2_single.json").read_text())
+    doc = json.loads((FIXTURES / "model_v2_single.json").read_text())
     doc["standardizer"]["stds"][:2] = [0.5, 0.25]
     mean_age = doc["standardizer"]["means"][0]
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc))
-    lines = (FIXTURES / "v1_score.csv").read_text().splitlines()
+    lines = (FIXTURES / "score.csv").read_text().splitlines()
     for number, column, value in ((4, 3, "1e308"), (3, 0, "17" + "0" * 307)):
         cells = lines[number].split(",")
         cells[column] = value

@@ -2,7 +2,7 @@
 
 Eight in-process CLI calls cover the products: gen-data, a `single` train
 read from a config file, an `unrolled --stratified` train, predict with the
-v2 model just trained and with the v1 fixture, evaluate, and gradcheck with
+model just trained and with the committed `single` fixture, evaluate, and gradcheck with
 and without --break-gate. A profiler records every Python frame they open;
 each function, method, cached property and named nested function defined in
 src/vrboost must be among them. Code that no product reaches belongs in the
@@ -78,8 +78,8 @@ def _run_products(tmp_path):
          "--out-dir", str(tmp_path / "unrolled")],
         ["predict", "--model", str(run / "model.json"), "--data", str(data),
          "--out-dir", str(run)],
-        ["predict", "--model", str(FIXTURES / "model_v1_single.json"), "--data", str(data),
-         "--out", "v1.csv", "--out-dir", str(run)],
+        ["predict", "--model", str(FIXTURES / "model_v2_single.json"), "--data", str(data),
+         "--out", "fixture.csv", "--out-dir", str(run)],
         ["evaluate", "--model", str(run / "model.json"), "--data", str(data),
          "--out-dir", str(run)],
         ["gradcheck"],
